@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr, ZERO, add, const, differentiate, eval_expr, mul
+from .expr import DerivTable, Expr, ZERO, add, const, differentiate, eval_expr, mul
 from .poly import EvalPoint
 from .scalars import ExactScalar
 
@@ -41,32 +41,8 @@ def poisson_expr(f: Expr, g: Expr) -> Expr:
     )
 
 
-class _DerivTable:
-    """Mixed partial derivatives d_q^a d_p^b f, filled on demand.
-
-    Rows are built from the previous row, so each derivative is taken
-    once; zero entries short-circuit the bidifferential sums.
-    """
-
-    def __init__(self, f: Expr):
-        self.cache: dict[tuple[int, int], Expr] = {(0, 0): f}
-
-    def get(self, a: int, b: int) -> Expr:
-        got = self.cache.get((a, b))
-        if got is not None:
-            return got
-        if b > 0:
-            prev = self.get(a, b - 1)
-            out = ZERO if prev is ZERO else differentiate(prev, "p")
-        else:
-            prev = self.get(a - 1, 0)
-            out = ZERO if prev is ZERO else differentiate(prev, "q")
-        self.cache[(a, b)] = out
-        return out
-
-
 def _bidifferential_power(
-    table_f: _DerivTable, table_g: _DerivTable, k: int
+    table_f: DerivTable, table_g: DerivTable, k: int
 ) -> Expr:
     pieces = []
     for j in range(k + 1):
@@ -89,7 +65,7 @@ def star_n_expr(f: Expr, g: Expr, n: int, depth_cap: int = DEFAULT_DEPTH_CAP) ->
         raise DepthCapError(f"grade {n} exceeds depth cap {depth_cap}")
     if n == 0:
         return mul(f, g)
-    body = _bidifferential_power(_DerivTable(f), _DerivTable(g), n)
+    body = _bidifferential_power(DerivTable(f), DerivTable(g), n)
     half_i = ExactScalar(0, Fraction(1, 2))
     return mul(const((half_i ** n) * Fraction(1, math.factorial(n))), body)
 
@@ -103,7 +79,7 @@ def bracket_2n_expr(
     if n > depth_cap:
         raise DepthCapError(f"grade {n} exceeds depth cap {depth_cap}")
     k = 2 * n + 1
-    body = _bidifferential_power(_DerivTable(f), _DerivTable(g), k)
+    body = _bidifferential_power(DerivTable(f), DerivTable(g), k)
     weight = Fraction((-1) ** n, math.factorial(k) * 4 ** n)
     return mul(const(weight), body)
 
@@ -140,8 +116,8 @@ def moyal_bracket_truncated(
         raise DepthCapError(f"grade {n_max} exceeds depth cap {cap}")
     bindings = at.bindings()
     hbar2 = at.hbar * at.hbar
-    table_f = _DerivTable(f)
-    table_g = _DerivTable(g)
+    table_f = DerivTable(f)
+    table_g = DerivTable(g)
     sums: list[complex] = []
     increments: list[float] = []
     acc = 0j

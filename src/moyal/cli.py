@@ -38,8 +38,22 @@ from .semiclassical import (
     hbar2_transport,
     taylor_flow,
 )
+from .words import MAX_BCH_ORDER
 
 GRADE_CAP = 64
+
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that refuses nan and infinities (exit 2)."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
+
+
+FLOAT = _FiniteFloat()
 
 
 def _fail(message: str) -> None:
@@ -134,17 +148,17 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 
 @main.command()
 @click.option("--hamiltonian", "ham_text", default="(1/4)*q^2*p^2", show_default=True, help="Hamiltonian, expression grammar; polynomial texts also enable the exact Taylor route.")
-@click.option("--q0", type=float, default=1.0, show_default=True)
-@click.option("--p0", type=float, default=1.0, show_default=True)
-@click.option("--t0", type=float, default=0.1, show_default=True)
-@click.option("--t1", type=float, default=0.3, show_default=True)
+@click.option("--q0", type=FLOAT, default=1.0, show_default=True)
+@click.option("--p0", type=FLOAT, default=1.0, show_default=True)
+@click.option("--t0", type=FLOAT, default=0.1, show_default=True)
+@click.option("--t1", type=FLOAT, default=0.3, show_default=True)
 @click.option("--t-steps", type=int, default=3, show_default=True)
-@click.option("--m", type=float, default=None, help="Bind the symbol m.")
-@click.option("--l", type=float, default=None, help="Bind the symbol l.")
-@click.option("--lambda", "lam", type=float, default=None, help="Bind the symbol lambda.")
-@click.option("--omega", type=float, default=None, help="Bind the symbol omega.")
-@click.option("--beta", type=float, default=None, help="Bind the symbol beta.")
-@click.option("--gamma", type=float, default=None, help="Bind the symbol gamma.")
+@click.option("--m", type=FLOAT, default=None, help="Bind the symbol m.")
+@click.option("--l", type=FLOAT, default=None, help="Bind the symbol l.")
+@click.option("--lambda", "lam", type=FLOAT, default=None, help="Bind the symbol lambda.")
+@click.option("--omega", type=FLOAT, default=None, help="Bind the symbol omega.")
+@click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
+@click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=int, default=8, show_default=True, help="Taylor depth for the exact route.")
 @click.option("--quad-nodes", type=int, default=64, show_default=True, help="Quadrature panels per unit time for the transport route.")
 @click.option("--steps", type=int, default=None, help="Integrator steps per unit time (default 2000).")
@@ -187,16 +201,8 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     if h_poly is not None:
         flows = {s: taylor_flow(h_poly, depth, "deformed", s) for s in ("q", "p")}
         for t in times:
-            vals = {}
-            for s, fl in flows.items():
-                acc = 0.0
-                tn = 1.0
-                for n, c in enumerate(fl.hbar2_grade_series()):
-                    if n:
-                        tn *= t / n
-                    acc += tn * c.evaluate(q0, p0, 1.0).real
-                vals[s] = acc
-            rows.append((t, vals["q"], vals["p"], "taylor"))
+            q2, p2 = (flows[s].hbar2_coefficient(q0, p0, t) for s in ("q", "p"))
+            rows.append((t, q2, p2, "taylor"))
     rows.sort(key=lambda r: (r[3], r[0]))
     if fmt == "csv":
         lines = ["t,Q2,P2,method"]
@@ -216,16 +222,16 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
 
 
 @main.command()
-@click.option("--q0", type=float, default=1.0, show_default=True)
-@click.option("--p0", type=float, default=1.0, show_default=True)
-@click.option("--t0", type=float, default=0.0, show_default=True)
-@click.option("--t1", type=float, default=1.0, show_default=True)
+@click.option("--q0", type=FLOAT, default=1.0, show_default=True)
+@click.option("--p0", type=FLOAT, default=1.0, show_default=True)
+@click.option("--t0", type=FLOAT, default=0.0, show_default=True)
+@click.option("--t1", type=FLOAT, default=1.0, show_default=True)
 @click.option("--t-steps", type=int, default=5, show_default=True)
-@click.option("--hbar", type=float, default=0.1, show_default=True)
-@click.option("--m", type=float, default=1.0, show_default=True)
-@click.option("--l", type=float, default=1.0, show_default=True)
+@click.option("--hbar", type=FLOAT, default=0.1, show_default=True)
+@click.option("--m", type=FLOAT, default=1.0, show_default=True)
+@click.option("--l", type=FLOAT, default=1.0, show_default=True)
 @click.option("--grade", type=int, default=8, show_default=True, help="Truncation grade for the numeric deformed brackets.")
-@click.option("--tol", type=float, default=1e-6, show_default=True, help="Convergence tolerance for the truncated brackets.")
+@click.option("--tol", type=FLOAT, default=1e-6, show_default=True, help="Convergence tolerance for the truncated brackets.")
 @click.option("--skip-hbar2", is_flag=True, help="Skip the numeric hbar^2 columns (faster).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -> None:
@@ -335,10 +341,10 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
 @main.command()
 @click.option("--hamiltonian", "ham_text", default="(1/2)*p^2 + (1/2)*q^2 + (1/24)*q^4", show_default=True, help="Polynomial Hamiltonian, exact coefficients.")
 @click.option("--depth", type=int, default=8, show_default=True)
-@click.option("--q0", type=float, default=None, help="With --p0, also run the numeric hbar^2 ratio check.")
-@click.option("--p0", type=float, default=None)
-@click.option("--t1", type=float, default=0.05, show_default=True, help="Time for the ratio check.")
-@click.option("--tol", type=float, default=0.05, show_default=True, help="Relative tolerance for the ratio check.")
+@click.option("--q0", type=FLOAT, default=None, help="With --p0, also run the numeric hbar^2 ratio check.")
+@click.option("--p0", type=FLOAT, default=None)
+@click.option("--t1", type=FLOAT, default=0.05, show_default=True, help="Time for the ratio check.")
+@click.option("--tol", type=FLOAT, default=0.05, show_default=True, help="Relative tolerance for the ratio check.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="json")
 def example2(ham_text, depth, q0, p0, t1, tol, fmt) -> None:
     """Where the deformed bracket ladder leaves the classical one.
@@ -357,18 +363,12 @@ def example2(ham_text, depth, q0, p0, t1, tol, fmt) -> None:
     if (q0 is None) != (p0 is None):
         _fail("--q0 and --p0 must be given together")
     if q0 is not None:
-        expr = _parse_expr_arg(_poly_as_expr_text(h), "Hamiltonian")
+        expr = _parse_expr_arg(format_poly(h), "Hamiltonian")
         ham = HamiltonianSpec(expr)
         ode = hbar2_ode(ham, (q0, p0), t1)
         checks = []
         for s, got in (("q", ode.q2[0]), ("p", ode.p2[0])):
-            fl = taylor_flow(h, depth, "deformed", s)
-            acc = 0.0
-            tn = 1.0
-            for n, c in enumerate(fl.hbar2_grade_series()):
-                if n:
-                    tn *= t1 / n
-                acc += tn * c.evaluate(q0, p0, 1.0).real
+            acc = taylor_flow(h, depth, "deformed", s).hbar2_coefficient(q0, p0, t1)
             ratio = got / acc if acc != 0.0 else math.inf
             checks.append({
                 "seed": s,
@@ -393,18 +393,14 @@ def example2(ham_text, depth, q0, p0, t1, tol, fmt) -> None:
             )
 
 
-def _poly_as_expr_text(h) -> str:
-    return format_poly(h)
-
-
 # -- invariant suites ---------------------------------------------------
 
 
 @main.command()
 @click.option("--only", multiple=True, help="Run only suites whose name contains this (repeatable).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cases", type=int, default=None, help="Override the case count of randomized suites.")
-@click.option("--order", type=int, default=None, help="Override the order of the composition-identity suite.")
+@click.option("--cases", type=click.IntRange(min=1), default=None, help="Override the case count of randomized suites.")
+@click.option("--order", type=click.IntRange(1, MAX_BCH_ORDER), default=None, help="Override the order of the composition-identity suite.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def check(only, seed, cases, order, fmt) -> None:
     """Run the invariant suites; exit 0 only if every one passes."""

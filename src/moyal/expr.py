@@ -7,8 +7,9 @@ exactly, sums collect like terms, products collect like bases, factor and
 term order is canonical), so structurally equal means equal as written
 formulas and the printer is deterministic.
 
-Differentiation is rule-based and exact; evaluation binds symbols to floats
-and returns a complex.  There is no general simplifier: normalization is
+Differentiation is rule-based and exact; one memoised walk evaluates a tree
+over floats, complexes or truncated jets, with symbols bound to values of
+that type.  There is no general simplifier: normalization is
 limited to the constructor rules above, and identities beyond them are the
 test suite's job to check numerically.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .scalars import ExactScalar
 
@@ -38,7 +40,12 @@ __all__ = [
     "call",
     "differentiate",
     "nth_derivative",
+    "DerivTable",
+    "ValueKind",
+    "REAL",
+    "evaluate",
     "eval_expr",
+    "eval_real",
     "free_symbols",
     "parse_expr",
     "print_expr",
@@ -53,6 +60,8 @@ FUNCTION_NAMES = ("exp", "sin", "cos", "tan", "sec", "sinh", "cosh")
 SYMBOL_NAMES = ("q", "p", "t", "m", "l", "lambda", "omega", "beta", "gamma", "hbar")
 
 _COS_EPS = 1e-12
+# parentheses and calls nested deeper than this are refused by the parser
+MAX_NESTING = 100
 
 
 class ExprEvalError(ValueError):
@@ -478,15 +487,129 @@ def nth_derivative(e: Expr, var: str, n: int) -> Expr:
     return e
 
 
+class DerivTable:
+    """Mixed partial derivatives d_q^a d_p^b f, filled on demand.
+
+    Rows are built from the previous row, so each derivative is taken
+    once; zero entries short-circuit.
+    """
+
+    def __init__(self, f: Expr):
+        self.cache: dict[tuple[int, int], Expr] = {(0, 0): f}
+
+    def get(self, a: int, b: int) -> Expr:
+        got = self.cache.get((a, b))
+        if got is not None:
+            return got
+        if b > 0:
+            prev = self.get(a, b - 1)
+            out = ZERO if prev is ZERO else differentiate(prev, "p")
+        else:
+            prev = self.get(a - 1, 0)
+            out = ZERO if prev is ZERO else differentiate(prev, "q")
+        self.cache[(a, b)] = out
+        return out
+
+
 # -- evaluation ----------------------------------------------------------
 
-_CFUNCS = {
-    "exp": cmath.exp,
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-}
+
+class ValueKind(NamedTuple):
+    """How one value type enters the walk in :func:`evaluate`.
+
+    ``const`` maps an exact constant, ``bind`` a bound symbol value (None
+    takes it as bound) and ``call(fn, u)`` a function call; powers use the
+    type's own ``**``.  Sums and products fold from ``zero`` and ``one``,
+    or from their first operand when those are None.
+    """
+
+    const: Callable
+    pi: object
+    bind: Callable | None
+    call: Callable
+    zero: object = None
+    one: object = None
+
+
+def evaluate(roots, bindings, kind: ValueKind) -> list:
+    """The numeric walk: values of the expressions ``roots`` at one point.
+
+    Sums, products and calls are memoised per node across all roots, so
+    shared subtrees are evaluated once; leaves and powers are cheaper to
+    redo than to look up.  Raises :class:`ExprEvalError` for unbound
+    symbols and :class:`ExprDomainError` where the kind refuses a point or
+    a zero is raised to a negative power.
+    """
+    const, pi, bind, call, zero, one = kind
+    memo: dict[int, object] = {}
+
+    def ev(n: Expr):
+        tn = type(n)
+        if tn is Sym:
+            try:
+                v = bindings[n.name]
+            except KeyError:
+                raise ExprEvalError(f"unbound symbol '{n.name}'") from None
+            return v if bind is None else bind(v)
+        if tn is Const:
+            return const(n.value)
+        if tn is Pow:
+            b = ev(n.base)
+            try:
+                return b ** n.exp
+            except ZeroDivisionError:
+                raise ExprDomainError("zero raised to a negative power") from None
+        if tn is Pi:
+            return pi
+        key = id(n)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if tn is Add:
+            r = zero
+            for t in n.terms:
+                r = ev(t) if r is None else r + ev(t)
+        elif tn is Mul:
+            r = one
+            for f in n.factors:
+                r = ev(f) if r is None else r * ev(f)
+        else:
+            r = call(n.fn, ev(n.arg))
+        memo[key] = r
+        return r
+
+    return list(map(ev, roots))
+
+
+def _function_table(lib, tan) -> Callable:
+    """Function calls through ``lib`` (math or cmath); tan and sec refuse
+    arguments whose cosine is below 1e-12 in magnitude."""
+    plain = {fn: getattr(lib, fn) for fn in ("exp", "sin", "cos", "sinh", "cosh")}
+
+    def call(fn: str, u):
+        f = plain.get(fn)
+        if f is not None:
+            return f(u)
+        c = lib.cos(u)
+        if abs(c) < _COS_EPS:
+            raise ExprDomainError(f"{fn} evaluated too close to an odd multiple of pi/2")
+        return tan(u, c) if fn == "tan" else 1.0 / c
+
+    return call
+
+
+def _real_const(v: ExactScalar) -> float:
+    if v.im != 0:
+        raise ExprDomainError("real evaluation needs real constants")
+    return float(v.re)
+
+
+REAL = ValueKind(
+    _real_const, math.pi, None, _function_table(math, lambda u, c: math.tan(u)), 0.0, 1.0
+)
+_COMPLEX = ValueKind(
+    complex, complex(math.pi), complex, _function_table(cmath, lambda u, c: cmath.sin(u) / c), 0j, 1 + 0j
+)
 
 
 def eval_expr(e: Expr, bindings) -> complex:
@@ -497,50 +620,13 @@ def eval_expr(e: Expr, bindings) -> complex:
     argument below 1e-12 in magnitude) or a zero is raised to a negative
     power.
     """
-    memo: dict[int, complex] = {}
+    return evaluate((e,), bindings, _COMPLEX)[0]
 
-    def ev(n: Expr) -> complex:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        tn = type(n)
-        if tn is Const:
-            r = complex(n.value)
-        elif tn is Sym:
-            try:
-                r = complex(bindings[n.name])
-            except KeyError:
-                raise ExprEvalError(f"unbound symbol '{n.name}'") from None
-        elif tn is Pi:
-            r = complex(math.pi)
-        elif tn is Add:
-            r = 0j
-            for t in n.terms:
-                r += ev(t)
-        elif tn is Mul:
-            r = 1 + 0j
-            for f in n.factors:
-                r *= ev(f)
-        elif tn is Pow:
-            b = ev(n.base)
-            if n.exp < 0 and abs(b) == 0.0:
-                raise ExprDomainError("zero raised to a negative power")
-            r = b ** n.exp
-        else:
-            u = ev(n.arg)
-            if n.fn in ("tan", "sec"):
-                c = cmath.cos(u)
-                if abs(c) < _COS_EPS:
-                    raise ExprDomainError(
-                        f"{n.fn} evaluated too close to an odd multiple of pi/2"
-                    )
-                r = cmath.sin(u) / c if n.fn == "tan" else 1.0 / c
-            else:
-                r = _CFUNCS[n.fn](u)
-        memo[id(n)] = r
-        return r
 
-    return ev(e)
+def eval_real(e: Expr, bindings) -> float:
+    """Float evaluation for real expressions; complex constants raise
+    :class:`ExprDomainError`."""
+    return evaluate((e,), bindings, REAL)[0]
 
 
 # -- text form -----------------------------------------------------------
@@ -612,6 +698,17 @@ class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def open_group(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprParseError(f"nesting deeper than {MAX_NESTING}", self.pos)
+
+    def close_group(self):
+        if not self.take(")"):
+            raise ExprParseError("expected ')'", self.pos)
+        self.depth -= 1
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -685,9 +782,9 @@ class _ExprParser:
         ch = self.peek()
         if ch == "(":
             self.take("(")
+            self.open_group()
             inner = self.parse_sum()
-            if not self.take(")"):
-                raise ExprParseError("expected ')'", self.pos)
+            self.close_group()
             return inner
         if ch.isdigit():
             start = self.pos
@@ -706,9 +803,9 @@ class _ExprParser:
                     raise ExprParseError(
                         f"function '{name}' requires an argument", self.pos
                     )
+                self.open_group()
                 arg = self.parse_sum()
-                if not self.take(")"):
-                    raise ExprParseError("expected ')'", self.pos)
+                self.close_group()
                 return call(name, arg)
             if name == "i":
                 return I_UNIT

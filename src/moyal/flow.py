@@ -17,21 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .expr import (
-    Add,
-    Call,
-    Const,
-    Expr,
-    ExprDomainError,
-    Mul,
-    Pi,
-    Pow,
-    Sym,
-    differentiate,
-    eval_expr,
-    free_symbols,
-)
-from .jets import MONOMIALS, TruncatedJet, eval_expr_jet, jet_function_derivatives
+from .expr import REAL, DerivTable, Expr, ExprDomainError, eval_expr, eval_real, evaluate, free_symbols
+from .jets import MONOMIALS, TruncatedJet, eval_expr_jet
 
 __all__ = [
     "HamiltonianSpec",
@@ -59,44 +46,14 @@ class FlowBlowupError(RuntimeError):
         self.time = time
 
 
-def _eval_real(e: Expr, bindings) -> float:
-    """Float-only expression evaluation; the flow toolkit never needs i."""
-    tn = type(e)
-    if tn is Const:
-        if e.value.im != 0:
-            raise ExprDomainError("flow evaluation needs real constants")
-        return float(e.value.re)
-    if tn is Sym:
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise ExprDomainError(f"unbound symbol '{e.name}'") from None
-    if tn is Pi:
-        return math.pi
-    if tn is Add:
-        return sum(_eval_real(t, bindings) for t in e.terms)
-    if tn is Mul:
-        out = 1.0
-        for f in e.factors:
-            out *= _eval_real(f, bindings)
-        return out
-    if tn is Pow:
-        b = _eval_real(e.base, bindings)
-        if e.exp < 0 and b == 0.0:
-            raise ExprDomainError("zero raised to a negative power")
-        return b ** e.exp
-    if tn is Call:
-        return jet_function_derivatives(e.fn, _eval_real(e.arg, bindings))[0]
-    raise TypeError(f"cannot evaluate {tn.__name__}")
-
-
 class HamiltonianSpec:
     """A time- and deformation-independent real Hamiltonian with numeric
     parameter values.
 
     The expression may mention q, p and any names bound in ``params``;
     ``t`` and ``hbar`` are rejected, and realness is probed at a few fixed
-    points on construction.
+    points on construction.  ``partials`` is the one derivative table of H:
+    the vector field and both hbar^2 routes read their partials from it.
     """
 
     def __init__(self, expr: Expr, params: dict[str, float] | None = None):
@@ -116,12 +73,13 @@ class HamiltonianSpec:
                 continue
             if abs(v.imag) > _REALNESS_TOL:
                 raise ValueError("the Hamiltonian is not real-valued")
-        self.dq = differentiate(expr, "q")
-        self.dp = differentiate(expr, "p")
+        self.partials = DerivTable(expr)
+        self.dq = self.partials.get(1, 0)
+        self.dp = self.partials.get(0, 1)
 
     def field(self, q: float, p: float) -> tuple[float, float]:
-        b = {"q": q, "p": p, **self.params}
-        return _eval_real(self.dp, b), -_eval_real(self.dq, b)
+        dp, dq = evaluate((self.dp, self.dq), {"q": q, "p": p, **self.params}, REAL)
+        return dp, -dq
 
     def field_jets(
         self, jq: TruncatedJet, jp: TruncatedJet, order: int
@@ -133,7 +91,7 @@ class HamiltonianSpec:
         )
 
     def energy(self, q: float, p: float) -> float:
-        return _eval_real(self.expr, {"q": q, "p": p, **self.params})
+        return eval_real(self.expr, {"q": q, "p": p, **self.params})
 
 
 def default_steps(t_final: float) -> int:
@@ -313,8 +271,8 @@ def check_transport(
         qp_, pp_ = traj.states[i + 1]
         qc, pc = traj.states[i]
         b = lambda q, p: {"q": q, "p": p, **ham.params}
-        dadt = (_eval_real(a0, b(qp_, pp_)) - _eval_real(a0, b(qm, pm))) / (2.0 * h)
-        rhs = _eval_real(pb, b(qc, pc))
+        dadt = (eval_real(a0, b(qp_, pp_)) - eval_real(a0, b(qm, pm))) / (2.0 * h)
+        rhs = eval_real(pb, b(qc, pc))
         worst = max(worst, abs(dadt - rhs))
     return worst
 

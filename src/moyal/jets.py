@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import Add, Call, Const, Expr, ExprDomainError, Mul, Pi, Pow, Sym
+from .expr import REAL, Expr, ExprDomainError, ValueKind, evaluate
 
 __all__ = ["TruncatedJet", "MONOMIALS", "eval_expr_jet", "jet_function_derivatives"]
 
@@ -128,6 +128,24 @@ class TruncatedJet:
     def __rmul__(self, other):
         return self.scale(float(other))
 
+    def __pow__(self, n: int) -> "TruncatedJet":
+        """Integer power: repeated products for n >= 2, otherwise the
+        falling-factorial chain of u^n composed at the value."""
+        if n >= 2:
+            out = self
+            for _ in range(n - 1):
+                out = out * self
+            return out
+        u = self.value
+        if n < 0 and u == 0.0:
+            raise ZeroDivisionError("zero raised to a negative power")
+        derivs = []
+        coeff = 1.0
+        for r in range(self.order + 1):
+            derivs.append(coeff * u ** (n - r) if coeff != 0.0 else 0.0)
+            coeff *= n - r
+        return self.compose(derivs)
+
     def compose(self, derivs: list[float]) -> "TruncatedJet":
         """Apply a scalar function given its derivatives at self.value.
 
@@ -183,20 +201,16 @@ def jet_function_derivatives(fn: str, u: float) -> list[float]:
     raise ValueError(f"unsupported function '{fn}'")
 
 
-def _power_derivatives(u: float, exp: int, order: int) -> list[float]:
-    # falling-factorial chain for u^exp, valid for negative exp away from 0
-    if exp < 0 and u == 0.0:
-        raise ExprDomainError("zero raised to a negative power")
-    out = []
-    coeff = 1.0
-    for r in range(order + 1):
-        if coeff == 0.0:
-            out.append(0.0)
-        else:
-            e = exp - r
-            out.append(coeff * (u ** e if e != 0 else 1.0))
-        coeff *= exp - r
-    return out
+def _jet_kind(order: int) -> ValueKind:
+    return ValueKind(
+        const=lambda v: TruncatedJet.constant(REAL.const(v), order),
+        pi=TruncatedJet.constant(math.pi, order),
+        bind=lambda v: v if isinstance(v, TruncatedJet) else TruncatedJet.constant(float(v), order),
+        call=lambda fn, u: u.compose(jet_function_derivatives(fn, u.value)),
+    )
+
+
+_JET_KINDS = {order: _jet_kind(order) for order in MONOMIALS}
 
 
 def eval_expr_jet(e: Expr, bindings, order: int) -> TruncatedJet:
@@ -205,49 +219,7 @@ def eval_expr_jet(e: Expr, bindings, order: int) -> TruncatedJet:
     Constants must be real (the flow toolkit works over the reals); floats
     in the bindings are promoted to constant jets.
     """
-    memo: dict[int, TruncatedJet] = {}
-
-    def ev(n: Expr) -> TruncatedJet:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        tn = type(n)
-        if tn is Const:
-            if n.value.im != 0:
-                raise ExprDomainError("jet evaluation needs real constants")
-            r = TruncatedJet.constant(float(n.value.re), order)
-        elif tn is Sym:
-            try:
-                v = bindings[n.name]
-            except KeyError:
-                raise ExprDomainError(f"unbound symbol '{n.name}'") from None
-            r = v if isinstance(v, TruncatedJet) else TruncatedJet.constant(
-                float(v), order
-            )
-        elif tn is Pi:
-            r = TruncatedJet.constant(math.pi, order)
-        elif tn is Add:
-            r = ev(n.terms[0])
-            for t in n.terms[1:]:
-                r = r + ev(t)
-        elif tn is Mul:
-            r = ev(n.factors[0])
-            for f in n.factors[1:]:
-                r = r * ev(f)
-        elif tn is Pow:
-            base = ev(n.base)
-            if n.exp >= 2:
-                r = base
-                for _ in range(n.exp - 1):
-                    r = r * base
-            else:
-                r = base.compose(_power_derivatives(base.value, n.exp, order))
-        elif tn is Call:
-            arg = ev(n.arg)
-            r = arg.compose(jet_function_derivatives(n.fn, arg.value))
-        else:
-            raise TypeError(f"cannot jet-evaluate {tn.__name__}")
-        memo[id(n)] = r
-        return r
-
-    return ev(e)
+    kind = _JET_KINDS.get(order)
+    if kind is None:
+        raise ValueError("jet order must be 1, 2 or 3")
+    return evaluate((e,), bindings, kind)[0]

@@ -285,31 +285,37 @@ class EvalPoint:
 # -- graded star product ------------------------------------------------
 
 
+def _bidifferential(f: PhasePolynomial, g: PhasePolynomial, k: int) -> PhasePolynomial:
+    """k-th power of the mixed bidifferential operator, unweighted:
+
+        sum_j  C(k,j) (-1)^j  (d_q^{k-j} d_p^j f) (d_p^{k-j} d_q^j g)
+    """
+    acc = PhasePolynomial.zero()
+    for j in range(k + 1):
+        df = f.diff_q(k - j).diff_p(j)
+        if df.is_zero:
+            continue
+        dg = g.diff_p(k - j).diff_q(j)
+        if dg.is_zero:
+            continue
+        sign = -1 if j & 1 else 1
+        acc = acc + (df * dg).scale(sign * math.comb(k, j))
+    return acc
+
+
 def star_n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomial:
     """The n-th graded piece of the star product (hbar stripped off).
 
     star_0 is the pointwise product; star_1 is (i/2) times the Poisson
-    bracket.  The grade-n piece expands the n-th power of the mixed
-    bidifferential operator:
-
-        (1/n!) (i/2)^n  sum_j  C(n,j) (-1)^j  (d_q^{n-j} d_p^j f) (d_p^{n-j} d_q^j g)
+    bracket.  The grade-n piece is (1/n!) (i/2)^n times the n-th power of
+    the mixed bidifferential operator.
     """
     if n < 0:
         raise ValueError("grade must be non-negative")
     if n == 0:
         return f * g
-    acc = PhasePolynomial.zero()
-    for j in range(n + 1):
-        df = f.diff_q(n - j).diff_p(j)
-        if df.is_zero:
-            continue
-        dg = g.diff_p(n - j).diff_q(j)
-        if dg.is_zero:
-            continue
-        sign = -1 if j & 1 else 1
-        acc = acc + (df * dg).scale(sign * math.comb(n, j))
     coeff = (HALF_I ** n) * Fraction(1, math.factorial(n))
-    return acc.scale(coeff)
+    return _bidifferential(f, g, n).scale(coeff)
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -343,18 +349,8 @@ def bracket_2n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomia
     if n < 0:
         raise ValueError("grade must be non-negative")
     k = 2 * n + 1
-    acc = PhasePolynomial.zero()
-    for j in range(k + 1):
-        df = f.diff_q(k - j).diff_p(j)
-        if df.is_zero:
-            continue
-        dg = g.diff_p(k - j).diff_q(j)
-        if dg.is_zero:
-            continue
-        sign = -1 if j & 1 else 1
-        acc = acc + (df * dg).scale(sign * math.comb(k, j))
     weight = Fraction((-1) ** n, math.factorial(k) * 4 ** n)
-    return acc.scale(weight)
+    return _bidifferential(f, g, k).scale(weight)
 
 
 def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -467,10 +463,15 @@ def format_poly(f: PhasePolynomial) -> str:
     return " + ".join(parts)
 
 
+# parentheses nested deeper than this are refused by the parser
+MAX_NESTING = 100
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -567,8 +568,12 @@ def _parse_atom(sc: _Scanner) -> PhasePolynomial:
     ch = sc.peek()
     if ch == "(":
         sc.take("(")
+        sc.depth += 1
+        if sc.depth > MAX_NESTING:
+            raise PolyParseError(f"nesting deeper than {MAX_NESTING}", sc.pos)
         inner = _parse_sum(sc)
         sc.expect(")")
+        sc.depth -= 1
         return inner
     if ch.isdigit():
         num = sc.integer()

@@ -21,14 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr, add, const, differentiate, mul
-from .flow import (
-    HamiltonianSpec,
-    _eval_real,
-    default_steps,
-    integrate_flow,
-    integrate_flow_jets,
-)
+from .expr import REAL, DerivTable, Expr, add, const, differentiate, eval_real, evaluate, mul
+from .flow import HamiltonianSpec, default_steps, integrate_flow, integrate_flow_jets
 from .jets import TruncatedJet
 from .poly import (
     P,
@@ -130,6 +124,16 @@ class TimeTaylorFlow:
 
         return tuple(hbar_component(c, 2) for c in self.coeffs)
 
+    def hbar2_coefficient(self, q: float, p: float, t: float) -> float:
+        """Real part of the hbar^2 coefficient of the series at (q, p), time t."""
+        acc = 0.0
+        tn = 1.0
+        for n, c in enumerate(self.hbar2_grade_series()):
+            if n:
+                tn *= t / n
+            acc += tn * c.evaluate(q, p, 1.0).real
+        return acc
+
 
 def taylor_flow(
     h: PhasePolynomial,
@@ -219,21 +223,8 @@ class Hbar2Result:
         return "\n".join(lines) + "\n"
 
 
-def _h_partial_table(ham: HamiltonianSpec, max_order: int) -> dict:
-    """Partials d_q^a d_p^b H for a+b <= max_order, as expressions."""
-    table = {(0, 0): ham.expr}
-    for total in range(1, max_order + 1):
-        for a in range(total + 1):
-            b = total - a
-            if b > 0:
-                table[(a, b)] = differentiate(table[(a, b - 1)], "p")
-            else:
-                table[(a, b)] = differentiate(table[(a - 1, 0)], "q")
-    return table
-
-
 def _grade_one_bracket_with_map(
-    jq_or_jp: TruncatedJet, h_parts: dict, point_bindings
+    jq_or_jp: TruncatedJet, h_parts: DerivTable, point_bindings
 ) -> float:
     """[map-component, H]_2 with map derivatives from an order-3 jet.
 
@@ -247,7 +238,7 @@ def _grade_one_bracket_with_map(
         d_map = jq_or_jp.derivative(a_map, b_map)
         if d_map == 0.0:
             continue
-        d_h = _eval_real(h_parts[(j, 3 - j)], point_bindings)
+        d_h = eval_real(h_parts.get(j, 3 - j), point_bindings)
         c = math.comb(3, j) * (-1 if j & 1 else 1)
         acc += c * d_map * d_h
     return -acc / 24.0
@@ -275,7 +266,6 @@ def hbar2_transport(
     if any(t <= 0 or t > t_final + 1e-12 for t in times):
         raise ValueError("requested times must lie in (0, t_final]")
     per_unit = steps_per_unit if steps_per_unit is not None else 2000
-    h_parts = _h_partial_table(ham, 3)
     out_q = []
     out_p = []
     for T in times:
@@ -295,8 +285,8 @@ def hbar2_transport(
             # the final jets hold the duration-s map's derivatives, based at w
             jq, jp = jet_traj.jets[-1]
             b = {"q": w[0], "p": w[1], **ham.params}
-            fq_vals.append(_grade_one_bracket_with_map(jq, h_parts, b))
-            fp_vals.append(_grade_one_bracket_with_map(jp, h_parts, b))
+            fq_vals.append(_grade_one_bracket_with_map(jq, ham.partials, b))
+            fp_vals.append(_grade_one_bracket_with_map(jp, ham.partials, b))
         out_q.append(_simpson(fq_vals, h_node))
         out_p.append(_simpson(fp_vals, h_node))
     return Hbar2Result(
@@ -325,22 +315,20 @@ def hbar2_inhomogeneity(ham: HamiltonianSpec):
 
     with C1 and C2 the symplectic contractions of the map derivatives.
     """
-    h_parts = _h_partial_table(ham, 4)
+    h_parts = ham.partials
 
     # F = (dH/dp, -dH/dq); partials of F_r with respect to (q, p)
     def f_partial(r: int, a: int, b: int) -> Expr:
         if r == 0:
-            return h_parts[(a, b + 1)]
-        return mul(const(-1), h_parts[(a + 1, b)])
+            return h_parts.get(a, b + 1)
+        return mul(const(-1), h_parts.get(a + 1, b))
 
-    f_tables: dict[int, dict[tuple[int, int], Expr]] = {0: {}, 1: {}}
-    for r in (0, 1):
-        for total in (2, 3):
-            for a in range(total + 1):
-                f_tables[r][(a, total - a)] = f_partial(r, a, total - a)
+    # orders 2 and 3 of both components, evaluated together at each point
+    f_keys = [(a, total - a) for total in (2, 3) for a in range(total + 1)]
+    f_roots = [f_partial(r, a, b) for r in (0, 1) for a, b in f_keys]
 
     def drive(jq: TruncatedJet, jp: TruncatedJet) -> tuple[float, float]:
-        b = {"q": jq.value, "p": jp.value, **ham.params}
+        values = evaluate(f_roots, {"q": jq.value, "p": jp.value, **ham.params}, REAL)
         maps = (jq, jp)
         d1 = [[m.derivative(1, 0), m.derivative(0, 1)] for m in maps]
         d2 = [
@@ -368,19 +356,19 @@ def hbar2_inhomogeneity(ham: HamiltonianSpec):
                     )
         out = []
         for r in (0, 1):
-            table = f_tables[r]
+            table = dict(zip(f_keys, values[r * len(f_keys):]))
             acc = 0.0
             # second-derivative contraction
             f2 = [
-                [_eval_real(table[(2, 0)], b), _eval_real(table[(1, 1)], b)],
-                [_eval_real(table[(1, 1)], b), _eval_real(table[(0, 2)], b)],
+                [table[(2, 0)], table[(1, 1)]],
+                [table[(1, 1)], table[(0, 2)]],
             ]
             for a in range(2):
                 for bb in range(2):
                     acc -= c1[a][bb] * f2[a][bb] / 16.0
             f3 = {}
             for a3 in range(4):
-                f3[a3] = _eval_real(table[(3 - a3, a3)], b)
+                f3[a3] = table[(3 - a3, a3)]
 
             def f3_idx(i1, i2, i3):
                 return f3[i1 + i2 + i3]
@@ -417,22 +405,18 @@ def hbar2_ode(
         steps = default_steps(t_final)
     h = t_final / steps
     drive = hbar2_inhomogeneity(ham)
-    h_parts = _h_partial_table(ham, 2)
-    jac = {
-        (0, 0): h_parts[(1, 1)],       # dF_q/dq = H_qp
-        (0, 1): h_parts[(0, 2)],       # dF_q/dp = H_pp
-        (1, 0): mul(const(-1), h_parts[(2, 0)]),
-        (1, 1): mul(const(-1), h_parts[(1, 1)]),
-    }
+    h_parts = ham.partials
+    jac = (
+        h_parts.get(1, 1),       # dF_q/dq = H_qp
+        h_parts.get(0, 2),       # dF_q/dp = H_pp
+        mul(const(-1), h_parts.get(2, 0)),
+        mul(const(-1), h_parts.get(1, 1)),
+    )
 
     def rhs(state):
         jq, jp, z2q, z2p = state
         fq, fp = ham.field_jets(jq, jp, 2)
-        b = {"q": jq.value, "p": jp.value, **ham.params}
-        j00 = _eval_real(jac[(0, 0)], b)
-        j01 = _eval_real(jac[(0, 1)], b)
-        j10 = _eval_real(jac[(1, 0)], b)
-        j11 = _eval_real(jac[(1, 1)], b)
+        j00, j01, j10, j11 = evaluate(jac, {"q": jq.value, "p": jp.value, **ham.params}, REAL)
         dq_drive, dp_drive = drive(jq, jp)
         return (
             fq,

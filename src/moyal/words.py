@@ -33,8 +33,11 @@ __all__ = [
     "sas_order",
     "bch_check",
     "BchReport",
+    "MAX_BCH_ORDER",
     "format_word",
 ]
+
+MAX_BCH_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -199,103 +202,6 @@ def sas_order(f: PhasePolynomial) -> StarExpression:
 # -- BCH identity on plane-wave Taylor truncations -----------------------
 
 
-class _ExtPoly:
-    """Polynomial in (q, p, hbar) and two bookkeeping wave numbers.
-
-    Internal to the BCH check; keys are (dq, dp, dh, dxi, deta) and all
-    coefficient arithmetic stays exact.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def add(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = _ExtPoly.__new__(_ExtPoly)
-        r.terms = out
-        return r
-
-    def mul(self, other, aux_cap: int):
-        out = {}
-        for (a1, b1, h1, x1, e1), c1 in self.terms.items():
-            for (a2, b2, h2, x2, e2), c2 in other.terms.items():
-                x = x1 + x2
-                e = e1 + e2
-                if x + e > aux_cap:
-                    continue
-                key = (a1 + a2, b1 + b2, h1 + h2, x, e)
-                c = c1 * c2
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        r = _ExtPoly.__new__(_ExtPoly)
-        r.terms = out
-        return r
-
-    def scale(self, c):
-        r = _ExtPoly.__new__(_ExtPoly)
-        r.terms = {k: v * c for k, v in self.terms.items()}
-        return r
-
-    def diff(self, axis: int, n: int):
-        out = {}
-        for key, c in self.terms.items():
-            e = key[axis]
-            if e < n:
-                continue
-            fall = 1
-            for j in range(n):
-                fall *= e - j
-            new = list(key)
-            new[axis] = e - n
-            out[tuple(new)] = c * fall
-        r = _ExtPoly.__new__(_ExtPoly)
-        r.terms = out
-        return r
-
-    def degree_qp(self) -> int:
-        return max((k[0] + k[1] for k in self.terms), default=-1)
-
-    def star(self, other, aux_cap: int):
-        n_max = min(self.degree_qp(), other.degree_qp())
-        if n_max < 0:
-            return _ExtPoly()
-        acc = _ExtPoly()
-        half_i = ExactScalar(0, Fraction(1, 2))
-        for n in range(n_max + 1):
-            coeff = (half_i ** n) * Fraction(1, math.factorial(n))
-            piece = _ExtPoly()
-            for j in range(n + 1):
-                df = self.diff(0, n - j).diff(1, j)
-                if not df.terms:
-                    continue
-                dg = other.diff(1, n - j).diff(0, j)
-                if not dg.terms:
-                    continue
-                sign = -1 if j & 1 else 1
-                piece = piece.add(df.mul(dg, aux_cap).scale(sign * math.comb(n, j)))
-            if piece.terms:
-                shifted = _ExtPoly.__new__(_ExtPoly)
-                shifted.terms = {
-                    (a, b, h + n, x, e): c * coeff
-                    for (a, b, h, x, e), c in piece.terms.items()
-                }
-                acc = acc.add(shifted)
-        return acc
-
-
 @dataclass(frozen=True)
 class BchReport:
     order: int
@@ -309,46 +215,33 @@ def bch_check(order: int) -> BchReport:
     Star-multiplies the truncated exponentials of i*xi*q and i*eta*p, scales
     by the phase exp(i*hbar*xi*eta/2), and compares against the truncated
     exponential of i*(xi*q + eta*p), all through total wave-number degree
-    ``order``.  Returns the first failing grade, None when all match.
+    ``order``.  The wave numbers are not carried: every term has xi-degree
+    a + h and eta-degree b + h, so the term q^a p^b hbar^h sits at total
+    degree a + b + 2h.  Returns the first failing degree, None when all
+    match.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if order > 8:
-        raise ValueError("order capped at 8; higher truncations get slow")
-    i_unit = ExactScalar(0, 1)
+    if order > MAX_BCH_ORDER:
+        raise ValueError(f"order capped at {MAX_BCH_ORDER}; higher truncations get slow")
 
-    # exp(i xi q): sum_k (i xi q)^k / k!
-    left = _ExtPoly(
-        {
-            (k, 0, 0, k, 0): (i_unit ** k) * Fraction(1, math.factorial(k))
-            for k in range(order + 1)
-        }
-    )
-    right = _ExtPoly(
-        {
-            (0, k, 0, 0, k): (i_unit ** k) * Fraction(1, math.factorial(k))
-            for k in range(order + 1)
-        }
-    )
-    # exp(i hbar xi eta / 2)
-    phase = _ExtPoly(
-        {
-            (0, 0, k, k, k): (i_unit ** k) * Fraction(1, 2 ** k * math.factorial(k))
-            for k in range(order // 2 + 1)
-        }
-    )
-    # exp(i (xi q + eta p)) via the multinomial expansion
-    combined = _ExtPoly(
-        {
-            (a, b, 0, a, b): (i_unit ** (a + b))
-            * Fraction(1, math.factorial(a) * math.factorial(b))
-            for a in range(order + 1)
-            for b in range(order + 1 - a)
-        }
-    )
+    def series(keys) -> PhasePolynomial:
+        # the q^a p^b hbar^h coefficient of every exponential here
+        return PhasePolynomial({
+            (a, b, h): ExactScalar(0, 1) ** (a + b + h)
+            * Fraction(1, math.factorial(a) * math.factorial(b) * math.factorial(h) * 2 ** h)
+            for a, b, h in keys
+        })
 
-    lhs = left.star(right, order).mul(phase, order)
-    diff = lhs.add(combined.scale(ExactScalar(-1)))
-    bad = sorted({x + e for (_a, _b, _h, x, e) in diff.terms})
-    first = bad[0] if bad else None
+    # q^a (*) p^b stays at degree a + b, so each power of q meets only the
+    # powers of p inside the budget
+    lhs = PhasePolynomial.zero()
+    for a in range(order + 1):
+        right = series((0, b, 0) for b in range(order + 1 - a))
+        lhs = lhs + star_product(series([(a, 0, 0)]), right)
+    phase = series((0, 0, h) for h in range(order // 2 + 1))
+    combined = series((a, b, 0) for a in range(order + 1) for b in range(order + 1 - a))
+    diff = lhs * phase - combined
+    grades = {a + b + 2 * h for (a, b, h) in diff.terms}
+    first = min((g for g in grades if g <= order), default=None)
     return BchReport(order=order, passed=first is None, first_failing_grade=first)

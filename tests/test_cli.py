@@ -170,3 +170,33 @@ def test_check_deterministic_output(runner):
     first = runner.invoke(main, args).output
     second = runner.invoke(main, args).output
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["example1", "--hbar", "nan"], "--hbar"),
+        (["example1", "--q0", "nan", "--skip-hbar2"], "--q0"),
+        (["hierarchy", "--q0", "nan"], "--q0"),
+        (["check", "--cases", "0"], "--cases"),
+        (["check", "--order", "20"], "--order"),
+    ],
+)
+def test_bad_numeric_input_exits_2(runner, args, option):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in res.output
+
+
+DEEP = "(" * 3000 + "q" + ")" * 3000
+
+
+@pytest.mark.parametrize(
+    "args", [["star", DEEP, "p"], ["hierarchy", "--hamiltonian", DEEP]]
+)
+def test_deep_nesting_exits_2_with_position(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "nesting deeper than 100 (at position 101)" in res.output

@@ -13,6 +13,7 @@ from moyal.expr import (
     call,
     differentiate,
     eval_expr,
+    eval_real,
     free_symbols,
     nth_derivative,
     parse_expr,
@@ -20,6 +21,9 @@ from moyal.expr import (
     print_expr,
     sym,
 )
+from moyal.checks import _flow_hamiltonians
+from moyal.closed_forms import builtin_example1, builtin_unitary_pair
+from moyal.jets import TruncatedJet, eval_expr_jet
 
 
 def roundtrip(text):
@@ -85,6 +89,17 @@ def test_parse_errors_carry_position():
         with pytest.raises(ExprParseError) as err:
             parse_expr(text)
         assert err.value.position == pos, text
+
+
+def test_parse_nesting_budget():
+    assert parse_expr("(" * 100 + "q" + ")" * 100) == sym("q")
+    for text, pos in [
+        ("(" * 3000 + "q" + ")" * 3000, 101),
+        ("exp(" * 3000 + "q" + ")" * 3000, 404),
+    ]:
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(text)
+        assert err.value.position == pos
 
 
 def test_unknown_symbol_rejected():
@@ -174,3 +189,43 @@ def test_no_global_simplification_of_exponentials():
     e = parse_expr("exp(q*p)*exp(-q*p)")
     assert e != parse_expr("1")
     assert eval_expr(e, {"q": 0.9, "p": 1.3}) == pytest.approx(1.0)
+
+
+# -- one walker, three value types -------------------------------------
+
+
+def _value_type_cases():
+    ex = builtin_example1()
+    cases = {f"example1.{k}": getattr(v, "expr", v) for k, v in vars(ex).items()}
+    cases["unitary.position"], cases["unitary.momentum"] = builtin_unitary_pair()
+    for name, ham in _flow_hamiltonians():
+        cases.update({f"{name}.H": ham.expr, f"{name}.dq": ham.dq, f"{name}.dp": ham.dp})
+    return cases
+
+
+_VALUE_TYPE_CASES = _value_type_cases()
+_REAL_POINTS = [
+    {"q": q, "p": p, "t": t, "hbar": 0.1, "m": 1.3, "l": 0.8, "beta": 1.1, "gamma": 0.7}
+    for q, p, t in ((0.3, 0.7, 0.4), (-1.1, 0.4, -0.9), (0.9, -1.3, 1.7))
+]
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_TYPE_CASES))
+def test_float_complex_and_jet_values_agree(name):
+    # the value types share the walk but keep their own power and tan
+    # primitives (libm pow, repeated products for jets, repeated squaring
+    # and sin/cos for complex), so they agree to rounding, not bit for bit
+    e = _VALUE_TYPE_CASES[name]
+    for b in _REAL_POINTS:
+        jets = dict(b, q=TruncatedJet.seed(b["q"], 0, 3), p=TruncatedJet.seed(b["p"], 1, 3))
+        c = eval_expr(e, b)
+        if c.imag:
+            with pytest.raises(ExprDomainError):
+                eval_real(e, b)
+            with pytest.raises(ExprDomainError):
+                eval_expr_jet(e, jets, 3)
+            continue
+        x = eval_real(e, b)
+        assert type(x) is float
+        assert c.real == pytest.approx(x, rel=1e-13, abs=1e-300)
+        assert eval_expr_jet(e, jets, 3).value == pytest.approx(x, rel=1e-13, abs=1e-300)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from moyal.expr import parse_expr
+from moyal.expr import ExprDomainError, parse_expr
 from moyal.jets import (
     MONOMIALS,
     TruncatedJet,
@@ -98,6 +98,41 @@ def test_eval_expr_jet_matches_finite_differences():
         f(q0 + h, p0 + h) - f(q0 + h, p0 - h) - f(q0 - h, p0 + h) + f(q0 - h, p0 - h)
     ) / (4 * h * h)
     assert jet.derivative(1, 1) == pytest.approx(fd_qp, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "text, f",
+    [
+        ("q^-2*p", lambda q, p: p / (q * q)),
+        ("sec(q)*p", lambda q, p: p / math.cos(q)),
+    ],
+)
+def test_eval_expr_jet_negative_powers_match_finite_differences(text, f):
+    q0, p0 = 0.7, -1.3
+    jq, jp = seed_pair(3, q0, p0)
+    jet = eval_expr_jet(parse_expr(text), {"q": jq, "p": jp}, 3)
+    assert jet.value == pytest.approx(f(q0, p0), rel=1e-15)
+    h = 1e-5
+    fd_q = (f(q0 + h, p0) - f(q0 - h, p0)) / (2 * h)
+    assert jet.derivative(1, 0) == pytest.approx(fd_q, rel=1e-8)
+    h = 1e-4
+    fd_qq = (f(q0 + h, p0) - 2 * f(q0, p0) + f(q0 - h, p0)) / h**2
+    assert jet.derivative(2, 0) == pytest.approx(fd_qq, rel=1e-5)
+    fd_qp = (
+        f(q0 + h, p0 + h) - f(q0 + h, p0 - h) - f(q0 - h, p0 + h) + f(q0 - h, p0 - h)
+    ) / (4 * h * h)
+    assert jet.derivative(1, 1) == pytest.approx(fd_qp, rel=1e-5)
+    h = 1e-3
+    fd_qqq = (
+        f(q0 + 2 * h, p0) - 2 * f(q0 + h, p0) + 2 * f(q0 - h, p0) - f(q0 - 2 * h, p0)
+    ) / (2 * h**3)
+    assert jet.derivative(3, 0) == pytest.approx(fd_qqq, rel=1e-4)
+
+
+def test_negative_power_of_zero_jet_is_a_domain_error():
+    jq, jp = seed_pair(2, 0.0, 1.0)
+    with pytest.raises(ExprDomainError):
+        eval_expr_jet(parse_expr("q^-1"), {"q": jq, "p": jp}, 2)
 
 
 def test_eval_expr_jet_handles_zero_base_power():

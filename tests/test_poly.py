@@ -139,6 +139,13 @@ def test_parse_examples():
     assert parse_poly("(-3/2)*hbar^2") == mono(Fraction(-3, 2), 0, 0, 2)
 
 
+def test_parse_nesting_budget():
+    assert parse_poly("(" * 100 + "q" + ")" * 100) == Q
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("(" * 3000 + "q" + ")" * 3000)
+    assert err.value.position == 101
+
+
 def test_parse_error_carries_position():
     with pytest.raises(PolyParseError) as err:
         parse_poly("q + * p")

@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from moyal.poly import PhasePolynomial, format_poly
+from moyal import words
+from moyal.poly import PhasePolynomial, format_poly, star_product
 from moyal.scalars import ExactScalar
 from moyal.words import (
     bch_check,
@@ -89,6 +90,19 @@ def test_bch_small_orders():
         rep = bch_check(order)
         assert rep.passed, rep.first_failing_grade
         assert rep.order == order
+
+
+def test_bch_check_reads_the_star_product(monkeypatch):
+    # a star product missing its hbar^2 grade must fail the composition law
+    # at the first degree that grade reaches, q^2 (*) p^2 at degree 4
+    def without_hbar2(f, g):
+        full = star_product(f, g)
+        return PhasePolynomial({k: c for k, c in full.terms.items() if k[2] != 2})
+
+    monkeypatch.setattr(words, "star_product", without_hbar2)
+    assert bch_check(3).passed
+    for order in range(4, 9):
+        assert bch_check(order).first_failing_grade == 4
 
 
 def test_bch_order_cap():

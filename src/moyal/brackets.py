@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import DerivTable, Expr, ZERO, add, const, differentiate, eval_expr, mul
-from .poly import EvalPoint
-from .scalars import ExactScalar
+from .poly import EvalPoint, bracket_weight, star_weight
 
 __all__ = [
     "poisson_expr",
@@ -66,8 +64,7 @@ def star_n_expr(f: Expr, g: Expr, n: int, depth_cap: int = DEFAULT_DEPTH_CAP) ->
     if n == 0:
         return mul(f, g)
     body = _bidifferential_power(DerivTable(f), DerivTable(g), n)
-    half_i = ExactScalar(0, Fraction(1, 2))
-    return mul(const((half_i ** n) * Fraction(1, math.factorial(n))), body)
+    return mul(const(star_weight(n)), body)
 
 
 def bracket_2n_expr(
@@ -78,10 +75,8 @@ def bracket_2n_expr(
         raise ValueError("grade must be non-negative")
     if n > depth_cap:
         raise DepthCapError(f"grade {n} exceeds depth cap {depth_cap}")
-    k = 2 * n + 1
-    body = _bidifferential_power(DerivTable(f), DerivTable(g), k)
-    weight = Fraction((-1) ** n, math.factorial(k) * 4 ** n)
-    return mul(const(weight), body)
+    body = _bidifferential_power(DerivTable(f), DerivTable(g), 2 * n + 1)
+    return mul(const(bracket_weight(n)), body)
 
 
 @dataclass(frozen=True)
@@ -123,10 +118,8 @@ def moyal_bracket_truncated(
     acc = 0j
     weight_h = 1.0
     for n in range(n_max + 1):
-        k = 2 * n + 1
-        body = _bidifferential_power(table_f, table_g, k)
-        weight = Fraction((-1) ** n, math.factorial(k) * 4 ** n)
-        term = complex(weight) * weight_h * eval_expr(body, bindings)
+        body = _bidifferential_power(table_f, table_g, 2 * n + 1)
+        term = complex(bracket_weight(n)) * weight_h * eval_expr(body, bindings)
         acc += term
         sums.append(acc)
         increments.append(abs(term))

@@ -20,8 +20,9 @@ from .brackets import moyal_bracket_truncated, poisson_expr
 from .checks import SUITES, run_checks
 from .closed_forms import ValidityError, builtin_example1
 from .expr import ExprParseError, eval_expr, parse_expr
-from .flow import HamiltonianSpec
+from .flow import FlowBlowupError, HamiltonianSpec
 from .poly import (
+    MAX_DEGREE,
     EvalPoint,
     PolyParseError,
     bracket_2n,
@@ -39,8 +40,6 @@ from .semiclassical import (
     taylor_flow,
 )
 from .words import MAX_BCH_ORDER
-
-GRADE_CAP = 64
 
 
 class _FiniteFloat(click.types.FloatParamType):
@@ -84,8 +83,6 @@ def _g(x: float) -> str:
 
 
 def _time_grid(t0: float, t1: float, t_steps: int) -> list[float]:
-    if t_steps < 1:
-        _fail("--t-steps must be at least 1")
     if t_steps == 1:
         return [t1]
     return [t0 + (t1 - t0) * k / (t_steps - 1) for k in range(t_steps)]
@@ -99,48 +96,34 @@ def main() -> None:
 # -- exact polynomial commands ------------------------------------------
 
 
+def _graded_op(command: str, left: str, right: str, grade: int | None, fmt: str, piece, full) -> None:
+    f = _parse_poly_arg(left, "first symbol")
+    g = _parse_poly_arg(right, "second symbol")
+    text = format_poly(full(f, g) if grade is None else piece(f, g, grade))
+    if fmt == "json":
+        _emit_json({"command": command, "grade": grade, "result": text})
+    else:
+        click.echo(text)
+
+
 @main.command()
 @click.argument("left")
 @click.argument("right")
-@click.option("--grade", type=int, default=None, help="Print a single hbar grade instead of the full product.")
+@click.option("--grade", type=click.IntRange(0, MAX_DEGREE), default=None, help="Print a single hbar grade instead of the full product.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def star(left: str, right: str, grade: int | None, fmt: str) -> None:
     """Exact star product of two polynomial symbols."""
-    f = _parse_poly_arg(left, "first symbol")
-    g = _parse_poly_arg(right, "second symbol")
-    if grade is not None:
-        if not 0 <= grade <= GRADE_CAP:
-            _fail(f"--grade must lie in [0, {GRADE_CAP}]")
-        result = star_n(f, g, grade)
-    else:
-        result = star_product(f, g)
-    text = format_poly(result)
-    if fmt == "json":
-        _emit_json({"command": "star", "grade": grade, "result": text})
-    else:
-        click.echo(text)
+    _graded_op("star", left, right, grade, fmt, star_n, star_product)
 
 
 @main.command()
 @click.argument("left")
 @click.argument("right")
-@click.option("--grade", type=int, default=None, help="Print bracket grade 2n for the given n instead of the full sum.")
+@click.option("--grade", type=click.IntRange(0, MAX_DEGREE), default=None, help="Print bracket grade 2n for the given n instead of the full sum.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
     """Exact deformed bracket of two polynomial symbols."""
-    f = _parse_poly_arg(left, "first symbol")
-    g = _parse_poly_arg(right, "second symbol")
-    if grade is not None:
-        if not 0 <= grade <= GRADE_CAP:
-            _fail(f"--grade must lie in [0, {GRADE_CAP}]")
-        result = bracket_2n(f, g, grade)
-    else:
-        result = moyal_bracket(f, g)
-    text = format_poly(result)
-    if fmt == "json":
-        _emit_json({"command": "bracket", "grade": grade, "result": text})
-    else:
-        click.echo(text)
+    _graded_op("bracket", left, right, grade, fmt, bracket_2n, moyal_bracket)
 
 
 # -- numeric hbar^2 routes ----------------------------------------------
@@ -152,14 +135,14 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--p0", type=FLOAT, default=1.0, show_default=True)
 @click.option("--t0", type=FLOAT, default=0.1, show_default=True)
 @click.option("--t1", type=FLOAT, default=0.3, show_default=True)
-@click.option("--t-steps", type=int, default=3, show_default=True)
+@click.option("--t-steps", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--m", type=FLOAT, default=None, help="Bind the symbol m.")
 @click.option("--l", type=FLOAT, default=None, help="Bind the symbol l.")
 @click.option("--lambda", "lam", type=FLOAT, default=None, help="Bind the symbol lambda.")
 @click.option("--omega", type=FLOAT, default=None, help="Bind the symbol omega.")
 @click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
-@click.option("--depth", type=int, default=8, show_default=True, help="Taylor depth for the exact route.")
+@click.option("--depth", type=click.IntRange(1, DEFAULT_TAYLOR_DEPTH_CAP), default=8, show_default=True, help="Taylor depth for the exact route.")
 @click.option("--quad-nodes", type=int, default=64, show_default=True, help="Quadrature panels per unit time for the transport route.")
 @click.option("--steps", type=int, default=None, help="Integrator steps per unit time (default 2000).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
@@ -184,15 +167,20 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     except ValueError as exc:
         _fail(str(exc))
     times = _time_grid(t0, t1, t_steps)
+    if min(times) < 0:
+        _fail("the hbar^2 routes need times >= 0")
     rows = []
     for t in times:
         if t == 0.0:
             rows.append((t, 0.0, 0.0, "ode"))
             rows.append((t, 0.0, 0.0, "transport"))
             continue
-        ode = hbar2_ode(ham, (q0, p0), t, steps=None if steps is None else max(1, round(abs(t) * steps)))
+        try:
+            ode = hbar2_ode(ham, (q0, p0), t, steps=None if steps is None else max(1, round(abs(t) * steps)))
+            tra = hbar2_transport(ham, (q0, p0), t, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
+        except FlowBlowupError as exc:
+            _fail(str(exc))
         rows.append((t, ode.q2[0], ode.p2[0], "ode"))
-        tra = hbar2_transport(ham, (q0, p0), t, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
         rows.append((t, tra.q2[0], tra.p2[0], "transport"))
     try:
         h_poly = parse_poly(ham_text)
@@ -226,7 +214,7 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
 @click.option("--p0", type=FLOAT, default=1.0, show_default=True)
 @click.option("--t0", type=FLOAT, default=0.0, show_default=True)
 @click.option("--t1", type=FLOAT, default=1.0, show_default=True)
-@click.option("--t-steps", type=int, default=5, show_default=True)
+@click.option("--t-steps", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--hbar", type=FLOAT, default=0.1, show_default=True)
 @click.option("--m", type=FLOAT, default=1.0, show_default=True)
 @click.option("--l", type=FLOAT, default=1.0, show_default=True)
@@ -247,6 +235,8 @@ def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -
     ex = builtin_example1()
     bound = ex.deformed_position.t_bound(m, l, hbar)
     times = _time_grid(t0, t1, t_steps)
+    if not skip_hbar2 and min(times) < 0:
+        _fail("the hbar^2 columns need times >= 0 (or pass --skip-hbar2)")
     for t in times:
         if abs(t) >= bound:
             _fail(
@@ -258,57 +248,63 @@ def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -
     ham = HamiltonianSpec(ex.hamiltonian, {"m": m, "l": l})
     ml2 = m * l * l
     rows = []
-    for t in times:
-        binds = {"q": q0, "p": p0, "t": t, "m": m, "l": l, "hbar": hbar}
-        point = EvalPoint(q=q0, p=p0, hbar=hbar, params={"t": t, "m": m, "l": l})
-        qc = eval_expr(ex.classical_position, binds).real
-        pc = eval_expr(ex.classical_momentum, binds).real
-        try:
-            qm = ex.deformed_position.eval(binds).real
-            pm = ex.deformed_momentum.eval(binds).real
-        except ValidityError as exc:
-            _fail(str(exc))
-        rep_c = moyal_bracket_truncated(
-            ex.classical_position, ex.classical_momentum, grade, point, tolerance=tol
-        )
-        rep_m = moyal_bracket_truncated(
-            ex.deformed_position.expr, ex.deformed_momentum.expr, grade, point, tolerance=tol
-        )
-        evolved = eval_expr(ex.evolved_product, dict(binds, q=qm, p=pm))
-        coord_form = complex(qm * pm, hbar / 2.0)
-        initial_form = complex(q0 * p0, hbar / 2.0)
-        row = {
-            "t": t,
-            "q_classical": qc,
-            "p_classical": pc,
-            "q_deformed": qm,
-            "p_deformed": pm,
-            "pb_classical": eval_expr(pb_c, binds).real,
-            "pb_deformed": eval_expr(pb_m, binds).real,
-            "bracket_classical": rep_c.partial_sums[-1].real,
-            "bracket_classical_converged": rep_c.converged,
-            "bracket_deformed": rep_m.partial_sums[-1].real,
-            "bracket_deformed_converged": rep_m.converged,
-            "coord_residual": abs(evolved - coord_form),
-            "product_drift": abs(evolved - initial_form),
-        }
-        if not skip_hbar2:
-            want_q = qc * (t * t / (16.0 * ml2 * ml2)) * (1.0 + t * q0 * p0 / (6.0 * ml2))
-            want_p = pc * (t * t / (16.0 * ml2 * ml2)) * (1.0 - t * q0 * p0 / (6.0 * ml2))
-            if t == 0.0:
-                got_q = got_p = 0.0
-            else:
-                ode = hbar2_ode(ham, (q0, p0), t)
-                got_q, got_p = ode.q2[0], ode.p2[0]
-            row["hbar2_position"] = got_q
-            row["hbar2_momentum"] = got_p
-            row["hbar2_position_rel"] = (
-                0.0 if want_q == 0.0 and got_q == 0.0 else abs(got_q / want_q - 1.0)
+    try:
+        for t in times:
+            binds = {"q": q0, "p": p0, "t": t, "m": m, "l": l, "hbar": hbar}
+            point = EvalPoint(q=q0, p=p0, hbar=hbar, params={"t": t, "m": m, "l": l})
+            qc = eval_expr(ex.classical_position, binds).real
+            pc = eval_expr(ex.classical_momentum, binds).real
+            try:
+                qm = ex.deformed_position.eval(binds).real
+                pm = ex.deformed_momentum.eval(binds).real
+            except ValidityError as exc:
+                _fail(str(exc))
+            rep_c = moyal_bracket_truncated(
+                ex.classical_position, ex.classical_momentum, grade, point, tolerance=tol
             )
-            row["hbar2_momentum_rel"] = (
-                0.0 if want_p == 0.0 and got_p == 0.0 else abs(got_p / want_p - 1.0)
+            rep_m = moyal_bracket_truncated(
+                ex.deformed_position.expr, ex.deformed_momentum.expr, grade, point, tolerance=tol
             )
-        rows.append(row)
+            evolved = eval_expr(ex.evolved_product, dict(binds, q=qm, p=pm))
+            coord_form = complex(qm * pm, hbar / 2.0)
+            initial_form = complex(q0 * p0, hbar / 2.0)
+            row = {
+                "t": t,
+                "q_classical": qc,
+                "p_classical": pc,
+                "q_deformed": qm,
+                "p_deformed": pm,
+                "pb_classical": eval_expr(pb_c, binds).real,
+                "pb_deformed": eval_expr(pb_m, binds).real,
+                "bracket_classical": rep_c.partial_sums[-1].real,
+                "bracket_classical_converged": rep_c.converged,
+                "bracket_deformed": rep_m.partial_sums[-1].real,
+                "bracket_deformed_converged": rep_m.converged,
+                "coord_residual": abs(evolved - coord_form),
+                "product_drift": abs(evolved - initial_form),
+            }
+            if not skip_hbar2:
+                want_q = qc * (t * t / (16.0 * ml2 * ml2)) * (1.0 + t * q0 * p0 / (6.0 * ml2))
+                want_p = pc * (t * t / (16.0 * ml2 * ml2)) * (1.0 - t * q0 * p0 / (6.0 * ml2))
+                if t == 0.0:
+                    got_q = got_p = 0.0
+                else:
+                    try:
+                        ode = hbar2_ode(ham, (q0, p0), t)
+                    except FlowBlowupError as exc:
+                        _fail(str(exc))
+                    got_q, got_p = ode.q2[0], ode.p2[0]
+                row["hbar2_position"] = got_q
+                row["hbar2_momentum"] = got_p
+                row["hbar2_position_rel"] = (
+                    0.0 if want_q == 0.0 and got_q == 0.0 else abs(got_q / want_q - 1.0)
+                )
+                row["hbar2_momentum_rel"] = (
+                    0.0 if want_p == 0.0 and got_p == 0.0 else abs(got_p / want_p - 1.0)
+                )
+            rows.append(row)
+    except OverflowError as exc:
+        _fail(f"float overflow evaluating the closed forms: {exc}")
     _emit_rows(rows, fmt)
 
 
@@ -340,7 +336,7 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
 
 @main.command()
 @click.option("--hamiltonian", "ham_text", default="(1/2)*p^2 + (1/2)*q^2 + (1/24)*q^4", show_default=True, help="Polynomial Hamiltonian, exact coefficients.")
-@click.option("--depth", type=int, default=8, show_default=True)
+@click.option("--depth", type=click.IntRange(1, DEFAULT_TAYLOR_DEPTH_CAP), default=8, show_default=True)
 @click.option("--q0", type=FLOAT, default=None, help="With --p0, also run the numeric hbar^2 ratio check.")
 @click.option("--p0", type=FLOAT, default=None)
 @click.option("--t1", type=FLOAT, default=0.05, show_default=True, help="Time for the ratio check.")
@@ -356,16 +352,19 @@ def example2(ham_text, depth, q0, p0, t1, tol, fmt) -> None:
     h = _parse_poly_arg(ham_text, "Hamiltonian")
     if any(hh for (_a, _b, hh) in h.terms):
         _fail("the Hamiltonian must be hbar-free")
-    if not 1 <= depth <= DEFAULT_TAYLOR_DEPTH_CAP:
-        _fail(f"--depth must lie in [1, {DEFAULT_TAYLOR_DEPTH_CAP}]")
     reports = divergence_order(h, depth)
     payload = {"reports": [reports[s].to_json_dict() for s in ("q", "p")]}
     if (q0 is None) != (p0 is None):
         _fail("--q0 and --p0 must be given together")
     if q0 is not None:
+        if t1 < 0:
+            _fail("--t1 must be >= 0")
         expr = _parse_expr_arg(format_poly(h), "Hamiltonian")
         ham = HamiltonianSpec(expr)
-        ode = hbar2_ode(ham, (q0, p0), t1)
+        try:
+            ode = hbar2_ode(ham, (q0, p0), t1)
+        except FlowBlowupError as exc:
+            _fail(str(exc))
         checks = []
         for s, got in (("q", ode.q2[0]), ("p", ode.p2[0])):
             acc = taylor_flow(h, depth, "deformed", s).hbar2_coefficient(q0, p0, t1)

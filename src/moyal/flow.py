@@ -30,6 +30,8 @@ __all__ = [
     "check_symplectic",
     "check_transport",
     "default_steps",
+    "rk4",
+    "step_times",
     "STEPS_PER_UNIT_TIME",
 ]
 
@@ -69,7 +71,7 @@ class HamiltonianSpec:
         for q0, p0 in _PROBE_POINTS:
             try:
                 v = eval_expr(expr, {"q": q0, "p": p0, **self.params})
-            except ExprDomainError:
+            except (ExprDomainError, OverflowError):
                 continue
             if abs(v.imag) > _REALNESS_TOL:
                 raise ValueError("the Hamiltonian is not real-valued")
@@ -87,7 +89,7 @@ class HamiltonianSpec:
         b = {"q": jq, "p": jp, **self.params}
         return (
             eval_expr_jet(self.dp, b, order),
-            eval_expr_jet(self.dq, b, order).scale(-1.0),
+            -eval_expr_jet(self.dq, b, order),
         )
 
     def energy(self, q: float, p: float) -> float:
@@ -144,15 +146,35 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _rk4_scalar(ham: HamiltonianSpec, q: float, p: float, h: float):
-    k1q, k1p = ham.field(q, p)
-    k2q, k2p = ham.field(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-    k3q, k3p = ham.field(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-    k4q, k4p = ham.field(q + h * k3q, p + h * k3p)
-    return (
-        q + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
-        p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-    )
+def step_times(t_final: float, steps: int) -> list[float]:
+    """0.0, then the end time (k + 1) * h of each step; +0.0 even for t_final < 0."""
+    h = t_final / steps
+    return [0.0] + [(k + 1) * h for k in range(steps)]
+
+
+def rk4(rhs, state, t_final: float, steps: int):
+    """Classical fixed-step RK4 from t = 0 to t_final, yielding the state
+    after each step.  The state is a sequence of floats and jets, and
+    ``rhs(state)`` returns rates in the same layout.  Float overflow in a
+    stage, or a state value that is not finite, raises FlowBlowupError."""
+    h = t_final / steps
+    for k in range(steps):
+        # float overflow inside a stage surfaces as OverflowError
+        try:
+            k1 = rhs(state)
+            k2 = rhs([s + 0.5 * h * d for s, d in zip(state, k1)])
+            k3 = rhs([s + 0.5 * h * d for s, d in zip(state, k2)])
+            k4 = rhs([s + h * d for s, d in zip(state, k3)])
+            state = [
+                s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+            ]
+        except OverflowError:
+            raise FlowBlowupError((k + 1) * h) from None
+        for x in state:
+            if not math.isfinite(x.value if isinstance(x, TruncatedJet) else x):
+                raise FlowBlowupError((k + 1) * h)
+        yield state
 
 
 def integrate_flow(
@@ -168,21 +190,9 @@ def integrate_flow(
     """
     if steps is None:
         steps = default_steps(t_final)
-    h = t_final / steps
-    q, p = z0
-    times = [0.0]
-    states = [(q, p)]
-    for k in range(steps):
-        # float overflow inside a stage surfaces as OverflowError
-        try:
-            q, p = _rk4_scalar(ham, q, p, h)
-        except OverflowError:
-            raise FlowBlowupError((k + 1) * h) from None
-        if not (math.isfinite(q) and math.isfinite(p)):
-            raise FlowBlowupError((k + 1) * h)
-        times.append((k + 1) * h)
-        states.append((q, p))
-    return Trajectory(times=times, states=states)
+    states = [tuple(z0)]
+    states += [(q, p) for q, p in rk4(lambda s: ham.field(*s), states[0], t_final, steps)]
+    return Trajectory(times=step_times(t_final, steps), states=states)
 
 
 def integrate_flow_jets(
@@ -197,32 +207,16 @@ def integrate_flow_jets(
     The initial jets are the identity map's: unit first derivatives,
     nothing higher.
     """
-    if order not in MONOMIALS:
-        raise ValueError("jet order must be 1, 2 or 3")
     if steps is None:
         steps = default_steps(t_final)
-    h = t_final / steps
-    jq = TruncatedJet.seed(z0[0], 0, order)
-    jp = TruncatedJet.seed(z0[1], 1, order)
-    times = [0.0]
-    states = [(jq.value, jp.value)]
-    jets = [(jq, jp)]
-    for k in range(steps):
-        try:
-            k1q, k1p = ham.field_jets(jq, jp, order)
-            k2q, k2p = ham.field_jets(jq + k1q.scale(0.5 * h), jp + k1p.scale(0.5 * h), order)
-            k3q, k3p = ham.field_jets(jq + k2q.scale(0.5 * h), jp + k2p.scale(0.5 * h), order)
-            k4q, k4p = ham.field_jets(jq + k3q.scale(h), jp + k3p.scale(h), order)
-            jq = jq + (k1q + k2q.scale(2.0) + k3q.scale(2.0) + k4q).scale(h / 6.0)
-            jp = jp + (k1p + k2p.scale(2.0) + k3p.scale(2.0) + k4p).scale(h / 6.0)
-        except OverflowError:
-            raise FlowBlowupError((k + 1) * h) from None
-        if not (math.isfinite(jq.value) and math.isfinite(jp.value)):
-            raise FlowBlowupError((k + 1) * h)
-        times.append((k + 1) * h)
-        states.append((jq.value, jp.value))
-        jets.append((jq, jp))
-    return Trajectory(times=times, states=states, jet_order=order, jets=jets)
+    jets = [(TruncatedJet.seed(z0[0], 0, order), TruncatedJet.seed(z0[1], 1, order))]
+    jets += [(jq, jp) for jq, jp in rk4(lambda s: ham.field_jets(*s, order), jets[0], t_final, steps)]
+    return Trajectory(
+        times=step_times(t_final, steps),
+        states=[(jq.value, jp.value) for jq, jp in jets],
+        jet_order=order,
+        jets=jets,
+    )
 
 
 def check_energy(traj: Trajectory, ham: HamiltonianSpec) -> float:

@@ -112,12 +112,9 @@ class TruncatedJet:
     def __neg__(self):
         return TruncatedJet(self.order, [-x for x in self.c])
 
-    def scale(self, s: float) -> "TruncatedJet":
-        return TruncatedJet(self.order, [s * x for x in self.c])
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedJet):
-            return self.scale(float(other))
+            return self.__rmul__(other)
         self._match(other)
         a, b = self.c, other.c
         out = [0.0] * len(a)
@@ -125,8 +122,8 @@ class TruncatedJet:
             out[k] += a[i] * b[j]
         return TruncatedJet(self.order, out)
 
-    def __rmul__(self, other):
-        return self.scale(float(other))
+    def __rmul__(self, s):
+        return TruncatedJet(self.order, [s * x for x in self.c])
 
     def __pow__(self, n: int) -> "TruncatedJet":
         """Integer power: repeated products for n >= 2, otherwise the
@@ -158,7 +155,7 @@ class TruncatedJet:
         power = None
         for r in range(1, self.order + 1):
             power = delta if power is None else power * delta
-            acc = acc + power.scale(derivs[r] / math.factorial(r))
+            acc = acc + (derivs[r] / math.factorial(r)) * power
         return acc
 
     def __repr__(self):

@@ -32,9 +32,11 @@ __all__ = [
     "P",
     "HBAR",
     "star_n",
+    "star_weight",
     "star_product",
     "poisson_bracket",
     "bracket_2n",
+    "bracket_weight",
     "moyal_bracket",
     "hbar_component",
     "coherent_smooth",
@@ -303,6 +305,16 @@ def _bidifferential(f: PhasePolynomial, g: PhasePolynomial, k: int) -> PhasePoly
     return acc
 
 
+def star_weight(n: int) -> ExactScalar:
+    """Weight (i/2)^n / n! of the grade-n star piece."""
+    return (HALF_I ** n) * Fraction(1, math.factorial(n))
+
+
+def bracket_weight(n: int) -> Fraction:
+    """Sine-series weight (-1)^n / ((2n+1)! 4^n) of the grade-2n bracket piece."""
+    return Fraction((-1) ** n, math.factorial(2 * n + 1) * 4 ** n)
+
+
 def star_n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomial:
     """The n-th graded piece of the star product (hbar stripped off).
 
@@ -314,8 +326,7 @@ def star_n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomial:
         raise ValueError("grade must be non-negative")
     if n == 0:
         return f * g
-    coeff = (HALF_I ** n) * Fraction(1, math.factorial(n))
-    return _bidifferential(f, g, n).scale(coeff)
+    return _bidifferential(f, g, n).scale(star_weight(n))
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -348,9 +359,7 @@ def bracket_2n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomia
     """
     if n < 0:
         raise ValueError("grade must be non-negative")
-    k = 2 * n + 1
-    weight = Fraction((-1) ** n, math.factorial(k) * 4 ** n)
-    return _bidifferential(f, g, k).scale(weight)
+    return _bidifferential(f, g, 2 * n + 1).scale(bracket_weight(n))
 
 
 def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -465,6 +474,8 @@ def format_poly(f: PhasePolynomial) -> str:
 
 # parentheses nested deeper than this are refused by the parser
 MAX_NESTING = 100
+# and so is a term whose total degree in q, p and hbar would exceed this
+MAX_DEGREE = 64
 
 
 class _Scanner:
@@ -547,19 +558,31 @@ def _parse_sum(sc: _Scanner) -> PhasePolynomial:
             return acc
 
 
+def _degree(f: PhasePolynomial) -> int:
+    """Total degree in q, p and hbar; 0 for constants and zero."""
+    return max((a + b + h for (a, b, h) in f.terms), default=0)
+
+
 def _parse_product(sc: _Scanner) -> PhasePolynomial:
     acc = _parse_power(sc)
     while sc.peek() == "*":
+        pos = sc.pos
         sc.take("*")
-        acc = acc * _parse_power(sc)
+        factor = _parse_power(sc)
+        if _degree(acc) + _degree(factor) > MAX_DEGREE:
+            raise PolyParseError(f"product of degree above {MAX_DEGREE}", pos)
+        acc = acc * factor
     return acc
 
 
 def _parse_power(sc: _Scanner) -> PhasePolynomial:
     base = _parse_atom(sc)
     if sc.peek() == "^":
+        pos = sc.pos
         sc.take("^")
         exp = sc.integer()
+        if _degree(base) * exp > MAX_DEGREE:
+            raise PolyParseError(f"power of degree above {MAX_DEGREE}", pos)
         return base ** exp
     return base
 

@@ -17,12 +17,13 @@ forms where one exists.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import REAL, DerivTable, Expr, add, const, differentiate, eval_real, evaluate, mul
-from .flow import HamiltonianSpec, default_steps, integrate_flow, integrate_flow_jets
+from .flow import HamiltonianSpec, default_steps, integrate_flow, integrate_flow_jets, rk4, step_times
 from .jets import TruncatedJet
 from .poly import (
     P,
@@ -403,7 +404,14 @@ def hbar2_ode(
         raise ValueError("requested times must lie in [0, t_final]")
     if steps is None:
         steps = default_steps(t_final)
-    h = t_final / steps
+    # the step that ends on each requested time, checked before stepping
+    grid = step_times(t_final, steps)
+    slot = {}
+    for t in sorted(times):
+        k = 0 if t <= 1e-15 else bisect.bisect_left(grid, t - 1e-9, 1)
+        if k == len(grid) or abs(t - grid[k]) > 1e-9:
+            raise ValueError(f"requested time {t} does not land on the step grid")
+        slot[t] = k
     drive = hbar2_inhomogeneity(ham)
     h_parts = ham.partials
     jac = (
@@ -425,52 +433,18 @@ def hbar2_ode(
             j10 * z2q + j11 * z2p + dp_drive,
         )
 
-    def step_state(state, rates, factor):
-        jq, jp, z2q, z2p = state
-        rq, rp, r2q, r2p = rates
-        return (
-            jq + rq.scale(factor),
-            jp + rp.scale(factor),
-            z2q + r2q * factor,
-            z2p + r2p * factor,
-        )
-
     state = (
         TruncatedJet.seed(z0[0], 0, 2),
         TruncatedJet.seed(z0[1], 1, 2),
         0.0,
         0.0,
     )
-    want = sorted((t, i) for i, t in enumerate(times))
-    results_q = [0.0] * len(times)
-    results_p = [0.0] * len(times)
-    wi = 0
-    # record t = 0 requests before stepping
-    while wi < len(want) and want[wi][0] <= 1e-15:
-        results_q[want[wi][1]] = 0.0
-        results_p[want[wi][1]] = 0.0
-        wi += 1
-    for k in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(step_state(state, k1, 0.5 * h))
-        k3 = rhs(step_state(state, k2, 0.5 * h))
-        k4 = rhs(step_state(state, k3, h))
-        jq = state[0] + (k1[0] + k2[0].scale(2.0) + k3[0].scale(2.0) + k4[0]).scale(h / 6.0)
-        jp = state[1] + (k1[1] + k2[1].scale(2.0) + k3[1].scale(2.0) + k4[1]).scale(h / 6.0)
-        z2q = state[2] + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        z2p = state[3] + h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        state = (jq, jp, z2q, z2p)
-        t_now = (k + 1) * h
-        while wi < len(want) and want[wi][0] <= t_now + 1e-9:
-            if abs(want[wi][0] - t_now) > 1e-9:
-                raise ValueError(
-                    f"requested time {want[wi][0]} does not land on the step grid"
-                )
-            results_q[want[wi][1]] = z2q
-            results_p[want[wi][1]] = z2p
-            wi += 1
+    z2 = [(0.0, 0.0)] + [(z2q, z2p) for _jq, _jp, z2q, z2p in rk4(rhs, state, t_final, steps)]
     return Hbar2Result(
-        times=tuple(times), q2=tuple(results_q), p2=tuple(results_p), method="ode"
+        times=tuple(times),
+        q2=tuple(z2[slot[t]][0] for t in times),
+        p2=tuple(z2[slot[t]][1] for t in times),
+        method="ode",
     )
 
 

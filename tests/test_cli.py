@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -200,3 +201,48 @@ def test_deep_nesting_exits_2_with_position(runner, args):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "nesting deeper than 100 (at position 101)" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hierarchy", "--q0", "1e200"],
+        ["hierarchy", "--hamiltonian", "exp(exp(exp(exp(q))))"],
+        ["hierarchy", "--hamiltonian", "q^2*p", "--t1", "2", "--t-steps", "1"],
+        ["example1", "--q0", "1e200", "--t1", "0.1", "--t-steps", "1"],
+        ["example1", "--q0", "1e200", "--t1", "0.1", "--t-steps", "1", "--skip-hbar2"],
+        ["example2", "--hamiltonian", "q^2*p", "--q0", "1", "--p0", "1", "--t1", "2"],
+    ],
+)
+def test_blowup_and_overflow_exit_2(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["hierarchy", "--depth", "0"], "Invalid value for '--depth'"),
+        (["hierarchy", "--depth", "11"], "Invalid value for '--depth'"),
+        (["example2", "--depth", "0"], "Invalid value for '--depth'"),
+        (["example2", "--depth", "11"], "Invalid value for '--depth'"),
+        (["hierarchy", "--t0", "-0.1", "--t-steps", "2"], "times >= 0"),
+        (["example1", "--t0", "-0.5", "--t1", "0.5", "--t-steps", "2"], "times >= 0"),
+        (["example2", "--q0", "1", "--p0", "1", "--t1", "-0.1"], "--t1 must be >= 0"),
+    ],
+)
+def test_out_of_range_input_exits_2(runner, args, message):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+
+
+def test_degree_budget_exits_2_quickly(runner):
+    start = time.perf_counter()
+    res = runner.invoke(main, ["star", "q^100000000", "p^100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert "degree above 64 (at position 1)" in res.output

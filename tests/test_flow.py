@@ -59,6 +59,7 @@ def test_backward_integration():
     traj = integrate_flow(harmonic(), (1.0, 0.0), -1.5)
     q, _ = traj.states[-1]
     assert q == pytest.approx(math.cos(1.5), abs=1e-12)
+    assert math.copysign(1.0, traj.times[0]) == 1.0
 
 
 def test_rk4_convergence_order():

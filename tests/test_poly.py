@@ -146,6 +146,22 @@ def test_parse_nesting_budget():
     assert err.value.position == 101
 
 
+def test_parse_degree_budget():
+    assert parse_poly("q^64") == mono(1, 64, 0)
+    assert parse_poly("q^32*p^32") == mono(1, 32, 32)
+    for text, position in (
+        ("q^65", 1),
+        ("(q*hbar)^33", 8),
+        ("(q + p)^100000000", 7),
+        ("q^32*p^33", 4),
+        ("hbar^40 * q^30", 8),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.position == position
+        assert "degree above 64" in str(err.value)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(PolyParseError) as err:
         parse_poly("q + * p")

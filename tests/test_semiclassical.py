@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from moyal.expr import ZERO, parse_expr
-from moyal.flow import HamiltonianSpec
+from moyal.flow import FlowBlowupError, HamiltonianSpec
 from moyal.poly import PhasePolynomial, format_poly, poisson_bracket
 from moyal.semiclassical import (
     cubic_order7_report,
@@ -147,6 +147,23 @@ def test_hbar2_ode_multiple_times(squeeze_ham):
     res = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, times=[0.1, 0.2])
     assert res.times == (0.1, 0.2)
     assert res.q2[0] == pytest.approx(closed_form_q2(1.0, 1.0, 0.1), rel=1e-9)
+
+
+def test_hbar2_ode_unsorted_times_get_their_own_values(squeeze_ham):
+    res = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, times=[0.0, 0.2, 0.1])
+    assert res.times == (0.0, 0.2, 0.1)
+    assert (res.q2[0], res.p2[0]) == (0.0, 0.0)
+    sorted_run = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, times=[0.1, 0.2])
+    assert res.q2[1:] == sorted_run.q2[::-1]
+    assert res.p2[1:] == sorted_run.p2[::-1]
+    assert res.q2[1] != res.q2[2]
+
+
+def test_hbar2_ode_blowup_raises():
+    ham = HamiltonianSpec(parse_expr("q^2*p"))
+    with pytest.raises(FlowBlowupError) as err:
+        hbar2_ode(ham, (1.0, 1.0), 2.0)
+    assert 0.9 < err.value.time < 1.1
 
 
 def test_hbar2_ode_rejects_off_grid_times(squeeze_ham):

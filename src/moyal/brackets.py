@@ -9,11 +9,11 @@ report at a phase-space point instead of a symbol.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .expr import DerivTable, Expr, ZERO, add, const, differentiate, eval_expr, mul
-from .poly import EvalPoint, bracket_weight, star_weight
+# differentiate stays bound here for perfbench's tracer test
+from .expr import DerivTable, Expr, ZERO, const, differentiate, eval_expr, mul  # noqa: F401
+from .poly import EvalPoint, bidifferential, bracket_weight, star_weight
 
 __all__ = [
     "poisson_expr",
@@ -22,60 +22,41 @@ __all__ = [
     "moyal_bracket_truncated",
     "BracketReport",
     "DepthCapError",
-    "DEFAULT_DEPTH_CAP",
+    "MAX_EXPR_GRADE",
 ]
 
-DEFAULT_DEPTH_CAP = 12
+# star_n_expr and bracket_2n_expr refuse grades above this
+MAX_EXPR_GRADE = 12
 
 
 class DepthCapError(ValueError):
-    """Requested grade exceeds the configured derivative-depth cap."""
+    """Requested grade exceeds :data:`MAX_EXPR_GRADE`."""
 
 
 def poisson_expr(f: Expr, g: Expr) -> Expr:
-    return add(
-        mul(differentiate(f, "q"), differentiate(g, "p")),
-        mul(const(-1), differentiate(f, "p"), differentiate(g, "q")),
-    )
+    return bidifferential(DerivTable(f).get, DerivTable(g).get, 1, ZERO)
 
 
-def _bidifferential_power(
-    table_f: DerivTable, table_g: DerivTable, k: int
-) -> Expr:
-    pieces = []
-    for j in range(k + 1):
-        df = table_f.get(k - j, j)
-        if df is ZERO or df == ZERO:
-            continue
-        dg = table_g.get(j, k - j)
-        if dg is ZERO or dg == ZERO:
-            continue
-        c = math.comb(k, j) * (-1 if j & 1 else 1)
-        pieces.append(mul(const(c), df, dg))
-    return add(*pieces)
-
-
-def star_n_expr(f: Expr, g: Expr, n: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Expr:
-    """Grade-n star piece on expressions; hbar enters only via the caller."""
+def _check_grade(n: int):
     if n < 0:
         raise ValueError("grade must be non-negative")
-    if n > depth_cap:
-        raise DepthCapError(f"grade {n} exceeds depth cap {depth_cap}")
+    if n > MAX_EXPR_GRADE:
+        raise DepthCapError(f"grade {n} exceeds depth cap {MAX_EXPR_GRADE}")
+
+
+def star_n_expr(f: Expr, g: Expr, n: int) -> Expr:
+    """Grade-n star piece on expressions; hbar enters only via the caller."""
+    _check_grade(n)
     if n == 0:
         return mul(f, g)
-    body = _bidifferential_power(DerivTable(f), DerivTable(g), n)
+    body = bidifferential(DerivTable(f).get, DerivTable(g).get, n, ZERO)
     return mul(const(star_weight(n)), body)
 
 
-def bracket_2n_expr(
-    f: Expr, g: Expr, n: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> Expr:
+def bracket_2n_expr(f: Expr, g: Expr, n: int) -> Expr:
     """Grade-2n piece of the odd-sine bracket ladder on expressions."""
-    if n < 0:
-        raise ValueError("grade must be non-negative")
-    if n > depth_cap:
-        raise DepthCapError(f"grade {n} exceeds depth cap {depth_cap}")
-    body = _bidifferential_power(DerivTable(f), DerivTable(g), 2 * n + 1)
+    _check_grade(n)
+    body = bidifferential(DerivTable(f).get, DerivTable(g).get, 2 * n + 1, ZERO)
     return mul(const(bracket_weight(n)), body)
 
 
@@ -95,30 +76,25 @@ def moyal_bracket_truncated(
     n_max: int,
     at: EvalPoint,
     tolerance: float = 1e-6,
-    depth_cap: int | None = None,
 ) -> BracketReport:
     """Partial sums of sum_n hbar^{2n} [f, g]_{2n} evaluated at a point.
 
     Convergence is declared when the two final increments both fall below
     the tolerance in magnitude; the caller judges what the limit should
-    be.  ``depth_cap`` defaults to max(n_max, the module default) so that
-    explicitly requested grades are never refused.
+    be.  Every requested grade is summed.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    cap = depth_cap if depth_cap is not None else max(n_max, DEFAULT_DEPTH_CAP)
-    if n_max > cap:
-        raise DepthCapError(f"grade {n_max} exceeds depth cap {cap}")
     bindings = at.bindings()
     hbar2 = at.hbar * at.hbar
-    table_f = DerivTable(f)
-    table_g = DerivTable(g)
+    df = DerivTable(f).get
+    dg = DerivTable(g).get
     sums: list[complex] = []
     increments: list[float] = []
     acc = 0j
     weight_h = 1.0
     for n in range(n_max + 1):
-        body = _bidifferential_power(table_f, table_g, 2 * n + 1)
+        body = bidifferential(df, dg, 2 * n + 1, ZERO)
         term = complex(bracket_weight(n)) * weight_h * eval_expr(body, bindings)
         acc += term
         sums.append(acc)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brackets import bracket_2n_expr, moyal_bracket_truncated, poisson_expr
+from .brackets import moyal_bracket_truncated, poisson_expr
 from .closed_forms import builtin_example1, builtin_unitary_pair
 from .expr import eval_expr, differentiate, parse_expr, print_expr
 from .flow import (
@@ -31,16 +31,13 @@ from .flow import (
 from .poly import (
     EvalPoint,
     HBAR,
-    P,
     PhasePolynomial,
-    Q,
     bracket_2n,
     format_poly,
     hbar_component,
     moyal_bracket,
     parse_poly,
     poisson_bracket,
-    star_n,
     star_product,
 )
 from .scalars import ExactScalar
@@ -478,7 +475,6 @@ def suite_unitary_pair(seed: int = 0) -> CheckOutcome:
             up,
             20,
             EvalPoint(q=0.3, p=p0, hbar=1.0, params={"beta": 1.0, "gamma": 1.0}),
-            depth_cap=20,
         )
         worst_tr = max(worst_tr, abs(rep.partial_sums[-1].real - 1.0))
     ok = worst_pb < 1e-9 and worst_tr < 1e-6

@@ -33,7 +33,7 @@ from .poly import (
     star_product,
 )
 from .semiclassical import (
-    DEFAULT_TAYLOR_DEPTH_CAP,
+    MAX_LADDER_DEPTH,
     divergence_order,
     hbar2_ode,
     hbar2_transport,
@@ -142,7 +142,7 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--omega", type=FLOAT, default=None, help="Bind the symbol omega.")
 @click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
-@click.option("--depth", type=click.IntRange(1, DEFAULT_TAYLOR_DEPTH_CAP), default=8, show_default=True, help="Taylor depth for the exact route.")
+@click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
 @click.option("--quad-nodes", type=int, default=64, show_default=True, help="Quadrature panels per unit time for the transport route.")
 @click.option("--steps", type=int, default=None, help="Integrator steps per unit time (default 2000).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
@@ -336,7 +336,7 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
 
 @main.command()
 @click.option("--hamiltonian", "ham_text", default="(1/2)*p^2 + (1/2)*q^2 + (1/24)*q^4", show_default=True, help="Polynomial Hamiltonian, exact coefficients.")
-@click.option("--depth", type=click.IntRange(1, DEFAULT_TAYLOR_DEPTH_CAP), default=8, show_default=True)
+@click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True)
 @click.option("--q0", type=FLOAT, default=None, help="With --p0, also run the numeric hbar^2 ratio check.")
 @click.option("--p0", type=FLOAT, default=None)
 @click.option("--t1", type=FLOAT, default=0.05, show_default=True, help="Time for the ratio check.")

@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .poly import MAX_COEFF_BITS, _Scanner, coeff_bits
 from .scalars import ExactScalar
 
 __all__ = [
@@ -60,8 +61,6 @@ FUNCTION_NAMES = ("exp", "sin", "cos", "tan", "sec", "sinh", "cosh")
 SYMBOL_NAMES = ("q", "p", "t", "m", "l", "lambda", "omega", "beta", "gamma", "hbar")
 
 _COS_EPS = 1e-12
-# parentheses and calls nested deeper than this are refused by the parser
-MAX_NESTING = 100
 
 
 class ExprEvalError(ValueError):
@@ -685,58 +684,14 @@ def print_expr(e: Expr) -> str:
 def parse_expr(text: str) -> Expr:
     """Parse the expression grammar: the polynomial grammar plus function
     calls, the parameter names, ``t``, ``pi``, ``/`` division and negative
-    integer exponents."""
+    integer exponents.  Division by a zero constant and constant powers
+    over the coefficient budget raise :class:`ExprParseError`."""
     p = _ExprParser(text)
-    e = p.parse_sum()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise ExprParseError("unexpected trailing input", p.pos)
-    return e
+    return p.finish(p.parse_sum())
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def open_group(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ExprParseError(f"nesting deeper than {MAX_NESTING}", self.pos)
-
-    def close_group(self):
-        if not self.take(")"):
-            raise ExprParseError("expected ')'", self.pos)
-        self.depth -= 1
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def integer(self) -> int:
-        self.skip_ws()
-        neg = False
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            neg = True
-            self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ExprParseError("expected digits", start)
-        v = int(self.text[start:self.pos])
-        return -v if neg else v
+class _ExprParser(_Scanner):
+    error = ExprParseError
 
     def parse_sum(self) -> Expr:
         negate = False
@@ -766,17 +721,31 @@ class _ExprParser:
                 self.take("*")
                 acc = mul(acc, self.parse_power())
             elif ch == "/":
+                pos = self.pos
                 self.take("/")
-                acc = mul(acc, pow_int(self.parse_power(), -1))
+                acc = mul(acc, self.power(self.parse_power(), -1, pos))
             else:
                 return acc
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.peek() == "^":
+            pos = self.pos
             self.take("^")
-            return pow_int(base, self.integer())
+            return self.power(base, self.integer(signed=True), pos)
         return base
+
+    def power(self, base: Expr, exp: int, pos: int) -> Expr:
+        """``base^exp``, refusing a zero constant to a negative power and a
+        constant coefficient raised past the coefficient budget."""
+        # a product keeps its constant coefficient first
+        lead = base.factors[0] if type(base) is Mul else base
+        if type(lead) is Const:
+            if not lead.value and exp < 0:
+                raise ExprParseError("division by zero", pos)
+            if coeff_bits(lead.value) * abs(exp) > MAX_COEFF_BITS:
+                raise ExprParseError(f"constant power above {MAX_COEFF_BITS} bits", pos)
+        return pow_int(base, exp)
 
     def parse_atom(self) -> Expr:
         ch = self.peek()
@@ -786,18 +755,11 @@ class _ExprParser:
             inner = self.parse_sum()
             self.close_group()
             return inner
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return const(int(self.text[start:self.pos]))
+        if ch.isdecimal():
+            return const(self.integer())
         if ch.isalpha():
             start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start:self.pos]
+            name = self.name()
             if name in FUNCTION_NAMES:
                 if not self.take("("):
                     raise ExprParseError(

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .scalars import ExactScalar, HALF_I, I, ONE
+from .scalars import ExactScalar, HALF_I, I
 
 __all__ = [
     "PhasePolynomial",
@@ -31,6 +31,7 @@ __all__ = [
     "Q",
     "P",
     "HBAR",
+    "bidifferential",
     "star_n",
     "star_weight",
     "star_product",
@@ -155,11 +156,16 @@ class PhasePolynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c) -> "PhasePolynomial":
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         if not isinstance(c, ExactScalar):
             c = ExactScalar(c)
         if not c:
@@ -181,6 +187,10 @@ class PhasePolynomial:
 
     def diff_p(self, n: int = 1) -> "PhasePolynomial":
         return self._diff(1, n)
+
+    def derivative(self, a: int, b: int) -> "PhasePolynomial":
+        """d_q^a d_p^b of the polynomial."""
+        return self._diff(0, a)._diff(1, b)
 
     def _diff(self, axis: int, n: int) -> "PhasePolynomial":
         if n < 0:
@@ -287,21 +297,26 @@ class EvalPoint:
 # -- graded star product ------------------------------------------------
 
 
-def _bidifferential(f: PhasePolynomial, g: PhasePolynomial, k: int) -> PhasePolynomial:
-    """k-th power of the mixed bidifferential operator, unweighted:
+def bidifferential(df, dg, k: int, zero, weight=1):
+    """k-th power of the mixed bidifferential operator, times ``weight``:
 
-        sum_j  C(k,j) (-1)^j  (d_q^{k-j} d_p^j f) (d_p^{k-j} d_q^j g)
+        sum_j  weight C(k,j) (-1)^j  df(k-j, j) dg(j, k-j)
+
+    where ``df(a, b)`` and ``dg(a, b)`` return d_q^a d_p^b of the left and
+    the right factor.  Works on any values that add and multiply
+    (polynomials, expressions, floats); terms are added to ``zero`` in j
+    order, and a term stops at its first factor equal to ``zero``, so the
+    second is never computed.
     """
-    acc = PhasePolynomial.zero()
+    acc = zero
     for j in range(k + 1):
-        df = f.diff_q(k - j).diff_p(j)
-        if df.is_zero:
+        left = df(k - j, j)
+        if left == zero:
             continue
-        dg = g.diff_p(k - j).diff_q(j)
-        if dg.is_zero:
+        right = dg(j, k - j)
+        if right == zero:
             continue
-        sign = -1 if j & 1 else 1
-        acc = acc + (df * dg).scale(sign * math.comb(k, j))
+        acc = acc + weight * (math.comb(k, j) * (-1 if j & 1 else 1)) * left * right
     return acc
 
 
@@ -326,7 +341,7 @@ def star_n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomial:
         raise ValueError("grade must be non-negative")
     if n == 0:
         return f * g
-    return _bidifferential(f, g, n).scale(star_weight(n))
+    return bidifferential(f.derivative, g.derivative, n, PhasePolynomial.zero(), star_weight(n))
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -347,7 +362,7 @@ def star_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
 
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    return f.diff_q() * g.diff_p() - f.diff_p() * g.diff_q()
+    return bidifferential(f.derivative, g.derivative, 1, PhasePolynomial.zero())
 
 
 def bracket_2n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomial:
@@ -359,7 +374,9 @@ def bracket_2n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomia
     """
     if n < 0:
         raise ValueError("grade must be non-negative")
-    return _bidifferential(f, g, 2 * n + 1).scale(bracket_weight(n))
+    return bidifferential(
+        f.derivative, g.derivative, 2 * n + 1, PhasePolynomial.zero(), bracket_weight(n)
+    )
 
 
 def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -472,13 +489,38 @@ def format_poly(f: PhasePolynomial) -> str:
     return " + ".join(parts)
 
 
-# parentheses nested deeper than this are refused by the parser
+# both parsers refuse parentheses nested deeper than this
 MAX_NESTING = 100
-# and so is a term whose total degree in q, p and hbar would exceed this
+# and a digit run longer than this (Python's limit for turning text into an int)
+MAX_DIGITS = 4300
+# parsed polynomials refuse a term whose total degree in q, p and hbar
+# would exceed this
 MAX_DEGREE = 64
+# and coefficients that need more bits than this (see coeff_bits), checked
+# after every sum and product and, from the base's bits times the exponent,
+# before every power; constant powers in parsed expressions obey it too
+MAX_COEFF_BITS = 4096
+
+
+def coeff_bits(*coeffs: ExactScalar) -> int:
+    """Bit length of the common denominator of ``coeffs``, or of the longest
+    numerator over that denominator if it is longer.
+
+    Bounding it bounds every coefficient of a product or star product of two
+    such polynomials by about twice as many bits.
+    """
+    parts = [r for c in coeffs for r in (c.re, c.im)]
+    den = math.lcm(*(r.denominator for r in parts))
+    return max([den.bit_length()] + [(r.numerator * (den // r.denominator)).bit_length() for r in parts])
 
 
 class _Scanner:
+    """The characters of a parser's input: whitespace, single characters,
+    digit runs, names and the nesting depth of groups.  Errors are raised
+    as ``error(message, position)``."""
+
+    error = PolyParseError
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -498,18 +540,20 @@ class _Scanner:
             return True
         return False
 
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise PolyParseError(f"expected '{ch}'", self.pos)
-
-    def integer(self) -> int:
+    def integer(self, signed: bool = False) -> int:
+        """A run of decimal digits, with a leading '-' if ``signed``."""
         self.skip_ws()
+        neg = signed and self.text.startswith("-", self.pos)
+        self.pos += neg
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
-            raise PolyParseError("expected digits", start)
-        return int(self.text[start:self.pos])
+            raise self.error("expected digits", start)
+        if self.pos - start > MAX_DIGITS:
+            raise self.error(f"integer of more than {MAX_DIGITS} digits", start)
+        v = int(self.text[start:self.pos])
+        return -v if neg else v
 
     def name(self) -> str:
         self.skip_ws()
@@ -520,24 +564,40 @@ class _Scanner:
             self.pos += 1
         return self.text[start:self.pos]
 
+    def open_group(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING}", self.pos)
+
+    def close_group(self):
+        if not self.take(")"):
+            raise self.error("expected ')'", self.pos)
+        self.depth -= 1
+
+    def finish(self, value):
+        """``value``, once nothing but whitespace is left."""
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input", self.pos)
+        return value
+
 
 def parse_poly(text: str) -> PhasePolynomial:
     """Parse the canonical polynomial grammar back into exact form.
 
     Accepts sums/differences of terms, ``*`` products, ``^`` non-negative
     integer powers, rationals ``a/b``, the imaginary unit ``i`` and the
-    variables ``q``, ``p``, ``hbar``.  Unknown names and trailing input
-    raise :class:`PolyParseError` with a position.
+    variables ``q``, ``p``, ``hbar``.  Unknown names, trailing input and
+    results over the degree or the coefficient budget raise
+    :class:`PolyParseError` with a position.
     """
     sc = _Scanner(text)
-    poly = _parse_sum(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise PolyParseError("unexpected trailing input", sc.pos)
-    return poly
+    return sc.finish(_parse_sum(sc))
 
 
 def _parse_sum(sc: _Scanner) -> PhasePolynomial:
+    sc.skip_ws()
+    pos = sc.pos
     negate = False
     if sc.take("-"):
         negate = True
@@ -555,7 +615,10 @@ def _parse_sum(sc: _Scanner) -> PhasePolynomial:
             sc.take("-")
             acc = acc - _parse_product(sc)
         else:
-            return acc
+            break
+    if coeff_bits(*acc.terms.values()) > MAX_COEFF_BITS:
+        raise PolyParseError(f"coefficients above {MAX_COEFF_BITS} bits", pos)
+    return acc
 
 
 def _degree(f: PhasePolynomial) -> int:
@@ -572,6 +635,8 @@ def _parse_product(sc: _Scanner) -> PhasePolynomial:
         if _degree(acc) + _degree(factor) > MAX_DEGREE:
             raise PolyParseError(f"product of degree above {MAX_DEGREE}", pos)
         acc = acc * factor
+        if coeff_bits(*acc.terms.values()) > MAX_COEFF_BITS:
+            raise PolyParseError(f"product with coefficients above {MAX_COEFF_BITS} bits", pos)
     return acc
 
 
@@ -583,6 +648,8 @@ def _parse_power(sc: _Scanner) -> PhasePolynomial:
         exp = sc.integer()
         if _degree(base) * exp > MAX_DEGREE:
             raise PolyParseError(f"power of degree above {MAX_DEGREE}", pos)
+        if coeff_bits(*base.terms.values()) * exp > MAX_COEFF_BITS:
+            raise PolyParseError(f"power with coefficients above {MAX_COEFF_BITS} bits", pos)
         return base ** exp
     return base
 
@@ -591,14 +658,11 @@ def _parse_atom(sc: _Scanner) -> PhasePolynomial:
     ch = sc.peek()
     if ch == "(":
         sc.take("(")
-        sc.depth += 1
-        if sc.depth > MAX_NESTING:
-            raise PolyParseError(f"nesting deeper than {MAX_NESTING}", sc.pos)
+        sc.open_group()
         inner = _parse_sum(sc)
-        sc.expect(")")
-        sc.depth -= 1
+        sc.close_group()
         return inner
-    if ch.isdigit():
+    if ch.isdecimal():
         num = sc.integer()
         if sc.peek() == "/":
             sc.take("/")

@@ -22,20 +22,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import REAL, DerivTable, Expr, add, const, differentiate, eval_real, evaluate, mul
+from .expr import REAL, ZERO, DerivTable, Expr, add, const, eval_real, evaluate, mul
 from .flow import HamiltonianSpec, default_steps, integrate_flow, integrate_flow_jets, rk4, step_times
 from .jets import TruncatedJet
 from .poly import (
     P,
     PhasePolynomial,
     Q,
+    bidifferential,
     format_poly,
     moyal_bracket,
     poisson_bracket,
 )
 
 __all__ = [
-    "DEFAULT_TAYLOR_DEPTH_CAP",
+    "MAX_LADDER_DEPTH",
     "HierarchyLadders",
     "iterated_brackets",
     "TimeTaylorFlow",
@@ -51,7 +52,8 @@ __all__ = [
     "CubicOrder7Report",
 ]
 
-DEFAULT_TAYLOR_DEPTH_CAP = 10
+# bracket ladders are built to at most this depth
+MAX_LADDER_DEPTH = 10
 
 _SEEDS = {"q": Q, "p": P}
 
@@ -74,18 +76,13 @@ class HierarchyLadders:
     deformed: tuple[PhasePolynomial, ...]
 
 
-def iterated_brackets(
-    h: PhasePolynomial,
-    depth: int,
-    seed: str,
-    depth_cap: int = DEFAULT_TAYLOR_DEPTH_CAP,
-) -> HierarchyLadders:
+def iterated_brackets(h: PhasePolynomial, depth: int, seed: str) -> HierarchyLadders:
     """Build both bracket ladders exactly, to the given depth."""
     _check_hamiltonian_poly(h)
     if seed not in _SEEDS:
         raise ValueError("seed must be 'q' or 'p'")
-    if not 1 <= depth <= depth_cap:
-        raise ValueError(f"depth must be within [1, {depth_cap}]")
+    if not 1 <= depth <= MAX_LADDER_DEPTH:
+        raise ValueError(f"depth must be within [1, {MAX_LADDER_DEPTH}]")
     classical = []
     deformed = []
     c = _SEEDS[seed]
@@ -136,17 +133,11 @@ class TimeTaylorFlow:
         return acc
 
 
-def taylor_flow(
-    h: PhasePolynomial,
-    depth: int,
-    kind: str,
-    seed: str,
-    depth_cap: int = DEFAULT_TAYLOR_DEPTH_CAP,
-) -> TimeTaylorFlow:
+def taylor_flow(h: PhasePolynomial, depth: int, kind: str, seed: str) -> TimeTaylorFlow:
     """Time-Taylor coefficients of the classical or deformed flow of a seed."""
     if kind not in ("classical", "deformed"):
         raise ValueError("kind must be 'classical' or 'deformed'")
-    ladders = iterated_brackets(h, depth, seed, depth_cap)
+    ladders = iterated_brackets(h, depth, seed)
     ladder = ladders.classical if kind == "classical" else ladders.deformed
     return TimeTaylorFlow(
         kind=kind,
@@ -174,9 +165,7 @@ class DivergenceReport:
         }
 
 
-def divergence_order(
-    h: PhasePolynomial, depth: int, depth_cap: int = DEFAULT_TAYLOR_DEPTH_CAP
-) -> dict[str, DivergenceReport]:
+def divergence_order(h: PhasePolynomial, depth: int) -> dict[str, DivergenceReport]:
     """Compare the two ladders exactly for both seeds.
 
     The reported difference is the ladder entry Omega_n - Lambda_n at the
@@ -185,7 +174,7 @@ def divergence_order(
     """
     out = {}
     for seed in ("q", "p"):
-        ladders = iterated_brackets(h, depth, seed, depth_cap)
+        ladders = iterated_brackets(h, depth, seed)
         equal = []
         first = None
         diff = PhasePolynomial.zero()
@@ -222,27 +211,6 @@ class Hbar2Result:
         for t, a, b in zip(self.times, self.q2, self.p2):
             lines.append(f"{t:.17g},{a:.17g},{b:.17g},{self.method}")
         return "\n".join(lines) + "\n"
-
-
-def _grade_one_bracket_with_map(
-    jq_or_jp: TruncatedJet, h_parts: DerivTable, point_bindings
-) -> float:
-    """[map-component, H]_2 with map derivatives from an order-3 jet.
-
-    Both derivative sets are taken at the jet's base point; the weight is
-    the grade-one entry of the sine ladder, -1/24 times the cubed
-    bidifferential.
-    """
-    acc = 0.0
-    for j in range(4):
-        a_map, b_map = 3 - j, j
-        d_map = jq_or_jp.derivative(a_map, b_map)
-        if d_map == 0.0:
-            continue
-        d_h = eval_real(h_parts.get(j, 3 - j), point_bindings)
-        c = math.comb(3, j) * (-1 if j & 1 else 1)
-        acc += c * d_map * d_h
-    return -acc / 24.0
 
 
 def hbar2_transport(
@@ -285,9 +253,14 @@ def hbar2_transport(
             jet_traj = integrate_flow_jets(ham, w, k * h_node, k * stride, order=3)
             # the final jets hold the duration-s map's derivatives, based at w
             jq, jp = jet_traj.jets[-1]
-            b = {"q": w[0], "p": w[1], **ham.params}
-            fq_vals.append(_grade_one_bracket_with_map(jq, ham.partials, b))
-            fp_vals.append(_grade_one_bracket_with_map(jp, ham.partials, b))
+            point = {"q": w[0], "p": w[1], **ham.params}
+
+            def h3(a: int, b: int) -> float:
+                return eval_real(ham.partials.get(a, b), point)
+
+            # [map component, H]_2: the cubed bidifferential, weight -1/24
+            fq_vals.append(-bidifferential(jq.derivative, h3, 3, 0.0) / 24.0)
+            fp_vals.append(-bidifferential(jp.derivative, h3, 3, 0.0) / 24.0)
         out_q.append(_simpson(fq_vals, h_node))
         out_p.append(_simpson(fp_vals, h_node))
     return Hbar2Result(
@@ -460,27 +433,20 @@ def star_exp_A2(b_expr: Expr) -> Expr:
         A2 = -J_ik J_jl (d_i d_j B) [ (1/16) d_k d_l B
                                       + (1/24) (d_k B)(d_l B) ]
 
+    that is, the squared bidifferential operator applied to (B, B) with
+    weight -1/16 and to (B, first derivatives of B) with weight -1/24.
     Built fully distributed so that structural comparison against an
     expected polynomial is exact after collection.
     """
-    names = ("q", "p")
-    first = {v: differentiate(b_expr, v) for v in names}
-    second = {
-        (a, bb): differentiate(first[a], bb) for a in names for bb in names
-    }
-    j_pairs = ((("q", "p"), 1), (("p", "q"), -1))
-    pieces = []
-    for (i, k), ji in j_pairs:
-        for (j, l), jj in j_pairs:
-            s = ji * jj
-            dij = second[(i, j)]
-            pieces.append(
-                mul(const(Fraction(-s, 16)), dij, second[(k, l)])
-            )
-            pieces.append(
-                mul(const(Fraction(-s, 24)), dij, first[k], first[l])
-            )
-    return add(*pieces)
+    t = DerivTable(b_expr)
+
+    def grad(a: int, b: int) -> Expr:
+        return t.get(1, 0) ** a * t.get(0, 1) ** b
+
+    return add(
+        bidifferential(t.get, t.get, 2, ZERO, Fraction(-1, 16)),
+        bidifferential(t.get, grad, 2, ZERO, Fraction(-1, 24)),
+    )
 
 
 # -- cubic-potential order-7 comparison ----------------------------------

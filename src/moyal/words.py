@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .poly import HBAR, P, PhasePolynomial, Q, star_product
+from .poly import P, PhasePolynomial, Q, star_product
 from .scalars import ExactScalar
 
 __all__ = [

@@ -250,7 +250,6 @@ def test_criterion_09_unitary_not_canonical_pair():
             up,
             20,
             EvalPoint(q=0.3, p=p0, hbar=1.0, params={"beta": 1.0, "gamma": 1.0}),
-            depth_cap=20,
         )
         worst_tr = max(worst_tr, abs(rep.partial_sums[-1].real - 1.0))
         all_converged &= rep.converged

@@ -246,3 +246,34 @@ def test_degree_budget_exits_2_quickly(runner):
     assert time.perf_counter() - start < 1.0
     assert res.exit_code == 2
     assert "degree above 64 (at position 1)" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["star", "9" * 5000, "p"], "integer of more than 4300 digits (at position 0)"),
+        (["star", "q^" + "9" * 5000, "p"], "integer of more than 4300 digits (at position 2)"),
+        (["hierarchy", "--hamiltonian", "q^" + "9" * 5000], "integer of more than 4300 digits (at position 2)"),
+        (["star", "2^10000000", "p"], "power with coefficients above 4096 bits (at position 1)"),
+        (["star", "9" * 3000 + "*" + "9" * 3000, "p"], "product with coefficients above 4096 bits (at position 3000)"),
+        (["hierarchy", "--hamiltonian", "1/0"], "division by zero (at position 1)"),
+    ],
+)
+def test_oversized_constants_and_division_by_zero_exit_2_quickly(runner, args, message):
+    start = time.perf_counter()
+    res = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+
+
+def test_star_of_inputs_at_the_coefficient_budget_prints(runner):
+    # numerators and common denominators of 4096 bits, the budget
+    top, den_f, den_g = 2 ** 4096 - 1, 2 ** 4095 + 1, 2 ** 4095 + 3
+    left = f"({top}/{den_f})*q^3*p + (1/{den_f})*q*p^2 + p^3"
+    right = f"({top}/{den_g})*p^3*q + (1/{den_g})*i*q^2 + p"
+    res = runner.invoke(main, ["star", left, right])
+    assert res.exit_code == 0
+    longest = max(len(part) for part in res.output.replace("/", " ").replace("*", " ").split())
+    assert 2400 < longest < 4300

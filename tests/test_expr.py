@@ -102,6 +102,25 @@ def test_parse_nesting_budget():
         assert err.value.position == pos
 
 
+def test_parse_refuses_division_by_zero():
+    for text, pos in [("1/0", 1), ("q/0", 1), ("(q-q)^-1", 5), ("p*(2 - 2)^-3", 9)]:
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(text)
+        assert err.value.position == pos, text
+        assert "division by zero" in str(err.value)
+    assert print_expr(parse_expr("0^0 + (q-q)^2")) == "1"
+
+
+def test_parse_constant_power_budget():
+    assert print_expr(parse_expr("2^2048/2^2047")) == "2"
+    for text, pos in [("2^10000000", 1), ("(3*q)^5000", 5), ("q/2^-5000", 3), ("q^-" + "9" * 5000, 3)]:
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(text)
+        assert err.value.position == pos, text
+    # a variable raised to a large power builds no large constant
+    assert print_expr(parse_expr("q^100000")) == "q^100000"
+
+
 def test_unknown_symbol_rejected():
     with pytest.raises(ExprParseError):
         parse_expr("zeta + 1")

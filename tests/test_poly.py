@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moyal.expr import ZERO, DerivTable, eval_expr, parse_expr
 from moyal.poly import (
     HBAR,
     P,
     PhasePolynomial,
     PolyParseError,
     Q,
+    bidifferential,
     bracket_2n,
     coherent_smooth,
     format_poly,
@@ -208,3 +210,72 @@ def test_star_with_one_is_identity(f):
     one = PhasePolynomial.constant(1)
     assert star_product(one, f) == f
     assert star_product(f, one) == f
+
+
+# -- the one bidifferential kernel -------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys(), st.integers(0, 6))
+def test_bidifferential_same_on_polynomials_expressions_and_floats(f, g, k):
+    q0, p0 = 0.7, -1.3
+    on_poly = bidifferential(f.derivative, g.derivative, k, PhasePolynomial.zero())
+    fe, ge = parse_expr(format_poly(f)), parse_expr(format_poly(g))
+    on_expr = bidifferential(DerivTable(fe).get, DerivTable(ge).get, k, ZERO)
+
+    def at_point(h):
+        return lambda a, b: h.derivative(a, b).evaluate(q0, p0).real
+
+    on_float = bidifferential(at_point(f), at_point(g), k, 0.0)
+    want = on_poly.evaluate(q0, p0).real
+    assert eval_expr(on_expr, {"q": q0, "p": p0}).real == pytest.approx(want, rel=1e-12, abs=1e-9)
+    assert on_float == pytest.approx(want, rel=1e-12, abs=1e-9)
+    if k == 0:
+        assert on_poly == f * g
+
+
+def test_bidifferential_skips_the_second_factor_after_a_zero():
+    asked = []
+
+    def dg(a, b):
+        asked.append((a, b))
+        return P ** b
+
+    # only d_q^2 of q^2 is non-zero, so dg is asked for (0, 2) alone
+    got = bidifferential((Q * Q).derivative, dg, 2, PhasePolynomial.zero(), 3)
+    assert asked == [(0, 2)]
+    assert got == mono(6, 0, 2)
+
+
+# -- digit runs and the coefficient budget -----------------------------
+
+
+def test_parse_digit_run_limit():
+    assert parse_poly("9" * 1000) == PhasePolynomial.constant(int("9" * 1000))
+    for text, position in (("9" * 5000, 0), ("q^" + "9" * 5000, 2), ("1/" + "9" * 4301, 2)):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.position == position
+        assert "more than 4300 digits" in str(err.value)
+
+
+def test_parse_coefficient_budget():
+    top = 2 ** 4096 - 1
+    assert parse_poly(str(top)) == PhasePolynomial.constant(top)
+    assert parse_poly(f"(1/{top})*q + p") == mono(Fraction(1, top), 1, 0) + P
+    assert parse_poly("2^2048*q") == mono(2 ** 2048, 1, 0)
+    # coprime 3000-bit denominators: their common denominator has 6000 bits
+    a, b = 2 ** 3000 + 1, 2 ** 3000 - 1
+    for text, position, what in (
+        (str(2 ** 4096), 0, "coefficients"),
+        (f"(1/{a})*q + (1/{b})*p", 0, "coefficients"),
+        (f"q*(1/{a} + 1/{b})", 3, "coefficients"),
+        (f"q + (2*{2 ** 4095})", 6, "product with coefficients"),
+        ("2^10000000", 1, "power with coefficients"),
+        ("(3 + i)^4000", 7, "power with coefficients"),
+        ("9" * 3000 + "*" + "9" * 3000, 3000, "product with coefficients"),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.position == position, text
+        assert f"{what} above 4096 bits" in str(err.value)

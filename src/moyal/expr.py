@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .poly import MAX_COEFF_BITS, _Scanner, coeff_bits
+from .poly import MAX_COEFF_BITS, _Parser, coeff_bits
 from .scalars import ExactScalar
 
 __all__ = [
@@ -637,28 +637,11 @@ class ExprParseError(ValueError):
         self.position = position
 
 
-def _rat_text(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator) if r.numerator >= 0 else f"({r.numerator})"
-    return f"({r.numerator}/{r.denominator})"
-
-
-def _const_text(v: ExactScalar) -> str:
-    if v.im == 0:
-        return _rat_text(v.re)
-    if v.re == 0:
-        if v.im == 1:
-            return "i"
-        return f"{_rat_text(v.im)}*i"
-    im_txt = "i" if v.im == 1 else f"{_rat_text(v.im)}*i"
-    return f"({_rat_text(v.re)} + {im_txt})"
-
-
 def print_expr(e: Expr) -> str:
     """Deterministic text form; parses back to a structurally equal tree."""
     te = type(e)
     if te is Const:
-        return _const_text(e.value)
+        return str(e.value)
     if te is Sym:
         return e.name
     if te is Pi:
@@ -683,57 +666,28 @@ def print_expr(e: Expr) -> str:
 
 def parse_expr(text: str) -> Expr:
     """Parse the expression grammar: the polynomial grammar plus function
-    calls, the parameter names, ``t``, ``pi``, ``/`` division and negative
-    integer exponents.  Division by a zero constant and constant powers
-    over the coefficient budget raise :class:`ExprParseError`."""
-    p = _ExprParser(text)
-    return p.finish(p.parse_sum())
+    calls, the parameter names, ``t``, ``pi`` and division by, or negative
+    powers of, any expression.  Division by a zero constant and constant
+    powers over the coefficient budget raise :class:`ExprParseError`."""
+    return _ExprParser(text).parse()
 
 
-class _ExprParser(_Scanner):
+class _ExprParser(_Parser):
+    """Builds an :class:`Expr` through the normalizing constructors."""
+
     error = ExprParseError
+    FUNCTIONS = FUNCTION_NAMES
+    number = staticmethod(const)
+    call = staticmethod(call)
 
-    def parse_sum(self) -> Expr:
-        negate = False
-        if self.take("-"):
-            negate = True
-        else:
-            self.take("+")
-        acc = self.parse_product()
-        if negate:
-            acc = mul(_MINUS_ONE, acc)
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.take("+")
-                acc = add(acc, self.parse_product())
-            elif ch == "-":
-                self.take("-")
-                acc = add(acc, mul(_MINUS_ONE, self.parse_product()))
-            else:
-                return acc
-
-    def parse_product(self) -> Expr:
-        acc = self.parse_power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.take("*")
-                acc = mul(acc, self.parse_power())
-            elif ch == "/":
-                pos = self.pos
-                self.take("/")
-                acc = mul(acc, self.power(self.parse_power(), -1, pos))
-            else:
-                return acc
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek() == "^":
-            pos = self.pos
-            self.take("^")
-            return self.power(base, self.integer(signed=True), pos)
-        return base
+    def symbol(self, name: str, pos: int) -> Expr:
+        if name == "i":
+            return I_UNIT
+        if name == "pi":
+            return PI
+        if name in SYMBOL_NAMES:
+            return sym(name)
+        raise self.error(f"unknown name '{name}'", pos)
 
     def power(self, base: Expr, exp: int, pos: int) -> Expr:
         """``base^exp``, refusing a zero constant to a negative power and a
@@ -742,38 +696,13 @@ class _ExprParser(_Scanner):
         lead = base.factors[0] if type(base) is Mul else base
         if type(lead) is Const:
             if not lead.value and exp < 0:
-                raise ExprParseError("division by zero", pos)
+                raise self.error("division by zero", pos)
             if coeff_bits(lead.value) * abs(exp) > MAX_COEFF_BITS:
-                raise ExprParseError(f"constant power above {MAX_COEFF_BITS} bits", pos)
+                raise self.error(f"constant power above {MAX_COEFF_BITS} bits", pos)
         return pow_int(base, exp)
 
-    def parse_atom(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            self.take("(")
-            self.open_group()
-            inner = self.parse_sum()
-            self.close_group()
-            return inner
-        if ch.isdecimal():
-            return const(self.integer())
-        if ch.isalpha():
-            start = self.pos
-            name = self.name()
-            if name in FUNCTION_NAMES:
-                if not self.take("("):
-                    raise ExprParseError(
-                        f"function '{name}' requires an argument", self.pos
-                    )
-                self.open_group()
-                arg = self.parse_sum()
-                self.close_group()
-                return call(name, arg)
-            if name == "i":
-                return I_UNIT
-            if name == "pi":
-                return PI
-            if name in SYMBOL_NAMES:
-                return sym(name)
-            raise ExprParseError(f"unknown name '{name}'", start)
-        raise ExprParseError("expected a term", self.pos)
+    def product(self, acc: Expr, factor: Expr, pos: int) -> Expr:
+        return acc * factor
+
+    def checked_sum(self, acc: Expr, pos: int) -> Expr:
+        return acc

@@ -17,8 +17,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .expr import REAL, DerivTable, Expr, ExprDomainError, eval_expr, eval_real, evaluate, free_symbols
+from .expr import (
+    REAL,
+    Add,
+    Call,
+    DerivTable,
+    Expr,
+    ExprDomainError,
+    Mul,
+    Pow,
+    eval_expr,
+    eval_real,
+    evaluate,
+    free_symbols,
+)
 from .jets import MONOMIALS, TruncatedJet, eval_expr_jet
+from .poly import MAX_DEGREE
 
 __all__ = [
     "HamiltonianSpec",
@@ -53,9 +67,11 @@ class HamiltonianSpec:
     parameter values.
 
     The expression may mention q, p and any names bound in ``params``;
-    ``t`` and ``hbar`` are rejected, and realness is probed at a few fixed
-    points on construction.  ``partials`` is the one derivative table of H:
-    the vector field and both hbar^2 routes read their partials from it.
+    ``t`` and ``hbar`` are rejected, and so is a power with an exponent
+    above ``poly.MAX_DEGREE`` (jets multiply such powers out factor by
+    factor).  Realness is probed at a few fixed points on construction.
+    ``partials`` is the one derivative table of H: the vector field and
+    both hbar^2 routes read their partials from it.
     """
 
     def __init__(self, expr: Expr, params: dict[str, float] | None = None):
@@ -68,6 +84,8 @@ class HamiltonianSpec:
             raise ValueError(f"unbound Hamiltonian symbols: {sorted(extra)}")
         if "t" in free or "hbar" in free:
             raise ValueError("the Hamiltonian must not depend on t or hbar")
+        if _max_exponent(expr) > MAX_DEGREE:
+            raise ValueError(f"the Hamiltonian has a power with an exponent above {MAX_DEGREE}")
         for q0, p0 in _PROBE_POINTS:
             try:
                 v = eval_expr(expr, {"q": q0, "p": p0, **self.params})
@@ -94,6 +112,29 @@ class HamiltonianSpec:
 
     def energy(self, q: float, p: float) -> float:
         return eval_real(self.expr, {"q": q, "p": p, **self.params})
+
+
+def _max_exponent(e: Expr) -> int:
+    """Largest exponent of a power in ``e``; 0 if it has none."""
+    top = 0
+    seen = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        tn = type(n)
+        if tn is Pow:
+            top = max(top, n.exp)
+            stack.append(n.base)
+        elif tn is Call:
+            stack.append(n.arg)
+        elif tn is Add:
+            stack.extend(n.terms)
+        elif tn is Mul:
+            stack.extend(n.factors)
+    return top
 
 
 def default_steps(t_final: float) -> int:

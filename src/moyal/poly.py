@@ -449,13 +449,7 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _fmt_rational(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator) if r.numerator >= 0 else f"({r.numerator})"
-    return f"({r.numerator}/{r.denominator})"
-
-
-def _term_factors(c: ExactScalar, key: _Key) -> list[str]:
+def _term_factors(key: _Key) -> list[str]:
     a, b, h = key
     mono: list[str] = []
     for name, e in (("hbar", h), ("q", a), ("p", b)):
@@ -463,20 +457,7 @@ def _term_factors(c: ExactScalar, key: _Key) -> list[str]:
             mono.append(name)
         elif e >= 2:
             mono.append(f"{name}^{e}")
-    factors: list[str] = []
-    if c.im == 0:
-        if not (c.re == 1 and mono):
-            factors.append(_fmt_rational(c.re))
-    elif c.re == 0:
-        if c.im != 1:
-            factors.append(_fmt_rational(c.im))
-        factors.append("i")
-    else:
-        re_txt = _fmt_rational(c.re)
-        im_txt = "i" if c.im == 1 else f"{_fmt_rational(c.im)}*i"
-        factors.append(f"({re_txt} + {im_txt})")
-    factors.extend(mono)
-    return factors
+    return mono
 
 
 def format_poly(f: PhasePolynomial) -> str:
@@ -485,7 +466,8 @@ def format_poly(f: PhasePolynomial) -> str:
         return "0"
     parts = []
     for key in sorted(f.terms, reverse=True):
-        parts.append("*".join(_term_factors(f.terms[key], key)))
+        c, mono = f.terms[key], _term_factors(key)
+        parts.append("*".join(mono if c == 1 and mono else [str(c), *mono]))
     return " + ".join(parts)
 
 
@@ -514,17 +496,105 @@ def coeff_bits(*coeffs: ExactScalar) -> int:
     return max([den.bit_length()] + [(r.numerator * (den // r.denominator)).bit_length() for r in parts])
 
 
-class _Scanner:
-    """The characters of a parser's input: whitespace, single characters,
-    digit runs, names and the nesting depth of groups.  Errors are raised
-    as ``error(message, position)``."""
+class _Parser:
+    """The one text grammar, read by recursive descent:
 
-    error = PolyParseError
+        sum     := ['+' | '-'] product (('+' | '-') product)*
+        product := power (('*' | '/') power)*
+        power   := atom ['^' ['-'] digits]
+        atom    := digits | name | function '(' sum ')' | '(' sum ')'
+
+    so ``a/b^n`` is a/(b^n).  Sums, differences, products and negation use
+    the values' own ``+``, ``-``, ``*`` and unary ``-``; a builder subclass
+    supplies the hooks ``number(n)``, ``symbol(name, pos)``,
+    ``call(fn, arg)``, ``power(base, exp, pos)``, ``product(acc, factor,
+    pos)`` and ``checked_sum(acc, pos)``, where ``pos`` is the position of
+    the operator, or of the start of the sum.  ``a/b`` is built as
+    ``product(a, power(b, -1, pos), pos)``.  Names in ``FUNCTIONS`` are
+    function calls.  Errors are raised as ``error(message, position)``.
+    """
+
+    FUNCTIONS: tuple[str, ...] = ()
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.depth = 0
+
+    def parse(self):
+        """The value of the whole text."""
+        value = self.parse_sum()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input", self.pos)
+        return value
+
+    # -- grammar ---------------------------------------------------------
+
+    def parse_sum(self):
+        self.skip_ws()
+        start = self.pos
+        if self.take("-"):
+            acc = -self.parse_product()
+        else:
+            self.take("+")
+            acc = self.parse_product()
+        while True:
+            if self.take("+"):
+                acc = acc + self.parse_product()
+            elif self.take("-"):
+                acc = acc - self.parse_product()
+            else:
+                return self.checked_sum(acc, start)
+
+    def parse_product(self):
+        acc = self.parse_power()
+        while True:
+            self.skip_ws()
+            pos = self.pos
+            if self.take("*"):
+                acc = self.product(acc, self.parse_power(), pos)
+            elif self.take("/"):
+                acc = self.product(acc, self.power(self.parse_power(), -1, pos), pos)
+            else:
+                return acc
+
+    def parse_power(self):
+        base = self.parse_atom()
+        self.skip_ws()
+        pos = self.pos
+        if self.take("^"):
+            return self.power(base, self.integer(signed=True), pos)
+        return base
+
+    def parse_atom(self):
+        ch = self.peek()
+        start = self.pos
+        if self.take("("):
+            return self.group()
+        if ch.isdecimal():
+            return self.number(self.integer())
+        if ch.isalpha():
+            name = self.name()
+            if name not in self.FUNCTIONS:
+                return self.symbol(name, start)
+            if not self.take("("):
+                raise self.error(f"function '{name}' requires an argument", self.pos)
+            return self.call(name, self.group())
+        raise self.error("expected a term", start)
+
+    def group(self):
+        """The sum inside a group whose '(' was just taken, and its ')'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING}", self.pos)
+        inner = self.parse_sum()
+        if not self.take(")"):
+            raise self.error("expected ')'", self.pos)
+        self.depth -= 1
+        return inner
+
+    # -- characters ------------------------------------------------------
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -556,7 +626,6 @@ class _Scanner:
         return -v if neg else v
 
     def name(self) -> str:
-        self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalpha() or self.text[self.pos] == "_"
@@ -564,123 +633,62 @@ class _Scanner:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def open_group(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING}", self.pos)
-
-    def close_group(self):
-        if not self.take(")"):
-            raise self.error("expected ')'", self.pos)
-        self.depth -= 1
-
-    def finish(self, value):
-        """``value``, once nothing but whitespace is left."""
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input", self.pos)
-        return value
-
-
-def parse_poly(text: str) -> PhasePolynomial:
-    """Parse the canonical polynomial grammar back into exact form.
-
-    Accepts sums/differences of terms, ``*`` products, ``^`` non-negative
-    integer powers, rationals ``a/b``, the imaginary unit ``i`` and the
-    variables ``q``, ``p``, ``hbar``.  Unknown names, trailing input and
-    results over the degree or the coefficient budget raise
-    :class:`PolyParseError` with a position.
-    """
-    sc = _Scanner(text)
-    return sc.finish(_parse_sum(sc))
-
-
-def _parse_sum(sc: _Scanner) -> PhasePolynomial:
-    sc.skip_ws()
-    pos = sc.pos
-    negate = False
-    if sc.take("-"):
-        negate = True
-    else:
-        sc.take("+")
-    acc = _parse_product(sc)
-    if negate:
-        acc = -acc
-    while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.take("+")
-            acc = acc + _parse_product(sc)
-        elif ch == "-":
-            sc.take("-")
-            acc = acc - _parse_product(sc)
-        else:
-            break
-    if coeff_bits(*acc.terms.values()) > MAX_COEFF_BITS:
-        raise PolyParseError(f"coefficients above {MAX_COEFF_BITS} bits", pos)
-    return acc
-
 
 def _degree(f: PhasePolynomial) -> int:
     """Total degree in q, p and hbar; 0 for constants and zero."""
     return max((a + b + h for (a, b, h) in f.terms), default=0)
 
 
-def _parse_product(sc: _Scanner) -> PhasePolynomial:
-    acc = _parse_power(sc)
-    while sc.peek() == "*":
-        pos = sc.pos
-        sc.take("*")
-        factor = _parse_power(sc)
-        if _degree(acc) + _degree(factor) > MAX_DEGREE:
-            raise PolyParseError(f"product of degree above {MAX_DEGREE}", pos)
-        acc = acc * factor
-        if coeff_bits(*acc.terms.values()) > MAX_COEFF_BITS:
-            raise PolyParseError(f"product with coefficients above {MAX_COEFF_BITS} bits", pos)
-    return acc
+class _PolyParser(_Parser):
+    """Builds a :class:`PhasePolynomial` under the degree and coefficient
+    budgets.  It knows the names q, p, hbar and i and no functions; only a
+    constant can be divided by or raised to a negative power."""
 
+    error = PolyParseError
+    _NAMES = {"q": Q, "p": P, "hbar": HBAR, "i": PhasePolynomial.constant(I)}
 
-def _parse_power(sc: _Scanner) -> PhasePolynomial:
-    base = _parse_atom(sc)
-    if sc.peek() == "^":
-        pos = sc.pos
-        sc.take("^")
-        exp = sc.integer()
+    def number(self, n: int) -> PhasePolynomial:
+        return PhasePolynomial.constant(n)
+
+    def symbol(self, name: str, pos: int) -> PhasePolynomial:
+        if name not in self._NAMES:
+            raise self.error(f"unknown name '{name}'", pos)
+        return self._NAMES[name]
+
+    def power(self, base: PhasePolynomial, exp: int, pos: int) -> PhasePolynomial:
+        if exp < 0:
+            if _degree(base):
+                raise self.error("division by or negative power of a non-constant", pos)
+            if not base:
+                raise self.error("division by zero", pos)
+            base, exp = PhasePolynomial.constant(1 / base.terms[(0, 0, 0)]), -exp
         if _degree(base) * exp > MAX_DEGREE:
-            raise PolyParseError(f"power of degree above {MAX_DEGREE}", pos)
+            raise self.error(f"power of degree above {MAX_DEGREE}", pos)
         if coeff_bits(*base.terms.values()) * exp > MAX_COEFF_BITS:
-            raise PolyParseError(f"power with coefficients above {MAX_COEFF_BITS} bits", pos)
+            raise self.error(f"power with coefficients above {MAX_COEFF_BITS} bits", pos)
         return base ** exp
-    return base
+
+    def product(self, acc: PhasePolynomial, factor: PhasePolynomial, pos: int) -> PhasePolynomial:
+        if _degree(acc) + _degree(factor) > MAX_DEGREE:
+            raise self.error(f"product of degree above {MAX_DEGREE}", pos)
+        out = acc * factor
+        if coeff_bits(*out.terms.values()) > MAX_COEFF_BITS:
+            raise self.error(f"product with coefficients above {MAX_COEFF_BITS} bits", pos)
+        return out
+
+    def checked_sum(self, acc: PhasePolynomial, pos: int) -> PhasePolynomial:
+        if coeff_bits(*acc.terms.values()) > MAX_COEFF_BITS:
+            raise self.error(f"coefficients above {MAX_COEFF_BITS} bits", pos)
+        return acc
 
 
-def _parse_atom(sc: _Scanner) -> PhasePolynomial:
-    ch = sc.peek()
-    if ch == "(":
-        sc.take("(")
-        sc.open_group()
-        inner = _parse_sum(sc)
-        sc.close_group()
-        return inner
-    if ch.isdecimal():
-        num = sc.integer()
-        if sc.peek() == "/":
-            sc.take("/")
-            den = sc.integer()
-            if den == 0:
-                raise PolyParseError("zero denominator", sc.pos)
-            return PhasePolynomial.constant(Fraction(num, den))
-        return PhasePolynomial.constant(num)
-    if ch.isalpha():
-        pos = sc.pos
-        name = sc.name()
-        if name == "q":
-            return Q
-        if name == "p":
-            return P
-        if name == "hbar":
-            return HBAR
-        if name == "i":
-            return PhasePolynomial.constant(I)
-        raise PolyParseError(f"unknown name '{name}'", pos)
-    raise PolyParseError("expected a term", sc.pos)
+def parse_poly(text: str) -> PhasePolynomial:
+    """Parse the polynomial grammar back into exact form.
+
+    Accepts sums/differences of terms, ``*`` products, ``/`` division by a
+    constant, ``^`` integer powers (negative ones of constants only), the
+    imaginary unit ``i`` and the variables ``q``, ``p``, ``hbar``; ``a/b^n``
+    is a/(b^n).  Unknown names, trailing input and results over the degree
+    or the coefficient budget raise :class:`PolyParseError` with a position.
+    """
+    return _PolyParser(text).parse()

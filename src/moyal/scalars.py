@@ -140,11 +140,16 @@ class ExactScalar:
         return f"ExactScalar({self.re!r}, {self.im!r})"
 
     def __str__(self):
+        """The coefficient text of both printers: ``3``, ``(-1/2)``,
+        ``(2/3)*i``, ``((1/2) + i)``."""
         if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"{self.re} + {self.im}*i"
+            return _rational_text(self.re)
+        im = "i" if self.im == 1 else f"{_rational_text(self.im)}*i"
+        return im if self.re == 0 else f"({_rational_text(self.re)} + {im})"
+
+
+def _rational_text(r: Fraction) -> str:
+    return str(r) if r.denominator == 1 and r >= 0 else f"({r})"
 
 
 def _coerce(x):

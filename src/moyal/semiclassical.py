@@ -19,11 +19,20 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 from .expr import REAL, ZERO, DerivTable, Expr, add, const, eval_real, evaluate, mul
-from .flow import HamiltonianSpec, default_steps, integrate_flow, integrate_flow_jets, rk4, step_times
+from .flow import (
+    STEPS_PER_UNIT_TIME,
+    HamiltonianSpec,
+    default_steps,
+    integrate_flow,
+    integrate_flow_jets,
+    rk4,
+    step_times,
+)
 from .jets import TruncatedJet
 from .poly import (
     P,
@@ -31,6 +40,7 @@ from .poly import (
     Q,
     bidifferential,
     format_poly,
+    hbar_component,
     moyal_bracket,
     poisson_bracket,
 )
@@ -118,19 +128,11 @@ class TimeTaylorFlow:
         return acc
 
     def hbar2_grade_series(self) -> tuple[PhasePolynomial, ...]:
-        from .poly import hbar_component
-
         return tuple(hbar_component(c, 2) for c in self.coeffs)
 
     def hbar2_coefficient(self, q: float, p: float, t: float) -> float:
         """Real part of the hbar^2 coefficient of the series at (q, p), time t."""
-        acc = 0.0
-        tn = 1.0
-        for n, c in enumerate(self.hbar2_grade_series()):
-            if n:
-                tn *= t / n
-            acc += tn * c.evaluate(q, p, 1.0).real
-        return acc
+        return replace(self, coeffs=self.hbar2_grade_series()).evaluate(q, p, 1.0, t).real
 
 
 def taylor_flow(h: PhasePolynomial, depth: int, kind: str, seed: str) -> TimeTaylorFlow:
@@ -234,7 +236,7 @@ def hbar2_transport(
         times = [t_final]
     if any(t <= 0 or t > t_final + 1e-12 for t in times):
         raise ValueError("requested times must lie in (0, t_final]")
-    per_unit = steps_per_unit if steps_per_unit is not None else 2000
+    per_unit = steps_per_unit if steps_per_unit is not None else STEPS_PER_UNIT_TIME
     out_q = []
     out_p = []
     for T in times:
@@ -303,54 +305,28 @@ def hbar2_inhomogeneity(ham: HamiltonianSpec):
 
     def drive(jq: TruncatedJet, jp: TruncatedJet) -> tuple[float, float]:
         values = evaluate(f_roots, {"q": jq.value, "p": jp.value, **ham.params}, REAL)
-        maps = (jq, jp)
-        d1 = [[m.derivative(1, 0), m.derivative(0, 1)] for m in maps]
-        d2 = [
-            [
-                [m.derivative(2, 0), m.derivative(1, 1)],
-                [m.derivative(1, 1), m.derivative(0, 2)],
-            ]
-            for m in maps
-        ]
-        c1 = [[0.0, 0.0], [0.0, 0.0]]
-        c2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-        for a in range(2):
-            for bb in range(2):
-                c1[a][bb] = (
-                    d2[a][0][0] * d2[bb][1][1]
-                    - 2.0 * d2[a][0][1] * d2[bb][0][1]
-                    + d2[a][1][1] * d2[bb][0][0]
-                )
-                for cc in range(2):
-                    c2[a][bb][cc] = (
-                        d2[a][0][0] * d1[bb][1] * d1[cc][1]
-                        - d2[a][0][1]
-                        * (d1[bb][1] * d1[cc][0] + d1[bb][0] * d1[cc][1])
-                        + d2[a][1][1] * d1[bb][0] * d1[cc][0]
-                    )
+        # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp)
+        d1 = [(m.derivative(1, 0), m.derivative(0, 1)) for m in (jq, jp)]
+        d2 = [(m.derivative(2, 0), m.derivative(1, 1), m.derivative(0, 2)) for m in (jq, jp)]
+        c1 = {
+            (a, b): d2[a][0] * d2[b][2] - 2.0 * d2[a][1] * d2[b][1] + d2[a][2] * d2[b][0]
+            for a, b in product((0, 1), repeat=2)
+        }
+        c2 = {
+            (a, b, c): d2[a][0] * d1[b][1] * d1[c][1]
+            - d2[a][1] * (d1[b][1] * d1[c][0] + d1[b][0] * d1[c][1])
+            + d2[a][2] * d1[b][0] * d1[c][0]
+            for a, b, c in product((0, 1), repeat=3)
+        }
         out = []
         for r in (0, 1):
-            table = dict(zip(f_keys, values[r * len(f_keys):]))
+            # a partial of F_r depends only on how many of its slots are p
+            f = dict(zip(f_keys, values[r * len(f_keys):]))
             acc = 0.0
-            # second-derivative contraction
-            f2 = [
-                [table[(2, 0)], table[(1, 1)]],
-                [table[(1, 1)], table[(0, 2)]],
-            ]
-            for a in range(2):
-                for bb in range(2):
-                    acc -= c1[a][bb] * f2[a][bb] / 16.0
-            f3 = {}
-            for a3 in range(4):
-                f3[a3] = table[(3 - a3, a3)]
-
-            def f3_idx(i1, i2, i3):
-                return f3[i1 + i2 + i3]
-
-            for a in range(2):
-                for bb in range(2):
-                    for cc in range(2):
-                        acc -= c2[a][bb][cc] * f3_idx(a, bb, cc) / 24.0
+            for (a, b), c1_ab in c1.items():
+                acc -= c1_ab * f[2 - a - b, a + b] / 16.0
+            for (a, b, c), c2_abc in c2.items():
+                acc -= c2_abc * f[3 - a - b - c, a + b + c] / 24.0
             out.append(acc)
         return out[0], out[1]
 

@@ -82,10 +82,7 @@ def expand(e: StarExpression | StarWord) -> PhasePolynomial:
 
 def format_word(w: StarWord) -> str:
     """ASCII rendering like ``(1/3)*q**q**p``; ``**`` is the star."""
-    coeff = _scalar_text(w.scalar)
-    parts = []
-    if coeff:
-        parts.append(coeff)
+    parts = [] if w.scalar == 1 else [str(w.scalar)]
     if w.hbar_power == 1:
         parts.append("hbar")
     elif w.hbar_power >= 2:
@@ -96,17 +93,6 @@ def format_word(w: StarWord) -> str:
     if not parts:
         return "1"
     return "*".join(parts)
-
-
-def _scalar_text(c: ExactScalar) -> str:
-    if c == 1:
-        return ""
-    if c.im == 0:
-        r = c.re
-        if r.denominator == 1:
-            return str(r.numerator) if r.numerator >= 0 else f"({r.numerator})"
-        return f"({r.numerator}/{r.denominator})"
-    return f"({c})"
 
 
 def _letter_text(x: PhasePolynomial) -> str:

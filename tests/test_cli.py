@@ -277,3 +277,23 @@ def test_star_of_inputs_at_the_coefficient_budget_prints(runner):
     assert res.exit_code == 0
     longest = max(len(part) for part in res.output.replace("/", " ").replace("*", " ").split())
     assert 2400 < longest < 4300
+
+
+def test_hierarchy_reads_division_by_constants_as_polynomial(runner):
+    args = ["hierarchy", "--t0", "0.1", "--t1", "0.1", "--t-steps", "1", "--format", "csv"]
+    divided = runner.invoke(main, args + ["--hamiltonian", "p^2/2 + q^4/24"])
+    multiplied = runner.invoke(main, args + ["--hamiltonian", "(1/2)*p^2 + (1/24)*q^4"])
+    assert divided.exit_code == multiplied.exit_code == 0
+    assert divided.output == multiplied.output
+    assert divided.output.count(",taylor") == 1
+
+
+def test_hamiltonian_power_above_the_degree_budget_exits_2_quickly(runner):
+    start = time.perf_counter()
+    res = runner.invoke(
+        main, ["hierarchy", "--hamiltonian", "p^2/2+q^100000", "--q0", "0.5", "--t-steps", "1"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "exponent above 64" in res.output

@@ -1,7 +1,8 @@
 """Both parsers and the ``star`` command on texts built from grammar tokens.
 
-Every text either parses or is refused with the parser's own error, and
-the command exits 0 or 2 without an exception.  Examples are derandomized,
+Every text either parses or is refused with the parser's own error, a text
+that parses as a polynomial means the same polynomial when read as an
+expression, and the command exits 0 or 2 without an exception.  Examples are derandomized,
 so every run tries the same texts.
 """
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moyal.cli import main
-from moyal.expr import Expr, ExprParseError, parse_expr
+from moyal.expr import Expr, ExprParseError, parse_expr, print_expr
 from moyal.poly import PhasePolynomial, PolyParseError, parse_poly
 
 TOKENS = (
@@ -43,6 +44,17 @@ def test_parse_expr_returns_or_refuses(text):
         assert isinstance(parse_expr(text), Expr)
     except ExprParseError:
         pass
+
+
+@FUZZ
+@given(texts)
+@example("3/4^2")
+def test_both_grammars_agree_on_polynomial_texts(text):
+    try:
+        f = parse_poly(text)
+    except PolyParseError:
+        return
+    assert parse_poly(print_expr(parse_expr(text))) == f
 
 
 @settings(FUZZ, max_examples=200)

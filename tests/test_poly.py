@@ -164,6 +164,24 @@ def test_parse_degree_budget():
         assert "degree above 64" in str(err.value)
 
 
+def test_parse_division_by_constants():
+    assert parse_poly("q/2") == mono(Fraction(1, 2), 1, 0)
+    # a/b^n is a/(b^n), as in the expression grammar
+    assert parse_poly("3/4^2") == PhasePolynomial.constant(Fraction(3, 16))
+    assert parse_poly("2^-3*p") == mono(Fraction(1, 8), 0, 1)
+    assert parse_poly("p^2/2 + q^4/24") == parse_poly("(1/2)*p^2 + (1/24)*q^4")
+    for text, position, what in (
+        ("q/p", 1, "non-constant"),
+        ("q^-1", 1, "non-constant"),
+        ("1/0", 1, "division by zero"),
+        ("q/(p - p)", 1, "division by zero"),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.position == position, text
+        assert what in str(err.value)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(PolyParseError) as err:
         parse_poly("q + * p")

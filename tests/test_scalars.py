@@ -66,6 +66,19 @@ def test_hash_matches_plain_rational():
     assert ExactScalar(Fraction(3, 7)) == Fraction(3, 7)
 
 
+def test_text_is_the_printers_coefficient_text():
+    texts = [
+        str(ExactScalar(3)),
+        str(ExactScalar(-3)),
+        str(ExactScalar(Fraction(-1, 2))),
+        str(I),
+        str(ExactScalar(0, Fraction(2, 3))),
+        str(ExactScalar(Fraction(1, 2), 1)),
+        str(ExactScalar(-1, -1)),
+    ]
+    assert texts == ["3", "(-3)", "(-1/2)", "i", "(2/3)*i", "((1/2) + i)", "((-1) + (-1)*i)"]
+
+
 def test_complex_conversion():
     z = complex(ExactScalar(Fraction(1, 2), Fraction(-1, 4)))
     assert z == 0.5 - 0.25j

@@ -4,7 +4,8 @@ Mirrors the polynomial-side operators for symbols that live outside the
 polynomial algebra (exponentials, secants, parameter-dependent closed
 forms).  Derivatives are exact; the deformation series generally does not
 terminate here, so the truncated bracket returns a numeric convergence
-report at a phase-space point instead of a symbol.
+report at a phase-space point instead of a symbol.  Its grade bodies are
+compiled once per pair and reused while the left factor lives.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # differentiate stays bound here for perfbench's tracer test
-from .expr import DerivTable, Expr, ZERO, const, differentiate, eval_expr, mul  # noqa: F401
+from .expr import DerivTable, Expr, Program, ZERO, const, differentiate, eval_expr, mul  # noqa: F401
 from .poly import EvalPoint, bidifferential, bracket_weight, star_weight
 
 __all__ = [
@@ -70,6 +71,27 @@ class BracketReport:
     last_term_magnitude: float
 
 
+def _ladder(f: Expr, g: Expr, n_max: int) -> list[Program]:
+    """Compiled bodies of [f, g]_2n over their weights for n = 0..n_max.
+
+    The ladder is kept on f, keyed by g, so it lives as long as f does
+    (not on a constant f, which is a shared node); a higher grade builds
+    only the grades it lacks, from derivative tables that are not kept.
+    """
+    memo = f._ladders
+    if memo is None:
+        memo = {}
+        if f._free:
+            f._ladders = memo
+    ladder = memo.setdefault(g, [])
+    if len(ladder) <= n_max:
+        df = DerivTable(f).get
+        dg = DerivTable(g).get
+        for n in range(len(ladder), n_max + 1):
+            ladder.append(Program(bidifferential(df, dg, 2 * n + 1, ZERO)))
+    return ladder
+
+
 def moyal_bracket_truncated(
     f: Expr,
     g: Expr,
@@ -87,15 +109,13 @@ def moyal_bracket_truncated(
         raise ValueError("n_max must be non-negative")
     bindings = at.bindings()
     hbar2 = at.hbar * at.hbar
-    df = DerivTable(f).get
-    dg = DerivTable(g).get
+    ladder = _ladder(f, g, n_max)
     sums: list[complex] = []
     increments: list[float] = []
     acc = 0j
     weight_h = 1.0
     for n in range(n_max + 1):
-        body = bidifferential(df, dg, 2 * n + 1, ZERO)
-        term = complex(bracket_weight(n)) * weight_h * eval_expr(body, bindings)
+        term = complex(bracket_weight(n)) * weight_h * eval_expr(ladder[n], bindings)
         acc += term
         sums.append(acc)
         increments.append(abs(term))

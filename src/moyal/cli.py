@@ -143,8 +143,8 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
-@click.option("--quad-nodes", type=int, default=64, show_default=True, help="Quadrature panels per unit time for the transport route.")
-@click.option("--steps", type=int, default=None, help="Integrator steps per unit time (default 2000).")
+@click.option("--quad-nodes", type=click.IntRange(1, 1024), default=64, show_default=True, help="Quadrature panels per unit time for the transport route.")
+@click.option("--steps", type=click.IntRange(1, 20000), default=None, help="Integrator steps per unit time (default 2000).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, quad_nodes, steps, fmt) -> None:
     """hbar^2 trajectory corrections by every available route.

@@ -7,17 +7,19 @@ exactly, sums collect like terms, products collect like bases, factor and
 term order is canonical), so structurally equal means equal as written
 formulas and the printer is deterministic.
 
-Differentiation is rule-based and exact; one memoised walk evaluates a tree
-over floats, complexes or truncated jets, with symbols bound to values of
-that type.  There is no general simplifier: normalization is
-limited to the constructor rules above, and identities beyond them are the
-test suite's job to check numerically.
+Differentiation is rule-based and exact.  The one evaluator, a
+:class:`Program`, compiles trees once into a flat tape and runs it over
+floats, complexes or truncated jets, with symbols bound to values of that
+type.  There is no general simplifier: normalization is limited to the
+constructor rules above, and identities beyond them are the test suite's
+job to check numerically.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -43,6 +45,7 @@ __all__ = [
     "nth_derivative",
     "DerivTable",
     "ValueKind",
+    "Program",
     "REAL",
     "evaluate",
     "eval_expr",
@@ -74,7 +77,9 @@ class ExprDomainError(ExprEvalError):
 class Expr:
     """Base node.  Instances are immutable and compared structurally."""
 
-    __slots__ = ("_hash", "_free", "_skey")
+    # _ladders: compiled bracket ladders with this node as the left factor,
+    # keyed by the right factor (see brackets.moyal_bracket_truncated)
+    __slots__ = ("_hash", "_free", "_skey", "_ladders")
 
     def __hash__(self):
         return self._hash
@@ -155,6 +160,7 @@ class Const(Expr):
         self._free = _EMPTY
         self._hash = hash((0, value.re, value.im))
         self._skey = None
+        self._ladders = None
 
     def __eq__(self, other):
         if self is other:
@@ -172,6 +178,7 @@ class Sym(Expr):
         self._free = frozenset((name,))
         self._hash = hash((1, name))
         self._skey = None
+        self._ladders = None
 
     def __eq__(self, other):
         if self is other:
@@ -188,6 +195,7 @@ class Pi(Expr):
         self._free = _EMPTY
         self._hash = hash((2, "pi"))
         self._skey = None
+        self._ladders = None
 
     def __eq__(self, other):
         return self is other or type(other) is Pi
@@ -204,6 +212,7 @@ class Call(Expr):
         self._free = arg._free
         self._hash = hash((3, fn, arg._hash))
         self._skey = None
+        self._ladders = None
 
     def __eq__(self, other):
         if self is other:
@@ -222,6 +231,7 @@ class Pow(Expr):
         self._free = base._free
         self._hash = hash((4, base._hash, exp))
         self._skey = None
+        self._ladders = None
 
     def __eq__(self, other):
         if self is other:
@@ -239,6 +249,7 @@ class Mul(Expr):
         self._free = frozenset().union(*(f._free for f in factors))
         self._hash = hash((5,) + tuple(f._hash for f in factors))
         self._skey = None
+        self._ladders = None
 
     def __eq__(self, other):
         if self is other:
@@ -256,6 +267,7 @@ class Add(Expr):
         self._free = frozenset().union(*(t._free for t in terms))
         self._hash = hash((6,) + tuple(t._hash for t in terms))
         self._skey = None
+        self._ladders = None
 
     def __eq__(self, other):
         if self is other:
@@ -514,7 +526,7 @@ class DerivTable:
 
 
 class ValueKind(NamedTuple):
-    """How one value type enters the walk in :func:`evaluate`.
+    """How one value type enters a :class:`Program` run.
 
     ``const`` maps an exact constant, ``bind`` a bound symbol value (None
     takes it as bound) and ``call(fn, u)`` a function call; powers use the
@@ -530,54 +542,137 @@ class ValueKind(NamedTuple):
     one: object = None
 
 
-def evaluate(roots, bindings, kind: ValueKind) -> list:
-    """The numeric walk: values of the expressions ``roots`` at one point.
+# tape opcodes; instruction j of a tape writes value slot j
+_CONST, _SYM, _PI, _POW, _CALL, _ADD, _MUL = range(7)
 
-    Sums, products and calls are memoised per node across all roots, so
-    shared subtrees are evaluated once; leaves and powers are cheaper to
-    redo than to look up.  Raises :class:`ExprEvalError` for unbound
-    symbols and :class:`ExprDomainError` where the kind refuses a point or
-    a zero is raised to a negative power.
+
+class Program:
+    """Expressions compiled once into a flat tape, then run at many points.
+
+    ``roots`` is one :class:`Expr` or a sequence of them.  The compile
+    step walks them in post-order and records each structurally distinct
+    node once, as an opcode and its operands in an integer ``array``:
+
+    - ``_CONST k``: ``consts[k]`` through ``kind.const``;
+    - ``_SYM k``: the binding of ``names[k]``;
+    - ``_PI``: ``kind.pi``;
+    - ``_POW i k``: slot i to the integer power ``consts[k]``;
+    - ``_CALL k i``: function ``names[k]`` of slot i;
+    - ``_ADD n i1 ... in`` and ``_MUL n i1 ... in``: fold n slots in order.
+
+    A run applies the operations a direct evaluation of each node would,
+    in the same order (see :class:`ValueKind`), so a value does not depend
+    on which roots were compiled together.  A Program keeps no ``Expr``:
+    it does not keep the tree it was compiled from alive.
     """
-    const, pi, bind, call, zero, one = kind
-    memo: dict[int, object] = {}
 
-    def ev(n: Expr):
-        tn = type(n)
-        if tn is Sym:
-            try:
-                v = bindings[n.name]
-            except KeyError:
-                raise ExprEvalError(f"unbound symbol '{n.name}'") from None
-            return v if bind is None else bind(v)
-        if tn is Const:
-            return const(n.value)
-        if tn is Pow:
-            b = ev(n.base)
-            try:
-                return b ** n.exp
-            except ZeroDivisionError:
-                raise ExprDomainError("zero raised to a negative power") from None
-        if tn is Pi:
-            return pi
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if tn is Add:
-            r = zero
-            for t in n.terms:
-                r = ev(t) if r is None else r + ev(t)
-        elif tn is Mul:
-            r = one
-            for f in n.factors:
-                r = ev(f) if r is None else r * ev(f)
-        else:
-            r = call(n.fn, ev(n.arg))
-        memo[key] = r
-        return r
+    __slots__ = ("code", "consts", "names", "roots", "single")
 
-    return list(map(ev, roots))
+    def __init__(self, roots):
+        self.single = isinstance(roots, Expr)
+        roots = (roots,) if self.single else tuple(roots)
+        code = array("q")
+        consts: list = []
+        names: list[str] = []
+        slot: dict[Expr, int] = {}
+        for root in roots:
+            stack = [root]
+            while stack:
+                n = stack[-1]
+                if n in slot:
+                    stack.pop()
+                    continue
+                tn = type(n)
+                kids = n.terms if tn is Add else n.factors if tn is Mul else (
+                    (n.base,) if tn is Pow else (n.arg,) if tn is Call else ())
+                todo = [k for k in kids if k not in slot]
+                if todo:
+                    stack.extend(reversed(todo))
+                    continue
+                stack.pop()
+                slot[n] = len(slot)
+                if tn is Const:
+                    code.extend((_CONST, len(consts)))
+                    consts.append(n.value)
+                elif tn is Sym:
+                    code.extend((_SYM, len(names)))
+                    names.append(n.name)
+                elif tn is Pi:
+                    code.append(_PI)
+                elif tn is Pow:
+                    code.extend((_POW, slot[n.base], len(consts)))
+                    consts.append(n.exp)
+                elif tn is Call:
+                    code.extend((_CALL, len(names), slot[n.arg]))
+                    names.append(n.fn)
+                else:
+                    code.extend((_ADD if tn is Add else _MUL, len(kids)))
+                    code.extend(slot[k] for k in kids)
+        self.code = code
+        self.consts = tuple(consts)
+        self.names = tuple(names)
+        self.roots = tuple(slot[r] for r in roots)
+
+    def run(self, bindings, kind: ValueKind):
+        """Values of the roots with symbols bound by ``bindings``: one value
+        for a single root, else a list.  Raises :class:`ExprEvalError` for
+        unbound symbols and :class:`ExprDomainError` where the kind refuses
+        a point or a zero is raised to a negative power."""
+        const, pi, bind, call, zero, one = kind
+        code, consts, names = self.code, self.consts, self.names
+        vals: list = []
+        push = vals.append
+        i, end = 0, len(code)
+        while i < end:
+            op = code[i]
+            if op == _MUL:
+                stop = i + 2 + code[i + 1]
+                r = one
+                for j in code[i + 2:stop]:
+                    r = vals[j] if r is None else r * vals[j]
+                i = stop
+            elif op == _ADD:
+                stop = i + 2 + code[i + 1]
+                r = zero
+                for j in code[i + 2:stop]:
+                    r = vals[j] if r is None else r + vals[j]
+                i = stop
+            elif op == _POW:
+                try:
+                    r = vals[code[i + 1]] ** consts[code[i + 2]]
+                except ZeroDivisionError:
+                    raise ExprDomainError("zero raised to a negative power") from None
+                i += 3
+            elif op == _CONST:
+                r = const(consts[code[i + 1]])
+                i += 2
+            elif op == _SYM:
+                name = names[code[i + 1]]
+                try:
+                    r = bindings[name]
+                except KeyError:
+                    raise ExprEvalError(f"unbound symbol '{name}'") from None
+                if bind is not None:
+                    r = bind(r)
+                i += 2
+            elif op == _CALL:
+                r = call(names[code[i + 1]], vals[code[i + 2]])
+                i += 3
+            else:
+                r = pi
+                i += 1
+            push(r)
+        if self.single:
+            return vals[self.roots[0]]
+        return [vals[k] for k in self.roots]
+
+
+def evaluate(roots, bindings, kind: ValueKind):
+    """Values of ``roots`` (an :class:`Expr`, a sequence of them, or a
+    :class:`Program`) at one point; an ``Expr`` is compiled on the spot.
+    See :meth:`Program.run`."""
+    program = roots if type(roots) is Program else Program(roots)
+    return program.run(bindings, kind)
 
 
 def _function_table(lib, tan) -> Callable:
@@ -611,21 +706,22 @@ _COMPLEX = ValueKind(
 )
 
 
-def eval_expr(e: Expr, bindings) -> complex:
-    """Evaluate with symbols bound to numbers.  Returns a complex.
+def eval_expr(e, bindings) -> complex:
+    """Evaluate an :class:`Expr` or a :class:`Program` with symbols bound
+    to numbers, as complexes.
 
     Raises :class:`ExprEvalError` for unbound symbols and
     :class:`ExprDomainError` where sec or tan blow up (cosine of the
     argument below 1e-12 in magnitude) or a zero is raised to a negative
     power.
     """
-    return evaluate((e,), bindings, _COMPLEX)[0]
+    return evaluate(e, bindings, _COMPLEX)
 
 
-def eval_real(e: Expr, bindings) -> float:
+def eval_real(e, bindings) -> float:
     """Float evaluation for real expressions; complex constants raise
     :class:`ExprDomainError`."""
-    return evaluate((e,), bindings, REAL)[0]
+    return evaluate(e, bindings, REAL)
 
 
 # -- text form -----------------------------------------------------------

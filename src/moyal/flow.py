@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .expr import (
     REAL,
@@ -26,9 +27,9 @@ from .expr import (
     ExprDomainError,
     Mul,
     Pow,
+    Program,
     eval_expr,
     eval_real,
-    evaluate,
     free_symbols,
 )
 from .jets import MONOMIALS, TruncatedJet, eval_expr_jet
@@ -68,10 +69,11 @@ class HamiltonianSpec:
 
     The expression may mention q, p and any names bound in ``params``;
     ``t`` and ``hbar`` are rejected, and so is a power with an exponent
-    above ``poly.MAX_DEGREE`` (jets multiply such powers out factor by
-    factor).  Realness is probed at a few fixed points on construction.
-    ``partials`` is the one derivative table of H: the vector field and
-    both hbar^2 routes read their partials from it.
+    above ``poly.MAX_DEGREE``, the polynomial degree budget.  Realness is
+    probed at a few fixed points on construction.  ``partials`` is the one
+    derivative table of H: the vector field and both hbar^2 routes read
+    their partials from it.  H is compiled once, for the realness probe and
+    ``energy``; the vector field (dH/dp, dH/dq) on first use.
     """
 
     def __init__(self, expr: Expr, params: dict[str, float] | None = None):
@@ -86,9 +88,10 @@ class HamiltonianSpec:
             raise ValueError("the Hamiltonian must not depend on t or hbar")
         if _max_exponent(expr) > MAX_DEGREE:
             raise ValueError(f"the Hamiltonian has a power with an exponent above {MAX_DEGREE}")
+        self._energy = Program(expr)
         for q0, p0 in _PROBE_POINTS:
             try:
-                v = eval_expr(expr, {"q": q0, "p": p0, **self.params})
+                v = eval_expr(self._energy, {"q": q0, "p": p0, **self.params})
             except (ExprDomainError, OverflowError):
                 continue
             if abs(v.imag) > _REALNESS_TOL:
@@ -97,21 +100,22 @@ class HamiltonianSpec:
         self.dq = self.partials.get(1, 0)
         self.dp = self.partials.get(0, 1)
 
+    @cached_property
+    def _field(self) -> Program:
+        return Program((self.dp, self.dq))
+
     def field(self, q: float, p: float) -> tuple[float, float]:
-        dp, dq = evaluate((self.dp, self.dq), {"q": q, "p": p, **self.params}, REAL)
+        dp, dq = self._field.run({"q": q, "p": p, **self.params}, REAL)
         return dp, -dq
 
     def field_jets(
         self, jq: TruncatedJet, jp: TruncatedJet, order: int
     ) -> tuple[TruncatedJet, TruncatedJet]:
-        b = {"q": jq, "p": jp, **self.params}
-        return (
-            eval_expr_jet(self.dp, b, order),
-            -eval_expr_jet(self.dq, b, order),
-        )
+        dp, dq = eval_expr_jet(self._field, {"q": jq, "p": jp, **self.params}, order)
+        return dp, -dq
 
     def energy(self, q: float, p: float) -> float:
-        return eval_real(self.expr, {"q": q, "p": p, **self.params})
+        return eval_real(self._energy, {"q": q, "p": p, **self.params})
 
 
 def _max_exponent(e: Expr) -> int:
@@ -299,14 +303,14 @@ def check_transport(
     if stride is None:
         stride = max(1, (n - 1) // 256)
     h = traj.times[1] - traj.times[0]
-    pb = _transport_rhs(a0, ham)
+    a, pb = Program(a0), Program(_transport_rhs(a0, ham))
     worst = 0.0
     for i in range(stride, n - 1, stride):
         qm, pm = traj.states[i - 1]
         qp_, pp_ = traj.states[i + 1]
         qc, pc = traj.states[i]
         b = lambda q, p: {"q": q, "p": p, **ham.params}
-        dadt = (eval_real(a0, b(qp_, pp_)) - eval_real(a0, b(qm, pm))) / (2.0 * h)
+        dadt = (eval_real(a, b(qp_, pp_)) - eval_real(a, b(qm, pm))) / (2.0 * h)
         rhs = eval_real(pb, b(qc, pc))
         worst = max(worst, abs(dadt - rhs))
     return worst

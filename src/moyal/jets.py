@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import REAL, Expr, ExprDomainError, ValueKind, evaluate
+from .expr import REAL, ExprDomainError, ValueKind, evaluate
 
 __all__ = ["TruncatedJet", "MONOMIALS", "eval_expr_jet", "jet_function_derivatives"]
 
@@ -126,9 +126,10 @@ class TruncatedJet:
         return TruncatedJet(self.order, [s * x for x in self.c])
 
     def __pow__(self, n: int) -> "TruncatedJet":
-        """Integer power: repeated products for n >= 2, otherwise the
-        falling-factorial chain of u^n composed at the value."""
-        if n >= 2:
+        """Integer power: repeated products for 2 <= n <= 4, otherwise the
+        falling-factorial chain of u^n composed at the value, whose work
+        does not grow with n."""
+        if 2 <= n <= 4:
             out = self
             for _ in range(n - 1):
                 out = out * self
@@ -210,8 +211,9 @@ def _jet_kind(order: int) -> ValueKind:
 _JET_KINDS = {order: _jet_kind(order) for order in MONOMIALS}
 
 
-def eval_expr_jet(e: Expr, bindings, order: int) -> TruncatedJet:
-    """Evaluate an expression with some symbols bound to jets.
+def eval_expr_jet(e, bindings, order: int) -> TruncatedJet:
+    """Evaluate an :class:`Expr` or a :class:`Program` with some symbols
+    bound to jets (a Program of several roots gives a list).
 
     Constants must be real (the flow toolkit works over the reals); floats
     in the bindings are promoted to constant jets.
@@ -219,4 +221,4 @@ def eval_expr_jet(e: Expr, bindings, order: int) -> TruncatedJet:
     kind = _JET_KINDS.get(order)
     if kind is None:
         raise ValueError("jet order must be 1, 2 or 3")
-    return evaluate((e,), bindings, kind)[0]
+    return evaluate(e, bindings, kind)

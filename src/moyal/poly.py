@@ -249,9 +249,6 @@ class PhasePolynomial:
             acc += complex(c) * (q ** a) * (p ** b) * (hbar ** h)
         return acc
 
-    def eval_at(self, at: "EvalPoint") -> complex:
-        return self.evaluate(at.q, at.p, at.hbar)
-
     def __str__(self):
         return format_poly(self)
 

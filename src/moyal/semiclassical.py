@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .expr import REAL, ZERO, DerivTable, Expr, add, const, eval_real, evaluate, mul
+from .expr import REAL, ZERO, DerivTable, Expr, Program, add, const, eval_real, mul
 from .flow import (
     STEPS_PER_UNIT_TIME,
     HamiltonianSpec,
@@ -299,12 +299,12 @@ def hbar2_inhomogeneity(ham: HamiltonianSpec):
             return h_parts.get(a, b + 1)
         return mul(const(-1), h_parts.get(a + 1, b))
 
-    # orders 2 and 3 of both components, evaluated together at each point
+    # orders 2 and 3 of both components, compiled together
     f_keys = [(a, total - a) for total in (2, 3) for a in range(total + 1)]
-    f_roots = [f_partial(r, a, b) for r in (0, 1) for a, b in f_keys]
+    f_roots = Program([f_partial(r, a, b) for r in (0, 1) for a, b in f_keys])
 
     def drive(jq: TruncatedJet, jp: TruncatedJet) -> tuple[float, float]:
-        values = evaluate(f_roots, {"q": jq.value, "p": jp.value, **ham.params}, REAL)
+        values = f_roots.run({"q": jq.value, "p": jp.value, **ham.params}, REAL)
         # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp)
         d1 = [(m.derivative(1, 0), m.derivative(0, 1)) for m in (jq, jp)]
         d2 = [(m.derivative(2, 0), m.derivative(1, 1), m.derivative(0, 2)) for m in (jq, jp)]
@@ -363,17 +363,17 @@ def hbar2_ode(
         slot[t] = k
     drive = hbar2_inhomogeneity(ham)
     h_parts = ham.partials
-    jac = (
+    jac = Program((
         h_parts.get(1, 1),       # dF_q/dq = H_qp
         h_parts.get(0, 2),       # dF_q/dp = H_pp
         mul(const(-1), h_parts.get(2, 0)),
         mul(const(-1), h_parts.get(1, 1)),
-    )
+    ))
 
     def rhs(state):
         jq, jp, z2q, z2p = state
         fq, fp = ham.field_jets(jq, jp, 2)
-        j00, j01, j10, j11 = evaluate(jac, {"q": jq.value, "p": jp.value, **ham.params}, REAL)
+        j00, j01, j10, j11 = jac.run({"q": jq.value, "p": jp.value, **ham.params}, REAL)
         dq_drive, dp_drive = drive(jq, jp)
         return (
             fq,

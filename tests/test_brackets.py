@@ -9,6 +9,8 @@ from moyal.brackets import (
     poisson_expr,
     star_n_expr,
 )
+from moyal import brackets, expr
+from moyal.closed_forms import builtin_example1, builtin_unitary_pair
 from moyal.expr import ZERO, eval_expr, parse_expr, print_expr
 from moyal.poly import EvalPoint, star_n
 from moyal.poly import PhasePolynomial as PP
@@ -102,3 +104,65 @@ def test_truncated_bracket_validates_grade():
 def test_eval_point_requires_positive_hbar():
     with pytest.raises(ValueError):
         EvalPoint(q=0.0, p=0.0, hbar=0.0, params={})
+
+
+def _sweep_pairs():
+    ex = builtin_example1()
+    return [
+        (ex.classical_position, ex.classical_momentum, EvalPoint(q=0.7, p=-0.4, hbar=0.1, params={"t": 0.8, "m": 1.0, "l": 1.0})),
+        (ex.deformed_position.expr, ex.deformed_momentum.expr, EvalPoint(q=-0.3, p=0.9, hbar=0.05, params={"t": -0.5, "m": 1.0, "l": 1.0})),
+        (*builtin_unitary_pair(), EvalPoint(q=0.2, p=0.1, hbar=1.0, params={"beta": 1.0, "gamma": 1.0})),
+    ]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("f, g, point", _sweep_pairs())
+def test_repeated_truncated_bracket_differentiates_nothing(monkeypatch, f, g, point):
+    first = moyal_bracket_truncated(f, g, 6, point)
+    calls = _count_calls(monkeypatch, expr, "differentiate")
+    again = moyal_bracket_truncated(f, g, 6, point)
+    lower = moyal_bracket_truncated(f, g, 3, point)
+    assert calls == []
+    assert again == first
+    assert lower.partial_sums == first.partial_sums[:4]
+
+
+def test_higher_grade_builds_only_the_missing_grades(monkeypatch):
+    f, g, point = _sweep_pairs()[0]
+    bodies = _count_calls(monkeypatch, brackets, "bidifferential")
+    moyal_bracket_truncated(f, g, 3, point)
+    assert [k for _df, _dg, k, _zero in bodies] == [1, 3, 5, 7]
+    del bodies[:]
+    moyal_bracket_truncated(f, g, 5, point)
+    assert [k for _df, _dg, k, _zero in bodies] == [9, 11]
+
+
+@pytest.mark.parametrize("f, g, point", _sweep_pairs())
+def test_reports_equal_those_of_a_fresh_equal_pair(f, g, point):
+    kept = moyal_bracket_truncated(f, g, 4, point)
+    kept = moyal_bracket_truncated(f, g, 8, point)
+    fresh_f, fresh_g = parse_expr(print_expr(f)), parse_expr(print_expr(g))
+    assert fresh_f == f and fresh_f is not f
+    assert moyal_bracket_truncated(fresh_f, fresh_g, 8, point) == kept
+
+
+def test_ladder_is_kept_on_the_left_factor_only_while_it_is_not_constant():
+    point = EvalPoint(q=0.5, p=0.5)
+    f, g = parse_expr("q*exp(p)"), parse_expr("p")
+    moyal_bracket_truncated(f, g, 2, point)
+    assert len(f._ladders[g]) == 3
+    assert g._ladders is None
+    one = parse_expr("1")
+    assert moyal_bracket_truncated(one, g, 2, point).partial_sums == (0j, 0j, 0j)
+    assert one._ladders is None

@@ -297,3 +297,23 @@ def test_hamiltonian_power_above_the_degree_budget_exits_2_quickly(runner):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "exponent above 64" in res.output
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--steps", "0"),
+        ("--steps", "-3"),
+        ("--steps", "20001"),
+        ("--quad-nodes", "-5"),
+        ("--quad-nodes", "0"),
+        ("--quad-nodes", "100000000"),
+    ],
+)
+def test_hierarchy_work_options_out_of_range_exit_2_quickly(runner, option, value):
+    start = time.perf_counter()
+    res = runner.invoke(main, ["hierarchy", option, value])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in res.output

@@ -1,14 +1,18 @@
 import cmath
+import gc
 import math
 import random
 
 import pytest
 
 from moyal.expr import (
+    REAL,
+    Expr,
     ExprDomainError,
     ExprEvalError,
     ExprParseError,
     PI,
+    Program,
     ZERO,
     call,
     differentiate,
@@ -210,7 +214,7 @@ def test_no_global_simplification_of_exponentials():
     assert eval_expr(e, {"q": 0.9, "p": 1.3}) == pytest.approx(1.0)
 
 
-# -- one walker, three value types -------------------------------------
+# -- one evaluator, three value types -----------------------------------
 
 
 def _value_type_cases():
@@ -231,7 +235,7 @@ _REAL_POINTS = [
 
 @pytest.mark.parametrize("name", sorted(_VALUE_TYPE_CASES))
 def test_float_complex_and_jet_values_agree(name):
-    # the value types share the walk but keep their own power and tan
+    # the value types share the evaluator but keep their own power and tan
     # primitives (libm pow, repeated products for jets, repeated squaring
     # and sin/cos for complex), so they agree to rounding, not bit for bit
     e = _VALUE_TYPE_CASES[name]
@@ -248,3 +252,75 @@ def test_float_complex_and_jet_values_agree(name):
         assert type(x) is float
         assert c.real == pytest.approx(x, rel=1e-13, abs=1e-300)
         assert eval_expr_jet(e, jets, 3).value == pytest.approx(x, rel=1e-13, abs=1e-300)
+
+
+# -- the compiled tape ---------------------------------------------------
+
+
+def _referents(obj):
+    """Everything reachable from obj through containers and exact numbers."""
+    seen, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        yield x
+        stack.extend(gc.get_referents(x))
+
+
+def test_program_references_no_expr():
+    e = builtin_example1().deformed_position.expr
+    prog = Program([e, differentiate(e, "q")])
+    fields = [getattr(prog, name) for name in Program.__slots__]
+    reached = [x for field in fields for x in _referents(field)]
+    assert len(reached) > len(fields)
+    assert not any(isinstance(x, Expr) for x in reached)
+
+
+def test_program_shares_equal_subtrees():
+    # two separately parsed copies of one tree compile to one set of slots
+    text = "exp(q*p)*sec(q) + q^3"
+    one = Program(parse_expr(text))
+    two = Program([parse_expr(text), parse_expr(text)])
+    assert two.code == one.code
+    assert two.roots == one.roots * 2
+
+
+@pytest.mark.parametrize(
+    "text, bindings, error, message",
+    [
+        ("q + omega", {"q": 1.0}, ExprEvalError, "unbound symbol 'omega'"),
+        ("q^-1", {"q": 0.0}, ExprDomainError, "zero raised to a negative power"),
+        ("tan(q)", {"q": math.pi / 2}, ExprDomainError, "tan evaluated too close to an odd multiple of pi/2"),
+        ("p*sec(q)", {"q": math.pi / 2, "p": 1.0}, ExprDomainError, "sec evaluated too close"),
+    ],
+)
+def test_program_raises_the_entry_point_errors(text, bindings, error, message):
+    prog = Program(parse_expr(text))
+    jets = {k: TruncatedJet.seed(v, 0, 2) for k, v in bindings.items()}
+    for run in (
+        lambda: eval_expr(prog, bindings),
+        lambda: eval_real(prog, bindings),
+        lambda: eval_expr_jet(prog, jets, 2),
+        lambda: prog.run(bindings, REAL),
+    ):
+        with pytest.raises(error, match=message) as got:
+            run()
+        assert type(got.value) is error
+
+
+@pytest.mark.parametrize("name, ham", _flow_hamiltonians())
+def test_compiled_field_equals_one_shot_evaluation(name, ham):
+    prog = Program((ham.dp, ham.dq))
+    for b in _REAL_POINTS:
+        b = dict(b, m=1.0, l=1.0)
+        assert prog.run(b, REAL) == [eval_real(ham.dp, b), eval_real(ham.dq, b)]
+        assert eval_expr(prog, b) == [eval_expr(ham.dp, b), eval_expr(ham.dq, b)]
+        jets = dict(b, q=TruncatedJet.seed(b["q"], 0, 3), p=TruncatedJet.seed(b["p"], 1, 3))
+        got = [j.c for j in eval_expr_jet(prog, jets, 3)]
+        assert got == [eval_expr_jet(ham.dp, jets, 3).c, eval_expr_jet(ham.dq, jets, 3).c]
+        dp, dq = prog.run(b, REAL)
+        assert ham.field(b["q"], b["p"]) == (dp, -dq)
+        rate_q, rate_p = ham.field_jets(jets["q"], jets["p"], 3)
+        assert [rate_q.c, rate_p.c] == [got[0], (-eval_expr_jet(ham.dq, jets, 3)).c]

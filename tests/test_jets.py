@@ -166,3 +166,50 @@ def test_mixed_order_arithmetic_rejected():
         a * b
     with pytest.raises(ValueError):
         a + b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_low_powers_are_repeated_products(n):
+    for order in (1, 2, 3):
+        jq, jp = seed_pair(order, 0.7, -1.3)
+        u = jq * jp + jq
+        want = u
+        for _ in range(n - 1):
+            want = want * u
+        assert (u ** n).c == want.c
+
+
+@pytest.mark.parametrize("n", [5, 7, 64])
+def test_high_powers_match_finite_differences(n):
+    q0, p0 = 0.9, -0.4
+
+    def f(q, p):
+        return (q * (1.0 + 0.25 * p)) ** n
+
+    jq, jp = seed_pair(3, q0, p0)
+    jet = (jq * (1.0 + 0.25 * jp)) ** n
+    scale = abs(f(q0, p0))
+    assert jet.value == pytest.approx(f(q0, p0), rel=1e-14)
+    h = 1e-5
+    fd_q = (f(q0 + h, p0) - f(q0 - h, p0)) / (2 * h)
+    assert jet.derivative(1, 0) == pytest.approx(fd_q, rel=1e-7)
+    fd_p = (f(q0, p0 + h) - f(q0, p0 - h)) / (2 * h)
+    assert jet.derivative(0, 1) == pytest.approx(fd_p, rel=1e-7, abs=1e-9 * scale)
+    h = 1e-4
+    fd_qp = (
+        f(q0 + h, p0 + h) - f(q0 + h, p0 - h) - f(q0 - h, p0 + h) + f(q0 - h, p0 - h)
+    ) / (4 * h * h)
+    assert jet.derivative(1, 1) == pytest.approx(fd_qp, rel=1e-5)
+    # the truncation error of the third difference grows like n^2 h^2
+    h = 1e-2 / n
+    fd_qqq = (
+        f(q0 + 2 * h, p0) - 2 * f(q0 + h, p0) + 2 * f(q0 - h, p0) - f(q0 - 2 * h, p0)
+    ) / (2 * h**3)
+    assert jet.derivative(3, 0) == pytest.approx(fd_qqq, rel=1e-4)
+
+
+def test_high_power_of_a_zero_jet():
+    jq, _jp = seed_pair(3, 0.0, 1.0)
+    assert (jq ** 9).c == [0.0] * len(MONOMIALS[3])
+    with pytest.raises(ZeroDivisionError):
+        jq ** -7

@@ -176,7 +176,7 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
             rows.append((t, 0.0, 0.0, "transport"))
             continue
         try:
-            ode = hbar2_ode(ham, (q0, p0), t, steps=None if steps is None else max(1, round(abs(t) * steps)))
+            ode = hbar2_ode(ham, (q0, p0), t, steps_per_unit=steps)
             tra = hbar2_transport(ham, (q0, p0), t, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
         except FlowBlowupError as exc:
             _fail(str(exc))

@@ -32,7 +32,7 @@ from .expr import (
     eval_real,
     free_symbols,
 )
-from .jets import MONOMIALS, TruncatedJet, eval_expr_jet
+from .jets import TruncatedJet, eval_expr_jet
 from .poly import MAX_DEGREE
 
 __all__ = [
@@ -53,6 +53,8 @@ __all__ = [
 STEPS_PER_UNIT_TIME = 2000
 _PROBE_POINTS = ((0.3, 0.7), (-1.1, 0.4), (0.9, -1.3))
 _REALNESS_TOL = 1e-12
+# (a, b) of the partials d_q^a d_p^b H that partials_at returns
+_PARTIAL_KEYS = tuple((a, n - a) for n in (2, 3, 4) for a in range(n + 1))
 
 
 class FlowBlowupError(RuntimeError):
@@ -73,7 +75,8 @@ class HamiltonianSpec:
     probed at a few fixed points on construction.  ``partials`` is the one
     derivative table of H: the vector field and both hbar^2 routes read
     their partials from it.  H is compiled once, for the realness probe and
-    ``energy``; the vector field (dH/dp, dH/dq) on first use.
+    ``energy``; the vector field (dH/dp, dH/dq) and the partials of orders
+    2 to 4 (``partials_at``) on first use.
     """
 
     def __init__(self, expr: Expr, params: dict[str, float] | None = None):
@@ -114,6 +117,14 @@ class HamiltonianSpec:
         dp, dq = eval_expr_jet(self._field, {"q": jq, "p": jp, **self.params}, order)
         return dp, -dq
 
+    @cached_property
+    def _partials(self) -> Program:
+        return Program([self.partials.get(a, b) for a, b in _PARTIAL_KEYS])
+
+    def partials_at(self, q: float, p: float) -> dict[tuple[int, int], float]:
+        """d_q^a d_p^b H at (q, p) for 2 <= a + b <= 4, keyed by (a, b)."""
+        return dict(zip(_PARTIAL_KEYS, self._partials.run({"q": q, "p": p, **self.params}, REAL)))
+
     def energy(self, q: float, p: float) -> float:
         return eval_real(self._energy, {"q": q, "p": p, **self.params})
 
@@ -147,48 +158,12 @@ def default_steps(t_final: float) -> int:
 
 @dataclass
 class Trajectory:
-    """Sampled flow: states at every integrator step, jets optional.
-
-    Jet columns in the CSV follow the graded lexicographic multi-index
-    order of the displacement monomials: for order 1 that is dQdq, dQdp,
-    dPdq, dPdp; order 2 appends d2Qdq2, d2Qdqdp, d2Qdp2 and the P row of
-    the same, and so on.  Values are mixed partials with factorials
-    restored.
-    """
+    """Sampled flow: states at every integrator step, jets optional."""
 
     times: list[float]
     states: list[tuple[float, float]]
     jet_order: int = 0
     jets: list[tuple[TruncatedJet, TruncatedJet]] = field(default_factory=list)
-
-    def _jet_headers(self) -> list[str]:
-        out = []
-        for z in ("Q", "P"):
-            for a, b in MONOMIALS[self.jet_order][1:]:
-                total = a + b
-                prefix = f"d{total if total > 1 else ''}{z}"
-                tail = ""
-                if a:
-                    tail += f"dq{a if a > 1 else ''}"
-                if b:
-                    tail += f"dp{b if b > 1 else ''}"
-                out.append(prefix + tail)
-        return out
-
-    def to_csv(self) -> str:
-        header = ["t", "Q", "P"]
-        if self.jet_order:
-            header.extend(self._jet_headers())
-        lines = [",".join(header)]
-        for i, t in enumerate(self.times):
-            row = [f"{t:.17g}", f"{self.states[i][0]:.17g}", f"{self.states[i][1]:.17g}"]
-            if self.jet_order:
-                jq, jp = self.jets[i]
-                for jet in (jq, jp):
-                    for a, b in MONOMIALS[self.jet_order][1:]:
-                        row.append(f"{jet.derivative(a, b):.17g}")
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def step_times(t_final: float, steps: int) -> list[float]:

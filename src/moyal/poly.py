@@ -216,9 +216,6 @@ class PhasePolynomial:
         """Total degree in (q, p), ignoring hbar.  -1 for the zero polynomial."""
         return max((a + b for (a, b, _h) in self.terms), default=-1)
 
-    def hbar_degree(self) -> int:
-        return max((h for (_a, _b, h) in self.terms), default=-1)
-
     def mul_hbar_power(self, k: int) -> "PhasePolynomial":
         if k == 0:
             return self

@@ -5,34 +5,28 @@ Hamiltonian to build the two time-Taylor flows coefficient by coefficient,
 and locate the first order at which they part ways.  The series convention
 is state(t) = sum_n t^n / n! * coeff_n with coeff_0 the seed symbol.
 
-Numeric side: two independent routes to the hbar^2 trajectory correction.
+Numeric side: two routes to the hbar^2 trajectory correction at one time.
 The transport route integrates the grade-one bracket of the flow map
 against the Hamiltonian along the classical trajectory (order-3 jets give
 the map's third derivatives at each quadrature node); the ode route
 propagates the correction through a linear inhomogeneous equation driven
-by order-2 jets.  They share no code beyond the integrator, so agreement
-is evidence the formulas are right, and both are compared against closed
-forms where one exists.
+by order-2 jets.  They share the integrator (``flow.rk4``) and H's table
+of partials (``HamiltonianSpec.partials_at``); the formulas stay
+independent: the C1/C2 contraction of the map's first and second
+derivatives on the ode side, the cubed bidifferential under Simpson
+quadrature on the transport side.  So agreement is evidence the formulas
+are right, and both are compared against closed forms where one exists.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .expr import REAL, ZERO, DerivTable, Expr, Program, add, const, eval_real, mul
-from .flow import (
-    STEPS_PER_UNIT_TIME,
-    HamiltonianSpec,
-    default_steps,
-    integrate_flow,
-    integrate_flow_jets,
-    rk4,
-    step_times,
-)
+from .expr import ZERO, DerivTable, Expr, add
+from .flow import STEPS_PER_UNIT_TIME, HamiltonianSpec, integrate_flow, integrate_flow_jets, rk4
 from .jets import TruncatedJet
 from .poly import (
     P,
@@ -200,73 +194,60 @@ def divergence_order(h: PhasePolynomial, depth: int) -> dict[str, DivergenceRepo
 
 @dataclass(frozen=True)
 class Hbar2Result:
-    """Coefficients of hbar^2 in the trajectory correction at the sampled
-    times (multiply by hbar^2 to get the correction itself)."""
+    """Coefficients of hbar^2 in the trajectory correction at one time
+    (multiply by hbar^2 to get the correction itself); each field holds
+    one element."""
 
     times: tuple[float, ...]
     q2: tuple[float, ...]
     p2: tuple[float, ...]
     method: str
 
-    def to_csv(self) -> str:
-        lines = ["t,Q2,P2,method"]
-        for t, a, b in zip(self.times, self.q2, self.p2):
-            lines.append(f"{t:.17g},{a:.17g},{b:.17g},{self.method}")
-        return "\n".join(lines) + "\n"
-
 
 def hbar2_transport(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
     t_final: float,
-    times: list[float] | None = None,
     quad_panels_per_unit: int = 64,
     steps_per_unit: int | None = None,
 ) -> Hbar2Result:
-    """hbar^2 correction by quadrature along the classical trajectory.
+    """hbar^2 correction at time T = t_final > 0 by quadrature along the
+    classical trajectory.
 
-    The correction at time T is the integral over s in [0, T] of the
-    grade-one bracket of the duration-s flow map with H, the bracket taken
-    at the point reached after time T - s.  Per quadrature node this
-    integrates order-3 jets from that point for duration s; Simpson's rule
-    assembles the integral.  Deterministic: panel counts and step counts
-    are derived, not adaptive.
+    The correction is the integral over s in [0, T] of the grade-one
+    bracket of the duration-s flow map with H, the bracket taken at the
+    point reached after time T - s.  Per quadrature node this integrates
+    order-3 jets from that point for duration s; Simpson's rule assembles
+    the integral.  Deterministic: panel counts and step counts are
+    derived, not adaptive.
     """
-    if times is None:
-        times = [t_final]
-    if any(t <= 0 or t > t_final + 1e-12 for t in times):
-        raise ValueError("requested times must lie in (0, t_final]")
+    if not t_final > 0:
+        raise ValueError("the transport route needs t_final > 0")
     per_unit = steps_per_unit if steps_per_unit is not None else STEPS_PER_UNIT_TIME
-    out_q = []
-    out_p = []
-    for T in times:
-        panels = max(8, math.ceil(quad_panels_per_unit * T))
-        if panels % 2:
-            panels += 1
-        steps = max(panels, math.ceil(per_unit * T))
-        steps = ((steps + panels - 1) // panels) * panels
-        stride = steps // panels
-        base = integrate_flow(ham, z0, T, steps)
-        h_node = T / panels
-        fq_vals = [0.0]
-        fp_vals = [0.0]
-        for k in range(1, panels + 1):
-            w = base.states[steps - k * stride]
-            jet_traj = integrate_flow_jets(ham, w, k * h_node, k * stride, order=3)
-            # the final jets hold the duration-s map's derivatives, based at w
-            jq, jp = jet_traj.jets[-1]
-            point = {"q": w[0], "p": w[1], **ham.params}
-
-            def h3(a: int, b: int) -> float:
-                return eval_real(ham.partials.get(a, b), point)
-
-            # [map component, H]_2: the cubed bidifferential, weight -1/24
-            fq_vals.append(-bidifferential(jq.derivative, h3, 3, 0.0) / 24.0)
-            fp_vals.append(-bidifferential(jp.derivative, h3, 3, 0.0) / 24.0)
-        out_q.append(_simpson(fq_vals, h_node))
-        out_p.append(_simpson(fp_vals, h_node))
+    panels = max(8, math.ceil(quad_panels_per_unit * t_final))
+    if panels % 2:
+        panels += 1
+    steps = max(panels, math.ceil(per_unit * t_final))
+    steps = ((steps + panels - 1) // panels) * panels
+    stride = steps // panels
+    base = integrate_flow(ham, z0, t_final, steps)
+    h_node = t_final / panels
+    fq_vals = [0.0]
+    fp_vals = [0.0]
+    for k in range(1, panels + 1):
+        w = base.states[steps - k * stride]
+        # the final jets hold the duration-s map's derivatives, based at w
+        jq, jp = integrate_flow_jets(ham, w, k * h_node, k * stride, order=3).jets[-1]
+        h = ham.partials_at(*w)
+        h3 = lambda a, b: h[a, b]
+        # [map component, H]_2: the cubed bidifferential, weight -1/24
+        fq_vals.append(-bidifferential(jq.derivative, h3, 3, 0.0) / 24.0)
+        fp_vals.append(-bidifferential(jp.derivative, h3, 3, 0.0) / 24.0)
     return Hbar2Result(
-        times=tuple(times), q2=tuple(out_q), p2=tuple(out_p), method="transport"
+        times=(t_final,),
+        q2=(_simpson(fq_vals, h_node),),
+        p2=(_simpson(fp_vals, h_node),),
+        method="transport",
     )
 
 
@@ -278,108 +259,78 @@ def _simpson(values: list[float], h: float) -> float:
     return acc * h / 3.0
 
 
-def hbar2_inhomogeneity(ham: HamiltonianSpec):
-    """Builder for the inhomogeneous part of the hbar^2 correction equation.
+def hbar2_inhomogeneity(
+    h: dict[tuple[int, int], float], jq: TruncatedJet, jp: TruncatedJet
+) -> tuple[float, float]:
+    """Inhomogeneous part of the hbar^2 correction equation.
 
-    Returns a function of (jq, jp) order-2 jets producing the pair of
-    driving terms.  The contraction couples the map's first and second
-    derivatives (from the jets) to the second and third derivatives of the
-    Hamiltonian vector field at the jets' value point:
+    ``h`` holds the partials of H at the jets' value point, as returned by
+    :meth:`HamiltonianSpec.partials_at`.  The contraction couples the map's
+    first and second derivatives (from the order-2 jets jq, jp) to the
+    second and third derivatives of the Hamiltonian vector field
+    F = (dH/dp, -dH/dq):
 
         drive_r = -(1/16) sum_{ab} C1_ab d2F_r/dZa dZb
                   -(1/24) sum_{abc} C2_abc d3F_r/dZa dZb dZc
 
     with C1 and C2 the symplectic contractions of the map derivatives.
     """
-    h_parts = ham.partials
-
-    # F = (dH/dp, -dH/dq); partials of F_r with respect to (q, p)
-    def f_partial(r: int, a: int, b: int) -> Expr:
-        if r == 0:
-            return h_parts.get(a, b + 1)
-        return mul(const(-1), h_parts.get(a + 1, b))
-
-    # orders 2 and 3 of both components, compiled together
-    f_keys = [(a, total - a) for total in (2, 3) for a in range(total + 1)]
-    f_roots = Program([f_partial(r, a, b) for r in (0, 1) for a, b in f_keys])
-
-    def drive(jq: TruncatedJet, jp: TruncatedJet) -> tuple[float, float]:
-        values = f_roots.run({"q": jq.value, "p": jp.value, **ham.params}, REAL)
-        # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp)
-        d1 = [(m.derivative(1, 0), m.derivative(0, 1)) for m in (jq, jp)]
-        d2 = [(m.derivative(2, 0), m.derivative(1, 1), m.derivative(0, 2)) for m in (jq, jp)]
-        c1 = {
-            (a, b): d2[a][0] * d2[b][2] - 2.0 * d2[a][1] * d2[b][1] + d2[a][2] * d2[b][0]
-            for a, b in product((0, 1), repeat=2)
-        }
-        c2 = {
-            (a, b, c): d2[a][0] * d1[b][1] * d1[c][1]
-            - d2[a][1] * (d1[b][1] * d1[c][0] + d1[b][0] * d1[c][1])
-            + d2[a][2] * d1[b][0] * d1[c][0]
-            for a, b, c in product((0, 1), repeat=3)
-        }
-        out = []
-        for r in (0, 1):
-            # a partial of F_r depends only on how many of its slots are p
-            f = dict(zip(f_keys, values[r * len(f_keys):]))
-            acc = 0.0
-            for (a, b), c1_ab in c1.items():
-                acc -= c1_ab * f[2 - a - b, a + b] / 16.0
-            for (a, b, c), c2_abc in c2.items():
-                acc -= c2_abc * f[3 - a - b - c, a + b + c] / 24.0
-            out.append(acc)
-        return out[0], out[1]
-
-    return drive
+    # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp)
+    d1 = [(m.derivative(1, 0), m.derivative(0, 1)) for m in (jq, jp)]
+    d2 = [(m.derivative(2, 0), m.derivative(1, 1), m.derivative(0, 2)) for m in (jq, jp)]
+    c1 = {
+        (a, b): d2[a][0] * d2[b][2] - 2.0 * d2[a][1] * d2[b][1] + d2[a][2] * d2[b][0]
+        for a, b in product((0, 1), repeat=2)
+    }
+    c2 = {
+        (a, b, c): d2[a][0] * d1[b][1] * d1[c][1]
+        - d2[a][1] * (d1[b][1] * d1[c][0] + d1[b][0] * d1[c][1])
+        + d2[a][2] * d1[b][0] * d1[c][0]
+        for a, b, c in product((0, 1), repeat=3)
+    }
+    out = []
+    # d_q^i d_p^j of F_0 and F_1; a partial of F_r depends only on how many
+    # of its slots are p
+    for f in (lambda i, j: h[i, j + 1], lambda i, j: -h[i + 1, j]):
+        acc = 0.0
+        for (a, b), c1_ab in c1.items():
+            acc -= c1_ab * f(2 - a - b, a + b) / 16.0
+        for (a, b, c), c2_abc in c2.items():
+            acc -= c2_abc * f(3 - a - b - c, a + b + c) / 24.0
+        out.append(acc)
+    return out[0], out[1]
 
 
 def hbar2_ode(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
     t_final: float,
-    times: list[float] | None = None,
-    steps: int | None = None,
+    steps_per_unit: int | None = None,
 ) -> Hbar2Result:
-    """hbar^2 correction by direct integration of its evolution equation.
+    """hbar^2 correction at time t_final >= 0 by direct integration of its
+    evolution equation.
 
     The correction pair rides along order-2 jets of the classical flow:
     its rate is the Jacobian of the Hamiltonian vector field applied to
     the current correction plus the jet-driven inhomogeneity.  Starts from
-    zero correction and the identity jets.
+    zero correction and the identity jets; H's partials are read once per
+    RK4 stage.
     """
-    if times is None:
-        times = [t_final]
-    if any(t < 0 or t > t_final + 1e-12 for t in times):
-        raise ValueError("requested times must lie in [0, t_final]")
-    if steps is None:
-        steps = default_steps(t_final)
-    # the step that ends on each requested time, checked before stepping
-    grid = step_times(t_final, steps)
-    slot = {}
-    for t in sorted(times):
-        k = 0 if t <= 1e-15 else bisect.bisect_left(grid, t - 1e-9, 1)
-        if k == len(grid) or abs(t - grid[k]) > 1e-9:
-            raise ValueError(f"requested time {t} does not land on the step grid")
-        slot[t] = k
-    drive = hbar2_inhomogeneity(ham)
-    h_parts = ham.partials
-    jac = Program((
-        h_parts.get(1, 1),       # dF_q/dq = H_qp
-        h_parts.get(0, 2),       # dF_q/dp = H_pp
-        mul(const(-1), h_parts.get(2, 0)),
-        mul(const(-1), h_parts.get(1, 1)),
-    ))
+    if t_final < 0:
+        raise ValueError("the ode route needs t_final >= 0")
+    per_unit = steps_per_unit if steps_per_unit is not None else STEPS_PER_UNIT_TIME
 
     def rhs(state):
         jq, jp, z2q, z2p = state
         fq, fp = ham.field_jets(jq, jp, 2)
-        j00, j01, j10, j11 = jac.run({"q": jq.value, "p": jp.value, **ham.params}, REAL)
-        dq_drive, dp_drive = drive(jq, jp)
+        h = ham.partials_at(jq.value, jp.value)
+        dq_drive, dp_drive = hbar2_inhomogeneity(h, jq, jp)
+        # the Jacobian of F = (H_p, -H_q) applied to the correction
         return (
             fq,
             fp,
-            j00 * z2q + j01 * z2p + dq_drive,
-            j10 * z2q + j11 * z2p + dp_drive,
+            h[1, 1] * z2q + h[0, 2] * z2p + dq_drive,
+            -h[2, 0] * z2q - h[1, 1] * z2p + dp_drive,
         )
 
     state = (
@@ -388,13 +339,9 @@ def hbar2_ode(
         0.0,
         0.0,
     )
-    z2 = [(0.0, 0.0)] + [(z2q, z2p) for _jq, _jp, z2q, z2p in rk4(rhs, state, t_final, steps)]
-    return Hbar2Result(
-        times=tuple(times),
-        q2=tuple(z2[slot[t]][0] for t in times),
-        p2=tuple(z2[slot[t]][1] for t in times),
-        method="ode",
-    )
+    for state in rk4(rhs, state, t_final, max(1, round(per_unit * t_final))):
+        pass
+    return Hbar2Result(times=(t_final,), q2=(state[2],), p2=(state[3],), method="ode")
 
 
 # -- star-exponential second-order kernel --------------------------------

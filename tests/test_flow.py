@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from moyal.expr import parse_expr
+from moyal.checks import _flow_hamiltonians
+from moyal.expr import eval_real, parse_expr
 from moyal.flow import (
     FlowBlowupError,
     HamiltonianSpec,
@@ -120,17 +121,17 @@ def test_blowup_raises():
         integrate_flow_jets(ham, (1.0, 1.0), 2.0, order=1)
 
 
-def test_csv_layout():
-    traj = integrate_flow_jets(harmonic(), (1.0, 0.0), 0.002, steps=2, order=2)
-    lines = traj.to_csv().splitlines()
-    assert lines[0] == (
-        "t,Q,P,dQdq,dQdp,d2Qdq2,d2Qdqdp,d2Qdp2,"
-        "dPdq,dPdp,d2Pdq2,d2Pdqdp,d2Pdp2"
-    )
-    assert len(lines) == 4
-    assert lines[1].startswith("0,1,0,")
-    plain = integrate_flow(harmonic(), (1.0, 0.0), 0.002, 2)
-    assert plain.to_csv().splitlines()[0] == "t,Q,P"
+def test_partials_at_matches_the_derivative_table():
+    hams = [ham for _name, ham in _flow_hamiltonians()]
+    hams += [HamiltonianSpec(parse_expr(t)) for t in ("p^2/2 + q^3/6", "p^2/2 + cosh(q)/4")]
+    keys = [(a, n - a) for n in (2, 3, 4) for a in range(n + 1)]
+    for ham in hams:
+        for q, p in ((0.9, -0.7), (-1.1, 0.6), (0.0, 1.3), (2.5, 0.25)):
+            table = ham.partials_at(q, p)
+            assert sorted(table) == sorted(keys)
+            for (a, b), value in table.items():
+                want = eval_real(ham.partials.get(a, b), {"q": q, "p": p, **ham.params})
+                assert value.hex() == want.hex()
 
 
 def test_jet_order_validation():

@@ -104,7 +104,6 @@ def test_diff():
 def test_degree_and_grades():
     f = mono(1, 2, 1) + mono(1, 0, 0, 3)
     assert f.degree_qp() == 3
-    assert f.hbar_degree() == 3
     assert PhasePolynomial.zero().degree_qp() == -1
     assert hbar_component(f, 3) == PhasePolynomial.constant(1)
     assert hbar_component(f, 1).is_zero

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from moyal.expr import ZERO, parse_expr
+from moyal.expr import ZERO, Program, parse_expr
 from moyal.flow import FlowBlowupError, HamiltonianSpec
 from moyal.poly import PhasePolynomial, format_poly, poisson_bracket
 from moyal.semiclassical import (
@@ -143,22 +143,6 @@ def test_hbar2_transport_against_closed_form(squeeze_ham):
     assert res.q2[0] == pytest.approx(closed_form_q2(1.0, 1.0, 0.2), rel=1e-9)
 
 
-def test_hbar2_ode_multiple_times(squeeze_ham):
-    res = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, times=[0.1, 0.2])
-    assert res.times == (0.1, 0.2)
-    assert res.q2[0] == pytest.approx(closed_form_q2(1.0, 1.0, 0.1), rel=1e-9)
-
-
-def test_hbar2_ode_unsorted_times_get_their_own_values(squeeze_ham):
-    res = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, times=[0.0, 0.2, 0.1])
-    assert res.times == (0.0, 0.2, 0.1)
-    assert (res.q2[0], res.p2[0]) == (0.0, 0.0)
-    sorted_run = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, times=[0.1, 0.2])
-    assert res.q2[1:] == sorted_run.q2[::-1]
-    assert res.p2[1:] == sorted_run.p2[::-1]
-    assert res.q2[1] != res.q2[2]
-
-
 def test_hbar2_ode_blowup_raises():
     ham = HamiltonianSpec(parse_expr("q^2*p"))
     with pytest.raises(FlowBlowupError) as err:
@@ -166,17 +150,41 @@ def test_hbar2_ode_blowup_raises():
     assert 0.9 < err.value.time < 1.1
 
 
-def test_hbar2_ode_rejects_off_grid_times(squeeze_ham):
+def test_hbar2_routes_refuse_times_outside_their_domain(squeeze_ham):
+    for t in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            hbar2_transport(squeeze_ham, (1.0, 1.0), t)
     with pytest.raises(ValueError):
-        hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, times=[0.1234567])
+        hbar2_ode(squeeze_ham, (1.0, 1.0), -0.1)
 
 
-def test_hbar2_csv_layout(squeeze_ham):
-    res = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.1)
-    lines = res.to_csv().splitlines()
-    assert lines[0] == "t,Q2,P2,method"
-    assert lines[1].endswith(",ode")
-    assert len(lines) == 2
+def test_hbar2_ode_at_time_zero_is_zero(squeeze_ham):
+    res = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.0)
+    assert (res.q2[0], res.p2[0]) == (0.0, 0.0)
+
+
+def test_hbar2_ode_default_steps_per_unit(squeeze_ham):
+    default = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2)
+    assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=2000) == default
+    assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=500) != default
+
+
+def test_hbar2_transport_compiles_per_call_not_per_node(monkeypatch):
+    built = []
+    init = Program.__init__
+
+    def counting_init(self, roots):
+        built.append(roots)
+        init(self, roots)
+
+    monkeypatch.setattr(Program, "__init__", counting_init)
+    counts = []
+    for panels_per_unit in (8, 64):
+        ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
+        built.clear()
+        hbar2_transport(ham, (0.9, -0.7), 0.5, quad_panels_per_unit=panels_per_unit, steps_per_unit=64)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 # -- second deformation coefficient ------------------------------------

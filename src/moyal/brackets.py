@@ -63,9 +63,9 @@ def bracket_2n_expr(f: Expr, g: Expr, n: int) -> Expr:
 
 @dataclass(frozen=True)
 class BracketReport:
-    """Numeric record of a truncated deformed bracket at one point."""
+    """Numeric record of a truncated deformed bracket at one point: one
+    partial sum per grade 0..n_max."""
 
-    grade_max: int
     partial_sums: tuple[complex, ...]
     converged: bool
     last_term_magnitude: float
@@ -125,7 +125,6 @@ def moyal_bracket_truncated(
     else:
         converged = increments[-1] < tolerance
     return BracketReport(
-        grade_max=n_max,
         partial_sums=tuple(sums),
         converged=converged,
         last_term_magnitude=increments[-1],

@@ -323,7 +323,7 @@ def suite_quadratic_coincidence(seed: int = 0, cases: int = 20) -> CheckOutcome:
     return _outcome("quadratic-coincidence", True, cases)
 
 
-def suite_hierarchy_series(seed: int = 0) -> CheckOutcome:
+def suite_hierarchy_series() -> CheckOutcome:
     """Taylor flows of the squeeze Hamiltonian match the expansion of the
     hbar^2 closed form through t^3."""
     h = PhasePolynomial.monomial(Fraction(1, 4), 2, 2, 0)
@@ -351,7 +351,7 @@ def _flow_hamiltonians() -> list[tuple[str, HamiltonianSpec]]:
     ]
 
 
-def suite_classical_flow(seed: int = 0) -> CheckOutcome:
+def suite_classical_flow() -> CheckOutcome:
     """Energy, symplectic determinant and transport on the bundled set."""
     z0 = (0.9, 0.4)
     t_final = 5.0
@@ -372,7 +372,7 @@ def suite_classical_flow(seed: int = 0) -> CheckOutcome:
     )
 
 
-def suite_rk4_order(seed: int = 0) -> CheckOutcome:
+def suite_rk4_order() -> CheckOutcome:
     """Step halving must cut the harmonic endpoint error about 16-fold."""
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2"))
     e = []
@@ -384,7 +384,7 @@ def suite_rk4_order(seed: int = 0) -> CheckOutcome:
     return _outcome("rk4-order", ok, 2, f"halving ratio {ratio:.2f}")
 
 
-def suite_jet_consistency(seed: int = 0) -> CheckOutcome:
+def suite_jet_consistency() -> CheckOutcome:
     """Jets against central differences of the scalar flow, orders 1..3.
 
     The difference step grows with the order: second and third central
@@ -459,7 +459,7 @@ def suite_example1_closed_forms(seed: int = 0, cases: int = 20) -> CheckOutcome:
     return _outcome("example1-closed-forms", ok, cases, f"worst {worst:.3g}")
 
 
-def suite_unitary_pair(seed: int = 0) -> CheckOutcome:
+def suite_unitary_pair() -> CheckOutcome:
     """Poisson bracket of the exponential pair against its closed form, and
     convergence of the truncated deformed bracket to 1."""
     uq, up = builtin_unitary_pair()
@@ -483,7 +483,7 @@ def suite_unitary_pair(seed: int = 0) -> CheckOutcome:
     )
 
 
-def suite_hbar2_routes(seed: int = 0) -> CheckOutcome:
+def suite_hbar2_routes() -> CheckOutcome:
     """Both hbar^2 routes against the squeeze closed form at t = 0.2."""
     ex = builtin_example1()
     ham = HamiltonianSpec(ex.hamiltonian, {"m": 1.0, "l": 1.0})
@@ -523,7 +523,7 @@ def prefactor_consistency_report() -> dict:
     }
 
 
-def suite_a2_kernel(seed: int = 0) -> CheckOutcome:
+def suite_a2_kernel() -> CheckOutcome:
     """Exact second-order kernel on scaled q*p plus the prefactor report."""
     rep = prefactor_consistency_report()
     ok = rep["matches_first_power"] and not rep["matches_squared"]
@@ -533,7 +533,7 @@ def suite_a2_kernel(seed: int = 0) -> CheckOutcome:
     return _outcome("a2-kernel", ok, 2, f"matches first-power variant: {ok}")
 
 
-def suite_divergence_reports(seed: int = 0) -> CheckOutcome:
+def suite_divergence_reports() -> CheckOutcome:
     """Quartic divergence orders and coefficients, exact."""
     h = (
         PhasePolynomial.monomial(Fraction(1, 2), 0, 2, 0)

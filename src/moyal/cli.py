@@ -16,9 +16,9 @@ import sys
 
 import click
 
-from .brackets import moyal_bracket_truncated, poisson_expr
+from .brackets import MAX_EXPR_GRADE, moyal_bracket_truncated, poisson_expr
 from .checks import SUITES, run_checks
-from .closed_forms import ValidityError, builtin_example1
+from .closed_forms import builtin_example1
 from .expr import ExprParseError, eval_expr, parse_expr
 from .flow import FlowBlowupError, HamiltonianSpec
 from .poly import (
@@ -88,7 +88,21 @@ def _time_grid(t0: float, t1: float, t_steps: int) -> list[float]:
     return [t0 + (t1 - t0) * k / (t_steps - 1) for k in range(t_steps)]
 
 
-@click.group()
+class _Main(click.Group):
+    """The one place where bad input becomes ``error: <message>`` and exit 2:
+    ``ValueError`` (the package's bad-input family), ``FlowBlowupError`` and
+    ``OverflowError``.  Anything else is a bug and keeps its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, FlowBlowupError) as exc:
+            _fail(str(exc))
+        except OverflowError as exc:
+            _fail(f"float overflow: {exc}")
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact star-product calculus and semiclassical trajectory tools."""
 
@@ -162,10 +176,7 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
         )
         if val is not None
     }
-    try:
-        ham = HamiltonianSpec(expr, params)
-    except ValueError as exc:
-        _fail(str(exc))
+    ham = HamiltonianSpec(expr, params)
     times = _time_grid(t0, t1, t_steps)
     if min(times) < 0:
         _fail("the hbar^2 routes need times >= 0")
@@ -175,11 +186,8 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
             rows.append((t, 0.0, 0.0, "ode"))
             rows.append((t, 0.0, 0.0, "transport"))
             continue
-        try:
-            ode = hbar2_ode(ham, (q0, p0), t, steps_per_unit=steps)
-            tra = hbar2_transport(ham, (q0, p0), t, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
-        except FlowBlowupError as exc:
-            _fail(str(exc))
+        ode = hbar2_ode(ham, (q0, p0), t, steps_per_unit=steps)
+        tra = hbar2_transport(ham, (q0, p0), t, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
         rows.append((t, ode.q2[0], ode.p2[0], "ode"))
         rows.append((t, tra.q2[0], tra.p2[0], "transport"))
     try:
@@ -218,7 +226,7 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
 @click.option("--hbar", type=FLOAT, default=0.1, show_default=True)
 @click.option("--m", type=FLOAT, default=1.0, show_default=True)
 @click.option("--l", type=FLOAT, default=1.0, show_default=True)
-@click.option("--grade", type=int, default=8, show_default=True, help="Truncation grade for the numeric deformed brackets.")
+@click.option("--grade", type=click.IntRange(0, MAX_EXPR_GRADE), default=8, show_default=True, help="Truncation grade for the numeric deformed brackets.")
 @click.option("--tol", type=FLOAT, default=1e-6, show_default=True, help="Convergence tolerance for the truncated brackets.")
 @click.option("--skip-hbar2", is_flag=True, help="Skip the numeric hbar^2 columns (faster).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
@@ -248,63 +256,51 @@ def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -
     ham = HamiltonianSpec(ex.hamiltonian, {"m": m, "l": l})
     ml2 = m * l * l
     rows = []
-    try:
-        for t in times:
-            binds = {"q": q0, "p": p0, "t": t, "m": m, "l": l, "hbar": hbar}
-            point = EvalPoint(q=q0, p=p0, hbar=hbar, params={"t": t, "m": m, "l": l})
-            qc = eval_expr(ex.classical_position, binds).real
-            pc = eval_expr(ex.classical_momentum, binds).real
-            try:
-                qm = ex.deformed_position.eval(binds).real
-                pm = ex.deformed_momentum.eval(binds).real
-            except ValidityError as exc:
-                _fail(str(exc))
-            rep_c = moyal_bracket_truncated(
-                ex.classical_position, ex.classical_momentum, grade, point, tolerance=tol
+    for t in times:
+        binds = {"q": q0, "p": p0, "t": t, "m": m, "l": l, "hbar": hbar}
+        point = EvalPoint(q=q0, p=p0, hbar=hbar, params={"t": t, "m": m, "l": l})
+        qc = eval_expr(ex.classical_position, binds).real
+        pc = eval_expr(ex.classical_momentum, binds).real
+        qm = ex.deformed_position.eval(binds).real
+        pm = ex.deformed_momentum.eval(binds).real
+        rep_c = moyal_bracket_truncated(
+            ex.classical_position, ex.classical_momentum, grade, point, tolerance=tol
+        )
+        rep_m = moyal_bracket_truncated(
+            ex.deformed_position.expr, ex.deformed_momentum.expr, grade, point, tolerance=tol
+        )
+        evolved = eval_expr(ex.evolved_product, dict(binds, q=qm, p=pm))
+        coord_form = complex(qm * pm, hbar / 2.0)
+        initial_form = complex(q0 * p0, hbar / 2.0)
+        row = {
+            "t": t,
+            "q_classical": qc,
+            "p_classical": pc,
+            "q_deformed": qm,
+            "p_deformed": pm,
+            "pb_classical": eval_expr(pb_c, binds).real,
+            "pb_deformed": eval_expr(pb_m, binds).real,
+            "bracket_classical": rep_c.partial_sums[-1].real,
+            "bracket_classical_converged": rep_c.converged,
+            "bracket_deformed": rep_m.partial_sums[-1].real,
+            "bracket_deformed_converged": rep_m.converged,
+            "coord_residual": abs(evolved - coord_form),
+            "product_drift": abs(evolved - initial_form),
+        }
+        if not skip_hbar2:
+            want_q = qc * (t * t / (16.0 * ml2 * ml2)) * (1.0 + t * q0 * p0 / (6.0 * ml2))
+            want_p = pc * (t * t / (16.0 * ml2 * ml2)) * (1.0 - t * q0 * p0 / (6.0 * ml2))
+            ode = hbar2_ode(ham, (q0, p0), t)
+            got_q, got_p = ode.q2[0], ode.p2[0]
+            row["hbar2_position"] = got_q
+            row["hbar2_momentum"] = got_p
+            row["hbar2_position_rel"] = (
+                0.0 if want_q == 0.0 and got_q == 0.0 else abs(got_q / want_q - 1.0)
             )
-            rep_m = moyal_bracket_truncated(
-                ex.deformed_position.expr, ex.deformed_momentum.expr, grade, point, tolerance=tol
+            row["hbar2_momentum_rel"] = (
+                0.0 if want_p == 0.0 and got_p == 0.0 else abs(got_p / want_p - 1.0)
             )
-            evolved = eval_expr(ex.evolved_product, dict(binds, q=qm, p=pm))
-            coord_form = complex(qm * pm, hbar / 2.0)
-            initial_form = complex(q0 * p0, hbar / 2.0)
-            row = {
-                "t": t,
-                "q_classical": qc,
-                "p_classical": pc,
-                "q_deformed": qm,
-                "p_deformed": pm,
-                "pb_classical": eval_expr(pb_c, binds).real,
-                "pb_deformed": eval_expr(pb_m, binds).real,
-                "bracket_classical": rep_c.partial_sums[-1].real,
-                "bracket_classical_converged": rep_c.converged,
-                "bracket_deformed": rep_m.partial_sums[-1].real,
-                "bracket_deformed_converged": rep_m.converged,
-                "coord_residual": abs(evolved - coord_form),
-                "product_drift": abs(evolved - initial_form),
-            }
-            if not skip_hbar2:
-                want_q = qc * (t * t / (16.0 * ml2 * ml2)) * (1.0 + t * q0 * p0 / (6.0 * ml2))
-                want_p = pc * (t * t / (16.0 * ml2 * ml2)) * (1.0 - t * q0 * p0 / (6.0 * ml2))
-                if t == 0.0:
-                    got_q = got_p = 0.0
-                else:
-                    try:
-                        ode = hbar2_ode(ham, (q0, p0), t)
-                    except FlowBlowupError as exc:
-                        _fail(str(exc))
-                    got_q, got_p = ode.q2[0], ode.p2[0]
-                row["hbar2_position"] = got_q
-                row["hbar2_momentum"] = got_p
-                row["hbar2_position_rel"] = (
-                    0.0 if want_q == 0.0 and got_q == 0.0 else abs(got_q / want_q - 1.0)
-                )
-                row["hbar2_momentum_rel"] = (
-                    0.0 if want_p == 0.0 and got_p == 0.0 else abs(got_p / want_p - 1.0)
-                )
-            rows.append(row)
-    except OverflowError as exc:
-        _fail(f"float overflow evaluating the closed forms: {exc}")
+        rows.append(row)
     _emit_rows(rows, fmt)
 
 
@@ -361,10 +357,7 @@ def example2(ham_text, depth, q0, p0, t1, tol, fmt) -> None:
             _fail("--t1 must be >= 0")
         expr = _parse_expr_arg(format_poly(h), "Hamiltonian")
         ham = HamiltonianSpec(expr)
-        try:
-            ode = hbar2_ode(ham, (q0, p0), t1)
-        except FlowBlowupError as exc:
-            _fail(str(exc))
+        ode = hbar2_ode(ham, (q0, p0), t1)
         checks = []
         for s, got in (("q", ode.q2[0]), ("p", ode.p2[0])):
             acc = taylor_flow(h, depth, "deformed", s).hbar2_coefficient(q0, p0, t1)

@@ -20,13 +20,9 @@ from functools import cached_property
 
 from .expr import (
     REAL,
-    Add,
-    Call,
     DerivTable,
     Expr,
     ExprDomainError,
-    Mul,
-    Pow,
     Program,
     eval_expr,
     eval_real,
@@ -46,7 +42,6 @@ __all__ = [
     "check_transport",
     "default_steps",
     "rk4",
-    "step_times",
     "STEPS_PER_UNIT_TIME",
 ]
 
@@ -89,9 +84,10 @@ class HamiltonianSpec:
             raise ValueError(f"unbound Hamiltonian symbols: {sorted(extra)}")
         if "t" in free or "hbar" in free:
             raise ValueError("the Hamiltonian must not depend on t or hbar")
-        if _max_exponent(expr) > MAX_DEGREE:
-            raise ValueError(f"the Hamiltonian has a power with an exponent above {MAX_DEGREE}")
         self._energy = Program(expr)
+        # the tape's integer constants are exactly its power exponents
+        if max((c for c in self._energy.consts if type(c) is int), default=0) > MAX_DEGREE:
+            raise ValueError(f"the Hamiltonian has a power with an exponent above {MAX_DEGREE}")
         for q0, p0 in _PROBE_POINTS:
             try:
                 v = eval_expr(self._energy, {"q": q0, "p": p0, **self.params})
@@ -129,47 +125,17 @@ class HamiltonianSpec:
         return eval_real(self._energy, {"q": q, "p": p, **self.params})
 
 
-def _max_exponent(e: Expr) -> int:
-    """Largest exponent of a power in ``e``; 0 if it has none."""
-    top = 0
-    seen = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        tn = type(n)
-        if tn is Pow:
-            top = max(top, n.exp)
-            stack.append(n.base)
-        elif tn is Call:
-            stack.append(n.arg)
-        elif tn is Add:
-            stack.extend(n.terms)
-        elif tn is Mul:
-            stack.extend(n.factors)
-    return top
-
-
 def default_steps(t_final: float) -> int:
     return max(1, round(STEPS_PER_UNIT_TIME * abs(t_final)))
 
 
 @dataclass
 class Trajectory:
-    """Sampled flow: states at every integrator step, jets optional."""
+    """Sampled flow: the initial state, then the state after every
+    integrator step; jets, when integrated, in the same layout."""
 
-    times: list[float]
     states: list[tuple[float, float]]
-    jet_order: int = 0
     jets: list[tuple[TruncatedJet, TruncatedJet]] = field(default_factory=list)
-
-
-def step_times(t_final: float, steps: int) -> list[float]:
-    """0.0, then the end time (k + 1) * h of each step; +0.0 even for t_final < 0."""
-    h = t_final / steps
-    return [0.0] + [(k + 1) * h for k in range(steps)]
 
 
 def rk4(rhs, state, t_final: float, steps: int):
@@ -212,7 +178,7 @@ def integrate_flow(
         steps = default_steps(t_final)
     states = [tuple(z0)]
     states += [(q, p) for q, p in rk4(lambda s: ham.field(*s), states[0], t_final, steps)]
-    return Trajectory(times=step_times(t_final, steps), states=states)
+    return Trajectory(states=states)
 
 
 def integrate_flow_jets(
@@ -231,12 +197,7 @@ def integrate_flow_jets(
         steps = default_steps(t_final)
     jets = [(TruncatedJet.seed(z0[0], 0, order), TruncatedJet.seed(z0[1], 1, order))]
     jets += [(jq, jp) for jq, jp in rk4(lambda s: ham.field_jets(*s, order), jets[0], t_final, steps)]
-    return Trajectory(
-        times=step_times(t_final, steps),
-        states=[(jq.value, jp.value) for jq, jp in jets],
-        jet_order=order,
-        jets=jets,
-    )
+    return Trajectory(states=[(jq.value, jp.value) for jq, jp in jets], jets=jets)
 
 
 def check_energy(traj: Trajectory, ham: HamiltonianSpec) -> float:
@@ -247,7 +208,7 @@ def check_energy(traj: Trajectory, ham: HamiltonianSpec) -> float:
 
 def check_symplectic(traj: Trajectory) -> float:
     """Largest deviation of det(d flow / d initial) from one."""
-    if traj.jet_order < 1:
+    if not traj.jets:
         raise ValueError("check_symplectic needs a trajectory with jets")
     worst = 0.0
     for jq, jp in traj.jets:
@@ -264,8 +225,6 @@ def check_transport(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
     t_final: float,
-    steps: int | None = None,
-    stride: int | None = None,
 ) -> float:
     """Residual of d/dt A(flow) = {A, H}(flow) along the trajectory.
 
@@ -273,14 +232,13 @@ def check_transport(
     residual carries an O(h^2) truncation floor; at the default resolution
     that floor sits well under 1e-6 for the bundled Hamiltonians.
     """
+    steps = default_steps(t_final)
     traj = integrate_flow(ham, z0, t_final, steps)
-    n = len(traj.times)
-    if stride is None:
-        stride = max(1, (n - 1) // 256)
-    h = traj.times[1] - traj.times[0]
+    stride = max(1, steps // 256)
+    h = t_final / steps
     a, pb = Program(a0), Program(_transport_rhs(a0, ham))
     worst = 0.0
-    for i in range(stride, n - 1, stride):
+    for i in range(stride, steps, stride):
         qm, pm = traj.states[i - 1]
         qp_, pp_ = traj.states[i + 1]
         qc, pc = traj.states[i]

@@ -103,13 +103,9 @@ def iterated_brackets(h: PhasePolynomial, depth: int, seed: str) -> HierarchyLad
 class TimeTaylorFlow:
     """Truncated flow series: state(t) = sum_n t^n/n! coeffs[n].
 
-    coeffs[0] is the seed symbol itself; kind records which bracket built
-    the ladder.
+    coeffs[0] is the seed symbol itself, so the depth is len(coeffs) - 1.
     """
 
-    kind: str
-    seed: str
-    depth: int
     coeffs: tuple[PhasePolynomial, ...]
 
     def evaluate(self, q: float, p: float, hbar: float, t: float) -> complex:
@@ -135,12 +131,7 @@ def taylor_flow(h: PhasePolynomial, depth: int, kind: str, seed: str) -> TimeTay
         raise ValueError("kind must be 'classical' or 'deformed'")
     ladders = iterated_brackets(h, depth, seed)
     ladder = ladders.classical if kind == "classical" else ladders.deformed
-    return TimeTaylorFlow(
-        kind=kind,
-        seed=seed,
-        depth=depth,
-        coeffs=(_SEEDS[seed],) + ladder,
-    )
+    return TimeTaylorFlow(coeffs=(_SEEDS[seed],) + ladder)
 
 
 @dataclass(frozen=True)
@@ -198,10 +189,8 @@ class Hbar2Result:
     (multiply by hbar^2 to get the correction itself); each field holds
     one element."""
 
-    times: tuple[float, ...]
     q2: tuple[float, ...]
     p2: tuple[float, ...]
-    method: str
 
 
 def hbar2_transport(
@@ -243,12 +232,7 @@ def hbar2_transport(
         # [map component, H]_2: the cubed bidifferential, weight -1/24
         fq_vals.append(-bidifferential(jq.derivative, h3, 3, 0.0) / 24.0)
         fp_vals.append(-bidifferential(jp.derivative, h3, 3, 0.0) / 24.0)
-    return Hbar2Result(
-        times=(t_final,),
-        q2=(_simpson(fq_vals, h_node),),
-        p2=(_simpson(fp_vals, h_node),),
-        method="transport",
-    )
+    return Hbar2Result(q2=(_simpson(fq_vals, h_node),), p2=(_simpson(fp_vals, h_node),))
 
 
 def _simpson(values: list[float], h: float) -> float:
@@ -341,7 +325,7 @@ def hbar2_ode(
     )
     for state in rk4(rhs, state, t_final, max(1, round(per_unit * t_final))):
         pass
-    return Hbar2Result(times=(t_final,), q2=(state[2],), p2=(state[3],), method="ode")
+    return Hbar2Result(q2=(state[2],), p2=(state[3],))
 
 
 # -- star-exponential second-order kernel --------------------------------

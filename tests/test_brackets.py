@@ -68,7 +68,7 @@ def test_truncated_bracket_report_shape():
     rep = moyal_bracket_truncated(
         f, g, 3, EvalPoint(q=1.0, p=1.0, hbar=0.1, params={})
     )
-    assert rep.grade_max == 3
+    assert len(rep.partial_sums) - 1 == 3
     assert len(rep.partial_sums) == 4
     # the polynomial pair truncates exactly: {q^2,p^2} = 4qp = 4 at (1,1)
     assert rep.partial_sums[-1].real == pytest.approx(4.0)
@@ -81,7 +81,7 @@ def test_truncated_bracket_requested_grade_never_refused():
     rep = moyal_bracket_truncated(
         f, g, 15, EvalPoint(q=1.0, p=1.0, hbar=0.1, params={})
     )
-    assert rep.grade_max == 15
+    assert len(rep.partial_sums) - 1 == 15
 
 
 def test_truncated_bracket_converges_to_closed_form():

@@ -212,6 +212,9 @@ def test_deep_nesting_exits_2_with_position(runner, args):
         ["example1", "--q0", "1e200", "--t1", "0.1", "--t-steps", "1"],
         ["example1", "--q0", "1e200", "--t1", "0.1", "--t-steps", "1", "--skip-hbar2"],
         ["example2", "--hamiltonian", "q^2*p", "--q0", "1", "--p0", "1", "--t1", "2"],
+        ["hierarchy", "--hamiltonian", "p^2/2+sec(q)", "--q0", "1.5707963267948966", "--p0", "0", "--t-steps", "1"],
+        ["hierarchy", "--hamiltonian", "1/q", "--q0", "0", "--t-steps", "1"],
+        ["example2", "--hamiltonian", "p^2/2+i*q^2", "--q0", "1", "--p0", "1"],
     ],
 )
 def test_blowup_and_overflow_exit_2(runner, args):
@@ -231,10 +234,14 @@ def test_blowup_and_overflow_exit_2(runner, args):
         (["hierarchy", "--t0", "-0.1", "--t-steps", "2"], "times >= 0"),
         (["example1", "--t0", "-0.5", "--t1", "0.5", "--t-steps", "2"], "times >= 0"),
         (["example2", "--q0", "1", "--p0", "1", "--t1", "-0.1"], "--t1 must be >= 0"),
+        (["example1", "--grade", "-1"], "Invalid value for '--grade'"),
+        (["example1", "--grade", "40"], "Invalid value for '--grade'"),
     ],
 )
 def test_out_of_range_input_exits_2(runner, args, message):
+    start = time.perf_counter()
     res = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert message in res.output

@@ -31,6 +31,10 @@ def test_spec_validation():
         HamiltonianSpec(parse_expr("omega*q^2"))
     # bound parameters are fine
     HamiltonianSpec(parse_expr("omega^2*q^2/2"), {"omega": 2.0})
+    # powers up to the polynomial degree budget
+    HamiltonianSpec(parse_expr("p^2/2+q^64"))
+    with pytest.raises(ValueError, match="exponent above 64"):
+        HamiltonianSpec(parse_expr("p^2/2+q^65"))
 
 
 def test_field_and_energy():
@@ -52,15 +56,12 @@ def test_harmonic_endpoint():
     q, p = traj.states[-1]
     assert q == pytest.approx(math.cos(2.0), abs=1e-12)
     assert p == pytest.approx(-math.sin(2.0), abs=1e-12)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(2.0)
 
 
 def test_backward_integration():
     traj = integrate_flow(harmonic(), (1.0, 0.0), -1.5)
     q, _ = traj.states[-1]
     assert q == pytest.approx(math.cos(1.5), abs=1e-12)
-    assert math.copysign(1.0, traj.times[0]) == 1.0
 
 
 def test_rk4_convergence_order():

@@ -1,10 +1,13 @@
-"""Both parsers and the ``star`` command on texts built from grammar tokens.
+"""Both parsers and the CLI commands on texts built from grammar tokens.
 
 Every text either parses or is refused with the parser's own error, a text
 that parses as a polynomial means the same polynomial when read as an
-expression, and the command exits 0 or 2 without an exception.  Examples are derandomized,
-so every run tries the same texts.
+expression, and the ``star``, ``hierarchy`` and ``example2`` commands exit
+0 or 2 without an exception.  Examples are derandomized, so every run
+tries the same texts.
 """
+
+import math
 
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -64,3 +67,25 @@ def test_star_command_exits_0_or_2(left, right):
     res = CliRunner().invoke(main, ["star", "--", left, right])
     assert res.exit_code in (0, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+# initial points: the origin, generic values, a pole of sec and tan, and
+# one far enough out for powers and exponentials to overflow
+points = st.sampled_from((0.0, 0.7, -1.3, math.pi / 2, 40.0))
+
+
+@settings(FUZZ, max_examples=150)
+@given(texts, points, points)
+@example("p^2/2+sec(q)", math.pi / 2, 0.0)
+@example("1/q", 0.0, 1.0)
+@example("p^2/2+i*q^2", 1.0, 1.0)
+def test_numeric_commands_exit_0_or_2(text, q0, p0):
+    point = ["--q0", repr(q0), "--p0", repr(p0)]
+    for args in (
+        ["hierarchy", "--hamiltonian", text, *point, "--t0", "0.05", "--t1", "0.05",
+         "--t-steps", "1", "--steps", "200", "--quad-nodes", "8", "--depth", "1"],
+        ["example2", "--hamiltonian", text, *point, "--t1", "0.05", "--depth", "1"],
+    ):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code in (0, 2), (args, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), args

@@ -483,8 +483,14 @@ def suite_unitary_pair() -> CheckOutcome:
     )
 
 
+# non-squeeze Hamiltonians and (z0, t) cases of the hbar^2 route gap
+_ROUTE_GAP_HAMILTONIANS = ("p^2/2 + q^2/2 + q^4/24", "p^2/2 + q^3/6", "p^2/2 + cosh(q)/4")
+_ROUTE_GAP_CASES = (((0.9, -0.7), 0.3), ((1.1, 0.6), 0.5))
+
+
 def suite_hbar2_routes() -> CheckOutcome:
-    """Both hbar^2 routes against the squeeze closed form at t = 0.2."""
+    """Both hbar^2 routes against the squeeze closed form at t = 0.2, and
+    the gap between them on the quartic, cubic and cosh Hamiltonians."""
     ex = builtin_example1()
     ham = HamiltonianSpec(ex.hamiltonian, {"m": 1.0, "l": 1.0})
     z0 = (1.0, 1.0)
@@ -498,8 +504,17 @@ def suite_hbar2_routes() -> CheckOutcome:
         abs(tra.q2[0] / want - 1.0),
         abs(ode.q2[0] / tra.q2[0] - 1.0),
     )
-    ok = worst < 1e-6
-    return _outcome("hbar2-routes", ok, 2, f"worst rel {worst:.3g}")
+    gap = 0.0
+    for text in _ROUTE_GAP_HAMILTONIANS:
+        ham = HamiltonianSpec(parse_expr(text))
+        for z0, t in _ROUTE_GAP_CASES:
+            ode, tra = hbar2_ode(ham, z0, t), hbar2_transport(ham, z0, t)
+            gap = max(gap, abs(ode.q2[0] / tra.q2[0] - 1.0), abs(ode.p2[0] / tra.p2[0] - 1.0))
+    ok = worst < 1e-6 and gap < 1e-6
+    return _outcome(
+        "hbar2-routes", ok, 1 + len(_ROUTE_GAP_HAMILTONIANS) * len(_ROUTE_GAP_CASES),
+        f"squeeze worst rel {worst:.3g}, route gap {gap:.3g}"
+    )
 
 
 def prefactor_consistency_report() -> dict:

@@ -34,6 +34,7 @@ from .poly import (
 )
 from .semiclassical import (
     MAX_LADDER_DEPTH,
+    QUAD_PANELS_PER_UNIT,
     divergence_order,
     hbar2_ode,
     hbar2_transport,
@@ -157,7 +158,7 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
-@click.option("--quad-nodes", type=click.IntRange(1, 1024), default=64, show_default=True, help="Quadrature panels per unit time for the transport route.")
+@click.option("--quad-nodes", type=click.IntRange(1, 1024), default=QUAD_PANELS_PER_UNIT, show_default=True, help="Quadrature panels per unit time for the transport route.")
 @click.option("--steps", type=click.IntRange(1, 20000), default=None, help="Integrator steps per unit time (default 2000).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, quad_nodes, steps, fmt) -> None:
@@ -294,14 +295,18 @@ def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -
             got_q, got_p = ode.q2[0], ode.p2[0]
             row["hbar2_position"] = got_q
             row["hbar2_momentum"] = got_p
-            row["hbar2_position_rel"] = (
-                0.0 if want_q == 0.0 and got_q == 0.0 else abs(got_q / want_q - 1.0)
-            )
-            row["hbar2_momentum_rel"] = (
-                0.0 if want_p == 0.0 and got_p == 0.0 else abs(got_p / want_p - 1.0)
-            )
+            row["hbar2_position_rel"] = _rel_to(got_q, want_q)
+            row["hbar2_momentum_rel"] = _rel_to(got_p, want_p)
         rows.append(row)
     _emit_rows(rows, fmt)
+
+
+def _rel_to(got: float, want: float) -> float:
+    """|got / want - 1|; where want is 0 the symmetric relative difference
+    |got - want| / max(|got|, |want|), which is 1 unless got is 0 too."""
+    if want != 0.0:
+        return abs(got / want - 1.0)
+    return 0.0 if got == 0.0 else 1.0
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> None:

@@ -563,10 +563,13 @@ class Program:
     A run applies the operations a direct evaluation of each node would,
     in the same order (see :class:`ValueKind`), so a value does not depend
     on which roots were compiled together.  A Program keeps no ``Expr``:
-    it does not keep the tree it was compiled from alive.
+    it does not keep the tree it was compiled from alive.  Each kind's
+    ``const`` runs once per constant: the converted table is kept per kind
+    and its values are shared by every later run (no value kind mutates
+    its operands).
     """
 
-    __slots__ = ("code", "consts", "names", "roots", "single")
+    __slots__ = ("code", "consts", "names", "roots", "single", "_kind_consts")
 
     def __init__(self, roots):
         self.single = isinstance(roots, Expr)
@@ -612,14 +615,21 @@ class Program:
         self.consts = tuple(consts)
         self.names = tuple(names)
         self.roots = tuple(slot[r] for r in roots)
+        self._kind_consts: dict[ValueKind, list] = {}
 
     def run(self, bindings, kind: ValueKind):
         """Values of the roots with symbols bound by ``bindings``: one value
         for a single root, else a list.  Raises :class:`ExprEvalError` for
         unbound symbols and :class:`ExprDomainError` where the kind refuses
-        a point or a zero is raised to a negative power."""
+        a point or a zero is raised to a negative power; a constant the kind
+        refuses raises before any node runs."""
         const, pi, bind, call, zero, one = kind
-        code, consts, names = self.code, self.consts, self.names
+        code, names = self.code, self.names
+        consts = self._kind_consts.get(kind)
+        if consts is None:
+            # integer constants are power exponents and stay as they are
+            consts = [c if type(c) is int else const(c) for c in self.consts]
+            self._kind_consts[kind] = consts
         vals: list = []
         push = vals.append
         i, end = 0, len(code)
@@ -644,7 +654,7 @@ class Program:
                     raise ExprDomainError("zero raised to a negative power") from None
                 i += 3
             elif op == _CONST:
-                r = const(consts[code[i + 1]])
+                r = consts[code[i + 1]]
                 i += 2
             elif op == _SYM:
                 name = names[code[i + 1]]

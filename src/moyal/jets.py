@@ -16,7 +16,7 @@ import math
 
 from .expr import REAL, ExprDomainError, ValueKind, evaluate
 
-__all__ = ["TruncatedJet", "MONOMIALS", "eval_expr_jet", "jet_function_derivatives"]
+__all__ = ["TruncatedJet", "MONOMIALS", "eval_expr_jet", "invert", "jet_function_derivatives"]
 
 _MAX_ORDER = 3
 
@@ -161,6 +161,41 @@ class TruncatedJet:
 
     def __repr__(self):
         return f"TruncatedJet(order={self.order}, c={self.c})"
+
+
+def invert(gq: TruncatedJet, gp: TruncatedJet) -> tuple[TruncatedJet, TruncatedJet]:
+    """Truncated inverse of the two-variable map (gq, gp) about its value.
+
+    Returns displacement jets (dq, dp), with zero value, such that
+    (gq, gp) evaluated at (dq, dp) is the value plus the identity
+    displacement to the jets' order.  With L the linear part of the map
+    and N its part of order 2 and above, each sweep of
+    d <- L^-1 (e - N(d)) gains one order, starting from d = L^-1 e.
+    A singular linear part raises ValueError.
+    """
+    gq._match(gp)
+    order = gq.order
+    (a, b), (c, d) = gq.c[1:3], gp.c[1:3]
+    det = a * d - b * c
+    if det == 0.0:
+        raise ValueError("the jet's linear part is singular")
+    eq, ep = TruncatedJet.seed(0.0, 0, order), TruncatedJet.seed(0.0, 1, order)
+
+    def solve(rq, rp):  # L^-1 (rq, rp)
+        return (d / det) * rq - (b / det) * rp, (a / det) * rp - (c / det) * rq
+
+    dq, dp = solve(eq, ep)
+    one = TruncatedJet.constant(1.0, order)
+    for _ in range(order - 1):
+        pq, pp = [one, dq], [one, dp]
+        for _n in range(2, order + 1):
+            pq.append(pq[-1] * dq)
+            pp.append(pp[-1] * dp)
+        terms = [(k, pq[i] * pp[j]) for k, (i, j) in enumerate(MONOMIALS[order]) if i + j >= 2]
+        nq = sum((gq.c[k] * t for k, t in terms), 0.0 * one)
+        np_ = sum((gp.c[k] * t for k, t in terms), 0.0 * one)
+        dq, dp = solve(eq - nq, ep - np_)
+    return dq, dp
 
 
 def jet_function_derivatives(fn: str, u: float) -> list[float]:

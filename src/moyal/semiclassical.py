@@ -7,15 +7,19 @@ is state(t) = sum_n t^n / n! * coeff_n with coeff_0 the seed symbol.
 
 Numeric side: two routes to the hbar^2 trajectory correction at one time.
 The transport route integrates the grade-one bracket of the flow map
-against the Hamiltonian along the classical trajectory (order-3 jets give
-the map's third derivatives at each quadrature node); the ode route
-propagates the correction through a linear inhomogeneous equation driven
-by order-2 jets.  They share the integrator (``flow.rk4``) and H's table
-of partials (``HamiltonianSpec.partials_at``); the formulas stay
-independent: the C1/C2 contraction of the map's first and second
-derivatives on the ode side, the cubed bidifferential under Simpson
-quadrature on the transport side.  So agreement is evidence the formulas
-are right, and both are compared against closed forms where one exists.
+against the Hamiltonian along the classical trajectory.  The flow is a
+group, so the map it needs at each quadrature node (duration s, based at
+z(T - s)) is the inverse of the duration -s map based at z(T): one
+backward pass of order-3 jets from z(T) holds every node's map, and a
+truncated jet inversion per node (``jets.invert``) turns it around, so
+the work grows linearly with T.  The ode route propagates the correction
+through a linear inhomogeneous equation driven by order-2 jets.  They
+share the integrator (``flow.rk4``) and H's table of partials
+(``HamiltonianSpec.partials_at``); the formulas stay independent: the
+C1/C2 contraction of the map's first and second derivatives on the ode
+side, the cubed bidifferential under Boole's rule on the transport side.
+So agreement is evidence the formulas are right, and both are compared
+against closed forms where one exists.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import product
 
 from .expr import ZERO, DerivTable, Expr, add
 from .flow import STEPS_PER_UNIT_TIME, HamiltonianSpec, integrate_flow, integrate_flow_jets, rk4
-from .jets import TruncatedJet
+from .jets import TruncatedJet, invert
 from .poly import (
     P,
     PhasePolynomial,
@@ -41,6 +45,7 @@ from .poly import (
 
 __all__ = [
     "MAX_LADDER_DEPTH",
+    "QUAD_PANELS_PER_UNIT",
     "HierarchyLadders",
     "iterated_brackets",
     "TimeTaylorFlow",
@@ -58,6 +63,8 @@ __all__ = [
 
 # bracket ladders are built to at most this depth
 MAX_LADDER_DEPTH = 10
+# default quadrature panels per unit time of the transport route
+QUAD_PANELS_PER_UNIT = 256
 
 _SEEDS = {"q": Q, "p": P}
 
@@ -197,7 +204,7 @@ def hbar2_transport(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
     t_final: float,
-    quad_panels_per_unit: int = 64,
+    quad_panels_per_unit: int = QUAD_PANELS_PER_UNIT,
     steps_per_unit: int | None = None,
 ) -> Hbar2Result:
     """hbar^2 correction at time T = t_final > 0 by quadrature along the
@@ -205,42 +212,55 @@ def hbar2_transport(
 
     The correction is the integral over s in [0, T] of the grade-one
     bracket of the duration-s flow map with H, the bracket taken at the
-    point reached after time T - s.  Per quadrature node this integrates
-    order-3 jets from that point for duration s; Simpson's rule assembles
-    the integral.  Deterministic: panel counts and step counts are
-    derived, not adaptive.
+    point z(T - s).  The flow is a group, so that map, based at z(T - s),
+    is the inverse of the duration -s map based at z(T).  One scalar pass
+    gives z(T); one backward pass of order-3 jets from z(T) gives the
+    duration -s maps at every node, and :func:`jets.invert` turns each
+    into the map the bracket needs.  The work grows linearly with T.
+    Boole's rule (Romberg's first step on Simpson's rule, panel count a
+    multiple of 4) assembles the integral.  Deterministic: panel counts
+    and step counts are derived, not adaptive.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
     per_unit = steps_per_unit if steps_per_unit is not None else STEPS_PER_UNIT_TIME
     panels = max(8, math.ceil(quad_panels_per_unit * t_final))
-    if panels % 2:
-        panels += 1
+    panels += -panels % 4
     steps = max(panels, math.ceil(per_unit * t_final))
     steps = ((steps + panels - 1) // panels) * panels
     stride = steps // panels
-    base = integrate_flow(ham, z0, t_final, steps)
-    h_node = t_final / panels
+    z_t = integrate_flow(ham, z0, t_final, steps).states[-1]
+    # jets[k * stride]: the duration -s map based at z(T), s = k * T / panels
+    jets = integrate_flow_jets(ham, z_t, -t_final, steps, order=3).jets
     fq_vals = [0.0]
     fp_vals = [0.0]
-    for k in range(1, panels + 1):
-        w = base.states[steps - k * stride]
-        # the final jets hold the duration-s map's derivatives, based at w
-        jq, jp = integrate_flow_jets(ham, w, k * h_node, k * stride, order=3).jets[-1]
-        h = ham.partials_at(*w)
+    for gq, gp in jets[stride::stride]:
+        # the inverse, moved to z(T): the duration-s map's jets at the node
+        dq, dp = invert(gq, gp)
+        mq, mp = z_t[0] + dq, z_t[1] + dp
+        h = ham.partials_at(gq.value, gp.value)
         h3 = lambda a, b: h[a, b]
         # [map component, H]_2: the cubed bidifferential, weight -1/24
-        fq_vals.append(-bidifferential(jq.derivative, h3, 3, 0.0) / 24.0)
-        fp_vals.append(-bidifferential(jp.derivative, h3, 3, 0.0) / 24.0)
-    return Hbar2Result(q2=(_simpson(fq_vals, h_node),), p2=(_simpson(fp_vals, h_node),))
+        fq_vals.append(-bidifferential(mq.derivative, h3, 3, 0.0) / 24.0)
+        fp_vals.append(-bidifferential(mp.derivative, h3, 3, 0.0) / 24.0)
+    h_node = t_final / panels
+    return Hbar2Result(q2=(_boole(fq_vals, h_node),), p2=(_boole(fp_vals, h_node),))
 
 
-def _simpson(values: list[float], h: float) -> float:
-    n = len(values) - 1
-    acc = values[0] + values[n]
-    for i in range(1, n):
-        acc += values[i] * (4.0 if i % 2 else 2.0)
-    return acc * h / 3.0
+def _boole(values: list[float], h: float) -> float:
+    """Boole's rule on an even node spacing h (panel count a multiple of 4),
+    written as Simpson's rule S_n extrapolated against S_n/2 on every
+    second node: S_n + (S_n - S_n/2) / 15."""
+
+    def simpson(v: list[float], step: float) -> float:
+        n = len(v) - 1
+        acc = v[0] + v[n]
+        for i in range(1, n):
+            acc += v[i] * (4.0 if i % 2 else 2.0)
+        return acc * step / 3.0
+
+    s_n = simpson(values, h)
+    return s_n + (s_n - simpson(values[::2], 2.0 * h)) / 15.0
 
 
 def hbar2_inhomogeneity(

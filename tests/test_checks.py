@@ -25,6 +25,14 @@ def test_resolve_deduplicates():
     assert got == ["bch"]
 
 
+def test_hbar2_routes_suite_checks_the_route_gap_beyond_squeeze():
+    # quartic, cubic and cosh from two (z0, t) cases each, at a 1e-6 gap
+    (outcome,) = run_checks(only=["hbar2-routes"])
+    assert outcome.passed
+    assert outcome.cases == 7
+    assert "route gap" in outcome.detail
+
+
 def test_run_named_subset():
     outcomes = run_checks(only=["poly-roundtrip"], cases=10)
     assert len(outcomes) == 1

@@ -123,6 +123,25 @@ def test_example1_validity_guard(runner):
     assert "validity" in res.output
 
 
+@pytest.mark.parametrize(
+    "q0, column", [("-6", "hbar2_position_rel"), ("6", "hbar2_momentum_rel")]
+)
+def test_example1_zero_closed_form_coefficient_exits_0(runner, q0, column):
+    # at t = 1 the closed-form coefficient (1 +- t q0 p0 / 6) of this column is 0
+    res = runner.invoke(
+        main, ["example1", "--q0", q0, "--p0", "1", "--t-steps", "1", "--format", "json"]
+    )
+    assert res.exit_code == 0
+    assert json.loads(res.output)[0][column] == 1.0
+
+
+def test_hierarchy_long_time_finishes(runner):
+    start = time.perf_counter()
+    res = runner.invoke(main, ["hierarchy", "--t0", "2", "--t1", "2", "--t-steps", "1"])
+    assert res.exit_code == 0
+    assert time.perf_counter() - start < 20.0
+
+
 def test_example1_csv_header(runner):
     res = runner.invoke(
         main,

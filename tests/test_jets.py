@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from moyal.jets import (
     MONOMIALS,
     TruncatedJet,
     eval_expr_jet,
+    invert,
     jet_function_derivatives,
 )
 
@@ -213,3 +215,45 @@ def test_high_power_of_a_zero_jet():
     assert (jq ** 9).c == [0.0] * len(MONOMIALS[3])
     with pytest.raises(ZeroDivisionError):
         jq ** -7
+
+
+def apply_map(g, dq, dp):
+    """The polynomial with g's Taylor coefficients, evaluated at jets (dq, dp)."""
+    out = TruncatedJet.constant(0.0, g.order)
+    for k, (i, j) in enumerate(MONOMIALS[g.order]):
+        term = TruncatedJet.constant(g.c[k], g.order)
+        for _ in range(i):
+            term = term * dq
+        for _ in range(j):
+            term = term * dp
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_invert_composes_to_the_identity(order):
+    rng = random.Random(order)
+    eq, ep = TruncatedJet.seed(0.0, 0, order), TruncatedJet.seed(0.0, 1, order)
+    n = len(MONOMIALS[order])
+    for _ in range(20):
+        u = lambda: rng.uniform(-0.3, 0.3)
+        # a well-conditioned linear part: the identity plus at most 0.3 per entry
+        gq = TruncatedJet(order, [rng.uniform(-2, 2), 1.0 + u(), u()] + [rng.uniform(-1, 1) for _ in range(n - 3)])
+        gp = TruncatedJet(order, [rng.uniform(-2, 2), u(), 1.0 + u()] + [rng.uniform(-1, 1) for _ in range(n - 3)])
+        dq, dp = invert(gq, gp)
+        assert dq.value == dp.value == 0.0
+        for g, e in ((gq, eq), (gp, ep)):
+            got = apply_map(g, dq, dp) - g.value
+            assert max(abs(x - y) for x, y in zip(got.c, e.c)) < 1e-13
+
+
+def test_invert_refuses_a_singular_linear_part():
+    gq = TruncatedJet(3, [0.5, 1.0, 2.0] + [0.1] * 7)
+    gp = TruncatedJet(3, [0.2, 2.0, 4.0] + [0.3] * 7)
+    with pytest.raises(ValueError, match="singular"):
+        invert(gq, gp)
+
+
+def test_invert_refuses_mixed_orders():
+    with pytest.raises(ValueError):
+        invert(TruncatedJet.seed(0.0, 0, 2), TruncatedJet.seed(0.0, 1, 3))

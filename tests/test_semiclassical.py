@@ -1,11 +1,21 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+import moyal.semiclassical
+from moyal.closed_forms import builtin_example1
 from moyal.expr import ZERO, Program, parse_expr
-from moyal.flow import FlowBlowupError, HamiltonianSpec
-from moyal.poly import PhasePolynomial, format_poly, poisson_bracket
+from moyal.flow import (
+    STEPS_PER_UNIT_TIME,
+    FlowBlowupError,
+    HamiltonianSpec,
+    integrate_flow,
+    integrate_flow_jets,
+)
+from moyal.poly import PhasePolynomial, bidifferential, format_poly, poisson_bracket
 from moyal.semiclassical import (
+    _boole,
     cubic_order7_report,
     divergence_order,
     hbar2_ode,
@@ -182,6 +192,69 @@ def test_hbar2_transport_compiles_per_call_not_per_node(monkeypatch):
         hbar2_transport(ham, (0.9, -0.7), 0.5, quad_panels_per_unit=panels_per_unit, steps_per_unit=64)
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+# the five Hamiltonians of the hbar2-routes benchmark workload
+BENCH_HAMILTONIANS = {
+    "squeeze": lambda: HamiltonianSpec(parse_expr("q^2*p^2/4")),
+    "quartic": lambda: HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24")),
+    "cubic": lambda: HamiltonianSpec(parse_expr("p^2/2 + q^3/6")),
+    "cosh": lambda: HamiltonianSpec(parse_expr("p^2/2 + cosh(q)/4")),
+    "example1": lambda: HamiltonianSpec(builtin_example1().hamiltonian, {"m": 1.5, "l": 0.8}),
+}
+
+
+def per_node_transport_values(ham, z0, t_final, quad_panels_per_unit):
+    """Reference: the transport integrand at every node by a fresh forward
+    order-3 jet integration from z(T - s) for duration s (quadratic in T),
+    on the node and step grid of hbar2_transport."""
+    panels = max(8, math.ceil(quad_panels_per_unit * t_final))
+    panels += -panels % 4
+    steps = max(panels, math.ceil(STEPS_PER_UNIT_TIME * t_final))
+    steps = ((steps + panels - 1) // panels) * panels
+    stride = steps // panels
+    base = integrate_flow(ham, z0, t_final, steps)
+    h_node = t_final / panels
+    fq_vals, fp_vals = [0.0], [0.0]
+    for k in range(1, panels + 1):
+        w = base.states[steps - k * stride]
+        jq, jp = integrate_flow_jets(ham, w, k * h_node, k * stride, order=3).jets[-1]
+        h = ham.partials_at(*w)
+        h3 = lambda a, b: h[a, b]
+        fq_vals.append(-bidifferential(jq.derivative, h3, 3, 0.0) / 24.0)
+        fp_vals.append(-bidifferential(jp.derivative, h3, 3, 0.0) / 24.0)
+    return fq_vals, fp_vals, h_node
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_HAMILTONIANS))
+def test_hbar2_transport_matches_per_node_reference(name):
+    ham = BENCH_HAMILTONIANS[name]()
+    for t in (0.1, 0.3):
+        fq_vals, fp_vals, h_node = per_node_transport_values(ham, (0.9, -0.7), t, 32)
+        res = hbar2_transport(ham, (0.9, -0.7), t, quad_panels_per_unit=32)
+        assert res.q2[0] == pytest.approx(_boole(fq_vals, h_node), rel=1e-9)
+        assert res.p2[0] == pytest.approx(_boole(fp_vals, h_node), rel=1e-9)
+
+
+def test_hbar2_transport_runs_one_jet_pass_per_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return integrate_flow_jets(*args, **kwargs)
+
+    monkeypatch.setattr(moyal.semiclassical, "integrate_flow_jets", counting)
+    ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
+    for t in (0.5, 1.0, 2.0):
+        calls.clear()
+        hbar2_transport(ham, (0.9, -0.7), t, steps_per_unit=500)
+        assert calls == [-t]
+
+
+def test_boole_is_exact_for_quintics():
+    h = 0.25
+    values = [(k * h) ** 5 - 3.0 * (k * h) ** 2 for k in range(9)]
+    assert _boole(values, h) == pytest.approx(2.0 ** 6 / 6 - 2.0 ** 3, rel=1e-14)
 
 
 # -- second deformation coefficient ------------------------------------

@@ -65,7 +65,7 @@ class CheckOutcome:
     name: str
     passed: bool
     cases: int
-    detail: str
+    detail: str = ""
 
 
 def _random_poly(rng: random.Random, max_degree: int, n_terms: int) -> PhasePolynomial:
@@ -77,10 +77,6 @@ def _random_poly(rng: random.Random, max_degree: int, n_terms: int) -> PhasePoly
         c = rng.randrange(-4, 5)
         acc = acc + PhasePolynomial.monomial(c, a, b, 0)
     return acc
-
-
-def _outcome(name, ok, cases, detail=""):
-    return CheckOutcome(name=name, passed=ok, cases=cases, detail=detail)
 
 
 # -- exact algebra -------------------------------------------------------
@@ -95,8 +91,8 @@ def suite_star_associativity(seed: int = 0, cases: int = 100) -> CheckOutcome:
         left = star_product(star_product(f, g), h)
         right = star_product(f, star_product(g, h))
         if left != right:
-            return _outcome("star-associativity", False, k + 1, "mismatch")
-    return _outcome("star-associativity", True, cases)
+            return CheckOutcome("star-associativity", False, k + 1, "mismatch")
+    return CheckOutcome("star-associativity", True, cases)
 
 
 def suite_bracket_jacobi(seed: int = 0, cases: int = 100) -> CheckOutcome:
@@ -110,9 +106,9 @@ def suite_bracket_jacobi(seed: int = 0, cases: int = 100) -> CheckOutcome:
             + moyal_bracket(g, moyal_bracket(h, f))
             + moyal_bracket(h, moyal_bracket(f, g))
         )
-        if not total.is_zero:
-            return _outcome("bracket-jacobi", False, k + 1, "nonzero cycle sum")
-    return _outcome("bracket-jacobi", True, cases)
+        if total:
+            return CheckOutcome("bracket-jacobi", False, k + 1, "nonzero cycle sum")
+    return CheckOutcome("bracket-jacobi", True, cases)
 
 
 def suite_bracket_antisymmetry(seed: int = 0, cases: int = 100) -> CheckOutcome:
@@ -121,8 +117,8 @@ def suite_bracket_antisymmetry(seed: int = 0, cases: int = 100) -> CheckOutcome:
         f = _random_poly(rng, 4, 3)
         g = _random_poly(rng, 4, 3)
         if moyal_bracket(f, g) != -moyal_bracket(g, f):
-            return _outcome("bracket-antisymmetry", False, k + 1, "mismatch")
-    return _outcome("bracket-antisymmetry", True, cases)
+            return CheckOutcome("bracket-antisymmetry", False, k + 1, "mismatch")
+    return CheckOutcome("bracket-antisymmetry", True, cases)
 
 
 def suite_star_bracket_identity(seed: int = 0, cases: int = 100) -> CheckOutcome:
@@ -134,8 +130,8 @@ def suite_star_bracket_identity(seed: int = 0, cases: int = 100) -> CheckOutcome
         g = _random_poly(rng, 4, 3)
         comm = star_product(f, g) - star_product(g, f)
         if comm != ih * moyal_bracket(f, g):
-            return _outcome("star-bracket-identity", False, k + 1, "mismatch")
-    return _outcome("star-bracket-identity", True, cases)
+            return CheckOutcome("star-bracket-identity", False, k + 1, "mismatch")
+    return CheckOutcome("star-bracket-identity", True, cases)
 
 
 def suite_deformation_limits(seed: int = 0, cases: int = 100) -> CheckOutcome:
@@ -148,12 +144,12 @@ def suite_deformation_limits(seed: int = 0, cases: int = 100) -> CheckOutcome:
         g = _random_poly(rng, 4, 3)
         st = star_product(f, g)
         if hbar_component(st, 0) != f * g:
-            return _outcome("deformation-limits", False, k + 1, "grade-0 product")
+            return CheckOutcome("deformation-limits", False, k + 1, "grade-0 product")
         if hbar_component(st, 1) != poisson_bracket(f, g).scale(half_i):
-            return _outcome("deformation-limits", False, k + 1, "grade-1 bracket")
+            return CheckOutcome("deformation-limits", False, k + 1, "grade-1 bracket")
         if bracket_2n(f, g, 0) != poisson_bracket(f, g):
-            return _outcome("deformation-limits", False, k + 1, "bracket grade 0")
-    return _outcome("deformation-limits", True, cases)
+            return CheckOutcome("deformation-limits", False, k + 1, "bracket grade 0")
+    return CheckOutcome("deformation-limits", True, cases)
 
 
 def suite_conjugation(seed: int = 0, cases: int = 100) -> CheckOutcome:
@@ -166,8 +162,8 @@ def suite_conjugation(seed: int = 0, cases: int = 100) -> CheckOutcome:
         if star_product(f, g).conjugate() != star_product(
             g.conjugate(), f.conjugate()
         ):
-            return _outcome("conjugation", False, k + 1, "mismatch")
-    return _outcome("conjugation", True, cases)
+            return CheckOutcome("conjugation", False, k + 1, "mismatch")
+    return CheckOutcome("conjugation", True, cases)
 
 
 def suite_bracket_reality(seed: int = 0, cases: int = 100) -> CheckOutcome:
@@ -178,8 +174,8 @@ def suite_bracket_reality(seed: int = 0, cases: int = 100) -> CheckOutcome:
         g = _random_poly(rng, 4, 3)
         mb = moyal_bracket(f, g)
         if any(c.im != 0 for c in mb.terms.values()):
-            return _outcome("bracket-reality", False, k + 1, "imaginary part")
-    return _outcome("bracket-reality", True, cases)
+            return CheckOutcome("bracket-reality", False, k + 1, "imaginary part")
+    return CheckOutcome("bracket-reality", True, cases)
 
 
 def suite_symmetrization(seed: int = 0, cases: int = 50) -> CheckOutcome:
@@ -189,14 +185,14 @@ def suite_symmetrization(seed: int = 0, cases: int = 50) -> CheckOutcome:
         for m in range(0, 9 - n):
             k += 1
             if expand(weyl_symmetrize(n, m)) != PhasePolynomial.monomial(1, n, m, 0):
-                return _outcome("symmetrization", False, k, f"monomial ({n},{m})")
+                return CheckOutcome("symmetrization", False, k, f"monomial ({n},{m})")
     rng = random.Random(seed)
     for _ in range(cases):
         k += 1
         f = _random_poly(rng, 4, 3)
         if expand(star_function_S(f)) != f:
-            return _outcome("symmetrization", False, k, "random polynomial")
-    return _outcome("symmetrization", True, k)
+            return CheckOutcome("symmetrization", False, k, "random polynomial")
+    return CheckOutcome("symmetrization", True, k)
 
 
 def suite_sas_identity(seed: int = 0, cases: int = 50) -> CheckOutcome:
@@ -207,24 +203,24 @@ def suite_sas_identity(seed: int = 0, cases: int = 50) -> CheckOutcome:
             k += 1
             mono = PhasePolynomial.monomial(1, n, m, 0)
             if expand(sas_order(mono)) != mono:
-                return _outcome("sas-identity", False, k, f"monomial ({n},{m})")
+                return CheckOutcome("sas-identity", False, k, f"monomial ({n},{m})")
     rng = random.Random(seed)
     for _ in range(cases):
         k += 1
         f = _random_poly(rng, 6, 4)
         if expand(sas_order(f)) != f:
-            return _outcome("sas-identity", False, k, "random polynomial")
-    return _outcome("sas-identity", True, k)
+            return CheckOutcome("sas-identity", False, k, "random polynomial")
+    return CheckOutcome("sas-identity", True, k)
 
 
 def suite_bch(order: int = 6) -> CheckOutcome:
     for n in range(1, order + 1):
         rep = bch_check(n)
         if not rep.passed:
-            return _outcome(
+            return CheckOutcome(
                 "bch", False, n, f"failing grade {rep.first_failing_grade}"
             )
-    return _outcome("bch", True, order)
+    return CheckOutcome("bch", True, order)
 
 
 def suite_poly_roundtrip(seed: int = 0, cases: int = 100) -> CheckOutcome:
@@ -234,8 +230,8 @@ def suite_poly_roundtrip(seed: int = 0, cases: int = 100) -> CheckOutcome:
         f = _random_poly(rng, 5, 4) + _random_poly(rng, 3, 2) * i_hbar
         txt = format_poly(f)
         if parse_poly(txt) != f or format_poly(parse_poly(txt)) != txt:
-            return _outcome("poly-roundtrip", False, k + 1, txt)
-    return _outcome("poly-roundtrip", True, cases)
+            return CheckOutcome("poly-roundtrip", False, k + 1, txt)
+    return CheckOutcome("poly-roundtrip", True, cases)
 
 
 def suite_expr_roundtrip() -> CheckOutcome:
@@ -259,8 +255,8 @@ def suite_expr_roundtrip() -> CheckOutcome:
         txt = print_expr(e)
         back = parse_expr(txt)
         if back != e or print_expr(back) != txt:
-            return _outcome("expr-roundtrip", False, k + 1, txt)
-    return _outcome("expr-roundtrip", True, len(forms))
+            return CheckOutcome("expr-roundtrip", False, k + 1, txt)
+    return CheckOutcome("expr-roundtrip", True, len(forms))
 
 
 def suite_expr_derivatives(seed: int = 0, cases: int = 40) -> CheckOutcome:
@@ -291,7 +287,7 @@ def suite_expr_derivatives(seed: int = 0, cases: int = 40) -> CheckOutcome:
                 scale = max(1.0, abs(fd))
                 worst = max(worst, abs(got - fd) / scale)
     ok = worst < 1e-6
-    return _outcome("expr-derivatives", ok, k, f"worst rel {worst:.3g}")
+    return CheckOutcome("expr-derivatives", ok, k, f"worst rel {worst:.3g}")
 
 
 # -- hierarchy ----------------------------------------------------------
@@ -307,8 +303,8 @@ def suite_odd_grades(seed: int = 0, cases: int = 20) -> CheckOutcome:
         for entry in ladders.deformed:
             odd = [key for key in entry.terms if key[2] % 2]
             if odd:
-                return _outcome("odd-grades", False, k + 1, str(odd[0]))
-    return _outcome("odd-grades", True, cases)
+                return CheckOutcome("odd-grades", False, k + 1, str(odd[0]))
+    return CheckOutcome("odd-grades", True, cases)
 
 
 def suite_quadratic_coincidence(seed: int = 0, cases: int = 20) -> CheckOutcome:
@@ -319,8 +315,8 @@ def suite_quadratic_coincidence(seed: int = 0, cases: int = 20) -> CheckOutcome:
         for seed_var in ("q", "p"):
             ladders = iterated_brackets(h, 10, seed_var)
             if ladders.classical != ladders.deformed:
-                return _outcome("quadratic-coincidence", False, k + 1, seed_var)
-    return _outcome("quadratic-coincidence", True, cases)
+                return CheckOutcome("quadratic-coincidence", False, k + 1, seed_var)
+    return CheckOutcome("quadratic-coincidence", True, cases)
 
 
 def suite_hierarchy_series() -> CheckOutcome:
@@ -332,7 +328,7 @@ def suite_hierarchy_series() -> CheckOutcome:
     want2 = PhasePolynomial.monomial(Fraction(1, 8), 1, 0, 0)
     want3 = PhasePolynomial.monomial(Fraction(1, 4), 2, 1, 0)
     ok = grades[2] == want2 and grades[3] == want3
-    return _outcome("hierarchy-series", ok, 2, "t^2 and t^3 hbar^2 grades")
+    return CheckOutcome("hierarchy-series", ok, 2, "t^2 and t^3 hbar^2 grades")
 
 
 # -- flows --------------------------------------------------------------
@@ -364,7 +360,7 @@ def suite_classical_flow() -> CheckOutcome:
             worst_t, check_transport(parse_expr("q*p"), ham, z0, t_final)
         )
     ok = worst_e < 1e-8 and worst_d < 1e-8 and worst_t < 1e-6
-    return _outcome(
+    return CheckOutcome(
         "classical-flow",
         ok,
         4,
@@ -381,7 +377,7 @@ def suite_rk4_order() -> CheckOutcome:
         e.append(abs(traj.states[-1][0] - math.cos(2.0)))
     ratio = e[0] / e[1]
     ok = 12.0 < ratio < 20.0
-    return _outcome("rk4-order", ok, 2, f"halving ratio {ratio:.2f}")
+    return CheckOutcome("rk4-order", ok, 2, f"halving ratio {ratio:.2f}")
 
 
 def suite_jet_consistency() -> CheckOutcome:
@@ -421,7 +417,7 @@ def suite_jet_consistency() -> CheckOutcome:
     worst = max(err / tol for err, tol in checks)
     ok = worst < 1.0
     detail = ", ".join(f"{e:.2g}" for e, _ in checks)
-    return _outcome("jet-consistency", ok, 3, f"rel errors {detail}")
+    return CheckOutcome("jet-consistency", ok, 3, f"rel errors {detail}")
 
 
 # -- closed forms and routes --------------------------------------------
@@ -456,7 +452,7 @@ def suite_example1_closed_forms(seed: int = 0, cases: int = 20) -> CheckOutcome:
         pc = eval_expr(ex.classical_momentum, binds).real
         worst = max(worst, abs(traj.states[-1][0] - qc), abs(traj.states[-1][1] - pc))
     ok = worst < 1e-9
-    return _outcome("example1-closed-forms", ok, cases, f"worst {worst:.3g}")
+    return CheckOutcome("example1-closed-forms", ok, cases, f"worst {worst:.3g}")
 
 
 def suite_unitary_pair() -> CheckOutcome:
@@ -478,7 +474,7 @@ def suite_unitary_pair() -> CheckOutcome:
         )
         worst_tr = max(worst_tr, abs(rep.partial_sums[-1].real - 1.0))
     ok = worst_pb < 1e-9 and worst_tr < 1e-6
-    return _outcome(
+    return CheckOutcome(
         "unitary-pair", ok, 3, f"poisson {worst_pb:.3g}, truncated {worst_tr:.3g}"
     )
 
@@ -511,7 +507,7 @@ def suite_hbar2_routes() -> CheckOutcome:
             ode, tra = hbar2_ode(ham, z0, t), hbar2_transport(ham, z0, t)
             gap = max(gap, abs(ode.q2[0] / tra.q2[0] - 1.0), abs(ode.p2[0] / tra.p2[0] - 1.0))
     ok = worst < 1e-6 and gap < 1e-6
-    return _outcome(
+    return CheckOutcome(
         "hbar2-routes", ok, 1 + len(_ROUTE_GAP_HAMILTONIANS) * len(_ROUTE_GAP_CASES),
         f"squeeze worst rel {worst:.3g}, route gap {gap:.3g}"
     )
@@ -545,7 +541,7 @@ def suite_a2_kernel() -> CheckOutcome:
     a2 = star_exp_A2(parse_expr("(3/5)*q*p"))
     want = parse_expr("9/200 + (9/500)*q*p")
     ok = ok and a2 == want
-    return _outcome("a2-kernel", ok, 2, f"matches first-power variant: {ok}")
+    return CheckOutcome("a2-kernel", ok, 2, f"matches first-power variant: {ok}")
 
 
 def suite_divergence_reports() -> CheckOutcome:
@@ -564,7 +560,7 @@ def suite_divergence_reports() -> CheckOutcome:
         and reps["p"].difference
         == PhasePolynomial.monomial(Fraction(-1, 4), 1, 0, 2)
     )
-    return _outcome("divergence-reports", ok, 2, "quartic, both seeds")
+    return CheckOutcome("divergence-reports", ok, 2, "quartic, both seeds")
 
 
 SUITES = {

@@ -10,6 +10,7 @@ comes from ``random.Random(seed)``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from .brackets import MAX_EXPR_GRADE, moyal_bracket_truncated, poisson_expr
 from .checks import SUITES, run_checks
 from .closed_forms import builtin_example1
 from .expr import ExprParseError, eval_expr, parse_expr
-from .flow import FlowBlowupError, HamiltonianSpec
+from .flow import STEPS_PER_UNIT_TIME, FlowBlowupError, HamiltonianSpec
 from .poly import (
     MAX_DEGREE,
     EvalPoint,
@@ -159,7 +160,7 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
 @click.option("--quad-nodes", type=click.IntRange(1, 1024), default=QUAD_PANELS_PER_UNIT, show_default=True, help="Quadrature panels per unit time for the transport route.")
-@click.option("--steps", type=click.IntRange(1, 20000), default=None, help="Integrator steps per unit time (default 2000).")
+@click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="Integrator steps per unit time.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, quad_nodes, steps, fmt) -> None:
     """hbar^2 trajectory corrections by every available route.
@@ -182,15 +183,19 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     if min(times) < 0:
         _fail("the hbar^2 routes need times >= 0")
     rows = []
+
+    def row(t, q2, p2, method):
+        rows.append({"t": t, "Q2": q2, "P2": p2, "method": method})
+
     for t in times:
         if t == 0.0:
-            rows.append((t, 0.0, 0.0, "ode"))
-            rows.append((t, 0.0, 0.0, "transport"))
+            row(t, 0.0, 0.0, "ode")
+            row(t, 0.0, 0.0, "transport")
             continue
         ode = hbar2_ode(ham, (q0, p0), t, steps_per_unit=steps)
         tra = hbar2_transport(ham, (q0, p0), t, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
-        rows.append((t, ode.q2[0], ode.p2[0], "ode"))
-        rows.append((t, tra.q2[0], tra.p2[0], "transport"))
+        row(t, ode.q2[0], ode.p2[0], "ode")
+        row(t, tra.q2[0], tra.p2[0], "transport")
     try:
         h_poly = parse_poly(ham_text)
     except PolyParseError:
@@ -198,21 +203,14 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     if h_poly is not None:
         flows = {s: taylor_flow(h_poly, depth, "deformed", s) for s in ("q", "p")}
         for t in times:
-            q2, p2 = (flows[s].hbar2_coefficient(q0, p0, t) for s in ("q", "p"))
-            rows.append((t, q2, p2, "taylor"))
-    rows.sort(key=lambda r: (r[3], r[0]))
-    if fmt == "csv":
-        lines = ["t,Q2,P2,method"]
-        lines += [f"{_g(t)},{_g(a)},{_g(b)},{meth}" for t, a, b, meth in rows]
-        click.echo("\n".join(lines))
-    elif fmt == "json":
-        _emit_json([
-            {"t": t, "Q2": a, "P2": b, "method": meth} for t, a, b, meth in rows
-        ])
-    else:
-        click.echo(f"{'t':>10} {'Q2':>22} {'P2':>22} method")
-        for t, a, b, meth in rows:
-            click.echo(f"{t:>10.4g} {a:>22.12g} {b:>22.12g} {meth}")
+            row(t, *(flows[s].hbar2_coefficient(q0, p0, t) for s in ("q", "p")), "taylor")
+    rows.sort(key=lambda r: (r["method"], r["t"]))
+    if fmt != "text":
+        _emit_rows(rows, fmt)
+        return
+    click.echo(f"{'t':>10} {'Q2':>22} {'P2':>22} method")
+    for r in rows:
+        click.echo(f"{r['t']:>10.4g} {r['Q2']:>22.12g} {r['P2']:>22.12g} {r['method']}")
 
 
 # -- worked examples ----------------------------------------------------
@@ -351,8 +349,6 @@ def example2(ham_text, depth, q0, p0, t1, tol, fmt) -> None:
     short time and compares it against the exact Taylor prediction.
     """
     h = _parse_poly_arg(ham_text, "Hamiltonian")
-    if any(hh for (_a, _b, hh) in h.terms):
-        _fail("the Hamiltonian must be hbar-free")
     reports = divergence_order(h, depth)
     payload = {"reports": [reports[s].to_json_dict() for s in ("q", "p")]}
     if (q0 is None) != (p0 is None):
@@ -406,15 +402,7 @@ def check(only, seed, cases, order, fmt) -> None:
     except KeyError as exc:
         _fail(f"{exc.args[0]}; available: {', '.join(SUITES)}")
     if fmt == "json":
-        _emit_json([
-            {
-                "name": o.name,
-                "passed": o.passed,
-                "cases": o.cases,
-                "detail": o.detail,
-            }
-            for o in outcomes
-        ])
+        _emit_json([dataclasses.asdict(o) for o in outcomes])
     else:
         for o in outcomes:
             mark = "PASS" if o.passed else "FAIL"

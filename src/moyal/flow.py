@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .brackets import poisson_expr
 from .expr import (
     REAL,
     DerivTable,
@@ -236,7 +237,7 @@ def check_transport(
     traj = integrate_flow(ham, z0, t_final, steps)
     stride = max(1, steps // 256)
     h = t_final / steps
-    a, pb = Program(a0), Program(_transport_rhs(a0, ham))
+    a, pb = Program(a0), Program(poisson_expr(a0, ham.expr))
     worst = 0.0
     for i in range(stride, steps, stride):
         qm, pm = traj.states[i - 1]
@@ -247,9 +248,3 @@ def check_transport(
         rhs = eval_real(pb, b(qc, pc))
         worst = max(worst, abs(dadt - rhs))
     return worst
-
-
-def _transport_rhs(a0: Expr, ham: HamiltonianSpec) -> Expr:
-    from .brackets import poisson_expr
-
-    return poisson_expr(a0, ham.expr)

@@ -41,6 +41,7 @@ __all__ = [
     "moyal_bracket",
     "hbar_component",
     "coherent_smooth",
+    "require_hbar_free",
     "parse_poly",
     "format_poly",
     "PolyParseError",
@@ -78,13 +79,13 @@ class PhasePolynomial:
 
     @classmethod
     def constant(cls, c) -> "PhasePolynomial":
-        return cls({(0, 0, 0): c if isinstance(c, ExactScalar) else ExactScalar(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def monomial(cls, c, dq: int, dp: int, dh: int = 0) -> "PhasePolynomial":
         if dq < 0 or dp < 0 or dh < 0:
             raise ValueError("monomial exponents must be non-negative")
-        return cls({(dq, dp, dh): c if isinstance(c, ExactScalar) else ExactScalar(c)})
+        return cls({(dq, dp, dh): c})
 
     # -- ring operations -------------------------------------------------
 
@@ -100,9 +101,7 @@ class PhasePolynomial:
                 out[key] = s
             else:
                 out.pop(key, None)
-        res = PhasePolynomial.__new__(PhasePolynomial)
-        res.terms = out
-        return res
+        return _of(out)
 
     __radd__ = __add__
 
@@ -119,9 +118,7 @@ class PhasePolynomial:
         return other + (-self)
 
     def __neg__(self):
-        res = PhasePolynomial.__new__(PhasePolynomial)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return _of({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -139,9 +136,7 @@ class PhasePolynomial:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        res = PhasePolynomial.__new__(PhasePolynomial)
-        res.terms = out
-        return res
+        return _of(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -170,47 +165,26 @@ class PhasePolynomial:
             c = ExactScalar(c)
         if not c:
             return PhasePolynomial.zero()
-        res = PhasePolynomial.__new__(PhasePolynomial)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
+        return _of({k: v * c for k, v in self.terms.items()})
 
     # -- structure -------------------------------------------------------
 
     def conjugate(self) -> "PhasePolynomial":
         """Complex-conjugate the coefficients; q, p, hbar stay fixed."""
-        res = PhasePolynomial.__new__(PhasePolynomial)
-        res.terms = {k: c.conjugate() for k, c in self.terms.items()}
-        return res
-
-    def diff_q(self, n: int = 1) -> "PhasePolynomial":
-        return self._diff(0, n)
-
-    def diff_p(self, n: int = 1) -> "PhasePolynomial":
-        return self._diff(1, n)
+        return _of({k: c.conjugate() for k, c in self.terms.items()})
 
     def derivative(self, a: int, b: int) -> "PhasePolynomial":
-        """d_q^a d_p^b of the polynomial."""
-        return self._diff(0, a)._diff(1, b)
-
-    def _diff(self, axis: int, n: int) -> "PhasePolynomial":
-        if n < 0:
+        """d_q^a d_p^b of the polynomial, in one pass; surviving terms keep
+        their order."""
+        if a < 0 or b < 0:
             raise ValueError("derivative order must be non-negative")
-        if n == 0:
+        if not (a or b):
             return self
-        out: dict[_Key, ExactScalar] = {}
-        for key, c in self.terms.items():
-            e = key[axis]
-            if e < n:
-                continue
-            fall = 1
-            for j in range(n):
-                fall *= e - j
-            new = list(key)
-            new[axis] = e - n
-            out[tuple(new)] = c * fall
-        res = PhasePolynomial.__new__(PhasePolynomial)
-        res.terms = out
-        return res
+        return _of({
+            (ka - a, kb - b, h): c * (math.perm(ka, a) * math.perm(kb, b))
+            for (ka, kb, h), c in self.terms.items()
+            if ka >= a and kb >= b
+        })
 
     def degree_qp(self) -> int:
         """Total degree in (q, p), ignoring hbar.  -1 for the zero polynomial."""
@@ -219,13 +193,7 @@ class PhasePolynomial:
     def mul_hbar_power(self, k: int) -> "PhasePolynomial":
         if k == 0:
             return self
-        res = PhasePolynomial.__new__(PhasePolynomial)
-        res.terms = {(a, b, h + k): c for (a, b, h), c in self.terms.items()}
-        return res
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        return _of({(a, b, h + k): c for (a, b, h), c in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -251,6 +219,19 @@ class PhasePolynomial:
 
     def __repr__(self):
         return f"<PhasePolynomial {format_poly(self)}>"
+
+
+def _of(terms: dict[_Key, ExactScalar]) -> PhasePolynomial:
+    """Wrap a dict that is already clean (exact, nonzero coefficients)."""
+    res = PhasePolynomial.__new__(PhasePolynomial)
+    res.terms = terms
+    return res
+
+
+def require_hbar_free(f: PhasePolynomial, what: str) -> None:
+    """Refuse a polynomial with any hbar term: ``<what> must be hbar-free``."""
+    if any(h for (_a, _b, h) in f.terms):
+        raise ValueError(f"{what} must be hbar-free")
 
 
 def _coerce_poly(x):
@@ -345,12 +326,10 @@ def star_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     the factors, so the sum stops there.
     """
     n_max = min(f.degree_qp(), g.degree_qp())
-    if n_max < 0:
-        return PhasePolynomial.zero()
     acc = PhasePolynomial.zero()
     for n in range(n_max + 1):
         piece = star_n(f, g, n)
-        if not piece.is_zero:
+        if piece:
             acc = acc + piece.mul_hbar_power(n)
     return acc
 
@@ -380,13 +359,11 @@ def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     star_product(g, f) identically in the formal hbar.
     """
     n_max = min(f.degree_qp(), g.degree_qp())
-    if n_max < 0:
-        return PhasePolynomial.zero()
     acc = PhasePolynomial.zero()
     n = 0
     while 2 * n + 1 <= n_max:
         piece = bracket_2n(f, g, n)
-        if not piece.is_zero:
+        if piece:
             acc = acc + piece.mul_hbar_power(2 * n)
         n += 1
     return acc
@@ -394,12 +371,7 @@ def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
 
 def hbar_component(f: PhasePolynomial, r: int) -> PhasePolynomial:
     """Coefficient polynomial of hbar^r (the hbar exponent is stripped)."""
-    out = {
-        (a, b, 0): c for (a, b, h), c in f.terms.items() if h == r
-    }
-    res = PhasePolynomial.__new__(PhasePolynomial)
-    res.terms = out
-    return res
+    return _of({(a, b, 0): c for (a, b, h), c in f.terms.items() if h == r})
 
 
 def coherent_smooth(f: PhasePolynomial, m, omega) -> PhasePolynomial:
@@ -418,16 +390,16 @@ def coherent_smooth(f: PhasePolynomial, m, omega) -> PhasePolynomial:
     acc = PhasePolynomial.zero()
     j = 0
     fj = f
-    while not fj.is_zero:
+    while fj:
         cj = a ** j / math.factorial(j)
         k = 0
         fjk = fj
-        while not fjk.is_zero:
+        while fjk:
             w = cj * b ** k / math.factorial(k)
             acc = acc + fjk.scale(w).mul_hbar_power(j + k)
-            fjk = fjk.diff_p(2)
+            fjk = fjk.derivative(0, 2)
             k += 1
-        fj = fj.diff_q(2)
+        fj = fj.derivative(2, 0)
         j += 1
     return acc
 

@@ -41,6 +41,7 @@ from .poly import (
     hbar_component,
     moyal_bracket,
     poisson_bracket,
+    require_hbar_free,
 )
 
 __all__ = [
@@ -69,11 +70,6 @@ QUAD_PANELS_PER_UNIT = 256
 _SEEDS = {"q": Q, "p": P}
 
 
-def _check_hamiltonian_poly(h: PhasePolynomial):
-    if any(hh for (_a, _b, hh) in h.terms):
-        raise ValueError("the polynomial Hamiltonian must be hbar-free")
-
-
 @dataclass(frozen=True)
 class HierarchyLadders:
     """Iterated brackets of a seed coordinate with the Hamiltonian.
@@ -89,7 +85,7 @@ class HierarchyLadders:
 
 def iterated_brackets(h: PhasePolynomial, depth: int, seed: str) -> HierarchyLadders:
     """Build both bracket ladders exactly, to the given depth."""
-    _check_hamiltonian_poly(h)
+    require_hbar_free(h, "the Hamiltonian")
     if seed not in _SEEDS:
         raise ValueError("seed must be 'q' or 'p'")
     if not 1 <= depth <= MAX_LADDER_DEPTH:
@@ -205,7 +201,7 @@ def hbar2_transport(
     z0: tuple[float, float],
     t_final: float,
     quad_panels_per_unit: int = QUAD_PANELS_PER_UNIT,
-    steps_per_unit: int | None = None,
+    steps_per_unit: int = STEPS_PER_UNIT_TIME,
 ) -> Hbar2Result:
     """hbar^2 correction at time T = t_final > 0 by quadrature along the
     classical trajectory.
@@ -223,10 +219,9 @@ def hbar2_transport(
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
-    per_unit = steps_per_unit if steps_per_unit is not None else STEPS_PER_UNIT_TIME
     panels = max(8, math.ceil(quad_panels_per_unit * t_final))
     panels += -panels % 4
-    steps = max(panels, math.ceil(per_unit * t_final))
+    steps = max(panels, math.ceil(steps_per_unit * t_final))
     steps = ((steps + panels - 1) // panels) * panels
     stride = steps // panels
     z_t = integrate_flow(ham, z0, t_final, steps).states[-1]
@@ -309,7 +304,7 @@ def hbar2_ode(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
     t_final: float,
-    steps_per_unit: int | None = None,
+    steps_per_unit: int = STEPS_PER_UNIT_TIME,
 ) -> Hbar2Result:
     """hbar^2 correction at time t_final >= 0 by direct integration of its
     evolution equation.
@@ -322,7 +317,6 @@ def hbar2_ode(
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
-    per_unit = steps_per_unit if steps_per_unit is not None else STEPS_PER_UNIT_TIME
 
     def rhs(state):
         jq, jp, z2q, z2p = state
@@ -343,7 +337,7 @@ def hbar2_ode(
         0.0,
         0.0,
     )
-    for state in rk4(rhs, state, t_final, max(1, round(per_unit * t_final))):
+    for state in rk4(rhs, state, t_final, max(1, round(steps_per_unit * t_final))):
         pass
     return Hbar2Result(q2=(state[2],), p2=(state[3],))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .poly import P, PhasePolynomial, Q, star_product
+from .poly import P, PhasePolynomial, Q, require_hbar_free, star_product
 from .scalars import ExactScalar
 
 __all__ = [
@@ -103,12 +103,6 @@ def _letter_text(x: PhasePolynomial) -> str:
     return f"({x})"
 
 
-def _check_hbar_free(f: PhasePolynomial, what: str):
-    for (_a, _b, h) in f.terms:
-        if h:
-            raise ValueError(f"{what} requires an hbar-free symbol")
-
-
 def weyl_symmetrize(n: int, m: int) -> StarExpression:
     """All interleavings of n q-letters and m p-letters, equally weighted.
 
@@ -129,7 +123,7 @@ def weyl_symmetrize(n: int, m: int) -> StarExpression:
 
 def star_function_S(f: PhasePolynomial) -> StarExpression:
     """Rewrite an hbar-free polynomial as its fully symmetrized word sum."""
-    _check_hbar_free(f, "star_function_S")
+    require_hbar_free(f, "the symbol of star_function_S")
     words: list[StarWord] = []
     for (a, b, _h), c in sorted(f.terms.items(), reverse=True):
         words.extend(weyl_symmetrize(a, b).scale(c).words)
@@ -156,22 +150,22 @@ def sas_order(f: PhasePolynomial) -> StarExpression:
     term as half the all-q-left word plus half the all-q-right word.  The
     correction is exactly what makes the expansion reproduce f.
     """
-    _check_hbar_free(f, "sas_order")
+    require_hbar_free(f, "the symbol of sas_order")
     # G = sec((hbar/2) d_q d_p) f, with hbar entering as a formal power;
     # the mixed-derivative ladder kills any polynomial, so the series is finite
     max_k = 0
     fk = f
-    while not fk.is_zero:
-        fk = fk.diff_q().diff_p()
-        if not fk.is_zero:
+    while fk:
+        fk = fk.derivative(1, 1)
+        if fk:
             max_k += 1
     sec = _sec_coefficients(max_k // 2)
     g = PhasePolynomial.zero()
     deriv = f
     for k2 in range(0, max_k // 2 + 1):
         if k2:
-            deriv = deriv.diff_q(2).diff_p(2)
-            if deriv.is_zero:
+            deriv = deriv.derivative(2, 2)
+            if not deriv:
                 break
         w = sec[k2] / Fraction(4 ** k2)
         g = g + deriv.scale(w).mul_hbar_power(2 * k2)

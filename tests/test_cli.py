@@ -83,8 +83,10 @@ def test_example2_ratio_check(runner):
 
 
 def test_example2_rejects_hbar_hamiltonian(runner):
-    res = runner.invoke(main, ["example2", "--hamiltonian", "hbar*q"])
-    assert res.exit_code == 2
+    for text in ("hbar*q", "p^2/2 + hbar*q^2"):
+        res = runner.invoke(main, ["example2", "--hamiltonian", text])
+        assert res.exit_code == 2
+        assert res.output == "error: the Hamiltonian must be hbar-free\n"
 
 
 def test_example1_initial_time_row_is_trivial(runner):

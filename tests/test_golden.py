@@ -23,6 +23,11 @@ COMMANDS = {
     "example2.json": ["example2", "--q0", "1", "--p0", "1"],
     "star.txt": ["star", "(q+2*p)^3", "q^2*p - hbar*q"],
     "bracket.txt": ["bracket", "q^4 + q*p^3", "q^3*p^2"],
+    "hierarchy_default.json": ["hierarchy", "--format", "json"],
+    "check_bch_roundtrip.json": [
+        "check", "--only", "bch", "--only", "poly-roundtrip", "--cases", "7", "--seed", "3",
+        "--format", "json",
+    ],
 }
 
 

@@ -41,8 +41,10 @@ def test_star_function_of_polynomial():
 
 
 def test_star_function_rejects_hbar():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be hbar-free"):
         star_function_S(mono(1, 0, 0, 1))
+    with pytest.raises(ValueError, match="must be hbar-free"):
+        sas_order(mono(1, 2, 1) + mono(3, 1, 0, 2))
 
 
 def test_sas_q2p_is_half_and_half():

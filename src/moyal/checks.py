@@ -356,9 +356,7 @@ def suite_classical_flow() -> CheckOutcome:
         traj = integrate_flow_jets(ham, z0, t_final, order=1)
         worst_e = max(worst_e, check_energy(traj, ham))
         worst_d = max(worst_d, check_symplectic(traj))
-        worst_t = max(
-            worst_t, check_transport(parse_expr("q*p"), ham, z0, t_final)
-        )
+        worst_t = max(worst_t, check_transport(parse_expr("q*p"), ham, traj, t_final))
     ok = worst_e < 1e-8 and worst_d < 1e-8 and worst_t < 1e-6
     return CheckOutcome(
         "classical-flow",

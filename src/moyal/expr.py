@@ -10,9 +10,10 @@ formulas and the printer is deterministic.
 Differentiation is rule-based and exact.  The one evaluator, a
 :class:`Program`, compiles trees once into a flat tape and runs it over
 floats, complexes or truncated jets, with symbols bound to values of that
-type.  There is no general simplifier: normalization is limited to the
-constructor rules above, and identities beyond them are the test suite's
-job to check numerically.
+type; a jet run keeps its constants and parameters as floats.  There is
+no general simplifier: normalization is limited to the constructor rules
+above, and identities beyond them are the test suite's job to check
+numerically.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "pow_int",
     "call",
     "differentiate",
-    "nth_derivative",
     "DerivTable",
     "ValueKind",
     "Program",
@@ -492,12 +492,6 @@ def differentiate(e: Expr, var: str) -> Expr:
     return d(e)
 
 
-def nth_derivative(e: Expr, var: str, n: int) -> Expr:
-    for _ in range(n):
-        e = differentiate(e, var)
-    return e
-
-
 class DerivTable:
     """Mixed partial derivatives d_q^a d_p^b f, filled on demand.
 
@@ -530,16 +524,13 @@ class ValueKind(NamedTuple):
 
     ``const`` maps an exact constant, ``bind`` a bound symbol value (None
     takes it as bound) and ``call(fn, u)`` a function call; powers use the
-    type's own ``**``.  Sums and products fold from ``zero`` and ``one``,
-    or from their first operand when those are None.
+    type's own ``**``.  Sums and products fold from their first operand.
     """
 
     const: Callable
     pi: object
     bind: Callable | None
     call: Callable
-    zero: object = None
-    one: object = None
 
 
 # tape opcodes; instruction j of a tape writes value slot j
@@ -623,7 +614,7 @@ class Program:
         unbound symbols and :class:`ExprDomainError` where the kind refuses
         a point or a zero is raised to a negative power; a constant the kind
         refuses raises before any node runs."""
-        const, pi, bind, call, zero, one = kind
+        const, pi, bind, call = kind
         code, names = self.code, self.names
         consts = self._kind_consts.get(kind)
         if consts is None:
@@ -637,15 +628,15 @@ class Program:
             op = code[i]
             if op == _MUL:
                 stop = i + 2 + code[i + 1]
-                r = one
-                for j in code[i + 2:stop]:
-                    r = vals[j] if r is None else r * vals[j]
+                r = vals[code[i + 2]]
+                for j in code[i + 3:stop]:
+                    r = r * vals[j]
                 i = stop
             elif op == _ADD:
                 stop = i + 2 + code[i + 1]
-                r = zero
-                for j in code[i + 2:stop]:
-                    r = vals[j] if r is None else r + vals[j]
+                r = vals[code[i + 2]]
+                for j in code[i + 3:stop]:
+                    r = r + vals[j]
                 i = stop
             elif op == _POW:
                 try:
@@ -708,11 +699,9 @@ def _real_const(v: ExactScalar) -> float:
     return float(v.re)
 
 
-REAL = ValueKind(
-    _real_const, math.pi, None, _function_table(math, lambda u, c: math.tan(u)), 0.0, 1.0
-)
+REAL = ValueKind(_real_const, math.pi, None, _function_table(math, lambda u, c: math.tan(u)))
 _COMPLEX = ValueKind(
-    complex, complex(math.pi), complex, _function_table(cmath, lambda u, c: cmath.sin(u) / c), 0j, 1 + 0j
+    complex, complex(math.pi), complex, _function_table(cmath, lambda u, c: cmath.sin(u) / c)
 )
 
 

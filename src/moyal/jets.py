@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import REAL, ExprDomainError, ValueKind, evaluate
+from .expr import REAL, ValueKind, evaluate
 
 __all__ = ["TruncatedJet", "MONOMIALS", "eval_expr_jet", "invert", "jet_function_derivatives"]
 
@@ -215,45 +215,38 @@ def jet_function_derivatives(fn: str, u: float) -> list[float]:
     if fn == "cosh":
         s, c = math.sinh(u), math.cosh(u)
         return [c, s, c, s]
-    c = math.cos(u)
-    if abs(c) < 1e-12:
-        raise ExprDomainError(f"{fn} evaluated too close to an odd multiple of pi/2")
+    if fn not in ("tan", "sec"):
+        raise ValueError(f"unsupported function '{fn}'")
+    # the scalar call owns the value and the refusal near a pole
+    v = REAL.call(fn, u)
     if fn == "tan":
-        t = math.tan(u)
-        d1 = 1.0 + t * t
-        return [t, d1, 2.0 * t * d1, 2.0 * d1 * (1.0 + 3.0 * t * t)]
-    if fn == "sec":
-        s = 1.0 / c
-        t = math.tan(u)
-        return [
-            s,
-            s * t,
-            s * t * t + s ** 3,
-            s * t ** 3 + 5.0 * s ** 3 * t,
-        ]
-    raise ValueError(f"unsupported function '{fn}'")
+        d1 = 1.0 + v * v
+        return [v, d1, 2.0 * v * d1, 2.0 * d1 * (1.0 + 3.0 * v * v)]
+    t = math.tan(u)
+    return [v, v * t, v * t * t + v ** 3, v * t ** 3 + 5.0 * v ** 3 * t]
 
 
-def _jet_kind(order: int) -> ValueKind:
-    return ValueKind(
-        const=lambda v: TruncatedJet.constant(REAL.const(v), order),
-        pi=TruncatedJet.constant(math.pi, order),
-        bind=lambda v: v if isinstance(v, TruncatedJet) else TruncatedJet.constant(float(v), order),
-        call=lambda fn, u: u.compose(jet_function_derivatives(fn, u.value)),
-    )
+def _call(fn: str, u):
+    if isinstance(u, TruncatedJet):
+        return u.compose(jet_function_derivatives(fn, u.value))
+    return REAL.call(fn, u)
 
 
-_JET_KINDS = {order: _jet_kind(order) for order in MONOMIALS}
+# constants, pi and float bindings stay floats; a jet meets them through
+# its scalar add and scale
+_JET = ValueKind(REAL.const, math.pi, None, _call)
 
 
 def eval_expr_jet(e, bindings, order: int) -> TruncatedJet:
     """Evaluate an :class:`Expr` or a :class:`Program` with some symbols
-    bound to jets (a Program of several roots gives a list).
+    bound to jets of the given order (a Program of several roots gives a
+    list).
 
-    Constants must be real (the flow toolkit works over the reals); floats
-    in the bindings are promoted to constant jets.
+    Constants must be real (the flow toolkit works over the reals).  A root
+    that depends on no jet comes back as a constant jet of that order.
     """
-    kind = _JET_KINDS.get(order)
-    if kind is None:
+    if order not in MONOMIALS:
         raise ValueError("jet order must be 1, 2 or 3")
-    return evaluate(e, bindings, kind)
+    vals = evaluate(e, bindings, _JET)
+    lift = lambda v: v if isinstance(v, TruncatedJet) else TruncatedJet.constant(v, order)
+    return [lift(v) for v in vals] if type(vals) is list else lift(vals)

@@ -115,10 +115,6 @@ class ExactScalar:
     def conjugate(self) -> "ExactScalar":
         return ExactScalar(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 

@@ -78,7 +78,6 @@ class HierarchyLadders:
     index 0 is the single bracket of the seed.
     """
 
-    seed: str
     classical: tuple[PhasePolynomial, ...]
     deformed: tuple[PhasePolynomial, ...]
 
@@ -99,7 +98,7 @@ def iterated_brackets(h: PhasePolynomial, depth: int, seed: str) -> HierarchyLad
         d = moyal_bracket(d, h)
         classical.append(c)
         deformed.append(d)
-    return HierarchyLadders(seed=seed, classical=tuple(classical), deformed=tuple(deformed))
+    return HierarchyLadders(classical=tuple(classical), deformed=tuple(deformed))
 
 
 @dataclass(frozen=True)
@@ -320,7 +319,7 @@ def hbar2_ode(
 
     def rhs(state):
         jq, jp, z2q, z2p = state
-        fq, fp = ham.field_jets(jq, jp, 2)
+        fq, fp = ham.field_jets(jq, jp)
         h = ham.partials_at(jq.value, jp.value)
         dq_drive, dp_drive = hbar2_inhomogeneity(h, jq, jp)
         # the Jacobian of F = (H_p, -H_q) applied to the correction

@@ -14,6 +14,7 @@ from moyal.flow import (
     integrate_flow,
     integrate_flow_jets,
 )
+from moyal.jets import TruncatedJet
 
 
 def harmonic():
@@ -109,7 +110,7 @@ def test_symplectic_needs_jets():
 
 def test_transport_residual():
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
-    res = check_transport(parse_expr("q*p"), ham, (0.9, 0.4), 5.0)
+    res = check_transport(parse_expr("q*p"), ham, integrate_flow(ham, (0.9, 0.4), 5.0), 5.0)
     assert res < 1e-6
 
 
@@ -138,3 +139,39 @@ def test_partials_at_matches_the_derivative_table():
 def test_jet_order_validation():
     with pytest.raises(ValueError):
         integrate_flow_jets(harmonic(), (0.0, 0.0), 1.0, order=5)
+
+
+def scaled_quartic():
+    return HamiltonianSpec(parse_expr("q^2*p^2/(4*m*l^2)"), {"m": 1.3, "l": 0.7})
+
+
+def test_warm_field_jets_makes_no_constant_jets(monkeypatch):
+    # bound parameters stay floats in a jet run, so once the tape's
+    # constants are converted a call promotes nothing to a jet
+    ham = scaled_quartic()
+    jq, jp = TruncatedJet.seed(0.9, 0, 3), TruncatedJet.seed(0.4, 1, 3)
+    want = [j.c for j in ham.field_jets(jq, jp)]
+    made = []
+    constant = TruncatedJet.constant
+
+    def counted(cls, x, order):
+        made.append(x)
+        return constant(x, order)
+
+    monkeypatch.setattr(TruncatedJet, "constant", classmethod(counted))
+    assert [j.c for j in ham.field_jets(jq, jp)] == want
+    assert made == []
+
+
+def test_field_jets_reads_the_order_from_the_jets():
+    # dH/dq = 1 depends on no jet and comes back at the jets' order
+    ham = HamiltonianSpec(parse_expr("p^2/2 + q"))
+    for order in (1, 2, 3):
+        fq, fp = ham.field_jets(TruncatedJet.seed(0.9, 0, order), TruncatedJet.seed(0.4, 1, order))
+        assert (fq.order, fp.order) == (order, order)
+        assert fp.c == [-1.0] + [0.0] * (len(fp.c) - 1)
+
+
+def test_field_jets_refuses_mixed_orders():
+    with pytest.raises(ValueError, match="jet orders differ"):
+        scaled_quartic().field_jets(TruncatedJet.seed(0.9, 0, 2), TruncatedJet.seed(0.4, 1, 3))

@@ -75,15 +75,18 @@ points = st.sampled_from((0.0, 0.7, -1.3, math.pi / 2, 40.0))
 
 
 @settings(FUZZ, max_examples=150)
-@given(texts, points, points)
-@example("p^2/2+sec(q)", math.pi / 2, 0.0)
-@example("1/q", 0.0, 1.0)
-@example("p^2/2+i*q^2", 1.0, 1.0)
-def test_numeric_commands_exit_0_or_2(text, q0, p0):
+@given(texts, points, points, points)
+@example("p^2/2+sec(q)", math.pi / 2, 0.0, 1.0)
+@example("1/q", 0.0, 1.0, 1.0)
+@example("p^2/2+i*q^2", 1.0, 1.0, 1.0)
+@example("p^2/2+sec(m)*q", 0.7, 0.7, math.pi / 2)
+@example("p^2/m+q^2", 0.7, 0.7, 0.0)
+def test_numeric_commands_exit_0_or_2(text, q0, p0, m):
     point = ["--q0", repr(q0), "--p0", repr(p0)]
     for args in (
-        ["hierarchy", "--hamiltonian", text, *point, "--t0", "0.05", "--t1", "0.05",
-         "--t-steps", "1", "--steps", "200", "--quad-nodes", "8", "--depth", "1"],
+        # a bound m reaches the jet runs as a float parameter
+        ["hierarchy", "--hamiltonian", text, *point, "--m", repr(m), "--t0", "0.05",
+         "--t1", "0.05", "--t-steps", "1", "--steps", "200", "--quad-nodes", "8", "--depth", "1"],
         ["example2", "--hamiltonian", text, *point, "--t1", "0.05", "--depth", "1"],
     ):
         res = CliRunner().invoke(main, args)

@@ -24,6 +24,10 @@ COMMANDS = {
     "star.txt": ["star", "(q+2*p)^3", "q^2*p - hbar*q"],
     "bracket.txt": ["bracket", "q^4 + q*p^3", "q^3*p^2"],
     "hierarchy_default.json": ["hierarchy", "--format", "json"],
+    "hierarchy_params.csv": [
+        "hierarchy", "--hamiltonian", "q^2*p^2/(4*m*l^2)", "--m", "1.3", "--l", "0.7",
+        "--format", "csv",
+    ],
     "check_bch_roundtrip.json": [
         "check", "--only", "bch", "--only", "poly-roundtrip", "--cases", "7", "--seed", "3",
         "--format", "json",

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from moyal.expr import ExprDomainError, parse_expr
+from moyal.expr import ExprDomainError, Program, parse_expr
 from moyal.jets import (
     MONOMIALS,
     TruncatedJet,
@@ -146,6 +146,33 @@ def test_eval_expr_jet_handles_zero_base_power():
     assert jet.derivative(3, 0) == pytest.approx(6.0)
 
 
+_JET_FREE = {"3": 3.0, "2*m": 2.6, "pi": math.pi, "cosh(m)": math.cosh(1.3)}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_jet_free_roots_come_back_as_constant_jets(order):
+    jq, jp = seed_pair(order, 0.9, 0.4)
+    b = {"q": jq, "p": jp, "m": 1.3}
+    zeros = [0.0] * (len(MONOMIALS[order]) - 1)
+    for text, value in _JET_FREE.items():
+        got = eval_expr_jet(parse_expr(text), b, order)
+        assert type(got) is TruncatedJet
+        assert (got.order, got.c) == (order, [value, *zeros])
+    # mixed with roots that do depend on the jets, in one tape
+    got = eval_expr_jet(Program([parse_expr(t) for t in ("q*p", *_JET_FREE, "m*q")]), b, order)
+    assert [j.order for j in got] == [order] * (len(_JET_FREE) + 2)
+    assert [j.c for j in got[1:-1]] == [[v, *zeros] for v in _JET_FREE.values()]
+    assert got[0].c == (jq * jp).c
+    assert got[-1].c == (1.3 * jq).c
+
+
+@pytest.mark.parametrize("fn", ["sec", "tan"])
+def test_a_parameter_at_a_pole_is_refused_by_name(fn):
+    jq, jp = seed_pair(2, 0.9, 0.4)
+    with pytest.raises(ExprDomainError, match=f"^{fn} evaluated too close to an odd multiple of pi/2"):
+        eval_expr_jet(parse_expr(f"q*{fn}(m)"), {"q": jq, "p": jp, "m": math.pi / 2}, 2)
+
+
 def test_constant_jet():
     c = TruncatedJet.constant(5.0, 2)
     assert c.value == 5.0
@@ -159,6 +186,9 @@ def test_order_validation():
         TruncatedJet.seed(0.0, 0, 0)
     with pytest.raises(ValueError):
         TruncatedJet.seed(0.0, 2, 1)
+    for order in (0, 4):
+        with pytest.raises(ValueError, match="jet order must be 1, 2 or 3"):
+            eval_expr_jet(parse_expr("3"), {}, order)
 
 
 def test_mixed_order_arithmetic_rejected():

@@ -10,7 +10,9 @@ formulas and the printer is deterministic.
 Differentiation is rule-based and exact.  The one evaluator, a
 :class:`Program`, compiles trees once into a flat tape and runs it over
 floats, complexes or truncated jets, with symbols bound to values of that
-type; a jet run keeps its constants and parameters as floats.  There is
+type; a jet run keeps its constants and parameters as floats.  Complex
+runs interpret the tape; real and jet runs call straight-line code
+generated from it on first use.  There is
 no general simplifier: normalization is limited to the constructor rules
 above, and identities beyond them are the test suite's job to check
 numerically.
@@ -22,7 +24,7 @@ import cmath
 import math
 from array import array
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .poly import MAX_COEFF_BITS, _Parser, coeff_bits
 from .scalars import ExactScalar
@@ -44,10 +46,9 @@ __all__ = [
     "call",
     "differentiate",
     "DerivTable",
-    "ValueKind",
     "Program",
-    "REAL",
-    "evaluate",
+    "FloatEmitter",
+    "REAL_CALLS",
     "eval_expr",
     "eval_real",
     "free_symbols",
@@ -518,21 +519,6 @@ class DerivTable:
 
 # -- evaluation ----------------------------------------------------------
 
-
-class ValueKind(NamedTuple):
-    """How one value type enters a :class:`Program` run.
-
-    ``const`` maps an exact constant, ``bind`` a bound symbol value (None
-    takes it as bound) and ``call(fn, u)`` a function call; powers use the
-    type's own ``**``.  Sums and products fold from their first operand.
-    """
-
-    const: Callable
-    pi: object
-    bind: Callable | None
-    call: Callable
-
-
 # tape opcodes; instruction j of a tape writes value slot j
 _CONST, _SYM, _PI, _POW, _CALL, _ADD, _MUL = range(7)
 
@@ -544,23 +530,24 @@ class Program:
     step walks them in post-order and records each structurally distinct
     node once, as an opcode and its operands in an integer ``array``:
 
-    - ``_CONST k``: ``consts[k]`` through ``kind.const``;
+    - ``_CONST k``: the exact constant ``consts[k]``;
     - ``_SYM k``: the binding of ``names[k]``;
-    - ``_PI``: ``kind.pi``;
+    - ``_PI``: pi;
     - ``_POW i k``: slot i to the integer power ``consts[k]``;
     - ``_CALL k i``: function ``names[k]`` of slot i;
     - ``_ADD n i1 ... in`` and ``_MUL n i1 ... in``: fold n slots in order.
 
     A run applies the operations a direct evaluation of each node would,
-    in the same order (see :class:`ValueKind`), so a value does not depend
-    on which roots were compiled together.  A Program keeps no ``Expr``:
-    it does not keep the tree it was compiled from alive.  Each kind's
-    ``const`` runs once per constant: the converted table is kept per kind
-    and its values are shared by every later run (no value kind mutates
-    its operands).
+    in the same order: sums and products fold from their first operand and
+    powers use the value type's own ``**``.  So a value does not depend on
+    which roots were compiled together.  Complex runs (:meth:`run`)
+    interpret the tape; real and jet runs call straight-line code generated
+    from it on first use and kept (:meth:`real`, :meth:`kernel`).  A
+    Program keeps no ``Expr``: it does not keep the tree it was compiled
+    from alive.
     """
 
-    __slots__ = ("code", "consts", "names", "roots", "single", "_kind_consts")
+    __slots__ = ("code", "consts", "names", "roots", "single", "_complex_consts", "_kernels")
 
     def __init__(self, roots):
         self.single = isinstance(roots, Expr)
@@ -606,21 +593,20 @@ class Program:
         self.consts = tuple(consts)
         self.names = tuple(names)
         self.roots = tuple(slot[r] for r in roots)
-        self._kind_consts: dict[ValueKind, list] = {}
+        self._complex_consts = None
+        self._kernels: dict = {}
 
-    def run(self, bindings, kind: ValueKind):
-        """Values of the roots with symbols bound by ``bindings``: one value
-        for a single root, else a list.  Raises :class:`ExprEvalError` for
-        unbound symbols and :class:`ExprDomainError` where the kind refuses
-        a point or a zero is raised to a negative power; a constant the kind
-        refuses raises before any node runs."""
-        const, pi, bind, call = kind
-        code, names = self.code, self.names
-        consts = self._kind_consts.get(kind)
+    def run(self, bindings):
+        """Complex values of the roots with symbols bound by ``bindings``:
+        one value for a single root, else a list.  Raises
+        :class:`ExprEvalError` for unbound symbols and
+        :class:`ExprDomainError` where tan or sec meet a pole or a zero is
+        raised to a negative power."""
+        consts = self._complex_consts
         if consts is None:
             # integer constants are power exponents and stay as they are
-            consts = [c if type(c) is int else const(c) for c in self.consts]
-            self._kind_consts[kind] = consts
+            consts = self._complex_consts = [c if type(c) is int else complex(c) for c in self.consts]
+        code, names = self.code, self.names
         vals: list = []
         push = vals.append
         i, end = 0, len(code)
@@ -650,47 +636,168 @@ class Program:
             elif op == _SYM:
                 name = names[code[i + 1]]
                 try:
-                    r = bindings[name]
+                    r = complex(bindings[name])
                 except KeyError:
                     raise ExprEvalError(f"unbound symbol '{name}'") from None
-                if bind is not None:
-                    r = bind(r)
                 i += 2
             elif op == _CALL:
-                r = call(names[code[i + 1]], vals[code[i + 2]])
+                r = _COMPLEX_CALLS[names[code[i + 1]]](vals[code[i + 2]])
                 i += 3
             else:
-                r = pi
+                r = _COMPLEX_PI
                 i += 1
             push(r)
         if self.single:
             return vals[self.roots[0]]
         return [vals[k] for k in self.roots]
 
+    def real(self, bindings):
+        """Float values of the roots, with the errors of :meth:`run`; a
+        complex constant raises :class:`ExprDomainError` before any node
+        runs."""
+        return (self._kernels.get(None) or self.kernel(None, FloatEmitter))(bindings)
 
-def evaluate(roots, bindings, kind: ValueKind):
-    """Values of ``roots`` (an :class:`Expr`, a sequence of them, or a
-    :class:`Program`) at one point; an ``Expr`` is compiled on the spot.
-    See :meth:`Program.run`."""
-    program = roots if type(roots) is Program else Program(roots)
-    return program.run(bindings, kind)
+    def kernel(self, key, emitter):
+        """The function of the bindings generated for ``key`` on first use:
+        the tape, walked once in order, with every slot handed to
+        ``emitter(self, key)`` (see :class:`FloatEmitter`)."""
+        fn = self._kernels.get(key)
+        if fn is None:
+            emit = emitter(self, key)
+            code, refs = self.code, []
+            i, end = 0, len(code)
+            while i < end:
+                op = code[i]
+                if op == _ADD or op == _MUL:
+                    stop = i + 2 + code[i + 1]
+                    xs = [refs[j] for j in code[i + 2:stop]]
+                    ref = emit.add(xs) if op == _ADD else emit.mul(xs)
+                    i = stop
+                elif op == _POW:
+                    ref = emit.pow(refs[code[i + 1]], code[i + 2])
+                    i += 3
+                elif op == _CONST:
+                    ref = emit.const(code[i + 1])
+                    i += 2
+                elif op == _SYM:
+                    ref = emit.sym(code[i + 1])
+                    i += 2
+                elif op == _CALL:
+                    ref = emit.call(code[i + 1], refs[code[i + 2]])
+                    i += 3
+                else:
+                    ref = emit.pi()
+                    i += 1
+                refs.append(ref)
+            fn = self._kernels[key] = emit.function([refs[k] for k in self.roots], self.single)
+        return fn
 
 
-def _function_table(lib, tan) -> Callable:
-    """Function calls through ``lib`` (math or cmath); tan and sec refuse
-    arguments whose cosine is below 1e-12 in magnitude."""
-    plain = {fn: getattr(lib, fn) for fn in ("exp", "sin", "cos", "sinh", "cosh")}
+# the most operands one generated statement folds: longer sums and products
+# continue in a second statement, so the compiler's recursion stays shallow
+_FOLD_MAX = 64
 
-    def call(fn: str, u):
-        f = plain.get(fn)
-        if f is not None:
-            return f(u)
-        c = lib.cos(u)
-        if abs(c) < _COS_EPS:
-            raise ExprDomainError(f"{fn} evaluated too close to an odd multiple of pi/2")
-        return tan(u, c) if fn == "tan" else 1.0 / c
+# in generated code only a symbol lookup raises KeyError and only a power
+# raises ZeroDivisionError, so one handler of each serves the whole body
+_HANDLERS = """\
+    except KeyError as e:
+        raise ExprEvalError(f"unbound symbol '{e.args[0]}'") from None
+    except ZeroDivisionError:
+        raise ExprDomainError("zero raised to a negative power") from None
+"""
 
-    return call
+
+class FloatEmitter:
+    """Writes a :class:`Program` run over floats as straight-line Python.
+
+    Each slot becomes one assignment to a fresh local, and its reference is
+    that local's name.  Sums and products are Python's left-associative
+    ``+`` and ``*`` chains, which fold from the first operand as a direct
+    evaluation does.  Constants, names and functions reach the code through
+    its globals, by table position (``K[k]``, ``N[k]``, ``F[k]``), so no
+    constant or symbol name becomes source text.  A subclass that holds
+    other value types overrides the slot methods and :meth:`result`.
+    """
+
+    def __init__(self, program: Program, key):
+        # integer constants are power exponents and stay as they are; a
+        # complex constant is refused here, before any node runs
+        consts = [c if type(c) is int else _real_const(c) for c in program.consts]
+        self.env = {
+            "K": consts,
+            "N": program.names,
+            "F": tuple(map(REAL_CALLS.get, program.names)),
+            "PI": math.pi,
+            "ExprEvalError": ExprEvalError,
+            "ExprDomainError": ExprDomainError,
+        }
+        self.lines: list[str] = []
+        self.count = 0
+
+    def local(self, rhs: str) -> str:
+        """A fresh local assigned ``rhs``."""
+        name = f"v{self.count}"
+        self.count += 1
+        self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def const(self, k):
+        return self.local(f"K[{k}]")
+
+    def sym(self, k):
+        return self.local(f"b[N[{k}]]")
+
+    def pi(self):
+        return self.local("PI")
+
+    def pow(self, x, k):
+        return self.local(f"{x} ** K[{k}]")
+
+    def call(self, k, x):
+        return self.local(f"F[{k}]({x})")
+
+    def chain(self, xs, op: str) -> str:
+        acc = xs[0]
+        for i in range(1, len(xs), _FOLD_MAX - 1):
+            acc = self.local(op.join([acc, *xs[i:i + _FOLD_MAX - 1]]))
+        return acc
+
+    def add(self, xs):
+        return self.chain(xs, " + ")
+
+    def mul(self, xs):
+        return self.chain(xs, " * ")
+
+    def result(self, ref) -> str:
+        return ref
+
+    def function(self, roots, single: bool):
+        """The generated function of the bindings; its errors are those of
+        :meth:`Program.run`."""
+        out = self.result(roots[0]) if single else f"[{', '.join(map(self.result, roots))}]"
+        body = "".join(f"        {row}\n" for line in self.lines for row in line.split("\n"))
+        exec(f"def kernel(b):\n    try:\n{body}        return {out}\n{_HANDLERS}", self.env)
+        return self.env["kernel"]
+
+
+def _function_table(lib, tan) -> dict[str, Callable]:
+    """Function calls through ``lib`` (math or cmath), by name; tan and sec
+    refuse arguments whose cosine is below 1e-12 in magnitude, naming the
+    function."""
+    table = {fn: getattr(lib, fn) for fn in ("exp", "sin", "cos", "sinh", "cosh")}
+
+    def near_pole(fn: str, f: Callable) -> Callable:
+        def call(u):
+            c = lib.cos(u)
+            if abs(c) < _COS_EPS:
+                raise ExprDomainError(f"{fn} evaluated too close to an odd multiple of pi/2")
+            return f(u, c)
+
+        return call
+
+    table["tan"] = near_pole("tan", tan)
+    table["sec"] = near_pole("sec", lambda u, c: 1.0 / c)
+    return table
 
 
 def _real_const(v: ExactScalar) -> float:
@@ -699,28 +806,27 @@ def _real_const(v: ExactScalar) -> float:
     return float(v.re)
 
 
-REAL = ValueKind(_real_const, math.pi, None, _function_table(math, lambda u, c: math.tan(u)))
-_COMPLEX = ValueKind(
-    complex, complex(math.pi), complex, _function_table(cmath, lambda u, c: cmath.sin(u) / c)
-)
+REAL_CALLS = _function_table(math, lambda u, c: math.tan(u))
+_COMPLEX_CALLS = _function_table(cmath, lambda u, c: cmath.sin(u) / c)
+_COMPLEX_PI = complex(math.pi)
 
 
 def eval_expr(e, bindings) -> complex:
-    """Evaluate an :class:`Expr` or a :class:`Program` with symbols bound
-    to numbers, as complexes.
+    """Evaluate an :class:`Expr` (compiled on the spot) or a
+    :class:`Program` with symbols bound to numbers, as complexes.
 
     Raises :class:`ExprEvalError` for unbound symbols and
     :class:`ExprDomainError` where sec or tan blow up (cosine of the
     argument below 1e-12 in magnitude) or a zero is raised to a negative
     power.
     """
-    return evaluate(e, bindings, _COMPLEX)
+    return (e if type(e) is Program else Program(e)).run(bindings)
 
 
 def eval_real(e, bindings) -> float:
-    """Float evaluation for real expressions; complex constants raise
-    :class:`ExprDomainError`."""
-    return evaluate(e, bindings, REAL)
+    """Float evaluation for real expressions (see :meth:`Program.real`);
+    complex constants raise :class:`ExprDomainError`."""
+    return (e if type(e) is Program else Program(e)).real(bindings)
 
 
 # -- text form -----------------------------------------------------------

@@ -20,7 +20,6 @@ from functools import cached_property
 
 from .brackets import poisson_expr
 from .expr import (
-    REAL,
     DerivTable,
     Expr,
     ExprDomainError,
@@ -105,10 +104,13 @@ class HamiltonianSpec:
         return Program((self.dp, self.dq))
 
     def field(self, q: float, p: float) -> tuple[float, float]:
-        dp, dq = self._field.run({"q": q, "p": p, **self.params}, REAL)
+        dp, dq = self._field.real({"q": q, "p": p, **self.params})
         return dp, -dq
 
     def field_jets(self, jq: TruncatedJet, jp: TruncatedJet) -> tuple[TruncatedJet, TruncatedJet]:
+        # checked here too: a field that does not read p never unpacks jp
+        if jp.order != jq.order:
+            raise ValueError("jet orders differ")
         dp, dq = eval_expr_jet(self._field, {"q": jq, "p": jp, **self.params}, jq.order)
         return dp, -dq
 
@@ -118,10 +120,10 @@ class HamiltonianSpec:
 
     def partials_at(self, q: float, p: float) -> dict[tuple[int, int], float]:
         """d_q^a d_p^b H at (q, p) for 2 <= a + b <= 4, keyed by (a, b)."""
-        return dict(zip(_PARTIAL_KEYS, self._partials.run({"q": q, "p": p, **self.params}, REAL)))
+        return dict(zip(_PARTIAL_KEYS, self._partials.real({"q": q, "p": p, **self.params})))
 
     def energy(self, q: float, p: float) -> float:
-        return eval_real(self._energy, {"q": q, "p": p, **self.params})
+        return self._energy.real({"q": q, "p": p, **self.params})
 
 
 def default_steps(t_final: float) -> int:
@@ -140,19 +142,35 @@ class Trajectory:
 def rk4(rhs, state, t_final: float, steps: int):
     """Classical fixed-step RK4 from t = 0 to t_final, yielding the state
     after each step.  The state is a sequence of floats and jets, and
-    ``rhs(state)`` returns rates in the same layout.  Float overflow in a
-    stage, or a state value that is not finite, raises FlowBlowupError."""
+    ``rhs(state)`` returns rates in the same layout; a jet's rate of
+    another order raises ValueError.  A jet component is combined over its
+    coefficient lists with the arithmetic, in the order, of the jet
+    operators.  Float overflow in a stage, or a state value that is not
+    finite, raises FlowBlowupError."""
     h = t_final / steps
+    h6 = h / 6.0
+
+    def stage(c, rates):  # state + c * rates
+        return rhs([
+            TruncatedJet(s.order, [x + c * y for x, y in zip(s.c, d.c, strict=True)])
+            if type(s) is TruncatedJet else s + c * d
+            for s, d in zip(state, rates)
+        ])
+
     for k in range(steps):
         # float overflow inside a stage surfaces as OverflowError
         try:
             k1 = rhs(state)
-            k2 = rhs([s + 0.5 * h * d for s, d in zip(state, k1)])
-            k3 = rhs([s + 0.5 * h * d for s, d in zip(state, k2)])
-            k4 = rhs([s + h * d for s, d in zip(state, k3)])
+            k2 = stage(0.5 * h, k1)
+            k3 = stage(0.5 * h, k2)
+            k4 = stage(h, k3)
             state = [
-                s + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+                TruncatedJet(s.order, [
+                    x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                    for x, a1, a2, a3, a4 in zip(s.c, r1.c, r2.c, r3.c, r4.c, strict=True)
+                ])
+                if type(s) is TruncatedJet else s + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4)
             ]
         except OverflowError:
             raise FlowBlowupError((k + 1) * h) from None

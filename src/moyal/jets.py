@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import REAL, ValueKind, evaluate
+from .expr import REAL_CALLS, FloatEmitter, Program
 
 __all__ = ["TruncatedJet", "MONOMIALS", "eval_expr_jet", "invert", "jet_function_derivatives"]
 
@@ -218,7 +218,7 @@ def jet_function_derivatives(fn: str, u: float) -> list[float]:
     if fn not in ("tan", "sec"):
         raise ValueError(f"unsupported function '{fn}'")
     # the scalar call owns the value and the refusal near a pole
-    v = REAL.call(fn, u)
+    v = REAL_CALLS[fn](u)
     if fn == "tan":
         d1 = 1.0 + v * v
         return [v, d1, 2.0 * v * d1, 2.0 * d1 * (1.0 + 3.0 * v * v)]
@@ -226,27 +226,114 @@ def jet_function_derivatives(fn: str, u: float) -> list[float]:
     return [v, v * t, v * t * t + v ** 3, v * t ** 3 + 5.0 * v ** 3 * t]
 
 
-def _call(fn: str, u):
-    if isinstance(u, TruncatedJet):
-        return u.compose(jet_function_derivatives(fn, u.value))
-    return REAL.call(fn, u)
+class _JetEmitter(FloatEmitter):
+    """Writes a :class:`Program` run over jets of one order as straight-line
+    Python; the key is the order and the names bound to jets.
 
+    A slot that holds a jet has a list of coefficient locals as its
+    reference, a float slot the name of one local, so constants, ``pi`` and
+    bound parameters stay floats.  The statements are those of the
+    :class:`TruncatedJet` operators, in their order: a float meets a jet
+    through the scalar add (``c0 + s``) and the scale (``s * x`` per
+    coefficient); a product of jets sums each coefficient from ``0.0`` in
+    the multiplication table's term order; powers 2 to 4 are repeated
+    products.  Other powers and calls build the jet and go through
+    ``**`` and :meth:`TruncatedJet.compose`.  Each bound jet is unpacked
+    into as many locals as its order has coefficients, and one of another
+    order is refused there.
+    """
 
-# constants, pi and float bindings stay floats; a jet meets them through
-# its scalar add and scale
-_JET = ValueKind(REAL.const, math.pi, None, _call)
+    def __init__(self, program: Program, key):
+        super().__init__(program, key)
+        order, self.jet_names = key
+        self.names, self.exps = program.names, program.consts
+        self.width = len(MONOMIALS[order])
+        # (i, j) terms of each product coefficient k, in table order
+        self.terms = [[(i, j) for i, j, k2 in _MUL_TABLE[order] if k2 == k] for k in range(self.width)]
+        self.env.update(J=TruncatedJet, O=order, D=jet_function_derivatives)
+
+    def unpack(self, rhs: str, check: bool = False) -> list[str]:
+        names = [f"v{self.count + m}" for m in range(self.width)]
+        self.count += self.width
+        line = f"{', '.join(names)} = {rhs}"
+        if check:
+            line = f"try:\n    {line}\nexcept ValueError:\n    raise ValueError('jet orders differ') from None"
+        self.lines.append(line)
+        return names
+
+    def sym(self, k):
+        if self.names[k] in self.jet_names:
+            return self.unpack(f"b[N[{k}]].c", check=True)
+        return super().sym(k)
+
+    def pow(self, x, k):
+        if type(x) is str:
+            return super().pow(x, k)
+        n = self.exps[k]
+        if 2 <= n <= 4:
+            out = x
+            for _ in range(n - 1):
+                out = self.mul2(out, x)
+            return out
+        return self.unpack(f"({self.result(x)} ** K[{k}]).c")
+
+    def call(self, k, x):
+        if type(x) is str:
+            return super().call(k, x)
+        return self.unpack(f"{self.result(x)}.compose(D(N[{k}], {x[0]})).c")
+
+    def fold(self, xs, op: str, step):
+        if all(type(x) is str for x in xs):
+            return self.chain(xs, op)
+        acc = xs[0]
+        for y in xs[1:]:
+            acc = step(acc, y)
+        return acc
+
+    def add(self, xs):
+        return self.fold(xs, " + ", self.add2)
+
+    def mul(self, xs):
+        return self.fold(xs, " * ", self.mul2)
+
+    def add2(self, x, y):
+        if type(x) is str and type(y) is str:
+            return self.local(f"{x} + {y}")
+        if type(y) is str:
+            return [self.local(f"{x[0]} + {y}"), *x[1:]]
+        if type(x) is str:
+            return [self.local(f"{y[0]} + {x}"), *y[1:]]
+        return [self.local(f"{a} + {b}") for a, b in zip(x, y)]
+
+    def mul2(self, x, y):
+        if type(x) is str and type(y) is str:
+            return self.local(f"{x} * {y}")
+        if type(y) is str:
+            return [self.local(f"{y} * {a}") for a in x]
+        if type(x) is str:
+            return [self.local(f"{x} * {b}") for b in y]
+        return [
+            self.local(" + ".join(["0.0", *(f"{x[i]} * {y[j]}" for i, j in terms)]))
+            for terms in self.terms
+        ]
+
+    def result(self, ref) -> str:
+        if type(ref) is str:
+            return f"J.constant({ref}, O)"
+        return f"J(O, [{', '.join(ref)}])"
 
 
 def eval_expr_jet(e, bindings, order: int) -> TruncatedJet:
-    """Evaluate an :class:`Expr` or a :class:`Program` with some symbols
-    bound to jets of the given order (a Program of several roots gives a
-    list).
+    """Evaluate an :class:`Expr` (compiled on the spot) or a
+    :class:`Program` with some symbols bound to jets of the given order (a
+    Program of several roots gives a list).
 
     Constants must be real (the flow toolkit works over the reals).  A root
-    that depends on no jet comes back as a constant jet of that order.
+    that depends on no jet comes back as a constant jet of that order; a
+    bound jet of another order raises ``ValueError("jet orders differ")``.
     """
     if order not in MONOMIALS:
         raise ValueError("jet order must be 1, 2 or 3")
-    vals = evaluate(e, bindings, _JET)
-    lift = lambda v: v if isinstance(v, TruncatedJet) else TruncatedJet.constant(v, order)
-    return [lift(v) for v in vals] if type(vals) is list else lift(vals)
+    program = e if type(e) is Program else Program(e)
+    jets = tuple([n for n in program.names if isinstance(bindings.get(n), TruncatedJet)])
+    return program.kernel((order, jets), _JetEmitter)(bindings)

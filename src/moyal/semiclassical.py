@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
 from .expr import ZERO, DerivTable, Expr, add
 from .flow import STEPS_PER_UNIT_TIME, HamiltonianSpec, integrate_flow, integrate_flow_jets, rk4
@@ -273,30 +272,36 @@ def hbar2_inhomogeneity(
 
     with C1 and C2 the symplectic contractions of the map derivatives.
     """
-    # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp)
-    d1 = [(m.derivative(1, 0), m.derivative(0, 1)) for m in (jq, jp)]
-    d2 = [(m.derivative(2, 0), m.derivative(1, 1), m.derivative(0, 2)) for m in (jq, jp)]
-    c1 = {
-        (a, b): d2[a][0] * d2[b][2] - 2.0 * d2[a][1] * d2[b][1] + d2[a][2] * d2[b][0]
-        for a, b in product((0, 1), repeat=2)
-    }
-    c2 = {
-        (a, b, c): d2[a][0] * d1[b][1] * d1[c][1]
-        - d2[a][1] * (d1[b][1] * d1[c][0] + d1[b][0] * d1[c][1])
-        + d2[a][2] * d1[b][0] * d1[c][0]
-        for a, b, c in product((0, 1), repeat=3)
-    }
-    out = []
-    # d_q^i d_p^j of F_0 and F_1; a partial of F_r depends only on how many
-    # of its slots are p
-    for f in (lambda i, j: h[i, j + 1], lambda i, j: -h[i + 1, j]):
-        acc = 0.0
-        for (a, b), c1_ab in c1.items():
-            acc -= c1_ab * f(2 - a - b, a + b) / 16.0
-        for (a, b, c), c2_abc in c2.items():
-            acc -= c2_abc * f(3 - a - b - c, a + b + c) / 24.0
-        out.append(acc)
-    return out[0], out[1]
+    for m in (jq, jp):
+        if m.order < 2:
+            raise ValueError(f"derivative (2,0) beyond jet order {m.order}")
+    # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp), read
+    # from the normalized coefficients with TruncatedJet.derivative's exact
+    # factorial products
+    q, p = jq.c, jp.c
+    d1 = ((q[1], q[2]), (p[1], p[2]))
+    d2 = ((q[3] * 2, q[4], q[5] * 2), (p[3] * 2, p[4], p[5] * 2))
+    # (d_q^i d_p^j F_0, d_q^i d_p^j F_1) of total order 2 and 3, by the
+    # number j of p slots: a partial of F_r depends only on that number
+    f2 = [(h[2 - j, j + 1], -h[3 - j, j]) for j in range(3)]
+    f3 = [(h[3 - j, j + 1], -h[4 - j, j]) for j in range(4)]
+    # each component sums the C1 terms, then the C2 terms, over (a, b) and
+    # (a, b, c) in lexicographic order
+    acc0 = acc1 = 0.0
+    for a, (xqq, xqp, xpp) in enumerate(d2):
+        for b, (yqq, yqp, ypp) in enumerate(d2):
+            c1 = xqq * ypp - 2.0 * xqp * yqp + xpp * yqq
+            g0, g1 = f2[a + b]
+            acc0 -= c1 * g0 / 16.0
+            acc1 -= c1 * g1 / 16.0
+    for a, (xqq, xqp, xpp) in enumerate(d2):
+        for b, (yq, yp) in enumerate(d1):
+            for c, (zq, zp) in enumerate(d1):
+                c2 = xqq * yp * zp - xqp * (yp * zq + yq * zp) + xpp * yq * zq
+                g0, g1 = f3[a + b + c]
+                acc0 -= c2 * g0 / 24.0
+                acc1 -= c2 * g1 / 24.0
+    return acc0, acc1
 
 
 def hbar2_ode(

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from moyal.expr import (
-    REAL,
     DerivTable,
     Expr,
     ExprDomainError,
@@ -294,16 +293,21 @@ def test_program_shares_equal_subtrees():
         ("q^-1", {"q": 0.0}, ExprDomainError, "zero raised to a negative power"),
         ("tan(q)", {"q": math.pi / 2}, ExprDomainError, "tan evaluated too close to an odd multiple of pi/2"),
         ("p*sec(q)", {"q": math.pi / 2, "p": 1.0}, ExprDomainError, "sec evaluated too close"),
+        ("q*tan(p)", {"q": 1.0, "p": math.pi / 2}, ExprDomainError, "^tan evaluated too close"),
+        ("q*p^-2", {"q": 1.0, "p": -0.0}, ExprDomainError, "zero raised to a negative power"),
     ],
 )
 def test_program_raises_the_entry_point_errors(text, bindings, error, message):
     prog = Program(parse_expr(text))
     jets = {k: TruncatedJet.seed(v, 0, 2) for k, v in bindings.items()}
+    # the generated jet code with q a jet and the other names floats
+    mixed = dict(bindings, q=TruncatedJet.seed(bindings["q"], 0, 3))
     for run in (
         lambda: eval_expr(prog, bindings),
         lambda: eval_real(prog, bindings),
         lambda: eval_expr_jet(prog, jets, 2),
-        lambda: prog.run(bindings, REAL),
+        lambda: eval_expr_jet(prog, mixed, 3),
+        lambda: prog.real(bindings),
     ):
         with pytest.raises(error, match=message) as got:
             run()
@@ -315,12 +319,12 @@ def test_compiled_field_equals_one_shot_evaluation(name, ham):
     prog = Program((ham.dp, ham.dq))
     for b in _REAL_POINTS:
         b = dict(b, m=1.0, l=1.0)
-        assert prog.run(b, REAL) == [eval_real(ham.dp, b), eval_real(ham.dq, b)]
+        assert prog.real(b) == [eval_real(ham.dp, b), eval_real(ham.dq, b)]
         assert eval_expr(prog, b) == [eval_expr(ham.dp, b), eval_expr(ham.dq, b)]
         jets = dict(b, q=TruncatedJet.seed(b["q"], 0, 3), p=TruncatedJet.seed(b["p"], 1, 3))
         got = [j.c for j in eval_expr_jet(prog, jets, 3)]
         assert got == [eval_expr_jet(ham.dp, jets, 3).c, eval_expr_jet(ham.dq, jets, 3).c]
-        dp, dq = prog.run(b, REAL)
+        dp, dq = prog.real(b)
         assert ham.field(b["q"], b["p"]) == (dp, -dq)
         rate_q, rate_p = ham.field_jets(jets["q"], jets["p"])
         assert [rate_q.c, rate_p.c] == [got[0], (-eval_expr_jet(ham.dq, jets, 3)).c]

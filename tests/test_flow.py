@@ -13,6 +13,7 @@ from moyal.flow import (
     default_steps,
     integrate_flow,
     integrate_flow_jets,
+    rk4,
 )
 from moyal.jets import TruncatedJet
 
@@ -175,3 +176,19 @@ def test_field_jets_reads_the_order_from_the_jets():
 def test_field_jets_refuses_mixed_orders():
     with pytest.raises(ValueError, match="jet orders differ"):
         scaled_quartic().field_jets(TruncatedJet.seed(0.9, 0, 2), TruncatedJet.seed(0.4, 1, 3))
+
+
+def test_field_jets_refuses_a_momentum_jet_of_another_order():
+    # the second field reads no p
+    for text in ("p^2/2+q^2/2", "q^2/2 + p"):
+        ham = HamiltonianSpec(parse_expr(text))
+        for jq, jp in ((2, 3), (3, 2)):
+            with pytest.raises(ValueError, match="^jet orders differ$"):
+                ham.field_jets(TruncatedJet.seed(0.9, 0, jq), TruncatedJet.seed(0.4, 1, jp))
+
+
+def test_rk4_refuses_jet_rates_of_another_order():
+    state = [TruncatedJet.seed(0.9, 0, 3), 0.5]
+    rates = lambda s: [TruncatedJet.seed(1.0, 0, 2), 1.0]
+    with pytest.raises(ValueError):
+        next(rk4(rates, state, 1.0, 10))

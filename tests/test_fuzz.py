@@ -3,18 +3,36 @@
 Every text either parses or is refused with the parser's own error, a text
 that parses as a polynomial means the same polynomial when read as an
 expression, and the ``star``, ``hierarchy`` and ``example2`` commands exit
-0 or 2 without an exception.  Examples are derandomized, so every run
-tries the same texts.
+0 or 2 without an exception.  Random expression trees evaluate over floats
+and jets exactly as the reference walk does.  Examples are derandomized,
+so every run tries the same texts and trees.
 """
 
 import math
+from fractions import Fraction
 
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expr_walk import outcome, walk, walk_jet
 from moyal.cli import main
-from moyal.expr import Expr, ExprParseError, parse_expr, print_expr
+from moyal.expr import (
+    FUNCTION_NAMES,
+    PI,
+    Expr,
+    ExprParseError,
+    add,
+    call,
+    const,
+    eval_real,
+    mul,
+    parse_expr,
+    pow_int,
+    print_expr,
+    sym,
+)
+from moyal.jets import TruncatedJet, eval_expr_jet
 from moyal.poly import PhasePolynomial, PolyParseError, parse_poly
 
 TOKENS = (
@@ -92,3 +110,34 @@ def test_numeric_commands_exit_0_or_2(text, q0, p0, m):
         res = CliRunner().invoke(main, args)
         assert res.exit_code in (0, 2), (args, res.output)
         assert res.exception is None or isinstance(res.exception, SystemExit), args
+
+
+# trees from the normalizing constructors: q, p, a parameter, pi and
+# nonzero constants, under sums, products, powers -2..7 and every function
+leaves = st.one_of(
+    st.sampled_from((sym("q"), sym("p"), sym("m"), PI)),
+    st.sampled_from((1, 2, 3, -1, -3)).flatmap(lambda n: st.sampled_from((n, Fraction(n, 4)))).map(const),
+)
+trees = st.recursive(
+    leaves,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda ab: add(*ab)),
+        st.tuples(kids, kids).map(lambda ab: mul(*ab)),
+        st.tuples(kids, st.integers(-2, 7)).map(lambda bk: pow_int(*bk)),
+        st.tuples(st.sampled_from(FUNCTION_NAMES), kids).map(lambda fu: call(*fu)),
+    ),
+    max_leaves=10,
+)
+values = st.sampled_from((0.0, -0.0, 0.7, -1.3, math.pi / 2, 3.0))
+
+
+@settings(FUZZ, max_examples=200)
+@given(trees, values, values, values)
+@example(pow_int(sym("q"), -2) + sym("p"), 0.0, 1.0, 1.0)
+@example(call("sec", sym("m")) * sym("q"), 0.7, 0.7, math.pi / 2)
+def test_generated_code_matches_the_reference_walk(e, q, p, m):
+    b = {"q": q, "p": p, "m": m}
+    assert outcome(lambda: eval_real(e, b)) == outcome(lambda: walk(e, b))
+    for order in (1, 2, 3):
+        jets = dict(b, q=TruncatedJet.seed(q, 0, order), p=TruncatedJet.seed(p, 1, order))
+        assert outcome(lambda: eval_expr_jet(e, jets, order)) == outcome(lambda: walk_jet(e, jets, order))

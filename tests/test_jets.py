@@ -191,6 +191,13 @@ def test_order_validation():
             eval_expr_jet(parse_expr("3"), {}, order)
 
 
+def test_a_bound_jet_of_another_order_is_refused():
+    with pytest.raises(ValueError, match="^jet orders differ$"):
+        eval_expr_jet(parse_expr("q"), {"q": TruncatedJet.seed(0.9, 0, 2)}, 3)
+    with pytest.raises(ValueError, match="^jet orders differ$"):
+        eval_expr_jet(parse_expr("m*p"), {"p": TruncatedJet.seed(0.9, 1, 3), "m": 2.0}, 1)
+
+
 def test_mixed_order_arithmetic_rejected():
     a = TruncatedJet.seed(1.0, 0, 2)
     b = TruncatedJet.seed(1.0, 0, 3)

@@ -112,7 +112,7 @@ class HamiltonianSpec:
         if jp.order != jq.order:
             raise ValueError("jet orders differ")
         dp, dq = eval_expr_jet(self._field, {"q": jq, "p": jp, **self.params}, jq.order)
-        return dp, -dq
+        return dp, TruncatedJet(dq.order, [-x for x in dq.c])
 
     @cached_property
     def _partials(self) -> Program:

@@ -7,11 +7,15 @@ integrator the scalar flow uses yields the variational derivatives of the
 flow map without hand-derived variational equations.
 
 Coefficients are stored Taylor-normalized (divided by factorials) in a
-flat list; multiplication runs over an index table precomputed per order.
+flat list.  A jet is a record; the one jet arithmetic is the straight-line
+code the jet emitter writes from the multiplication table precomputed per
+order, for expression runs (``eval_expr_jet``) and the truncated inverse
+(``invert``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .expr import REAL_CALLS, FloatEmitter, Program
@@ -23,24 +27,22 @@ _MAX_ORDER = 3
 # graded lexicographic monomial order in the two displacements
 MONOMIALS: dict[int, list[tuple[int, int]]] = {}
 _INDEX: dict[int, dict[tuple[int, int], int]] = {}
-_MUL_TABLE: dict[int, list[tuple[int, int, int]]] = {}
+# the (i, j) terms of each product coefficient k, in (i, j) order
+_MUL_TABLE: dict[int, list[list[tuple[int, int]]]] = {}
 for _order in range(1, _MAX_ORDER + 1):
-    monos = [
-        (d - b, b) for d in range(_order + 1) for b in range(d + 1)
-    ]
+    monos = [(d - b, b) for d in range(_order + 1) for b in range(d + 1)]
     MONOMIALS[_order] = monos
     _INDEX[_order] = {mk: i for i, mk in enumerate(monos)}
-    table = []
+    _MUL_TABLE[_order] = table = [[] for _ in monos]
     for i, (a1, b1) in enumerate(monos):
         for j, (a2, b2) in enumerate(monos):
-            a, b = a1 + a2, b1 + b2
-            if a + b <= _order:
-                table.append((i, j, _INDEX[_order][(a, b)]))
-    _MUL_TABLE[_order] = table
+            if a1 + a2 + b1 + b2 <= _order:
+                table[_INDEX[_order][a1 + a2, b1 + b2]].append((i, j))
 
 
 class TruncatedJet:
-    """Value plus normalized mixed partials in two displacement variables."""
+    """Value plus normalized mixed partials in two displacement variables:
+    a record, with no arithmetic of its own."""
 
     __slots__ = ("order", "c")
 
@@ -80,122 +82,21 @@ class TruncatedJet:
             raise ValueError(f"derivative ({a},{b}) beyond jet order {self.order}")
         return self.c[idx] * math.factorial(a) * math.factorial(b)
 
-    def _match(self, other: "TruncatedJet"):
-        if self.order != other.order:
-            raise ValueError("jet orders differ")
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedJet):
-            self._match(other)
-            return TruncatedJet(
-                self.order, [x + y for x, y in zip(self.c, other.c)]
-            )
-        out = list(self.c)
-        out[0] += other
-        return TruncatedJet(self.order, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedJet):
-            self._match(other)
-            return TruncatedJet(
-                self.order, [x - y for x, y in zip(self.c, other.c)]
-            )
-        out = list(self.c)
-        out[0] -= other
-        return TruncatedJet(self.order, out)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return TruncatedJet(self.order, [-x for x in self.c])
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedJet):
-            return self.__rmul__(other)
-        self._match(other)
-        a, b = self.c, other.c
-        out = [0.0] * len(a)
-        for i, j, k in _MUL_TABLE[self.order]:
-            out[k] += a[i] * b[j]
-        return TruncatedJet(self.order, out)
-
-    def __rmul__(self, s):
-        return TruncatedJet(self.order, [s * x for x in self.c])
-
-    def __pow__(self, n: int) -> "TruncatedJet":
-        """Integer power: repeated products for 2 <= n <= 4, otherwise the
-        falling-factorial chain of u^n composed at the value, whose work
-        does not grow with n."""
-        if 2 <= n <= 4:
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
-        u = self.value
-        if n < 0 and u == 0.0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        derivs = []
-        coeff = 1.0
-        for r in range(self.order + 1):
-            derivs.append(coeff * u ** (n - r) if coeff != 0.0 else 0.0)
-            coeff *= n - r
-        return self.compose(derivs)
-
-    def compose(self, derivs: list[float]) -> "TruncatedJet":
-        """Apply a scalar function given its derivatives at self.value.
-
-        derivs[r] is the r-th derivative; the constant part of the result
-        is derivs[0] and higher parts come from powers of the nilpotent
-        displacement part.
-        """
-        delta = TruncatedJet(self.order, [0.0, *self.c[1:]])
-        acc = TruncatedJet.constant(derivs[0], self.order)
-        power = None
-        for r in range(1, self.order + 1):
-            power = delta if power is None else power * delta
-            acc = acc + (derivs[r] / math.factorial(r)) * power
-        return acc
-
     def __repr__(self):
         return f"TruncatedJet(order={self.order}, c={self.c})"
 
 
-def invert(gq: TruncatedJet, gp: TruncatedJet) -> tuple[TruncatedJet, TruncatedJet]:
-    """Truncated inverse of the two-variable map (gq, gp) about its value.
-
-    Returns displacement jets (dq, dp), with zero value, such that
-    (gq, gp) evaluated at (dq, dp) is the value plus the identity
-    displacement to the jets' order.  With L the linear part of the map
-    and N its part of order 2 and above, each sweep of
-    d <- L^-1 (e - N(d)) gains one order, starting from d = L^-1 e.
-    A singular linear part raises ValueError.
-    """
-    gq._match(gp)
-    order = gq.order
-    (a, b), (c, d) = gq.c[1:3], gp.c[1:3]
-    det = a * d - b * c
-    if det == 0.0:
-        raise ValueError("the jet's linear part is singular")
-    eq, ep = TruncatedJet.seed(0.0, 0, order), TruncatedJet.seed(0.0, 1, order)
-
-    def solve(rq, rp):  # L^-1 (rq, rp)
-        return (d / det) * rq - (b / det) * rp, (a / det) * rp - (c / det) * rq
-
-    dq, dp = solve(eq, ep)
-    one = TruncatedJet.constant(1.0, order)
-    for _ in range(order - 1):
-        pq, pp = [one, dq], [one, dp]
-        for _n in range(2, order + 1):
-            pq.append(pq[-1] * dq)
-            pp.append(pp[-1] * dp)
-        terms = [(k, pq[i] * pp[j]) for k, (i, j) in enumerate(MONOMIALS[order]) if i + j >= 2]
-        nq = sum((gq.c[k] * t for k, t in terms), 0.0 * one)
-        np_ = sum((gp.c[k] * t for k, t in terms), 0.0 * one)
-        dq, dp = solve(eq - nq, ep - np_)
-    return dq, dp
+def _power_derivatives(u: float, n: int, order: int) -> list[float]:
+    """Derivatives of x^n at x = u up to ``order``, by the falling-factorial
+    chain, whose work does not grow with n; a zero u with a negative n
+    raises ZeroDivisionError."""
+    if n < 0 and u == 0.0:
+        raise ZeroDivisionError("zero raised to a negative power")
+    derivs, coeff = [], 1.0
+    for r in range(order + 1):
+        derivs.append(coeff * u ** (n - r) if coeff != 0.0 else 0.0)
+        coeff *= n - r
+    return derivs
 
 
 def jet_function_derivatives(fn: str, u: float) -> list[float]:
@@ -232,29 +133,30 @@ class _JetEmitter(FloatEmitter):
 
     A slot that holds a jet has a list of coefficient locals as its
     reference, a float slot the name of one local, so constants, ``pi`` and
-    bound parameters stay floats.  The statements are those of the
-    :class:`TruncatedJet` operators, in their order: a float meets a jet
-    through the scalar add (``c0 + s``) and the scale (``s * x`` per
-    coefficient); a product of jets sums each coefficient from ``0.0`` in
-    the multiplication table's term order; powers 2 to 4 are repeated
-    products.  Other powers and calls build the jet and go through
-    ``**`` and :meth:`TruncatedJet.compose`.  Each bound jet is unpacked
-    into as many locals as its order has coefficients, and one of another
-    order is refused there.
+    bound parameters stay floats.  This is the one jet arithmetic: a float
+    meets a jet through the scalar add (``c0 + s``) and the scale
+    (``s * x`` per coefficient); a product of jets sums each coefficient
+    from ``0.0`` in the multiplication table's term order; powers 2 to 4
+    are repeated products.  A call or another power unpacks the scalar
+    function's derivatives at the value and sums its Taylor series in the
+    displacement part (:meth:`series`).  Each bound jet is unpacked into
+    as many locals as its order has coefficients, and one of another order
+    is refused there.
     """
 
     def __init__(self, program: Program, key):
         super().__init__(program, key)
-        order, self.jet_names = key
+        self.order, self.jet_names = key
         self.names, self.exps = program.names, program.consts
-        self.width = len(MONOMIALS[order])
-        # (i, j) terms of each product coefficient k, in table order
-        self.terms = [[(i, j) for i, j, k2 in _MUL_TABLE[order] if k2 == k] for k in range(self.width)]
-        self.env.update(J=TruncatedJet, O=order, D=jet_function_derivatives)
+        self.width = len(MONOMIALS[self.order])
+        self.env.update(J=TruncatedJet, O=self.order, D=jet_function_derivatives, P=_power_derivatives)
 
-    def unpack(self, rhs: str, check: bool = False) -> list[str]:
-        names = [f"v{self.count + m}" for m in range(self.width)]
-        self.count += self.width
+    def unpack(self, rhs: str, count: int = 0, check: bool = False) -> list[str]:
+        """``count`` fresh locals (a jet's coefficients by default) assigned
+        the items of ``rhs``."""
+        count = count or self.width
+        names = [f"v{self.count + m}" for m in range(count)]
+        self.count += count
         line = f"{', '.join(names)} = {rhs}"
         if check:
             line = f"try:\n    {line}\nexcept ValueError:\n    raise ValueError('jet orders differ') from None"
@@ -275,12 +177,25 @@ class _JetEmitter(FloatEmitter):
             for _ in range(n - 1):
                 out = self.mul2(out, x)
             return out
-        return self.unpack(f"({self.result(x)} ** K[{k}]).c")
+        return self.series(x, self.unpack(f"P({x[0]}, K[{k}], O)", self.order + 1))
 
     def call(self, k, x):
         if type(x) is str:
             return super().call(k, x)
-        return self.unpack(f"{self.result(x)}.compose(D(N[{k}], {x[0]})).c")
+        return self.series(x, self.unpack(f"D(N[{k}], {x[0]})[:{self.order + 1}]", self.order + 1))
+
+    def series(self, x, derivs):
+        """The scalar function with derivatives ``derivs`` at the value of
+        jet ``x``, applied to it: ``derivs[0]`` plus ``derivs[r] / r!``
+        times the r-th power of the displacement part, summed in r order."""
+        delta = ["0.0", *x[1:]]
+        acc = [derivs[0], *["0.0"] * (self.width - 1)]
+        power = delta
+        for r in range(1, self.order + 1):
+            if r > 1:
+                power = self.mul2(power, delta)
+            acc = self.add2(acc, self.mul2(self.local(f"{derivs[r]} / {math.factorial(r)}"), power))
+        return acc
 
     def fold(self, xs, op: str, step):
         if all(type(x) is str for x in xs):
@@ -314,7 +229,7 @@ class _JetEmitter(FloatEmitter):
             return [self.local(f"{x} * {b}") for b in y]
         return [
             self.local(" + ".join(["0.0", *(f"{x[i]} * {y[j]}" for i, j in terms)]))
-            for terms in self.terms
+            for terms in _MUL_TABLE[self.order]
         ]
 
     def result(self, ref) -> str:
@@ -337,3 +252,57 @@ def eval_expr_jet(e, bindings, order: int) -> TruncatedJet:
     program = e if type(e) is Program else Program(e)
     jets = tuple([n for n in program.names if isinstance(bindings.get(n), TruncatedJet)])
     return program.kernel((order, jets), _JetEmitter)(bindings)
+
+
+def invert(gq: TruncatedJet, gp: TruncatedJet) -> tuple[TruncatedJet, TruncatedJet]:
+    """Truncated inverse of the two-variable map (gq, gp) about its value.
+
+    Returns displacement jets (dq, dp), with zero value, such that
+    (gq, gp) evaluated at (dq, dp) is the value plus the identity
+    displacement to the jets' order.  With L the linear part of the map
+    and N its part of order 2 and above, each sweep of
+    d <- L^-1 (e - N(d)) gains one order, starting from d = L^-1 e.
+    A singular linear part raises ValueError.  The sweeps run in code
+    generated per jet order on first use (:func:`_inverse`).
+    """
+    if gq.order != gp.order:
+        raise ValueError("jet orders differ")
+    (a, b), (c, d) = gq.c[1:3], gp.c[1:3]
+    det = a * d - b * c
+    if det == 0.0:
+        raise ValueError("the jet's linear part is singular")
+    return tuple(_inverse(gq.order)((gq.c, gp.c, (d / det, b / det, a / det, c / det))))
+
+
+@functools.cache
+def _inverse(order: int):
+    """The sweeps of :func:`invert` at one jet order, written out by the jet
+    emitter (of the empty tape) over the coefficients of (gq, gp) and the
+    entries of L^-1 scaled by the determinant.  The unit jets e and the constant one are
+    literal; L^-1 applies as two scales and a difference per component."""
+    emit = _JetEmitter(Program(()), (order, ()))
+    gq, gp = emit.unpack("b[0]"), emit.unpack("b[1]")
+    sd, sb, sa, sc = emit.unpack("b[2]", 4)
+    one, eq, ep = (["1.0" if m == k else "0.0" for m in range(emit.width)] for k in range(3))
+    sub = lambda x, y: [emit.local(f"{u} - {v}") for u, v in zip(x, y)]
+
+    def solve(rq, rp):  # L^-1 (rq, rp)
+        return sub(emit.mul2(sd, rq), emit.mul2(sb, rp)), sub(emit.mul2(sa, rp), emit.mul2(sc, rq))
+
+    dq, dp = solve(eq, ep)
+    # one sweep, written once and run order - 1 times by a loop in the code
+    # (a function twice as long takes twice the memory to compile)
+    head = len(emit.lines)
+    pq, pp = [one, dq], [one, dp]
+    for _n in range(2, order + 1):
+        pq.append(emit.mul2(pq[-1], dq))
+        pp.append(emit.mul2(pp[-1], dp))
+    terms = [(k, emit.mul2(pq[i], pp[j])) for k, (i, j) in enumerate(MONOMIALS[order]) if i + j >= 2]
+    nq = np_ = ["0.0"] * emit.width
+    for k, t in terms:
+        nq, np_ = emit.add2(nq, emit.mul2(gq[k], t)), emit.add2(np_, emit.mul2(gp[k], t))
+    nq, np_ = solve(sub(eq, nq), sub(ep, np_))
+    emit.lines.append(f"{', '.join(dq + dp)} = {', '.join(nq + np_)}")
+    sweep = "\n".join(emit.lines[head:]).replace("\n", "\n    ")
+    emit.lines[head:] = [f"for _ in range({order - 1}):\n    {sweep}"]
+    return emit.function([dq, dp], False)

@@ -29,7 +29,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .expr import ZERO, DerivTable, Expr, add
-from .flow import STEPS_PER_UNIT_TIME, HamiltonianSpec, integrate_flow, integrate_flow_jets, rk4
+from .flow import (
+    STEPS_PER_UNIT_TIME,
+    FlowBlowupError,
+    HamiltonianSpec,
+    integrate_flow,
+    integrate_flow_jets,
+    rk4,
+)
 from .jets import TruncatedJet, invert
 from .poly import (
     P,
@@ -224,18 +231,22 @@ def hbar2_transport(
     stride = steps // panels
     z_t = integrate_flow(ham, z0, t_final, steps).states[-1]
     # jets[k * stride]: the duration -s map based at z(T), s = k * T / panels
-    jets = integrate_flow_jets(ham, z_t, -t_final, steps, order=3).jets
+    try:
+        jets = integrate_flow_jets(ham, z_t, -t_final, steps, order=3).jets
+    except FlowBlowupError as err:
+        # the backward pass's time -s is the user's time T - s
+        raise FlowBlowupError(t_final + err.time) from None
     fq_vals = [0.0]
     fp_vals = [0.0]
     for gq, gp in jets[stride::stride]:
-        # the inverse, moved to z(T): the duration-s map's jets at the node
+        # the inverse: the duration-s map's jets at the node, less their
+        # value z(T), which the order-3 derivatives below do not read
         dq, dp = invert(gq, gp)
-        mq, mp = z_t[0] + dq, z_t[1] + dp
         h = ham.partials_at(gq.value, gp.value)
         h3 = lambda a, b: h[a, b]
         # [map component, H]_2: the cubed bidifferential, weight -1/24
-        fq_vals.append(-bidifferential(mq.derivative, h3, 3, 0.0) / 24.0)
-        fp_vals.append(-bidifferential(mp.derivative, h3, 3, 0.0) / 24.0)
+        fq_vals.append(-bidifferential(dq.derivative, h3, 3, 0.0) / 24.0)
+        fp_vals.append(-bidifferential(dp.derivative, h3, 3, 0.0) / 24.0)
     h_node = t_final / panels
     return Hbar2Result(q2=(_boole(fq_vals, h_node),), p2=(_boole(fp_vals, h_node),))
 

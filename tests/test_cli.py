@@ -245,6 +245,18 @@ def test_blowup_and_overflow_exit_2(runner, args):
     assert res.output.startswith("error: ")
 
 
+@pytest.mark.parametrize("t1", ["0.3", "0.05", "1"])
+def test_a_backward_pass_blowup_reports_a_time_the_user_asked_for(runner, t1):
+    # the forward flow stays finite; the transport route's backward jet pass
+    # from z(T) overflows, at a time that must lie in [0, T]
+    args = ["hierarchy", "--hamiltonian", "p^2/2 + exp(10*q)", "--q0", "5", "--p0", "0", "--t-steps", "1"]
+    res = runner.invoke(main, [*args, "--t1", t1])
+    assert res.exit_code == 2
+    prefix = "error: flow became non-finite near t = "
+    assert res.output.startswith(prefix)
+    assert 0.0 <= float(res.output[len(prefix):]) <= float(t1)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -28,6 +28,11 @@ COMMANDS = {
         "hierarchy", "--hamiltonian", "q^2*p^2/(4*m*l^2)", "--m", "1.3", "--l", "0.7",
         "--format", "csv",
     ],
+    # calls, a power above 4 and the transport route's inverse, written out
+    "hierarchy_calls.csv": [
+        "hierarchy", "--hamiltonian", "p^2/2 + q^6/30 + sec(q/4) + q*tan(p/5)", "--q0", "0.6",
+        "--p0", "-0.4", "--t1", "0.2", "--t-steps", "2", "--format", "csv",
+    ],
     "check_bch_roundtrip.json": [
         "check", "--only", "bch", "--only", "poly-roundtrip", "--cases", "7", "--seed", "3",
         "--format", "json",

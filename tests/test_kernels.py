@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from expr_walk import outcome, walk, walk_jet
+from expr_walk import outcome, plus, product, scale, walk, walk_jet
 from moyal.checks import _flow_hamiltonians
 from moyal.expr import ExprEvalError, FloatEmitter, Program, add, const, mul, parse_expr, pow_int, sym
 from moyal.flow import HamiltonianSpec
@@ -29,7 +29,10 @@ def jet_points(order):
     for q, p in POINTS:
         jq, jp = TruncatedJet.seed(q, 0, order), TruncatedJet.seed(p, 1, order)
         yield jq, jp
-        yield jq * jp + jq, jp - 0.5 * jq * jq
+        yield (
+            TruncatedJet(order, plus(product(order, jq.c, jp.c), jq.c)),
+            TruncatedJet(order, plus(jp.c, scale(-0.5, product(order, jq.c, jq.c)))),
+        )
 
 
 @pytest.mark.parametrize("ham", HAMILTONIANS, ids=lambda h: str(h.expr))
@@ -48,7 +51,8 @@ def test_real_runs_match_the_reference_walk(ham):
 def test_jet_runs_match_the_reference_walk(ham, order):
     for jq, jp in jet_points(order):
         b = {"q": jq, "p": jp, **ham.params}
-        want = outcome(lambda: (walk_jet(ham.dp, b, order), -walk_jet(ham.dq, b, order)))
+        neg = lambda x: TruncatedJet(x.order, [-c for c in x.c])
+        want = outcome(lambda: (walk_jet(ham.dp, b, order), neg(walk_jet(ham.dq, b, order))))
         assert outcome(lambda: ham.field_jets(jq, jp)) == want
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .brackets import moyal_bracket_truncated, poisson_expr
 from .closed_forms import builtin_example1, builtin_unitary_pair
-from .expr import eval_expr, differentiate, parse_expr, print_expr
+from .expr import Program, eval_expr, differentiate, parse_expr, print_expr
 from .flow import (
     HamiltonianSpec,
     check_energy,
@@ -266,9 +266,10 @@ def suite_expr_derivatives(seed: int = 0, cases: int = 40) -> CheckOutcome:
     forms = [ex.classical_position, ex.classical_momentum, ex.hamiltonian]
     worst = 0.0
     k = 0
-    for e in forms:
+    for form in forms:
+        e = Program(form)
         for var in ("q", "p", "t"):
-            de = differentiate(e, var)
+            de = Program(differentiate(form, var))
             for _ in range(cases // 4):
                 k += 1
                 binds = {
@@ -425,8 +426,10 @@ def suite_example1_closed_forms(seed: int = 0, cases: int = 20) -> CheckOutcome:
     """Deformed-pair bracket, inverse maps and flow agreement at points."""
     rng = random.Random(seed)
     ex = builtin_example1()
-    pb_m = poisson_expr(ex.deformed_position.expr, ex.deformed_momentum.expr)
-    pb_c = poisson_expr(ex.classical_position, ex.classical_momentum)
+    pb_m = Program(poisson_expr(ex.deformed_position.expr, ex.deformed_momentum.expr))
+    pb_c = Program(poisson_expr(ex.classical_position, ex.classical_momentum))
+    inverse = Program([ex.inverse_position, ex.inverse_momentum])
+    classical = Program([ex.classical_position, ex.classical_momentum])
     ham = HamiltonianSpec(ex.hamiltonian, {"m": 1.0, "l": 1.0})
     worst = 0.0
     for _ in range(cases):
@@ -441,13 +444,11 @@ def suite_example1_closed_forms(seed: int = 0, cases: int = 20) -> CheckOutcome:
         # inverse maps undo the deformed flow
         qm = ex.deformed_position.eval(binds).real
         pm = ex.deformed_momentum.eval(binds).real
-        inv = dict(binds, q=qm, p=pm)
-        worst = max(worst, abs(eval_expr(ex.inverse_position, inv).real - q0))
-        worst = max(worst, abs(eval_expr(ex.inverse_momentum, inv).real - p0))
+        back_q, back_p = eval_expr(inverse, dict(binds, q=qm, p=pm))
+        worst = max(worst, abs(back_q.real - q0), abs(back_p.real - p0))
         # classical closed form against the integrator
         traj = integrate_flow(ham, (q0, p0), t)
-        qc = eval_expr(ex.classical_position, binds).real
-        pc = eval_expr(ex.classical_momentum, binds).real
+        qc, pc = (v.real for v in eval_expr(classical, binds))
         worst = max(worst, abs(traj.states[-1][0] - qc), abs(traj.states[-1][1] - pc))
     ok = worst < 1e-9
     return CheckOutcome("example1-closed-forms", ok, cases, f"worst {worst:.3g}")
@@ -457,7 +458,7 @@ def suite_unitary_pair() -> CheckOutcome:
     """Poisson bracket of the exponential pair against its closed form, and
     convergence of the truncated deformed bracket to 1."""
     uq, up = builtin_unitary_pair()
-    pb = poisson_expr(uq, up)
+    pb = Program(poisson_expr(uq, up))
     worst_pb = 0.0
     worst_tr = 0.0
     for p0 in (0.05, 0.1, 0.2):

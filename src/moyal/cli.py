@@ -20,7 +20,7 @@ import click
 from .brackets import MAX_EXPR_GRADE, moyal_bracket_truncated, poisson_expr
 from .checks import SUITES, run_checks
 from .closed_forms import builtin_example1
-from .expr import ExprParseError, eval_expr, parse_expr
+from .expr import ExprParseError, Program, eval_expr, parse_expr
 from .flow import STEPS_PER_UNIT_TIME, FlowBlowupError, HamiltonianSpec
 from .poly import (
     MAX_DEGREE,
@@ -250,16 +250,18 @@ def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -
                 f"t = {t:g} is outside the validity interval |t| < {bound:g} "
                 f"for hbar = {hbar:g}, m = {m:g}, l = {l:g}"
             )
+    classical = Program([ex.classical_position, ex.classical_momentum])
     pb_c = poisson_expr(ex.classical_position, ex.classical_momentum)
     pb_m = poisson_expr(ex.deformed_position.expr, ex.deformed_momentum.expr)
+    brackets = Program([pb_c, pb_m])
+    evolved_product = Program(ex.evolved_product)
     ham = HamiltonianSpec(ex.hamiltonian, {"m": m, "l": l})
     ml2 = m * l * l
     rows = []
     for t in times:
         binds = {"q": q0, "p": p0, "t": t, "m": m, "l": l, "hbar": hbar}
         point = EvalPoint(q=q0, p=p0, hbar=hbar, params={"t": t, "m": m, "l": l})
-        qc = eval_expr(ex.classical_position, binds).real
-        pc = eval_expr(ex.classical_momentum, binds).real
+        qc, pc = (v.real for v in eval_expr(classical, binds))
         qm = ex.deformed_position.eval(binds).real
         pm = ex.deformed_momentum.eval(binds).real
         rep_c = moyal_bracket_truncated(
@@ -268,7 +270,8 @@ def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -
         rep_m = moyal_bracket_truncated(
             ex.deformed_position.expr, ex.deformed_momentum.expr, grade, point, tolerance=tol
         )
-        evolved = eval_expr(ex.evolved_product, dict(binds, q=qm, p=pm))
+        evolved = eval_expr(evolved_product, dict(binds, q=qm, p=pm))
+        pb = eval_expr(brackets, binds)
         coord_form = complex(qm * pm, hbar / 2.0)
         initial_form = complex(q0 * p0, hbar / 2.0)
         row = {
@@ -277,8 +280,8 @@ def example1(q0, p0, t0, t1, t_steps, hbar, m, l, grade, tol, skip_hbar2, fmt) -
             "p_classical": pc,
             "q_deformed": qm,
             "p_deformed": pm,
-            "pb_classical": eval_expr(pb_c, binds).real,
-            "pb_deformed": eval_expr(pb_m, binds).real,
+            "pb_classical": pb[0].real,
+            "pb_deformed": pb[1].real,
             "bracket_classical": rep_c.partial_sums[-1].real,
             "bracket_classical_converged": rep_c.converged,
             "bracket_deformed": rep_m.partial_sums[-1].real,

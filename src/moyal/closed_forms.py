@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import (
     PI,
@@ -24,6 +25,7 @@ from .expr import (
     Expr,
     ExprDomainError,
     I_UNIT,
+    Program,
     call,
     eval_expr,
     pow_int,
@@ -63,6 +65,11 @@ class BoundedClosedForm:
     expr: Expr
     bound_multiple: float  # 2*pi or 4*pi
 
+    @cached_property
+    def program(self) -> Program:
+        """``expr`` compiled on first use, for :meth:`eval`."""
+        return Program(self.expr)
+
     def t_bound(self, m: float, l: float, hbar: float) -> float:
         return self.bound_multiple * m * l * l / hbar
 
@@ -75,7 +82,7 @@ class BoundedClosedForm:
             raise ValidityError(
                 f"|t| = {abs(t)} is outside the validity window {bound}"
             )
-        return eval_expr(self.expr, bindings)
+        return eval_expr(self.program, bindings)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ formulas and the printer is deterministic.
 Differentiation is rule-based and exact.  The one evaluator, a
 :class:`Program`, compiles trees once into a flat tape and runs it over
 floats, complexes or truncated jets, with symbols bound to values of that
-type; a jet run keeps its constants and parameters as floats.  Complex
-runs interpret the tape; real and jet runs call straight-line code
-generated from it on first use.  There is
+type; a jet run keeps its constants and parameters as floats.  Every run
+calls straight-line code generated from the tape on first use.  There is
 no general simplifier: normalization is limited to the constructor rules
 above, and identities beyond them are the test suite's job to check
 numerically.
@@ -48,6 +47,7 @@ __all__ = [
     "DerivTable",
     "Program",
     "FloatEmitter",
+    "ComplexEmitter",
     "REAL_CALLS",
     "eval_expr",
     "eval_real",
@@ -540,14 +540,14 @@ class Program:
     A run applies the operations a direct evaluation of each node would,
     in the same order: sums and products fold from their first operand and
     powers use the value type's own ``**``.  So a value does not depend on
-    which roots were compiled together.  Complex runs (:meth:`run`)
-    interpret the tape; real and jet runs call straight-line code generated
-    from it on first use and kept (:meth:`real`, :meth:`kernel`).  A
-    Program keeps no ``Expr``: it does not keep the tree it was compiled
-    from alive.
+    which roots were compiled together.  Complex, real and jet runs
+    (:meth:`run`, :meth:`real`, ``jets.eval_expr_jet``) call straight-line
+    code generated from the tape on first use and kept (:meth:`kernel`,
+    the only code that reads the tape).  A Program keeps no ``Expr``: it
+    does not keep the tree it was compiled from alive.
     """
 
-    __slots__ = ("code", "consts", "names", "roots", "single", "_complex_consts", "_kernels")
+    __slots__ = ("code", "consts", "names", "roots", "single", "_kernels")
 
     def __init__(self, roots):
         self.single = isinstance(roots, Expr)
@@ -593,7 +593,6 @@ class Program:
         self.consts = tuple(consts)
         self.names = tuple(names)
         self.roots = tuple(slot[r] for r in roots)
-        self._complex_consts = None
         self._kernels: dict = {}
 
     def run(self, bindings):
@@ -602,54 +601,7 @@ class Program:
         :class:`ExprEvalError` for unbound symbols and
         :class:`ExprDomainError` where tan or sec meet a pole or a zero is
         raised to a negative power."""
-        consts = self._complex_consts
-        if consts is None:
-            # integer constants are power exponents and stay as they are
-            consts = self._complex_consts = [c if type(c) is int else complex(c) for c in self.consts]
-        code, names = self.code, self.names
-        vals: list = []
-        push = vals.append
-        i, end = 0, len(code)
-        while i < end:
-            op = code[i]
-            if op == _MUL:
-                stop = i + 2 + code[i + 1]
-                r = vals[code[i + 2]]
-                for j in code[i + 3:stop]:
-                    r = r * vals[j]
-                i = stop
-            elif op == _ADD:
-                stop = i + 2 + code[i + 1]
-                r = vals[code[i + 2]]
-                for j in code[i + 3:stop]:
-                    r = r + vals[j]
-                i = stop
-            elif op == _POW:
-                try:
-                    r = vals[code[i + 1]] ** consts[code[i + 2]]
-                except ZeroDivisionError:
-                    raise ExprDomainError("zero raised to a negative power") from None
-                i += 3
-            elif op == _CONST:
-                r = consts[code[i + 1]]
-                i += 2
-            elif op == _SYM:
-                name = names[code[i + 1]]
-                try:
-                    r = complex(bindings[name])
-                except KeyError:
-                    raise ExprEvalError(f"unbound symbol '{name}'") from None
-                i += 2
-            elif op == _CALL:
-                r = _COMPLEX_CALLS[names[code[i + 1]]](vals[code[i + 2]])
-                i += 3
-            else:
-                r = _COMPLEX_PI
-                i += 1
-            push(r)
-        if self.single:
-            return vals[self.roots[0]]
-        return [vals[k] for k in self.roots]
+        return (self._kernels.get(complex) or self.kernel(complex, ComplexEmitter))(bindings)
 
     def real(self, bindings):
         """Float values of the roots, with the errors of :meth:`run`; a
@@ -693,93 +645,6 @@ class Program:
         return fn
 
 
-# the most operands one generated statement folds: longer sums and products
-# continue in a second statement, so the compiler's recursion stays shallow
-_FOLD_MAX = 64
-
-# in generated code only a symbol lookup raises KeyError and only a power
-# raises ZeroDivisionError, so one handler of each serves the whole body
-_HANDLERS = """\
-    except KeyError as e:
-        raise ExprEvalError(f"unbound symbol '{e.args[0]}'") from None
-    except ZeroDivisionError:
-        raise ExprDomainError("zero raised to a negative power") from None
-"""
-
-
-class FloatEmitter:
-    """Writes a :class:`Program` run over floats as straight-line Python.
-
-    Each slot becomes one assignment to a fresh local, and its reference is
-    that local's name.  Sums and products are Python's left-associative
-    ``+`` and ``*`` chains, which fold from the first operand as a direct
-    evaluation does.  Constants, names and functions reach the code through
-    its globals, by table position (``K[k]``, ``N[k]``, ``F[k]``), so no
-    constant or symbol name becomes source text.  A subclass that holds
-    other value types overrides the slot methods and :meth:`result`.
-    """
-
-    def __init__(self, program: Program, key):
-        # integer constants are power exponents and stay as they are; a
-        # complex constant is refused here, before any node runs
-        consts = [c if type(c) is int else _real_const(c) for c in program.consts]
-        self.env = {
-            "K": consts,
-            "N": program.names,
-            "F": tuple(map(REAL_CALLS.get, program.names)),
-            "PI": math.pi,
-            "ExprEvalError": ExprEvalError,
-            "ExprDomainError": ExprDomainError,
-        }
-        self.lines: list[str] = []
-        self.count = 0
-
-    def local(self, rhs: str) -> str:
-        """A fresh local assigned ``rhs``."""
-        name = f"v{self.count}"
-        self.count += 1
-        self.lines.append(f"{name} = {rhs}")
-        return name
-
-    def const(self, k):
-        return self.local(f"K[{k}]")
-
-    def sym(self, k):
-        return self.local(f"b[N[{k}]]")
-
-    def pi(self):
-        return self.local("PI")
-
-    def pow(self, x, k):
-        return self.local(f"{x} ** K[{k}]")
-
-    def call(self, k, x):
-        return self.local(f"F[{k}]({x})")
-
-    def chain(self, xs, op: str) -> str:
-        acc = xs[0]
-        for i in range(1, len(xs), _FOLD_MAX - 1):
-            acc = self.local(op.join([acc, *xs[i:i + _FOLD_MAX - 1]]))
-        return acc
-
-    def add(self, xs):
-        return self.chain(xs, " + ")
-
-    def mul(self, xs):
-        return self.chain(xs, " * ")
-
-    def result(self, ref) -> str:
-        return ref
-
-    def function(self, roots, single: bool):
-        """The generated function of the bindings; its errors are those of
-        :meth:`Program.run`."""
-        out = self.result(roots[0]) if single else f"[{', '.join(map(self.result, roots))}]"
-        body = "".join(f"        {row}\n" for line in self.lines for row in line.split("\n"))
-        exec(f"def kernel(b):\n    try:\n{body}        return {out}\n{_HANDLERS}", self.env)
-        return self.env["kernel"]
-
-
 def _function_table(lib, tan) -> dict[str, Callable]:
     """Function calls through ``lib`` (math or cmath), by name; tan and sec
     refuse arguments whose cosine is below 1e-12 in magnitude, naming the
@@ -808,12 +673,116 @@ def _real_const(v: ExactScalar) -> float:
 
 REAL_CALLS = _function_table(math, lambda u, c: math.tan(u))
 _COMPLEX_CALLS = _function_table(cmath, lambda u, c: cmath.sin(u) / c)
-_COMPLEX_PI = complex(math.pi)
+
+
+# the most operands one generated statement folds: longer sums and products
+# continue in a second statement, so the compiler's recursion stays shallow
+_FOLD_MAX = 64
+
+# in generated code only a symbol lookup raises KeyError and only a power
+# raises ZeroDivisionError, so one handler of each serves the whole body
+_HANDLERS = """\
+    except KeyError as e:
+        raise ExprEvalError(f"unbound symbol '{e.args[0]}'") from None
+    except ZeroDivisionError:
+        raise ExprDomainError("zero raised to a negative power") from None
+"""
+
+
+class FloatEmitter:
+    """Writes a :class:`Program` run over floats as straight-line Python.
+
+    Each slot becomes one assignment to a fresh local, and its reference is
+    that local's name.  Sums and products are Python's left-associative
+    ``+`` and ``*`` chains, which fold from the first operand as a direct
+    evaluation does.  Constants, names and functions reach the code through
+    its globals, by table position (``K[k]``, ``N[k]``, ``F[k]``), so no
+    constant or symbol name becomes source text.  The class attributes hold
+    a run's conventions (see :class:`ComplexEmitter`); a subclass that holds
+    other value types overrides the slot methods and :meth:`result`.
+    """
+
+    # an exact constant's value (a complex one is refused here, before any
+    # node runs), the source that reads symbol k's binding, the functions
+    # and pi
+    constant = staticmethod(_real_const)
+    binding = "b[N[{}]]"
+    calls, pi_value = REAL_CALLS, math.pi
+
+    def __init__(self, program: Program, key):
+        # integer constants are power exponents and stay as they are
+        self.env = {
+            "K": [c if type(c) is int else self.constant(c) for c in program.consts],
+            "N": program.names,
+            "F": tuple(map(self.calls.get, program.names)),
+            "PI": self.pi_value,
+            "ExprEvalError": ExprEvalError,
+            "ExprDomainError": ExprDomainError,
+        }
+        self.lines: list[str] = []
+        self.count = 0
+
+    def local(self, rhs: str) -> str:
+        """A fresh local assigned ``rhs``."""
+        name = f"v{self.count}"
+        self.count += 1
+        self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def const(self, k):
+        return self.local(f"K[{k}]")
+
+    def sym(self, k):
+        return self.local(self.binding.format(k))
+
+    def pi(self):
+        return self.local("PI")
+
+    def pow(self, x, k):
+        return self.local(f"{x} ** K[{k}]")
+
+    def call(self, k, x):
+        return self.local(f"F[{k}]({x})")
+
+    def chain(self, xs, op: str) -> str:
+        acc = xs[0]
+        for i in range(1, len(xs), _FOLD_MAX - 1):
+            acc = self.local(op.join([acc, *xs[i:i + _FOLD_MAX - 1]]))
+        return acc
+
+    def add(self, xs):
+        return self.chain(xs, " + ")
+
+    def mul(self, xs):
+        return self.chain(xs, " * ")
+
+    def result(self, ref) -> str:
+        return ref
+
+    def function(self, roots, single: bool):
+        """The generated function of the bindings; it raises
+        :class:`ExprEvalError` for an unbound symbol and
+        :class:`ExprDomainError` for a zero raised to a negative power."""
+        out = self.result(roots[0]) if single else f"[{', '.join(map(self.result, roots))}]"
+        body = "".join(f"        {row}\n" for line in self.lines for row in line.split("\n"))
+        exec(f"def kernel(b):\n    try:\n{body}        return {out}\n{_HANDLERS}", self.env)
+        return self.env["kernel"]
+
+
+class ComplexEmitter(FloatEmitter):
+    """Writes a complex run (:meth:`Program.run`): the float emitter with
+    complex constants, bindings read through ``complex``, the ``cmath``
+    functions and a complex pi."""
+
+    constant = staticmethod(complex)
+    binding = "complex(b[N[{}]])"
+    calls, pi_value = _COMPLEX_CALLS, complex(math.pi)
 
 
 def eval_expr(e, bindings) -> complex:
-    """Evaluate an :class:`Expr` (compiled on the spot) or a
-    :class:`Program` with symbols bound to numbers, as complexes.
+    """Evaluate a :class:`Program`, or an :class:`Expr` compiled and its
+    code generated for this one call, with symbols bound to numbers, as
+    complexes; compile once to run one expression at many points.
 
     Raises :class:`ExprEvalError` for unbound symbols and
     :class:`ExprDomainError` where sec or tan blow up (cosine of the
@@ -824,8 +793,9 @@ def eval_expr(e, bindings) -> complex:
 
 
 def eval_real(e, bindings) -> float:
-    """Float evaluation for real expressions (see :meth:`Program.real`);
-    complex constants raise :class:`ExprDomainError`."""
+    """Float evaluation for real expressions (see :meth:`Program.real`); an
+    :class:`Expr` is compiled and its code generated for this one call.
+    Complex constants raise :class:`ExprDomainError`."""
     return (e if type(e) is Program else Program(e)).real(bindings)
 
 

@@ -71,7 +71,9 @@ class HamiltonianSpec:
     derivative table of H: the vector field and both hbar^2 routes read
     their partials from it.  H is compiled once, for the realness probe and
     ``energy``; the vector field (dH/dp, dH/dq) and the partials of orders
-    2 to 4 (``partials_at``) on first use.
+    2 to 4 (``partials_at``) on first use.  Construction generates the code
+    of H's complex run only, for the probe; every other run's code is
+    generated on first use.
     """
 
     def __init__(self, expr: Expr, params: dict[str, float] | None = None):

@@ -239,9 +239,9 @@ class _JetEmitter(FloatEmitter):
 
 
 def eval_expr_jet(e, bindings, order: int) -> TruncatedJet:
-    """Evaluate an :class:`Expr` (compiled on the spot) or a
-    :class:`Program` with some symbols bound to jets of the given order (a
-    Program of several roots gives a list).
+    """Evaluate a :class:`Program`, or an :class:`Expr` compiled and its
+    code generated for this one call, with some symbols bound to jets of the
+    given order (a Program of several roots gives a list).
 
     Constants must be real (the flow toolkit works over the reals).  A root
     that depends on no jet comes back as a constant jet of that order; a

@@ -1,5 +1,5 @@
 """Reference evaluation of an expression tree, for the tests of the
-generated real and jet code.
+generated complex, real and jet code.
 
 A plain recursive walk over ``Expr``: floats through ``math`` and ``**``,
 jets through a small jet arithmetic of its own over coefficient lists
@@ -9,9 +9,11 @@ table with the code generator.  It keeps the evaluator's rules: constants,
 ``pi`` and float bindings stay floats, every sum and product folds from its
 first operand once its operands are evaluated, tan and sec refuse a cosine
 below 1e-12 in magnitude, and a root that depends on no jet comes back as a
-constant jet of the requested order.
+constant jet of the requested order.  :func:`walk_complex` keeps the same
+fold, pole and power rules over complexes, through ``cmath``.
 """
 
+import cmath
 import math
 
 from moyal.expr import Add, Call, Const, ExprDomainError, ExprEvalError, Mul, Pi, Pow, Sym
@@ -133,6 +135,43 @@ def walk(e, bindings):
     return acc
 
 
+def _complex_call(fn, u):
+    if fn in _PLAIN:
+        return getattr(cmath, fn)(u)
+    c = cmath.cos(u)
+    if abs(c) < 1e-12:
+        raise ExprDomainError(f"{fn} evaluated too close to an odd multiple of pi/2")
+    return cmath.sin(u) / c if fn == "tan" else 1.0 / c
+
+
+def walk_complex(e, bindings):
+    """Complex value of ``e``: constants, ``pi`` and every binding made
+    complex, calls through ``cmath``."""
+    te = type(e)
+    if te is Const:
+        return complex(e.value)
+    if te is Sym:
+        try:
+            return complex(bindings[e.name])
+        except KeyError:
+            raise ExprEvalError(f"unbound symbol '{e.name}'") from None
+    if te is Pi:
+        return complex(math.pi)
+    if te is Pow:
+        base = walk_complex(e.base, bindings)
+        try:
+            return base ** e.exp
+        except ZeroDivisionError:
+            raise ExprDomainError("zero raised to a negative power") from None
+    if te is Call:
+        return _complex_call(e.fn, walk_complex(e.arg, bindings))
+    vals = [walk_complex(x, bindings) for x in (e.terms if te is Add else e.factors)]
+    acc = vals[0]
+    for v in vals[1:]:
+        acc = acc + v if te is Add else acc * v
+    return acc
+
+
 def walk_jet(e, bindings, order):
     """:func:`walk` with a jet-free result lifted to a constant jet."""
     v = walk(e, bindings)
@@ -140,11 +179,19 @@ def walk_jet(e, bindings, order):
 
 
 def outcome(f):
-    """A result in ``float.hex`` form (jets by coefficient), or the error's
-    class and text."""
+    """A result in ``float.hex`` form (jets by coefficient, complexes by
+    both parts), or the error's class and text."""
     try:
         v = f()
     except (ArithmeticError, ValueError) as err:
         return type(err), str(err)
     vs = v if isinstance(v, (list, tuple)) else [v]
-    return [(x.order, [c.hex() for c in x.c]) if isinstance(x, TruncatedJet) else x.hex() for x in vs]
+    return [_hex(x) for x in vs]
+
+
+def _hex(x):
+    if isinstance(x, TruncatedJet):
+        return x.order, [c.hex() for c in x.c]
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    return x.hex()

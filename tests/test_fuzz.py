@@ -3,9 +3,9 @@
 Every text either parses or is refused with the parser's own error, a text
 that parses as a polynomial means the same polynomial when read as an
 expression, and the ``star``, ``hierarchy`` and ``example2`` commands exit
-0 or 2 without an exception.  Random expression trees evaluate over floats
-and jets exactly as the reference walk does.  Examples are derandomized,
-so every run tries the same texts and trees.
+0 or 2 without an exception.  Random expression trees evaluate over
+complexes, floats and jets exactly as the reference walk does.  Examples
+are derandomized, so every run tries the same texts and trees.
 """
 
 import math
@@ -15,16 +15,18 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expr_walk import outcome, walk, walk_jet
+from expr_walk import outcome, walk, walk_complex, walk_jet
 from moyal.cli import main
 from moyal.expr import (
     FUNCTION_NAMES,
+    I_UNIT,
     PI,
     Expr,
     ExprParseError,
     add,
     call,
     const,
+    eval_expr,
     eval_real,
     mul,
     parse_expr,
@@ -118,26 +120,37 @@ leaves = st.one_of(
     st.sampled_from((sym("q"), sym("p"), sym("m"), PI)),
     st.sampled_from((1, 2, 3, -1, -3)).flatmap(lambda n: st.sampled_from((n, Fraction(n, 4)))).map(const),
 )
-trees = st.recursive(
-    leaves,
-    lambda kids: st.one_of(
-        st.tuples(kids, kids).map(lambda ab: add(*ab)),
-        st.tuples(kids, kids).map(lambda ab: mul(*ab)),
-        st.tuples(kids, st.integers(-2, 7)).map(lambda bk: pow_int(*bk)),
-        st.tuples(st.sampled_from(FUNCTION_NAMES), kids).map(lambda fu: call(*fu)),
-    ),
-    max_leaves=10,
-)
+
+
+def tree_strategy(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.tuples(kids, kids).map(lambda ab: add(*ab)),
+            st.tuples(kids, kids).map(lambda ab: mul(*ab)),
+            st.tuples(kids, st.integers(-2, 7)).map(lambda bk: pow_int(*bk)),
+            st.tuples(st.sampled_from(FUNCTION_NAMES), kids).map(lambda fu: call(*fu)),
+        ),
+        max_leaves=10,
+    )
+
+
+trees = tree_strategy(leaves)
+# the same trees with i among their leaves, for complex runs only
+complex_trees = tree_strategy(st.one_of(leaves, st.just(I_UNIT)))
 values = st.sampled_from((0.0, -0.0, 0.7, -1.3, math.pi / 2, 3.0))
 
 
 @settings(FUZZ, max_examples=200)
-@given(trees, values, values, values)
-@example(pow_int(sym("q"), -2) + sym("p"), 0.0, 1.0, 1.0)
-@example(call("sec", sym("m")) * sym("q"), 0.7, 0.7, math.pi / 2)
-def test_generated_code_matches_the_reference_walk(e, q, p, m):
+@given(trees, complex_trees, values, values, values)
+@example(pow_int(sym("q"), -2) + sym("p"), I_UNIT * pow_int(sym("q"), -1), 0.0, 1.0, 1.0)
+@example(call("sec", sym("m")) * sym("q"), call("tan", I_UNIT + sym("m")), 0.7, 0.7, math.pi / 2)
+def test_generated_code_matches_the_reference_walk(e, z, q, p, m):
     b = {"q": q, "p": p, "m": m}
     assert outcome(lambda: eval_real(e, b)) == outcome(lambda: walk(e, b))
+    # complex runs, with m unbound in the second
+    for x, xb in ((e, b), (z, b), (z, {"q": q, "p": p})):
+        assert outcome(lambda: eval_expr(x, xb)) == outcome(lambda: walk_complex(x, xb))
     for order in (1, 2, 3):
         jets = dict(b, q=TruncatedJet.seed(q, 0, order), p=TruncatedJet.seed(p, 1, order))
         assert outcome(lambda: eval_expr_jet(e, jets, order)) == outcome(lambda: walk_jet(e, jets, order))

@@ -20,6 +20,11 @@ COMMANDS = {
         "hierarchy", "--hamiltonian", "p^2/2+cosh(q)/4", "--format", "csv", "--steps", "777",
     ],
     "example1.csv": ["example1", "--format", "csv", "--t-steps", "2"],
+    # complex runs of the grade-12 bracket ladders, off the default point
+    "example1_grade12.csv": [
+        "example1", "--format", "csv", "--skip-hbar2", "--q0", "-0.7", "--p0", "1.1", "--hbar", "0.05",
+        "--grade", "12", "--t-steps", "3",
+    ],
     "example2.json": ["example2", "--q0", "1", "--p0", "1"],
     "star.txt": ["star", "(q+2*p)^3", "q^2*p - hbar*q"],
     "bracket.txt": ["bracket", "q^4 + q*p^3", "q^3*p^2"],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from expr_walk import outcome, plus, product, scale
 from moyal import jets
-from moyal.expr import ExprDomainError, FloatEmitter, Program, parse_expr
+from moyal.expr import ComplexEmitter, ExprDomainError, FloatEmitter, Program, parse_expr
 from moyal.flow import HamiltonianSpec
 from moyal.jets import (
     MONOMIALS,
@@ -346,8 +346,12 @@ def generated(monkeypatch):
 
 
 def test_invert_code_is_generated_once_per_order_on_first_use(generated):
-    HamiltonianSpec(parse_expr("p^2/2 + q^4/4 + sec(q)"))
-    assert generated == []
+    h = parse_expr("p^2/2 + q^4/4 + sec(q)")
+    Program(h).kernel(complex, ComplexEmitter)
+    HamiltonianSpec(h)
+    # building a spec generates one function: the realness probe's complex run of H
+    assert len(generated) == 2 and generated[1] == generated[0]
+    generated.clear()
     for order in (1, 2, 3):
         gq, gp = seed_pair(order, 0.3, -0.2)
         gq.c[-1] = 0.5

@@ -2,15 +2,30 @@
 reference walk in ``expr_walk``: bit-identical values, the same errors,
 code generated once and on first use, and no name or constant as text."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from expr_walk import outcome, plus, product, scale, walk, walk_jet
+from expr_walk import outcome, plus, product, scale, walk, walk_complex, walk_jet
+from moyal.brackets import moyal_bracket_truncated
 from moyal.checks import _flow_hamiltonians
-from moyal.expr import ExprEvalError, FloatEmitter, Program, add, const, mul, parse_expr, pow_int, sym
+from moyal.expr import (
+    ComplexEmitter,
+    ExprEvalError,
+    FloatEmitter,
+    Program,
+    add,
+    const,
+    eval_expr,
+    mul,
+    parse_expr,
+    pow_int,
+    sym,
+)
 from moyal.flow import HamiltonianSpec
 from moyal.jets import TruncatedJet, eval_expr_jet
+from moyal.poly import EvalPoint
 
 HAMILTONIANS = [ham for _name, ham in _flow_hamiltonians()] + [
     HamiltonianSpec(parse_expr("p^2/2 + q^3/6")),
@@ -56,6 +71,35 @@ def test_jet_runs_match_the_reference_walk(ham, order):
         assert outcome(lambda: ham.field_jets(jq, jp)) == want
 
 
+COMPLEX_TEXTS = [
+    "i", "i*q^2 - i*p^2 + 1/3", "exp(i*q)*p", "(1+i)^3*q^-1", "sin(q) + i*cos(p)*pi",
+    "tan(q)*sec(p)", "tan(q) + i*p", "sec(pi*q/2)", "q^-2 + p^-3", "(q-p)^-4", "sinh(q*p)^5 - cosh(m)/q",
+    "exp(700*q)*exp(700*p)", "q^7*i + m",
+]
+COMPLEX_POINTS = [
+    {"q": 0.9, "p": -0.7, "m": 1.3},
+    {"q": 0.0, "p": -0.0, "m": -0.0},
+    {"q": -0.0, "p": 0.0, "m": 0.0},
+    {"q": math.pi / 2, "p": -math.pi / 2, "m": 1.0},
+    {"q": 1.0, "p": 1.0, "m": 1e-200},
+    {"q": 0.5 + 0.25j, "p": -1j, "m": 2.0},
+    {"p": 1.0, "m": 1.0},
+    {"q": 1.0, "p": 1.0},
+]
+
+
+@pytest.mark.parametrize("text", COMPLEX_TEXTS)
+def test_complex_runs_match_the_reference_walk(text):
+    e = parse_expr(text)
+    e2 = pow_int(e, 2)
+    prog, pair = Program(e), Program([e, e2])
+    for b in COMPLEX_POINTS:
+        want = outcome(lambda: walk_complex(e, b))
+        assert outcome(lambda: prog.run(b)) == want
+        assert outcome(lambda: eval_expr(e, b)) == want
+        assert outcome(lambda: pair.run(b)) == outcome(lambda: [walk_complex(e, b), walk_complex(e2, b)])
+
+
 @pytest.fixture
 def generated(monkeypatch):
     """Source text of every function generated while the test runs."""
@@ -71,8 +115,12 @@ def generated(monkeypatch):
 
 
 def test_code_is_generated_on_first_use_only(generated):
-    ham = HamiltonianSpec(parse_expr("q^2*p^2/(4*m*l^2) + sec(q)"), {"m": 1.3, "l": 0.7})
-    assert generated == []
+    h = parse_expr("q^2*p^2/(4*m*l^2) + sec(q)")
+    Program(h).kernel(complex, ComplexEmitter)
+    ham = HamiltonianSpec(h, {"m": 1.3, "l": 0.7})
+    # building a spec generates one function: the realness probe's complex run of H
+    assert len(generated) == 2 and generated[1] == generated[0]
+    generated.clear()
     jq, jp = TruncatedJet.seed(0.9, 0, 2), TruncatedJet.seed(0.4, 1, 2)
     for run in (
         lambda: ham.field(0.9, 0.4),
@@ -120,3 +168,16 @@ def test_long_sums_and_products_fold_in_order():
     for e in (long_sum, long_product):
         assert outcome(lambda: Program(e).real(b)) == outcome(lambda: walk(e, b))
         assert outcome(lambda: eval_expr_jet(e, jb, 2)) == outcome(lambda: walk_jet(e, jb, 2))
+
+
+def test_bracket_ladders_generate_code_once_per_grade(generated):
+    f, g = parse_expr("q^3*sin(p)"), parse_expr("exp(q)*p^2 + sec(q*p)")
+    at = EvalPoint(q=0.3, p=-0.4, hbar=0.1)
+    first = moyal_bracket_truncated(f, g, 3, at)
+    assert len(generated) == 4
+    assert moyal_bracket_truncated(f, g, 3, at) == first
+    assert len(generated) == 4
+    # a higher grade generates code for the grades it adds only
+    higher = moyal_bracket_truncated(f, g, 5, at)
+    assert len(generated) == 6
+    assert higher.partial_sums[:4] == first.partial_sums

@@ -9,7 +9,8 @@ integrator must not hide its own error.
 
 Jets ride through the same integrator, which turns the flow map's mixed
 partials with respect to the initial point into ordinary state components
-(no hand-derived variational equations).
+(no hand-derived variational equations): a jet is its list of
+coefficients, and the integrator steps one flat list of floats.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .expr import (
     eval_real,
     free_symbols,
 )
-from .jets import TruncatedJet, eval_expr_jet
+from .jets import eval_expr_jet, jet_order, seed
 from .poly import MAX_DEGREE
 
 __all__ = [
@@ -109,12 +110,12 @@ class HamiltonianSpec:
         dp, dq = self._field.real({"q": q, "p": p, **self.params})
         return dp, -dq
 
-    def field_jets(self, jq: TruncatedJet, jp: TruncatedJet) -> tuple[TruncatedJet, TruncatedJet]:
+    def field_jets(self, jq: list[float], jp: list[float]) -> tuple[list[float], list[float]]:
         # checked here too: a field that does not read p never unpacks jp
-        if jp.order != jq.order:
+        if len(jp) != len(jq):
             raise ValueError("jet orders differ")
-        dp, dq = eval_expr_jet(self._field, {"q": jq, "p": jp, **self.params}, jq.order)
-        return dp, TruncatedJet(dq.order, [-x for x in dq.c])
+        dp, dq = eval_expr_jet(self._field, {"q": jq, "p": jp, **self.params}, jet_order(jq))
+        return dp, [-x for x in dq]
 
     @cached_property
     def _partials(self) -> Program:
@@ -138,26 +139,20 @@ class Trajectory:
     integrator step; jets, when integrated, in the same layout."""
 
     states: list[tuple[float, float]]
-    jets: list[tuple[TruncatedJet, TruncatedJet]] = field(default_factory=list)
+    jets: list[tuple[list[float], list[float]]] = field(default_factory=list)
 
 
 def rk4(rhs, state, t_final: float, steps: int):
     """Classical fixed-step RK4 from t = 0 to t_final, yielding the state
-    after each step.  The state is a sequence of floats and jets, and
-    ``rhs(state)`` returns rates in the same layout; a jet's rate of
-    another order raises ValueError.  A jet component is combined over its
-    coefficient lists with the arithmetic, in the order, of the jet
-    operators.  Float overflow in a stage, or a state value that is not
-    finite, raises FlowBlowupError."""
+    after each step.  The state is a flat sequence of floats, and
+    ``rhs(state)`` returns their rates; rates of another length raise
+    ValueError.  Float overflow in a stage, or a state component that is
+    not finite, raises FlowBlowupError."""
     h = t_final / steps
     h6 = h / 6.0
 
     def stage(c, rates):  # state + c * rates
-        return rhs([
-            TruncatedJet(s.order, [x + c * y for x, y in zip(s.c, d.c, strict=True)])
-            if type(s) is TruncatedJet else s + c * d
-            for s, d in zip(state, rates)
-        ])
+        return rhs([s + c * d for s, d in zip(state, rates, strict=True)])
 
     for k in range(steps):
         # float overflow inside a stage surfaces as OverflowError
@@ -167,18 +162,13 @@ def rk4(rhs, state, t_final: float, steps: int):
             k3 = stage(0.5 * h, k2)
             k4 = stage(h, k3)
             state = [
-                TruncatedJet(s.order, [
-                    x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                    for x, a1, a2, a3, a4 in zip(s.c, r1.c, r2.c, r3.c, r4.c, strict=True)
-                ])
-                if type(s) is TruncatedJet else s + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4)
+                s + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4, strict=True)
             ]
         except OverflowError:
             raise FlowBlowupError((k + 1) * h) from None
-        for x in state:
-            if not math.isfinite(x.value if isinstance(x, TruncatedJet) else x):
-                raise FlowBlowupError((k + 1) * h)
+        if not all(map(math.isfinite, state)):
+            raise FlowBlowupError((k + 1) * h)
         yield state
 
 
@@ -210,13 +200,19 @@ def integrate_flow_jets(
     """Same flow with the state widened to jets of the given order.
 
     The initial jets are the identity map's: unit first derivatives,
-    nothing higher.
+    nothing higher.  RK4 steps both jets' coefficients as one list.
     """
     if steps is None:
         steps = default_steps(t_final)
-    jets = [(TruncatedJet.seed(z0[0], 0, order), TruncatedJet.seed(z0[1], 1, order))]
-    jets += [(jq, jp) for jq, jp in rk4(lambda s: ham.field_jets(*s), jets[0], t_final, steps)]
-    return Trajectory(states=[(jq.value, jp.value) for jq, jp in jets], jets=jets)
+    jq, jp = seed(z0[0], 0, order), seed(z0[1], 1, order)
+    n = len(jq)
+
+    def rhs(s):
+        fq, fp = ham.field_jets(s[:n], s[n:])
+        return fq + fp
+
+    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in rk4(rhs, jq + jp, t_final, steps)]
+    return Trajectory(states=[(jq[0], jp[0]) for jq, jp in jets], jets=jets)
 
 
 def check_energy(traj: Trajectory, ham: HamiltonianSpec) -> float:
@@ -231,10 +227,8 @@ def check_symplectic(traj: Trajectory) -> float:
         raise ValueError("check_symplectic needs a trajectory with jets")
     worst = 0.0
     for jq, jp in traj.jets:
-        det = (
-            jq.derivative(1, 0) * jp.derivative(0, 1)
-            - jq.derivative(0, 1) * jp.derivative(1, 0)
-        )
+        # the coefficients of first order are the first derivatives
+        det = jq[1] * jp[2] - jq[2] * jp[1]
         worst = max(worst, abs(det - 1.0))
     return worst
 

@@ -6,11 +6,12 @@ a fixed total order (at most 3).  Propagating jets through the same
 integrator the scalar flow uses yields the variational derivatives of the
 flow map without hand-derived variational equations.
 
-Coefficients are stored Taylor-normalized (divided by factorials) in a
-flat list.  A jet is a record; the one jet arithmetic is the straight-line
-code the jet emitter writes from the multiplication table precomputed per
-order, for expression runs (``eval_expr_jet``) and the truncated inverse
-(``invert``).
+A jet is its list of Taylor-normalized coefficients (divided by
+factorials) in ``MONOMIALS[order]`` order, so its order is read from the
+list's length; :func:`seed` and :func:`derivative` keep that layout here.
+The one jet arithmetic is the straight-line code the jet emitter writes
+from the multiplication table precomputed per order, for expression runs
+(``eval_expr_jet``) and the truncated inverse (``invert``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 from .expr import REAL_CALLS, FloatEmitter, Program
 
-__all__ = ["TruncatedJet", "MONOMIALS", "eval_expr_jet", "invert", "jet_function_derivatives"]
+__all__ = ["MONOMIALS", "seed", "derivative", "jet_order", "eval_expr_jet", "invert", "jet_function_derivatives"]
 
 _MAX_ORDER = 3
 
@@ -40,50 +41,39 @@ for _order in range(1, _MAX_ORDER + 1):
                 table[_INDEX[_order][a1 + a2, b1 + b2]].append((i, j))
 
 
-class TruncatedJet:
-    """Value plus normalized mixed partials in two displacement variables:
-    a record, with no arithmetic of its own."""
+# the order of a jet with this many coefficients
+_ORDERS = {len(monos): order for order, monos in MONOMIALS.items()}
 
-    __slots__ = ("order", "c")
 
-    def __init__(self, order: int, coeffs: list[float]):
-        self.order = order
-        self.c = coeffs
+def jet_order(c: list[float]) -> int:
+    """The order of the jet with coefficients ``c``."""
+    order = _ORDERS.get(len(c))
+    if order is None:
+        raise ValueError(f"a jet has 3, 6 or 10 coefficients, not {len(c)}")
+    return order
 
-    @classmethod
-    def constant(cls, x: float, order: int) -> "TruncatedJet":
-        if order not in MONOMIALS:
-            raise ValueError("jet order must be 1, 2 or 3")
-        c = [0.0] * len(MONOMIALS[order])
-        c[0] = x
-        return cls(order, c)
 
-    @classmethod
-    def seed(cls, x: float, which: int, order: int) -> "TruncatedJet":
-        """Jet of the initial coordinate itself: value x plus unit slope in
-        displacement 0 (the q direction) or 1 (the p direction)."""
-        if order not in MONOMIALS:
-            raise ValueError("jet order must be 1, 2 or 3")
-        if which not in (0, 1):
-            raise ValueError("seed direction must be 0 or 1")
-        c = [0.0] * len(MONOMIALS[order])
-        c[0] = x
-        c[1 + which] = 1.0
-        return cls(order, c)
+def seed(x: float, which: int, order: int) -> list[float]:
+    """Jet of the initial coordinate itself: value x plus unit slope in
+    displacement 0 (the q direction) or 1 (the p direction)."""
+    if order not in MONOMIALS:
+        raise ValueError("jet order must be 1, 2 or 3")
+    if which not in (0, 1):
+        raise ValueError("seed direction must be 0 or 1")
+    c = [0.0] * len(MONOMIALS[order])
+    c[0] = x
+    c[1 + which] = 1.0
+    return c
 
-    @property
-    def value(self) -> float:
-        return self.c[0]
 
-    def derivative(self, a: int, b: int) -> float:
-        """Mixed partial d^{a+b} / dq0^a dp0^b (factorials restored)."""
-        idx = _INDEX[self.order].get((a, b))
-        if idx is None:
-            raise ValueError(f"derivative ({a},{b}) beyond jet order {self.order}")
-        return self.c[idx] * math.factorial(a) * math.factorial(b)
-
-    def __repr__(self):
-        return f"TruncatedJet(order={self.order}, c={self.c})"
+def derivative(c: list[float], a: int, b: int) -> float:
+    """Mixed partial d^{a+b} / dq0^a dp0^b of the jet ``c`` (factorials
+    restored)."""
+    order = jet_order(c)
+    idx = _INDEX[order].get((a, b))
+    if idx is None:
+        raise ValueError(f"derivative ({a},{b}) beyond jet order {order}")
+    return c[idx] * math.factorial(a) * math.factorial(b)
 
 
 def _power_derivatives(u: float, n: int, order: int) -> list[float]:
@@ -149,7 +139,7 @@ class _JetEmitter(FloatEmitter):
         self.order, self.jet_names = key
         self.names, self.exps = program.names, program.consts
         self.width = len(MONOMIALS[self.order])
-        self.env.update(J=TruncatedJet, O=self.order, D=jet_function_derivatives, P=_power_derivatives)
+        self.env.update(O=self.order, D=jet_function_derivatives, P=_power_derivatives)
 
     def unpack(self, rhs: str, count: int = 0, check: bool = False) -> list[str]:
         """``count`` fresh locals (a jet's coefficients by default) assigned
@@ -165,7 +155,7 @@ class _JetEmitter(FloatEmitter):
 
     def sym(self, k):
         if self.names[k] in self.jet_names:
-            return self.unpack(f"b[N[{k}]].c", check=True)
+            return self.unpack(f"b[N[{k}]]", check=True)
         return super().sym(k)
 
     def pow(self, x, k):
@@ -233,15 +223,16 @@ class _JetEmitter(FloatEmitter):
         ]
 
     def result(self, ref) -> str:
-        if type(ref) is str:
-            return f"J.constant({ref}, O)"
-        return f"J(O, [{', '.join(ref)}])"
+        if type(ref) is str:  # a root that depends on no jet
+            ref = [ref, *["0.0"] * (self.width - 1)]
+        return f"[{', '.join(ref)}]"
 
 
-def eval_expr_jet(e, bindings, order: int) -> TruncatedJet:
+def eval_expr_jet(e, bindings, order: int) -> list[float]:
     """Evaluate a :class:`Program`, or an :class:`Expr` compiled and its
     code generated for this one call, with some symbols bound to jets of the
-    given order (a Program of several roots gives a list).
+    given order (a Program of several roots gives a list of them).  A
+    binding that is a list is a jet; any other binding is a float.
 
     Constants must be real (the flow toolkit works over the reals).  A root
     that depends on no jet comes back as a constant jet of that order; a
@@ -250,11 +241,11 @@ def eval_expr_jet(e, bindings, order: int) -> TruncatedJet:
     if order not in MONOMIALS:
         raise ValueError("jet order must be 1, 2 or 3")
     program = e if type(e) is Program else Program(e)
-    jets = tuple([n for n in program.names if isinstance(bindings.get(n), TruncatedJet)])
+    jets = tuple([n for n in program.names if type(bindings.get(n)) is list])
     return program.kernel((order, jets), _JetEmitter)(bindings)
 
 
-def invert(gq: TruncatedJet, gp: TruncatedJet) -> tuple[TruncatedJet, TruncatedJet]:
+def invert(gq: list[float], gp: list[float]) -> tuple[list[float], list[float]]:
     """Truncated inverse of the two-variable map (gq, gp) about its value.
 
     Returns displacement jets (dq, dp), with zero value, such that
@@ -265,13 +256,13 @@ def invert(gq: TruncatedJet, gp: TruncatedJet) -> tuple[TruncatedJet, TruncatedJ
     A singular linear part raises ValueError.  The sweeps run in code
     generated per jet order on first use (:func:`_inverse`).
     """
-    if gq.order != gp.order:
+    if len(gq) != len(gp):
         raise ValueError("jet orders differ")
-    (a, b), (c, d) = gq.c[1:3], gp.c[1:3]
+    (a, b), (c, d) = gq[1:3], gp[1:3]
     det = a * d - b * c
     if det == 0.0:
         raise ValueError("the jet's linear part is singular")
-    return tuple(_inverse(gq.order)((gq.c, gp.c, (d / det, b / det, a / det, c / det))))
+    return tuple(_inverse(jet_order(gq))((gq, gp, (d / det, b / det, a / det, c / det))))
 
 
 @functools.cache

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .expr import ZERO, DerivTable, Expr, add
 from .flow import (
@@ -37,7 +38,7 @@ from .flow import (
     integrate_flow_jets,
     rk4,
 )
-from .jets import TruncatedJet, invert
+from .jets import derivative, invert, seed
 from .poly import (
     P,
     PhasePolynomial,
@@ -242,11 +243,11 @@ def hbar2_transport(
         # the inverse: the duration-s map's jets at the node, less their
         # value z(T), which the order-3 derivatives below do not read
         dq, dp = invert(gq, gp)
-        h = ham.partials_at(gq.value, gp.value)
+        h = ham.partials_at(gq[0], gp[0])
         h3 = lambda a, b: h[a, b]
         # [map component, H]_2: the cubed bidifferential, weight -1/24
-        fq_vals.append(-bidifferential(dq.derivative, h3, 3, 0.0) / 24.0)
-        fp_vals.append(-bidifferential(dp.derivative, h3, 3, 0.0) / 24.0)
+        fq_vals.append(-bidifferential(partial(derivative, dq), h3, 3, 0.0) / 24.0)
+        fp_vals.append(-bidifferential(partial(derivative, dp), h3, 3, 0.0) / 24.0)
     h_node = t_final / panels
     return Hbar2Result(q2=(_boole(fq_vals, h_node),), p2=(_boole(fp_vals, h_node),))
 
@@ -268,15 +269,15 @@ def _boole(values: list[float], h: float) -> float:
 
 
 def hbar2_inhomogeneity(
-    h: dict[tuple[int, int], float], jq: TruncatedJet, jp: TruncatedJet
+    h: dict[tuple[int, int], float], jq: list[float], jp: list[float]
 ) -> tuple[float, float]:
     """Inhomogeneous part of the hbar^2 correction equation.
 
     ``h`` holds the partials of H at the jets' value point, as returned by
     :meth:`HamiltonianSpec.partials_at`.  The contraction couples the map's
-    first and second derivatives (from the order-2 jets jq, jp) to the
-    second and third derivatives of the Hamiltonian vector field
-    F = (dH/dp, -dH/dq):
+    first and second derivatives (from the jets jq, jp, of order 2 at
+    least) to the second and third derivatives of the Hamiltonian vector
+    field F = (dH/dp, -dH/dq):
 
         drive_r = -(1/16) sum_{ab} C1_ab d2F_r/dZa dZb
                   -(1/24) sum_{abc} C2_abc d3F_r/dZa dZb dZc
@@ -284,14 +285,12 @@ def hbar2_inhomogeneity(
     with C1 and C2 the symplectic contractions of the map derivatives.
     """
     for m in (jq, jp):
-        if m.order < 2:
-            raise ValueError(f"derivative (2,0) beyond jet order {m.order}")
+        derivative(m, 2, 0)  # refuses a jet of order 1
     # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp), read
-    # from the normalized coefficients with TruncatedJet.derivative's exact
+    # from the normalized coefficients with jets.derivative's exact
     # factorial products
-    q, p = jq.c, jp.c
-    d1 = ((q[1], q[2]), (p[1], p[2]))
-    d2 = ((q[3] * 2, q[4], q[5] * 2), (p[3] * 2, p[4], p[5] * 2))
+    d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
+    d2 = ((jq[3] * 2, jq[4], jq[5] * 2), (jp[3] * 2, jp[4], jp[5] * 2))
     # (d_q^i d_p^j F_0, d_q^i d_p^j F_1) of total order 2 and 3, by the
     # number j of p slots: a partial of F_r depends only on that number
     f2 = [(h[2 - j, j + 1], -h[3 - j, j]) for j in range(3)]
@@ -334,27 +333,23 @@ def hbar2_ode(
         raise ValueError("the ode route needs t_final >= 0")
 
     def rhs(state):
-        jq, jp, z2q, z2p = state
+        jq, jp, (z2q, z2p) = state[:6], state[6:12], state[12:]
         fq, fp = ham.field_jets(jq, jp)
-        h = ham.partials_at(jq.value, jp.value)
+        h = ham.partials_at(jq[0], jp[0])
         dq_drive, dp_drive = hbar2_inhomogeneity(h, jq, jp)
         # the Jacobian of F = (H_p, -H_q) applied to the correction
-        return (
-            fq,
-            fp,
+        return [
+            *fq,
+            *fp,
             h[1, 1] * z2q + h[0, 2] * z2p + dq_drive,
             -h[2, 0] * z2q - h[1, 1] * z2p + dp_drive,
-        )
+        ]
 
-    state = (
-        TruncatedJet.seed(z0[0], 0, 2),
-        TruncatedJet.seed(z0[1], 1, 2),
-        0.0,
-        0.0,
-    )
+    # the order-2 jets' six coefficients each, then the correction pair
+    state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
     for state in rk4(rhs, state, t_final, max(1, round(steps_per_unit * t_final))):
         pass
-    return Hbar2Result(q2=(state[2],), p2=(state[3],))
+    return Hbar2Result(q2=(state[12],), p2=(state[13],))
 
 
 # -- star-exponential second-order kernel --------------------------------

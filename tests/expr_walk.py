@@ -2,7 +2,7 @@
 generated complex, real and jet code.
 
 A plain recursive walk over ``Expr``: floats through ``math`` and ``**``,
-jets through a small jet arithmetic of its own over coefficient lists
+jets (lists of coefficients) through a small jet arithmetic of its own
 (:func:`product`, :func:`plus`, :func:`scale`, :func:`series`), whose
 product is built from the exponent sums of ``MONOMIALS``, so it shares no
 table with the code generator.  It keeps the evaluator's rules: constants,
@@ -17,7 +17,7 @@ import cmath
 import math
 
 from moyal.expr import Add, Call, Const, ExprDomainError, ExprEvalError, Mul, Pi, Pow, Sym
-from moyal.jets import MONOMIALS, TruncatedJet, jet_function_derivatives
+from moyal.jets import MONOMIALS, jet_function_derivatives, jet_order
 
 _PLAIN = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh}
 
@@ -70,26 +70,27 @@ def power_derivatives(u, n, order):
 
 
 def _jet_power(u, n):
+    order = jet_order(u)
     if 2 <= n <= 4:
-        out = u.c
+        out = u
         for _ in range(n - 1):
-            out = product(u.order, out, u.c)
-        return TruncatedJet(u.order, out)
-    return TruncatedJet(u.order, series(u.order, u.c, power_derivatives(u.value, n, u.order)))
+            out = product(order, out, u)
+        return out
+    return series(order, u, power_derivatives(u[0], n, order))
 
 
 def _combine(x, y, add):
     """x + y or x * y over floats and jets of one order: a float meets a
     jet at its value (a sum) or at every coefficient (a product)."""
-    jx, jy = isinstance(x, TruncatedJet), isinstance(y, TruncatedJet)
+    jx, jy = type(x) is list, type(y) is list
     if not (jx or jy):
         return x + y if add else x * y
     if jx and jy:
-        if x.order != y.order:
+        if len(x) != len(y):
             raise ValueError("jet orders differ")
-        return TruncatedJet(x.order, plus(x.c, y.c) if add else product(x.order, x.c, y.c))
+        return plus(x, y) if add else product(jet_order(x), x, y)
     jet, s = (x, y) if jx else (y, x)
-    return TruncatedJet(jet.order, [jet.c[0] + s, *jet.c[1:]] if add else scale(s, jet.c))
+    return [jet[0] + s, *jet[1:]] if add else scale(s, jet)
 
 
 def _float_call(fn, u):
@@ -102,7 +103,7 @@ def _float_call(fn, u):
 
 
 def walk(e, bindings):
-    """Value of ``e`` with symbols bound to floats or jets."""
+    """Value of ``e`` with symbols bound to floats or jets (lists)."""
     te = type(e)
     if te is Const:
         if e.value.im != 0:
@@ -117,7 +118,7 @@ def walk(e, bindings):
         return math.pi
     if te is Pow:
         base = walk(e.base, bindings)
-        if isinstance(base, TruncatedJet):
+        if type(base) is list:
             return _jet_power(base, e.exp)
         try:
             return base ** e.exp
@@ -125,8 +126,8 @@ def walk(e, bindings):
             raise ExprDomainError("zero raised to a negative power") from None
     if te is Call:
         u = walk(e.arg, bindings)
-        if isinstance(u, TruncatedJet):
-            return TruncatedJet(u.order, series(u.order, u.c, jet_function_derivatives(e.fn, u.value)))
+        if type(u) is list:
+            return series(jet_order(u), u, jet_function_derivatives(e.fn, u[0]))
         return _float_call(e.fn, u)
     vals = [walk(x, bindings) for x in (e.terms if te is Add else e.factors)]
     acc = vals[0]
@@ -175,12 +176,12 @@ def walk_complex(e, bindings):
 def walk_jet(e, bindings, order):
     """:func:`walk` with a jet-free result lifted to a constant jet."""
     v = walk(e, bindings)
-    return v if isinstance(v, TruncatedJet) else TruncatedJet.constant(v, order)
+    return v if type(v) is list else [v, *[0.0] * (len(MONOMIALS[order]) - 1)]
 
 
 def outcome(f):
-    """A result in ``float.hex`` form (jets by coefficient, complexes by
-    both parts), or the error's class and text."""
+    """A result in ``float.hex`` form (a jet, or a list of values, by item;
+    complexes by both parts), or the error's class and text."""
     try:
         v = f()
     except (ArithmeticError, ValueError) as err:
@@ -190,8 +191,8 @@ def outcome(f):
 
 
 def _hex(x):
-    if isinstance(x, TruncatedJet):
-        return x.order, [c.hex() for c in x.c]
+    if type(x) is list:
+        return [c.hex() for c in x]
     if isinstance(x, complex):
         return x.real.hex(), x.imag.hex()
     return x.hex()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from moyal.brackets import bracket_2n_expr, moyal_bracket_truncated, poisson_expr
 from moyal.checks import prefactor_consistency_report, run_checks
 from moyal.closed_forms import builtin_example1, builtin_unitary_pair
-from moyal.expr import eval_expr, parse_expr
+from moyal.expr import Program, eval_expr, parse_expr
 from moyal.flow import HamiltonianSpec
 from moyal.poly import EvalPoint, PhasePolynomial
 from moyal.semiclassical import (
@@ -127,8 +127,9 @@ def test_criterion_04_cubic_order7_comparison():
 def test_criterion_05_closed_form_sweep():
     started = time.perf_counter()
     ex = builtin_example1()
-    pb_m = poisson_expr(ex.deformed_position.expr, ex.deformed_momentum.expr)
-    g1 = bracket_2n_expr(ex.classical_position, ex.classical_momentum, 1)
+    # compiled once for the 40 points
+    pb_m = Program(poisson_expr(ex.deformed_position.expr, ex.deformed_momentum.expr))
+    g1 = Program(bracket_2n_expr(ex.classical_position, ex.classical_momentum, 1))
     rng = random.Random(0)
     points = []
     while len(points) < 20:
@@ -238,7 +239,7 @@ def test_criterion_08_property_suites():
 def test_criterion_09_unitary_not_canonical_pair():
     started = time.perf_counter()
     uq, up = builtin_unitary_pair()
-    pb = poisson_expr(uq, up)
+    pb = Program(poisson_expr(uq, up))
     worst_pb = worst_tr = 0.0
     all_converged = True
     for p0 in (0.05, 0.1, 0.2):

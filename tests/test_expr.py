@@ -26,7 +26,7 @@ from moyal.expr import (
 )
 from moyal.checks import _flow_hamiltonians
 from moyal.closed_forms import builtin_example1, builtin_unitary_pair
-from moyal.jets import TruncatedJet, eval_expr_jet
+from moyal.jets import eval_expr_jet, seed
 
 
 def roundtrip(text):
@@ -146,7 +146,9 @@ def test_chain_rule():
 
 def test_product_rule_numeric():
     e = parse_expr("q^2*sin(q)*exp(p*q)")
-    de = differentiate(e, "q")
+    # compiled once for every point
+    de = Program(differentiate(e, "q"))
+    e = Program(e)
     rng = random.Random(1)
     for _ in range(20):
         q, p = rng.uniform(0.2, 1.5), rng.uniform(-1.0, 1.0)
@@ -237,9 +239,9 @@ def test_float_complex_and_jet_values_agree(name):
     # the value types share the evaluator but keep their own power and tan
     # primitives (libm pow, repeated products for jets, repeated squaring
     # and sin/cos for complex), so they agree to rounding, not bit for bit
-    e = _VALUE_TYPE_CASES[name]
+    e = Program(_VALUE_TYPE_CASES[name])
     for b in _REAL_POINTS:
-        jets = dict(b, q=TruncatedJet.seed(b["q"], 0, 3), p=TruncatedJet.seed(b["p"], 1, 3))
+        jets = dict(b, q=seed(b["q"], 0, 3), p=seed(b["p"], 1, 3))
         c = eval_expr(e, b)
         if c.imag:
             with pytest.raises(ExprDomainError):
@@ -250,7 +252,7 @@ def test_float_complex_and_jet_values_agree(name):
         x = eval_real(e, b)
         assert type(x) is float
         assert c.real == pytest.approx(x, rel=1e-13, abs=1e-300)
-        assert eval_expr_jet(e, jets, 3).value == pytest.approx(x, rel=1e-13, abs=1e-300)
+        assert eval_expr_jet(e, jets, 3)[0] == pytest.approx(x, rel=1e-13, abs=1e-300)
 
 
 # -- the compiled tape ---------------------------------------------------
@@ -299,9 +301,9 @@ def test_program_shares_equal_subtrees():
 )
 def test_program_raises_the_entry_point_errors(text, bindings, error, message):
     prog = Program(parse_expr(text))
-    jets = {k: TruncatedJet.seed(v, 0, 2) for k, v in bindings.items()}
+    jets = {k: seed(v, 0, 2) for k, v in bindings.items()}
     # the generated jet code with q a jet and the other names floats
-    mixed = dict(bindings, q=TruncatedJet.seed(bindings["q"], 0, 3))
+    mixed = dict(bindings, q=seed(bindings["q"], 0, 3))
     for run in (
         lambda: eval_expr(prog, bindings),
         lambda: eval_real(prog, bindings),
@@ -317,14 +319,16 @@ def test_program_raises_the_entry_point_errors(text, bindings, error, message):
 @pytest.mark.parametrize("name, ham", _flow_hamiltonians())
 def test_compiled_field_equals_one_shot_evaluation(name, ham):
     prog = Program((ham.dp, ham.dq))
+    # each root alone, compiled once for every point
+    one_dp, one_dq = Program(ham.dp), Program(ham.dq)
     for b in _REAL_POINTS:
         b = dict(b, m=1.0, l=1.0)
-        assert prog.real(b) == [eval_real(ham.dp, b), eval_real(ham.dq, b)]
-        assert eval_expr(prog, b) == [eval_expr(ham.dp, b), eval_expr(ham.dq, b)]
-        jets = dict(b, q=TruncatedJet.seed(b["q"], 0, 3), p=TruncatedJet.seed(b["p"], 1, 3))
-        got = [j.c for j in eval_expr_jet(prog, jets, 3)]
-        assert got == [eval_expr_jet(ham.dp, jets, 3).c, eval_expr_jet(ham.dq, jets, 3).c]
+        assert prog.real(b) == [eval_real(one_dp, b), eval_real(one_dq, b)]
+        assert eval_expr(prog, b) == [eval_expr(one_dp, b), eval_expr(one_dq, b)]
+        jets = dict(b, q=seed(b["q"], 0, 3), p=seed(b["p"], 1, 3))
+        got = eval_expr_jet(prog, jets, 3)
+        assert got == [eval_expr_jet(one_dp, jets, 3), eval_expr_jet(one_dq, jets, 3)]
         dp, dq = prog.real(b)
         assert ham.field(b["q"], b["p"]) == (dp, -dq)
         rate_q, rate_p = ham.field_jets(jets["q"], jets["p"])
-        assert [rate_q.c, rate_p.c] == [got[0], [-x for x in eval_expr_jet(ham.dq, jets, 3).c]]
+        assert [rate_q, rate_p] == [got[0], [-x for x in got[1]]]

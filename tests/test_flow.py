@@ -1,9 +1,10 @@
 import math
+import re
 
 import pytest
 
 from moyal.checks import _flow_hamiltonians
-from moyal.expr import eval_real, parse_expr
+from moyal.expr import FloatEmitter, Program, parse_expr
 from moyal.flow import (
     FlowBlowupError,
     HamiltonianSpec,
@@ -15,7 +16,7 @@ from moyal.flow import (
     integrate_flow_jets,
     rk4,
 )
-from moyal.jets import TruncatedJet
+from moyal.jets import derivative, seed
 
 
 def harmonic():
@@ -91,10 +92,10 @@ def test_harmonic_jets_are_rotation():
     # the flow map of the harmonic oscillator is a rigid rotation
     traj = integrate_flow_jets(harmonic(), (1.0, 0.0), 1.3, order=1)
     jq, jp = traj.jets[-1]
-    assert jq.derivative(1, 0) == pytest.approx(math.cos(1.3), abs=1e-10)
-    assert jq.derivative(0, 1) == pytest.approx(math.sin(1.3), abs=1e-10)
-    assert jp.derivative(1, 0) == pytest.approx(-math.sin(1.3), abs=1e-10)
-    assert jp.derivative(0, 1) == pytest.approx(math.cos(1.3), abs=1e-10)
+    assert derivative(jq, 1, 0) == pytest.approx(math.cos(1.3), abs=1e-10)
+    assert derivative(jq, 0, 1) == pytest.approx(math.sin(1.3), abs=1e-10)
+    assert derivative(jp, 1, 0) == pytest.approx(-math.sin(1.3), abs=1e-10)
+    assert derivative(jp, 0, 1) == pytest.approx(math.cos(1.3), abs=1e-10)
 
 
 def test_symplectic_determinant():
@@ -129,12 +130,13 @@ def test_partials_at_matches_the_derivative_table():
     hams += [HamiltonianSpec(parse_expr(t)) for t in ("p^2/2 + q^3/6", "p^2/2 + cosh(q)/4")]
     keys = [(a, n - a) for n in (2, 3, 4) for a in range(n + 1)]
     for ham in hams:
+        # one Program per partial, compiled once for every point
+        each = {k: Program(ham.partials.get(*k)) for k in keys}
         for q, p in ((0.9, -0.7), (-1.1, 0.6), (0.0, 1.3), (2.5, 0.25)):
             table = ham.partials_at(q, p)
             assert sorted(table) == sorted(keys)
-            for (a, b), value in table.items():
-                want = eval_real(ham.partials.get(a, b), {"q": q, "p": p, **ham.params})
-                assert value.hex() == want.hex()
+            for key, value in table.items():
+                assert value.hex() == each[key].real({"q": q, "p": p, **ham.params}).hex()
 
 
 def test_jet_order_validation():
@@ -147,35 +149,42 @@ def scaled_quartic():
 
 
 def test_warm_field_jets_makes_no_constant_jets(monkeypatch):
-    # bound parameters stay floats in a jet run, so once the tape's
-    # constants are converted a call promotes nothing to a jet
+    # bound parameters stay floats in a jet run: the generated code reads
+    # each into one local and unpacks only q and p as jets, and a warm
+    # call generates nothing
+    sources = []
+    function = FloatEmitter.function
+
+    def recorded(self, roots, single):
+        sources.append("\n".join(self.lines))
+        return function(self, roots, single)
+
+    monkeypatch.setattr(FloatEmitter, "function", recorded)
     ham = scaled_quartic()
-    jq, jp = TruncatedJet.seed(0.9, 0, 3), TruncatedJet.seed(0.4, 1, 3)
-    want = [j.c for j in ham.field_jets(jq, jp)]
-    made = []
-    constant = TruncatedJet.constant
-
-    def counted(cls, x, order):
-        made.append(x)
-        return constant(x, order)
-
-    monkeypatch.setattr(TruncatedJet, "constant", classmethod(counted))
-    assert [j.c for j in ham.field_jets(jq, jp)] == want
-    assert made == []
+    jq, jp = seed(0.9, 0, 3), seed(0.4, 1, 3)
+    want = ham.field_jets(jq, jp)
+    assert ham.field_jets(jq, jp) == want
+    # the spec's realness probe, then the order-3 field
+    assert len(sources) == 2
+    reads = re.findall(r"(v\d+(?:, v\d+)*) = b\[N\[(\d+)\]\]", sources[1])
+    names = ham._field.names
+    assert sorted((names[int(k)], len(lhs.split(", "))) for lhs, k in reads) == [
+        ("l", 1), ("m", 1), ("p", 10), ("q", 10)
+    ]
 
 
 def test_field_jets_reads_the_order_from_the_jets():
     # dH/dq = 1 depends on no jet and comes back at the jets' order
     ham = HamiltonianSpec(parse_expr("p^2/2 + q"))
     for order in (1, 2, 3):
-        fq, fp = ham.field_jets(TruncatedJet.seed(0.9, 0, order), TruncatedJet.seed(0.4, 1, order))
-        assert (fq.order, fp.order) == (order, order)
-        assert fp.c == [-1.0] + [0.0] * (len(fp.c) - 1)
+        fq, fp = ham.field_jets(seed(0.9, 0, order), seed(0.4, 1, order))
+        assert len(fq) == len(fp) == len(seed(0.0, 0, order))
+        assert fp == [-1.0] + [0.0] * (len(fp) - 1)
 
 
 def test_field_jets_refuses_mixed_orders():
     with pytest.raises(ValueError, match="jet orders differ"):
-        scaled_quartic().field_jets(TruncatedJet.seed(0.9, 0, 2), TruncatedJet.seed(0.4, 1, 3))
+        scaled_quartic().field_jets(seed(0.9, 0, 2), seed(0.4, 1, 3))
 
 
 def test_field_jets_refuses_a_momentum_jet_of_another_order():
@@ -184,11 +193,26 @@ def test_field_jets_refuses_a_momentum_jet_of_another_order():
         ham = HamiltonianSpec(parse_expr(text))
         for jq, jp in ((2, 3), (3, 2)):
             with pytest.raises(ValueError, match="^jet orders differ$"):
-                ham.field_jets(TruncatedJet.seed(0.9, 0, jq), TruncatedJet.seed(0.4, 1, jp))
+                ham.field_jets(seed(0.9, 0, jq), seed(0.4, 1, jp))
 
 
-def test_rk4_refuses_jet_rates_of_another_order():
-    state = [TruncatedJet.seed(0.9, 0, 3), 0.5]
-    rates = lambda s: [TruncatedJet.seed(1.0, 0, 2), 1.0]
-    with pytest.raises(ValueError):
-        next(rk4(rates, state, 1.0, 10))
+def test_rk4_refuses_rates_of_another_length():
+    # an order-2 jet's rates for an order-3 jet, then one rate too many
+    state = [*seed(0.9, 0, 3), 0.5]
+    for rates in ([*seed(1.0, 0, 2), 1.0], [*seed(1.0, 0, 3), 1.0, 2.0]):
+        with pytest.raises(ValueError):
+            next(rk4(lambda s: rates, state, 1.0, 10))
+
+
+def test_a_derivative_that_overflows_is_a_blowup():
+    # from q0 = 1e-300, q = q0 exp(800 t) stays finite to t = 1 while
+    # dq/dq0 = exp(800 t) overflows: it obeys the recurrence of q itself
+    # from q0 = 1, so the jet run is refused at the step the scalar run is
+    ham = HamiltonianSpec(parse_expr("800*q*p"))
+    assert math.isfinite(integrate_flow(ham, (1e-300, 1.0), 1.0).states[-1][0])
+    with pytest.raises(FlowBlowupError) as scalar:
+        integrate_flow(ham, (1.0, 1.0), 1.0)
+    assert 0.8 < scalar.value.time < 0.9
+    with pytest.raises(FlowBlowupError) as jet:
+        integrate_flow_jets(ham, (1e-300, 1.0), 1.0, order=1)
+    assert jet.value.time == scalar.value.time

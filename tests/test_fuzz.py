@@ -23,6 +23,7 @@ from moyal.expr import (
     PI,
     Expr,
     ExprParseError,
+    Program,
     add,
     call,
     const,
@@ -34,7 +35,7 @@ from moyal.expr import (
     print_expr,
     sym,
 )
-from moyal.jets import TruncatedJet, eval_expr_jet
+from moyal.jets import eval_expr_jet, seed
 from moyal.poly import PhasePolynomial, PolyParseError, parse_poly
 
 TOKENS = (
@@ -147,10 +148,12 @@ values = st.sampled_from((0.0, -0.0, 0.7, -1.3, math.pi / 2, 3.0))
 @example(call("sec", sym("m")) * sym("q"), call("tan", I_UNIT + sym("m")), 0.7, 0.7, math.pi / 2)
 def test_generated_code_matches_the_reference_walk(e, z, q, p, m):
     b = {"q": q, "p": p, "m": m}
-    assert outcome(lambda: eval_real(e, b)) == outcome(lambda: walk(e, b))
+    # each tree compiled once for all of its runs
+    prog, zprog = Program(e), Program(z)
+    assert outcome(lambda: eval_real(prog, b)) == outcome(lambda: walk(e, b))
     # complex runs, with m unbound in the second
-    for x, xb in ((e, b), (z, b), (z, {"q": q, "p": p})):
-        assert outcome(lambda: eval_expr(x, xb)) == outcome(lambda: walk_complex(x, xb))
+    for x, xp, xb in ((e, prog, b), (z, zprog, b), (z, zprog, {"q": q, "p": p})):
+        assert outcome(lambda: eval_expr(xp, xb)) == outcome(lambda: walk_complex(x, xb))
     for order in (1, 2, 3):
-        jets = dict(b, q=TruncatedJet.seed(q, 0, order), p=TruncatedJet.seed(p, 1, order))
-        assert outcome(lambda: eval_expr_jet(e, jets, order)) == outcome(lambda: walk_jet(e, jets, order))
+        jets = dict(b, q=seed(q, 0, order), p=seed(p, 1, order))
+        assert outcome(lambda: eval_expr_jet(prog, jets, order)) == outcome(lambda: walk_jet(e, jets, order))

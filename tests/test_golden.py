@@ -1,16 +1,21 @@
-"""Byte-for-byte CLI output against the files in tests/golden.
+"""Byte-for-byte CLI output against the files in tests/golden, and the
+bits of the numeric flow against ``flow_bits.json``.
 
-Each file holds the stdout of one command, which prints nothing to
+Each text file holds the stdout of one command, which prints nothing to
 stderr; a change that alters any of them must say why and regenerate the
 file.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from moyal.cli import main
+from moyal.expr import parse_expr
+from moyal.flow import HamiltonianSpec, integrate_flow_jets
+from moyal.semiclassical import hbar2_ode, hbar2_transport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,3 +56,26 @@ def test_cli_stdout_matches_golden(name):
     assert res.exit_code == 0
     # output is stdout and stderr together, so a stray warning fails too
     assert res.output == (GOLDEN / name).read_text()
+
+
+def test_flow_bits_match_golden():
+    # float.hex of both hbar^2 routes and of the final order-1 to 3 jets, at
+    # a reduced resolution; the Hamiltonians are polynomials, so no exp or
+    # trig call, whose last bits differ between C libraries, reaches them
+    golden = json.loads((GOLDEN / "flow_bits.json").read_text())
+    spu = golden["steps_per_unit"]
+    hams = {}
+    for rec in golden["records"]:
+        text, z0, t = rec["hamiltonian"], tuple(rec["z0"]), rec["t"]
+        ham = hams.setdefault(text, HamiltonianSpec(parse_expr(text)))
+        ode = hbar2_ode(ham, z0, t, steps_per_unit=spu)
+        tra = hbar2_transport(ham, z0, t, steps_per_unit=spu)
+        got = {
+            "ode": [x.hex() for x in ode.q2 + ode.p2],
+            "transport": [x.hex() for x in tra.q2 + tra.p2],
+            "jets": {
+                str(order): [[x.hex() for x in jet] for jet in integrate_flow_jets(ham, z0, t, round(spu * t), order).jets[-1]]
+                for order in (1, 2, 3)
+            },
+        }
+        assert got == {k: rec[k] for k in got}, (text, z0, t)

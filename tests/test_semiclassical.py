@@ -1,5 +1,8 @@
+import itertools
 import math
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,11 +16,13 @@ from moyal.flow import (
     integrate_flow,
     integrate_flow_jets,
 )
+from moyal.jets import derivative, seed
 from moyal.poly import PhasePolynomial, bidifferential, format_poly, poisson_bracket
 from moyal.semiclassical import (
     _boole,
     cubic_order7_report,
     divergence_order,
+    hbar2_inhomogeneity,
     hbar2_ode,
     hbar2_transport,
     iterated_brackets,
@@ -227,8 +232,8 @@ def per_node_transport_values(ham, z0, t_final, quad_panels_per_unit):
         jq, jp = integrate_flow_jets(ham, w, k * h_node, k * stride, order=3).jets[-1]
         h = ham.partials_at(*w)
         h3 = lambda a, b: h[a, b]
-        fq_vals.append(-bidifferential(jq.derivative, h3, 3, 0.0) / 24.0)
-        fp_vals.append(-bidifferential(jp.derivative, h3, 3, 0.0) / 24.0)
+        fq_vals.append(-bidifferential(partial(derivative, jq), h3, 3, 0.0) / 24.0)
+        fp_vals.append(-bidifferential(partial(derivative, jp), h3, 3, 0.0) / 24.0)
     return fq_vals, fp_vals, h_node
 
 
@@ -255,6 +260,57 @@ def test_hbar2_transport_runs_one_jet_pass_per_call(monkeypatch):
         calls.clear()
         hbar2_transport(ham, (0.9, -0.7), t, steps_per_unit=500)
         assert calls == [-t]
+
+
+# the symplectic matrix J on (q, p), and the slots 0 = q, 1 = p
+J = ((0, 1), (-1, 0))
+SLOTS = (0, 1)
+
+
+def reference_inhomogeneity(h, jq, jp):
+    """hbar2_inhomogeneity's docstring transcribed index by index:
+    drive_r = -(1/16) sum_ab C1_ab d2F_r/dZa dZb
+              -(1/24) sum_abc C2_abc d3F_r/dZa dZb dZc,
+    C1_ab = J_ik J_jl (d_i d_j Z_a)(d_k d_l Z_b) and
+    C2_abc = J_ik J_jl (d_i d_j Z_a)(d_k Z_b)(d_l Z_c), F = (H_p, -H_q)."""
+    z = (jq, jp)
+
+    def dz(a, *slots):  # a partial of map component a along the slots
+        return derivative(z[a], slots.count(0), slots.count(1))
+
+    def df(r, *slots):  # a partial of F_r along the slots
+        nq, np_ = slots.count(0), slots.count(1)
+        return h[nq, np_ + 1] if r == 0 else -h[nq + 1, np_]
+
+    four = list(itertools.product(SLOTS, repeat=4))
+    drive = []
+    for r in SLOTS:
+        acc = 0.0
+        for a, b in itertools.product(SLOTS, repeat=2):
+            c1 = sum(J[i][k] * J[j][l] * dz(a, i, j) * dz(b, k, l) for i, j, k, l in four)
+            acc -= c1 * df(r, a, b) / 16.0
+        for a, b, c in itertools.product(SLOTS, repeat=3):
+            c2 = sum(J[i][k] * J[j][l] * dz(a, i, j) * dz(b, k) * dz(c, l) for i, j, k, l in four)
+            acc -= c2 * df(r, a, b, c) / 24.0
+        drive.append(acc)
+    return drive
+
+
+def test_hbar2_inhomogeneity_matches_its_index_sums():
+    rng = random.Random(7)
+    keys = [(a, n - a) for n in (2, 3, 4) for a in range(n + 1)]
+    for _ in range(50):
+        jq, jp = ([rng.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(2))
+        h = {k: rng.uniform(-3.0, 3.0) for k in keys}
+        got = hbar2_inhomogeneity(h, jq, jp)
+        assert list(got) == pytest.approx(reference_inhomogeneity(h, jq, jp), rel=1e-12)
+
+
+def test_hbar2_inhomogeneity_refuses_order_1_jets():
+    h = {(a, n - a): 1.0 for n in (2, 3, 4) for a in range(n + 1)}
+    for jq, jp in ((seed(0.9, 0, 1), seed(0.4, 1, 1)), (seed(0.9, 0, 2), seed(0.4, 1, 1))):
+        with pytest.raises(ValueError, match=r"^derivative \(2,0\) beyond jet order 1$"):
+            hbar2_inhomogeneity(h, jq, jp)
 
 
 def test_boole_is_exact_for_quintics():

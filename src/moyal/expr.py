@@ -48,7 +48,6 @@ __all__ = [
     "Program",
     "FloatEmitter",
     "ComplexEmitter",
-    "REAL_CALLS",
     "eval_expr",
     "eval_real",
     "free_symbols",
@@ -671,7 +670,7 @@ def _real_const(v: ExactScalar) -> float:
     return float(v.re)
 
 
-REAL_CALLS = _function_table(math, lambda u, c: math.tan(u))
+_REAL_CALLS = _function_table(math, lambda u, c: math.tan(u))
 _COMPLEX_CALLS = _function_table(cmath, lambda u, c: cmath.sin(u) / c)
 
 
@@ -707,7 +706,7 @@ class FloatEmitter:
     # and pi
     constant = staticmethod(_real_const)
     binding = "b[N[{}]]"
-    calls, pi_value = REAL_CALLS, math.pi
+    calls, pi_value = _REAL_CALLS, math.pi
 
     def __init__(self, program: Program, key):
         # integer constants are power exponents and stay as they are

@@ -11,7 +11,9 @@ factorials) in ``MONOMIALS[order]`` order, so its order is read from the
 list's length; :func:`seed` and :func:`derivative` keep that layout here.
 The one jet arithmetic is the straight-line code the jet emitter writes
 from the multiplication table precomputed per order, for expression runs
-(``eval_expr_jet``) and the truncated inverse (``invert``).
+(``eval_expr_jet``) and the truncated inverse (``invert``).  A call, or a
+power outside 2 to 4, takes its derivatives from ``expr.differentiate``,
+the one derivative table, so this module holds no derivative formula.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .expr import REAL_CALLS, FloatEmitter, Program
+from .expr import FloatEmitter, Program, call, differentiate, pow_int, sym
 
-__all__ = ["MONOMIALS", "seed", "derivative", "jet_order", "eval_expr_jet", "invert", "jet_function_derivatives"]
+__all__ = ["MONOMIALS", "seed", "derivative", "jet_order", "eval_expr_jet", "invert"]
 
 _MAX_ORDER = 3
 
@@ -76,45 +78,24 @@ def derivative(c: list[float], a: int, b: int) -> float:
     return c[idx] * math.factorial(a) * math.factorial(b)
 
 
-def _power_derivatives(u: float, n: int, order: int) -> list[float]:
-    """Derivatives of x^n at x = u up to ``order``, by the falling-factorial
-    chain, whose work does not grow with n; a zero u with a negative n
-    raises ZeroDivisionError."""
-    if n < 0 and u == 0.0:
-        raise ZeroDivisionError("zero raised to a negative power")
-    derivs, coeff = [], 1.0
-    for r in range(order + 1):
-        derivs.append(coeff * u ** (n - r) if coeff != 0.0 else 0.0)
-        coeff *= n - r
-    return derivs
+class _ArgEmitter(FloatEmitter):
+    """Writes a real run whose one symbol is the argument itself."""
+
+    binding = "b"
 
 
-def jet_function_derivatives(fn: str, u: float) -> list[float]:
-    """Derivatives [f, f', f'', f'''] of a supported scalar function at u."""
-    if fn == "exp":
-        v = math.exp(u)
-        return [v, v, v, v]
-    if fn == "sin":
-        s, c = math.sin(u), math.cos(u)
-        return [s, c, -s, -c]
-    if fn == "cos":
-        s, c = math.sin(u), math.cos(u)
-        return [c, -s, -c, s]
-    if fn == "sinh":
-        s, c = math.sinh(u), math.cosh(u)
-        return [s, c, s, c]
-    if fn == "cosh":
-        s, c = math.sinh(u), math.cosh(u)
-        return [c, s, c, s]
-    if fn not in ("tan", "sec"):
-        raise ValueError(f"unsupported function '{fn}'")
-    # the scalar call owns the value and the refusal near a pole
-    v = REAL_CALLS[fn](u)
-    if fn == "tan":
-        d1 = 1.0 + v * v
-        return [v, d1, 2.0 * v * d1, 2.0 * d1 * (1.0 + 3.0 * v * v)]
-    t = math.tan(u)
-    return [v, v * t, v * t * t + v ** 3, v * t ** 3 + 5.0 * v ** 3 * t]
+@functools.cache
+def _derivatives(f: str | int, order: int):
+    """The function of u that returns [f(u), f'(u), ..., f^(order)(u)] for
+    a function name, or for an integer exponent n as f(x) = x^n: the real
+    run of the derivatives ``differentiate`` gives, generated once per
+    (f, order).  tan and sec refuse a point near a pole through their float
+    call, and a zero raised to a negative power raises ``ExprDomainError``."""
+    x = sym("x")
+    roots = [call(f, x) if type(f) is str else pow_int(x, f)]
+    for _ in range(order):
+        roots.append(differentiate(roots[-1], "x"))
+    return Program(roots).kernel(None, _ArgEmitter)
 
 
 class _JetEmitter(FloatEmitter):
@@ -128,7 +109,8 @@ class _JetEmitter(FloatEmitter):
     (``s * x`` per coefficient); a product of jets sums each coefficient
     from ``0.0`` in the multiplication table's term order; powers 2 to 4
     are repeated products.  A call or another power unpacks the scalar
-    function's derivatives at the value and sums its Taylor series in the
+    function's derivatives at the value (:func:`_derivatives`, appended to
+    the function table ``F``) and sums its Taylor series in the
     displacement part (:meth:`series`).  Each bound jet is unpacked into
     as many locals as its order has coefficients, and one of another order
     is refused there.
@@ -139,7 +121,7 @@ class _JetEmitter(FloatEmitter):
         self.order, self.jet_names = key
         self.names, self.exps = program.names, program.consts
         self.width = len(MONOMIALS[self.order])
-        self.env.update(O=self.order, D=jet_function_derivatives, P=_power_derivatives)
+        self.env["F"] = list(self.env["F"])
 
     def unpack(self, rhs: str, count: int = 0, check: bool = False) -> list[str]:
         """``count`` fresh locals (a jet's coefficients by default) assigned
@@ -167,17 +149,20 @@ class _JetEmitter(FloatEmitter):
             for _ in range(n - 1):
                 out = self.mul2(out, x)
             return out
-        return self.series(x, self.unpack(f"P({x[0]}, K[{k}], O)", self.order + 1))
+        return self.series(x, n)
 
     def call(self, k, x):
         if type(x) is str:
             return super().call(k, x)
-        return self.series(x, self.unpack(f"D(N[{k}], {x[0]})[:{self.order + 1}]", self.order + 1))
+        return self.series(x, self.names[k])
 
-    def series(self, x, derivs):
-        """The scalar function with derivatives ``derivs`` at the value of
-        jet ``x``, applied to it: ``derivs[0]`` plus ``derivs[r] / r!``
+    def series(self, x, f):
+        """The function ``f`` (see :func:`_derivatives`) of jet ``x``: its
+        derivatives at the value, ``derivs[0]`` plus ``derivs[r] / r!``
         times the r-th power of the displacement part, summed in r order."""
+        fs = self.env["F"]
+        fs.append(_derivatives(f, self.order))
+        derivs = self.unpack(f"F[{len(fs) - 1}]({x[0]})", self.order + 1)
         delta = ["0.0", *x[1:]]
         acc = [derivs[0], *["0.0"] * (self.width - 1)]
         power = delta

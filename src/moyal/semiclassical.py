@@ -38,7 +38,7 @@ from .flow import (
     integrate_flow_jets,
     rk4,
 )
-from .jets import derivative, invert, seed
+from .jets import derivative, invert, jet_order, seed
 from .poly import (
     P,
     PhasePolynomial,
@@ -285,7 +285,8 @@ def hbar2_inhomogeneity(
     with C1 and C2 the symplectic contractions of the map derivatives.
     """
     for m in (jq, jp):
-        derivative(m, 2, 0)  # refuses a jet of order 1
+        if jet_order(m) == 1:
+            raise ValueError("derivative (2,0) beyond jet order 1")
     # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp), read
     # from the normalized coefficients with jets.derivative's exact
     # factorial products

@@ -5,7 +5,10 @@ A plain recursive walk over ``Expr``: floats through ``math`` and ``**``,
 jets (lists of coefficients) through a small jet arithmetic of its own
 (:func:`product`, :func:`plus`, :func:`scale`, :func:`series`), whose
 product is built from the exponent sums of ``MONOMIALS``, so it shares no
-table with the code generator.  It keeps the evaluator's rules: constants,
+table with the code generator.  A call of a jet takes its derivatives by
+walking the expressions ``expr.differentiate`` gives (:func:`call_derivatives`),
+and a power outside 2 to 4 from its own falling-factorial chain
+(:func:`power_derivatives`), an independent reference.  It keeps the evaluator's rules: constants,
 ``pi`` and float bindings stay floats, every sum and product folds from its
 first operand once its operands are evaluated, tan and sec refuse a cosine
 below 1e-12 in magnitude, and a root that depends on no jet comes back as a
@@ -14,10 +17,11 @@ fold, pole and power rules over complexes, through ``cmath``.
 """
 
 import cmath
+import functools
 import math
 
-from moyal.expr import Add, Call, Const, ExprDomainError, ExprEvalError, Mul, Pi, Pow, Sym
-from moyal.jets import MONOMIALS, jet_function_derivatives, jet_order
+from moyal.expr import Add, Call, Const, ExprDomainError, ExprEvalError, Mul, Pi, Pow, Sym, differentiate
+from moyal.jets import MONOMIALS, jet_order
 
 _PLAIN = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh}
 
@@ -67,6 +71,21 @@ def power_derivatives(u, n, order):
         derivs.append(coeff * u ** (n - r) if coeff != 0.0 else 0.0)
         coeff *= n - r
     return derivs
+
+
+@functools.cache
+def _chain_rule(fn, order):
+    """f(x), f'(x), ..., f^(order)(x) as expressions, by ``differentiate``."""
+    ds = [Call(fn, Sym("x"))]
+    for _ in range(order):
+        ds.append(differentiate(ds[-1], "x"))
+    return tuple(ds)
+
+
+def call_derivatives(fn, u, order):
+    """Derivatives of the function ``fn`` at u up to ``order``, each walked
+    in turn, so tan and sec refuse a point near a pole first by name."""
+    return [walk(d, {"x": u}) for d in _chain_rule(fn, order)]
 
 
 def _jet_power(u, n):
@@ -127,7 +146,8 @@ def walk(e, bindings):
     if te is Call:
         u = walk(e.arg, bindings)
         if type(u) is list:
-            return series(jet_order(u), u, jet_function_derivatives(e.fn, u[0]))
+            order = jet_order(u)
+            return series(order, u, call_derivatives(e.fn, u[0], order))
         return _float_call(e.fn, u)
     vals = [walk(x, bindings) for x in (e.terms if te is Add else e.factors)]
     acc = vals[0]

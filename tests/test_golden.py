@@ -1,5 +1,6 @@
 """Byte-for-byte CLI output against the files in tests/golden, and the
-bits of the numeric flow against ``flow_bits.json``.
+bits of the numeric flow against ``flow_bits.json`` and of jet calls and
+powers against ``call_jets.json``.
 
 Each text file holds the stdout of one command, which prints nothing to
 stderr; a change that alters any of them must say why and regenerate the
@@ -13,8 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 from moyal.cli import main
-from moyal.expr import parse_expr
+from moyal.expr import Program, parse_expr
 from moyal.flow import HamiltonianSpec, integrate_flow_jets
+from moyal.jets import eval_expr_jet, seed
 from moyal.semiclassical import hbar2_ode, hbar2_transport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,3 +81,25 @@ def test_flow_bits_match_golden():
             },
         }
         assert got == {k: rec[k] for k in got}, (text, z0, t)
+
+
+def test_call_jets_match_golden():
+    # float.hex of eval_expr_jet at orders 1 to 3 where calls (other than tan
+    # and sec) and powers outside 2 to 4 meet jets, alone and in composites,
+    # at points with signed zeros, and the class and text of each refusal;
+    # the calls' last bits come from the C library (the file was written on
+    # Linux x86-64 with glibc)
+    golden = json.loads((GOLDEN / "call_jets.json").read_text())["records"]
+    programs = {}
+    for rec in golden:
+        text, order = rec["expr"], rec["order"]
+        q, p = (float.fromhex(x) for x in rec["z0"])
+        program = programs.setdefault(text, Program(parse_expr(text)))
+        got = {k: rec[k] for k in ("expr", "z0", "order")}
+        try:
+            jet = eval_expr_jet(program, {"q": seed(q, 0, order), "p": seed(p, 1, order)}, order)
+        except (ArithmeticError, ValueError) as err:
+            got["error"] = [type(err).__name__, str(err)]
+        else:
+            got["jet"] = [x.hex() for x in jet]
+        assert got == rec

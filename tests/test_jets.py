@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from expr_walk import outcome, plus, product, scale
 from moyal import jets
-from moyal.expr import ComplexEmitter, ExprDomainError, FloatEmitter, Program, parse_expr
+from moyal.expr import FUNCTION_NAMES, ComplexEmitter, ExprDomainError, FloatEmitter, Program, eval_real, parse_expr
 from moyal.flow import HamiltonianSpec
 from moyal.jets import (
     MONOMIALS,
     derivative,
     eval_expr_jet,
     invert,
-    jet_function_derivatives,
     jet_order,
     seed,
 )
@@ -75,16 +74,83 @@ def test_compose_sin():
 def test_function_derivative_quadruples():
     u = 0.3
     s, t = 1.0 / math.cos(u), math.tan(u)
-    ds = jet_function_derivatives("sec", u)
+    ds = jets._derivatives("sec", 3)(u)
     assert ds[0] == pytest.approx(s)
     assert ds[1] == pytest.approx(s * t)
     assert ds[2] == pytest.approx(s * t * t + s**3)
     assert ds[3] == pytest.approx(s * t**3 + 5 * s**3 * t)
-    dt = jet_function_derivatives("tan", u)
+    dt = jets._derivatives("tan", 3)(u)
     assert dt[0] == pytest.approx(t)
     assert dt[1] == pytest.approx(1 + t * t)
     assert dt[2] == pytest.approx(2 * t * (1 + t * t))
     assert dt[3] == pytest.approx(2 * (1 + t * t) * (1 + 3 * t * t))
+
+
+# weights of the central differences of orders 0 to 3, by offset in steps
+_STENCILS = {0: {0: 1.0}, 1: {1: 0.5, -1: -0.5}, 2: {1: 1.0, 0: -2.0, -1: 1.0}, 3: {2: 0.5, 1: -1.0, -1: 1.0, -2: -0.5}}
+# step and relative tolerance of the differences, by total order
+_FD = {1: (1e-5, 1e-8), 2: (1e-4, 1e-5), 3: (1e-3, 1e-4)}
+
+
+def central_difference(f, q0, p0, a, b, h):
+    """d^{a+b} f / dq^a dp^b at (q0, p0), by the product of the central
+    differences in q and in p with step h."""
+    return sum(
+        wi * wj * f(q0 + i * h, p0 + j * h) for i, wi in _STENCILS[a].items() for j, wj in _STENCILS[b].items()
+    ) / h ** (a + b)
+
+
+# every function, and two powers outside 2 to 4, of a linear argument near 1;
+# the truncation error of a difference of x^64 grows like 64^2 h^2 and its
+# rounding error like 64 eps / h^k, so its steps are 8 times shorter
+@pytest.mark.parametrize(
+    "text, shorter",
+    [(f"{fn}(3*q/5 - 7*p/20)", 1) for fn in FUNCTION_NAMES]
+    + [("(3*q/5 - 7*p/20)^-2", 1), ("(3*q/5 - 7*p/20)^64", 8)],
+)
+def test_calls_and_powers_match_finite_differences(text, shorter):
+    program = Program(parse_expr(text))
+    q0, p0 = 1.9, 0.4
+
+    def f(q, p):
+        return eval_real(program, {"q": q, "p": p})
+
+    for order in (1, 2, 3):
+        jet = eval_expr_jet(program, dict(zip("qp", seed_pair(order, q0, p0))), order)
+        assert jet[0] == f(q0, p0)
+        for a, b in MONOMIALS[order][1:]:
+            h, rel = _FD[a + b]
+            want = central_difference(f, q0, p0, a, b, h / shorter)
+            assert derivative(jet, a, b) == pytest.approx(want, rel=rel), (order, a, b)
+
+
+@pytest.fixture
+def derivative_code(monkeypatch):
+    """Source text of every derivative function (``jets._derivatives``)
+    generated while the test runs, with the cached ones forgotten first."""
+    sources = []
+    function = FloatEmitter.function
+
+    def recorded(self, roots, single):
+        sources.append("\n".join(self.lines))
+        return function(self, roots, single)
+
+    monkeypatch.setattr(jets._ArgEmitter, "function", recorded)
+    jets._derivatives.cache_clear()
+    return sources
+
+
+def test_derivative_code_is_generated_once_per_function_and_order(derivative_code):
+    # both fields call sin, exp, sinh and cos and take powers 6 and -3 of q
+    first = HamiltonianSpec(parse_expr("p^2/2 + cosh(q)/4 + sin(q)*exp(p) + q^7/50 + q^-2/10"))
+    second = HamiltonianSpec(parse_expr("p^2/3 + 2*cosh(q) + sin(q)*exp(p)/5 + q^7 - q^-2"))
+    for order in (1, 2, 3):
+        first.field_jets(*seed_pair(order, 0.8, 0.3))
+    assert len(derivative_code) == jets._derivatives.cache_info().currsize == 6 * 3
+    for order in (1, 2, 3):
+        first.field_jets(*seed_pair(order, -0.5, 1.1))
+        second.field_jets(*seed_pair(order, 0.8, 0.3))
+    assert len(derivative_code) == 6 * 3
 
 
 def test_eval_expr_jet_matches_finite_differences():

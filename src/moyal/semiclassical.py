@@ -134,13 +134,9 @@ class TimeTaylorFlow:
         return replace(self, coeffs=self.hbar2_grade_series()).evaluate(q, p, 1.0, t).real
 
 
-def taylor_flow(h: PhasePolynomial, depth: int, kind: str, seed: str) -> TimeTaylorFlow:
-    """Time-Taylor coefficients of the classical or deformed flow of a seed."""
-    if kind not in ("classical", "deformed"):
-        raise ValueError("kind must be 'classical' or 'deformed'")
-    ladders = iterated_brackets(h, depth, seed)
-    ladder = ladders.classical if kind == "classical" else ladders.deformed
-    return TimeTaylorFlow(coeffs=(_SEEDS[seed],) + ladder)
+def taylor_flow(h: PhasePolynomial, depth: int, seed: str) -> TimeTaylorFlow:
+    """Time-Taylor coefficients of the deformed flow of a seed."""
+    return TimeTaylorFlow(coeffs=(_SEEDS[seed],) + iterated_brackets(h, depth, seed).deformed)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from moyal.checks import (
@@ -43,6 +45,15 @@ def test_run_named_subset():
 def test_case_override_reaches_randomized_suites():
     outcomes = run_checks(only=["star-associativity"], cases=5)
     assert outcomes[0].cases == 5
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, fn in SUITES.items() if "cases" in inspect.signature(fn).parameters]
+)
+def test_one_case_is_never_zero_cases(name):
+    (outcome,) = run_checks(only=[name], cases=1)
+    assert outcome.passed
+    assert outcome.cases >= 1
 
 
 def test_order_override_reaches_composition_suite():

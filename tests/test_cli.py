@@ -4,7 +4,9 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from moyal import checks
 from moyal.cli import main
+from moyal.poly import PhasePolynomial, moyal_bracket
 
 
 @pytest.fixture()
@@ -80,6 +82,32 @@ def test_example2_ratio_check(runner):
     checks = {c["seed"]: c for c in payload["hbar2_ratio_checks"]}
     assert checks["p"]["within_tolerance"]
     assert checks["p"]["ratio"] == pytest.approx(1.0, abs=0.02)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--hamiltonian", "(1/2)*p^2 + (1/2)*q^2", "--q0", "1", "--p0", "1"],
+        ["--q0", "1", "--p0", "1", "--t1", "0"],
+    ],
+)
+def test_example2_zero_taylor_value_has_no_ratio(runner, args):
+    # both routes give exactly 0 here, so the check holds without a ratio
+    res = runner.invoke(main, ["example2", *args])
+    assert res.exit_code == 0
+    for chk in _strict_json(res.output)["hbar2_ratio_checks"]:
+        assert chk["taylor"] == 0.0 and chk["ode"] == 0.0
+        assert chk["ratio"] is None
+        assert chk["within_tolerance"] is True
+    res = runner.invoke(main, ["example2", *args, "--format", "text"])
+    assert res.output.count("ode/taylor = undefined (ok)") == 2
 
 
 def test_example2_rejects_hbar_hamiltonian(runner):
@@ -192,6 +220,14 @@ def test_check_deterministic_output(runner):
     first = runner.invoke(main, args).output
     second = runner.invoke(main, args).output
     assert first == second
+
+
+def test_check_failure_prints_fail_and_exits_1(runner, monkeypatch):
+    one = PhasePolynomial.monomial(1, 0, 0, 0)
+    monkeypatch.setattr(checks, "moyal_bracket", lambda f, g: moyal_bracket(f, g) + one)
+    res = runner.invoke(main, ["check", "--only", "bracket-antisymmetry"])
+    assert res.exit_code == 1
+    assert res.output == "FAIL  bracket-antisymmetry  [1 cases]  (mismatch)\n0/1 suites passed\n"
 
 
 @pytest.mark.parametrize(

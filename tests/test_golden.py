@@ -49,6 +49,22 @@ COMMANDS = {
         "check", "--only", "bch", "--only", "poly-roundtrip", "--cases", "7", "--seed", "3",
         "--format", "json",
     ],
+    # every suite that draws or lists its cases through the shared runner,
+    # plus the two randomized tolerance suites
+    "check_randomized.json": [
+        "check", "--seed", "5", "--cases", "8", "--order", "3", "--format", "json",
+        *(
+            arg
+            for name in (
+                "star-associativity", "bracket-jacobi", "bracket-antisymmetry",
+                "star-bracket-identity", "deformation-limits", "conjugation",
+                "bracket-reality", "symmetrization", "sas-identity", "bch",
+                "poly-roundtrip", "expr-roundtrip", "expr-derivatives", "odd-grades",
+                "quadratic-coincidence", "example1-closed-forms",
+            )
+            for arg in ("--only", name)
+        ),
+    ],
 }
 
 

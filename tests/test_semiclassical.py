@@ -19,6 +19,7 @@ from moyal.flow import (
 from moyal.jets import derivative, seed
 from moyal.poly import PhasePolynomial, bidifferential, format_poly, poisson_bracket
 from moyal.semiclassical import (
+    TimeTaylorFlow,
     _boole,
     cubic_order7_report,
     divergence_order,
@@ -64,7 +65,7 @@ def test_ladder_validation():
     hbar_ham = quartic() + mono(1, 2, 0, 1)
     for route in (
         lambda: iterated_brackets(mono(1, 0, 0, 1), 3, "q"),
-        lambda: taylor_flow(hbar_ham, 3, "deformed", "p"),
+        lambda: taylor_flow(hbar_ham, 3, "p"),
         lambda: divergence_order(hbar_ham, 3),
     ):
         with pytest.raises(ValueError, match="^the Hamiltonian must be hbar-free$"):
@@ -115,8 +116,7 @@ def test_quartic_divergence_scales_with_parameters():
 
 def test_taylor_flow_evaluate():
     h = squeeze()
-    fl = taylor_flow(h, 4, "classical", "q")
-    assert fl.coeffs[0] == mono(1, 1, 0)
+    fl = TimeTaylorFlow(coeffs=(mono(1, 1, 0),) + iterated_brackets(h, 4, "q").classical)
     # classical series of q e^{qpt/2} at (1,1): sum (t/2)^n / n!
     t = 0.3
     got = fl.evaluate(1.0, 1.0, 0.1, t).real
@@ -124,13 +124,8 @@ def test_taylor_flow_evaluate():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_taylor_flow_kind_validation():
-    with pytest.raises(ValueError):
-        taylor_flow(squeeze(), 3, "quantum", "q")
-
-
 def test_squeeze_hbar2_grades():
-    grades = taylor_flow(squeeze(), 3, "deformed", "q").hbar2_grade_series()
+    grades = taylor_flow(squeeze(), 3, "q").hbar2_grade_series()
     assert not grades[0]
     assert not grades[1]
     assert grades[2] == mono(Fraction(1, 8), 1, 0)

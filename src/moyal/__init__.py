@@ -57,7 +57,6 @@ from .semiclassical import (
     Hbar2Result,
     cubic_order7_report,
     divergence_order,
-    hbar2_inhomogeneity,
     hbar2_ode,
     hbar2_transport,
     iterated_brackets,

@@ -707,6 +707,8 @@ class FloatEmitter:
     constant = staticmethod(_real_const)
     binding = "b[N[{}]]"
     calls, pi_value = _REAL_CALLS, math.pi
+    # the generated function's parameters
+    args = "b"
 
     def __init__(self, program: Program, key):
         # integer constants are power exponents and stay as they are
@@ -758,13 +760,17 @@ class FloatEmitter:
     def result(self, ref) -> str:
         return ref
 
+    def output(self, roots, single: bool) -> str:
+        """The returned value's source: one root's, or the list of them."""
+        return self.result(roots[0]) if single else f"[{', '.join(map(self.result, roots))}]"
+
     def function(self, roots, single: bool):
         """The generated function of the bindings; it raises
         :class:`ExprEvalError` for an unbound symbol and
         :class:`ExprDomainError` for a zero raised to a negative power."""
-        out = self.result(roots[0]) if single else f"[{', '.join(map(self.result, roots))}]"
+        out = self.output(roots, single)
         body = "".join(f"        {row}\n" for line in self.lines for row in line.split("\n"))
-        exec(f"def kernel(b):\n    try:\n{body}        return {out}\n{_HANDLERS}", self.env)
+        exec(f"def kernel({self.args}):\n    try:\n{body}        return {out}\n{_HANDLERS}", self.env)
         return self.env["kernel"]
 
 

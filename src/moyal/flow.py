@@ -10,11 +10,15 @@ integrator must not hide its own error.
 Jets ride through the same integrator, which turns the flow map's mixed
 partials with respect to the initial point into ordinary state components
 (no hand-derived variational equations): a jet is its list of
-coefficients, and the integrator steps one flat list of floats.
+coefficients, and the integrator steps one flat list of floats.  Each
+flow's right-hand side is generated code that reads that list and returns
+the flat rates (``HamiltonianSpec.field`` and ``field_jets``), and the RK4
+stage arithmetic is straight-line code generated once per state width.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,12 +28,13 @@ from .expr import (
     DerivTable,
     Expr,
     ExprDomainError,
+    FloatEmitter,
     Program,
     eval_expr,
     eval_real,
     free_symbols,
 )
-from .jets import eval_expr_jet, jet_order, seed
+from .jets import MONOMIALS, FlatState, eval_expr_jet, seed
 from .poly import MAX_DEGREE
 
 __all__ = [
@@ -50,7 +55,9 @@ STEPS_PER_UNIT_TIME = 2000
 _PROBE_POINTS = ((0.3, 0.7), (-1.1, 0.4), (0.9, -1.3))
 _REALNESS_TOL = 1e-12
 # (a, b) of the partials d_q^a d_p^b H that partials_at returns
-_PARTIAL_KEYS = tuple((a, n - a) for n in (2, 3, 4) for a in range(n + 1))
+PARTIAL_KEYS = tuple((a, n - a) for n in (2, 3, 4) for a in range(n + 1))
+# the jet order of a jet flow's flat state, by its length
+_STATE_ORDERS = {2 * len(monos): order for order, monos in MONOMIALS.items()}
 
 
 class FlowBlowupError(RuntimeError):
@@ -65,8 +72,9 @@ class HamiltonianSpec:
     """A time- and deformation-independent real Hamiltonian with numeric
     parameter values.
 
-    The expression may mention q, p and any names bound in ``params``;
-    ``t`` and ``hbar`` are rejected, and so is a power with an exponent
+    The expression may mention q, p and any names bound in ``params``
+    (which may not bind q or p); ``t`` and ``hbar`` are rejected, and so
+    is a power with an exponent
     above ``poly.MAX_DEGREE``, the polynomial degree budget.  Realness is
     probed at a few fixed points on construction.  ``partials`` is the one
     derivative table of H: the vector field and both hbar^2 routes read
@@ -80,6 +88,9 @@ class HamiltonianSpec:
     def __init__(self, expr: Expr, params: dict[str, float] | None = None):
         self.expr = expr
         self.params = dict(params or {})
+        # the flows read q and p from their flat state, not from the bindings
+        if {"q", "p"} & set(self.params):
+            raise ValueError("q and p are the coordinates, not parameters")
         free = free_symbols(expr)
         allowed = {"q", "p"} | set(self.params)
         extra = free - allowed
@@ -106,24 +117,25 @@ class HamiltonianSpec:
     def _field(self) -> Program:
         return Program((self.dp, self.dq))
 
-    def field(self, q: float, p: float) -> tuple[float, float]:
-        dp, dq = self._field.real({"q": q, "p": p, **self.params})
-        return dp, -dq
+    def field(self, state: list[float]) -> list[float]:
+        """Hamilton's rates [dH/dp, -dH/dq] at the flat state [q, p]."""
+        return self._field.kernel("flat", FlatFloats)(state, self.params)
 
-    def field_jets(self, jq: list[float], jp: list[float]) -> tuple[list[float], list[float]]:
-        # checked here too: a field that does not read p never unpacks jp
-        if len(jp) != len(jq):
-            raise ValueError("jet orders differ")
-        dp, dq = eval_expr_jet(self._field, {"q": jq, "p": jp, **self.params}, jet_order(jq))
-        return dp, [-x for x in dq]
+    def field_jets(self, state: list[float]) -> list[float]:
+        """The rates of the flat state [*jq, *jp] of two jets of one order:
+        the jet field's, flat, from code generated per order."""
+        order = _STATE_ORDERS.get(len(state))
+        if order is None:
+            raise ValueError(f"a jet flow's state holds 6, 12 or 20 floats, not {len(state)}")
+        return eval_expr_jet(self._field, self.params, order, state)
 
     @cached_property
     def _partials(self) -> Program:
-        return Program([self.partials.get(a, b) for a, b in _PARTIAL_KEYS])
+        return Program([self.partials.get(a, b) for a, b in PARTIAL_KEYS])
 
     def partials_at(self, q: float, p: float) -> dict[tuple[int, int], float]:
         """d_q^a d_p^b H at (q, p) for 2 <= a + b <= 4, keyed by (a, b)."""
-        return dict(zip(_PARTIAL_KEYS, self._partials.real({"q": q, "p": p, **self.params})))
+        return dict(zip(PARTIAL_KEYS, self._partials.real({"q": q, "p": p, **self.params})))
 
     def energy(self, q: float, p: float) -> float:
         return self._energy.real({"q": q, "p": p, **self.params})
@@ -142,34 +154,66 @@ class Trajectory:
     jets: list[tuple[list[float], list[float]]] = field(default_factory=list)
 
 
+class FlatFloats(FlatState, FloatEmitter):
+    """A float run over a flow's flat state (see :class:`jets.FlatState`):
+    q is ``s[0]`` and p is ``s[stride]``."""
+
+    def read(self, start: int) -> str:
+        return self.local(f"s[{start}]")
+
+    def coefficients(self, ref) -> list[str]:
+        return [ref]
+
+
 def rk4(rhs, state, t_final: float, steps: int):
     """Classical fixed-step RK4 from t = 0 to t_final, yielding the state
     after each step.  The state is a flat sequence of floats, and
-    ``rhs(state)`` returns their rates; rates of another length raise
-    ValueError.  Float overflow in a stage, or a state component that is
-    not finite, raises FlowBlowupError."""
+    ``rhs(state)`` returns their rates as a sequence; rates of another
+    length raise ValueError.  Float overflow in a stage, or a state
+    component that is not finite, raises FlowBlowupError."""
     h = t_final / steps
     h6 = h / 6.0
-
-    def stage(c, rates):  # state + c * rates
-        return rhs([s + c * d for s, d in zip(state, rates, strict=True)])
-
+    step = _rk4_step(len(state))
     for k in range(steps):
         # float overflow inside a stage surfaces as OverflowError
         try:
-            k1 = rhs(state)
-            k2 = stage(0.5 * h, k1)
-            k3 = stage(0.5 * h, k2)
-            k4 = stage(h, k3)
-            state = [
-                s + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                for s, r1, r2, r3, r4 in zip(state, k1, k2, k3, k4, strict=True)
-            ]
+            state = step(rhs, state, 0.5 * h, h, h6)
         except OverflowError:
             raise FlowBlowupError((k + 1) * h) from None
         if not all(map(math.isfinite, state)):
             raise FlowBlowupError((k + 1) * h)
         yield state
+
+
+@functools.cache
+def _rk4_step(width: int):
+    """One RK4 step over a flat state of ``width`` floats, written out as
+    straight-line code once per width: each stage calls ``rhs`` once on
+    ``s + c * rates`` and the step returns
+    ``s + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)``, component by component."""
+    x, r1, r2, r3, r4 = ([f"{c}{i}" for i in range(width)] for c in "xabcd")
+
+    def unpack(names):  # a trailing comma unpacks one name too
+        return ", ".join(names) + ","
+
+    def stage(c, rates):
+        return f"rhs([{', '.join(f'{s} + {c} * {d}' for s, d in zip(x, rates))}])"
+
+    new = ", ".join(
+        f"{s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for s, a, b, c, d in zip(x, r1, r2, r3, r4)
+    )
+    env: dict = {}
+    exec(
+        f"def step(rhs, s, half, h, h6):\n"
+        f"    {unpack(x)} = s\n"
+        f"    {unpack(r1)} = rhs(s)\n"
+        f"    {unpack(r2)} = {stage('half', r1)}\n"
+        f"    {unpack(r3)} = {stage('half', r2)}\n"
+        f"    {unpack(r4)} = {stage('h', r3)}\n"
+        f"    return [{new}]\n",
+        env,
+    )
+    return env["step"]
 
 
 def integrate_flow(
@@ -186,7 +230,7 @@ def integrate_flow(
     if steps is None:
         steps = default_steps(t_final)
     states = [tuple(z0)]
-    states += [(q, p) for q, p in rk4(lambda s: ham.field(*s), states[0], t_final, steps)]
+    states += [(q, p) for q, p in rk4(ham.field, states[0], t_final, steps)]
     return Trajectory(states=states)
 
 
@@ -206,12 +250,7 @@ def integrate_flow_jets(
         steps = default_steps(t_final)
     jq, jp = seed(z0[0], 0, order), seed(z0[1], 1, order)
     n = len(jq)
-
-    def rhs(s):
-        fq, fp = ham.field_jets(s[:n], s[n:])
-        return fq + fp
-
-    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in rk4(rhs, jq + jp, t_final, steps)]
+    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in rk4(ham.field_jets, jq + jp, t_final, steps)]
     return Trajectory(states=[(jq[0], jp[0]) for jq, jp in jets], jets=jets)
 
 

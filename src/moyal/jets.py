@@ -207,13 +207,60 @@ class _JetEmitter(FloatEmitter):
             for terms in _MUL_TABLE[self.order]
         ]
 
-    def result(self, ref) -> str:
+    def coefficients(self, ref) -> list[str]:
         if type(ref) is str:  # a root that depends on no jet
-            ref = [ref, *["0.0"] * (self.width - 1)]
-        return f"[{', '.join(ref)}]"
+            return [ref, *["0.0"] * (self.width - 1)]
+        return ref
+
+    def result(self, ref) -> str:
+        return f"[{', '.join(self.coefficients(ref))}]"
 
 
-def eval_expr_jet(e, bindings, order: int) -> list[float]:
+class FlatState:
+    """Mixed into an emitter: a run over a Hamiltonian flow's flat state
+    ``s``, generated as ``kernel(s, b)``.
+
+    The symbols q and p read their values from ``s``, q's from ``s[0]`` on
+    and p's from ``s[stride]`` on, one local per coefficient (``read``);
+    every other symbol is read from the bindings ``b``.  The two roots
+    (dH/dp, dH/dq) give the flow's rates, flat: the first root's
+    coefficients, then the second root's negated.
+    """
+
+    args = "s, b"
+    stride = 1
+
+    def sym(self, k):
+        name = self.env["N"][k]
+        if name not in ("q", "p"):
+            return super().sym(k)
+        return self.read(self.stride if name == "p" else 0)
+
+    def output(self, roots, single: bool) -> str:
+        first, second = map(self.coefficients, roots)
+        return f"[{', '.join([*first, *(f'-{x}' for x in second)])}]"
+
+
+class _FlowJets(FlatState, _JetEmitter):
+    """The jet field of a flow over its flat state, two jets of the order
+    ``key[0]`` end to end."""
+
+    def __init__(self, program: Program, key):
+        super().__init__(program, (key[0], ()))
+        self.stride = self.width
+
+    def read(self, start: int) -> list[str]:
+        return [self.local(f"s[{start + m}]") for m in range(self.width)]
+
+
+def jet_field(program: Program, order: int):
+    """The generated jet field of the Hamiltonian flow whose ``program``
+    holds (dH/dp, dH/dq), at one jet order: ``kernel(s, b)`` of the flat
+    state and the other symbols' bindings (see :class:`FlatState`)."""
+    return program.kernel((order, "flat"), _FlowJets)
+
+
+def eval_expr_jet(e, bindings, order: int, state=None) -> list[float]:
     """Evaluate a :class:`Program`, or an :class:`Expr` compiled and its
     code generated for this one call, with some symbols bound to jets of the
     given order (a Program of several roots gives a list of them).  A
@@ -222,10 +269,16 @@ def eval_expr_jet(e, bindings, order: int) -> list[float]:
     Constants must be real (the flow toolkit works over the reals).  A root
     that depends on no jet comes back as a constant jet of that order; a
     bound jet of another order raises ``ValueError("jet orders differ")``.
+
+    With a flow's flat ``state``, two jets of the order end to end, q and
+    p are read from it instead, and the run is the flow's jet field: ``e``
+    holds (dH/dp, dH/dq) and the rates come back flat (:func:`jet_field`).
     """
     if order not in MONOMIALS:
         raise ValueError("jet order must be 1, 2 or 3")
     program = e if type(e) is Program else Program(e)
+    if state is not None:
+        return jet_field(program, order)(state, bindings)
     jets = tuple([n for n in program.names if type(bindings.get(n)) is list])
     return program.kernel((order, jets), _JetEmitter)(bindings)
 

@@ -13,11 +13,14 @@ z(T - s)) is the inverse of the duration -s map based at z(T): one
 backward pass of order-3 jets from z(T) holds every node's map, and a
 truncated jet inversion per node (``jets.invert``) turns it around, so
 the work grows linearly with T.  The ode route propagates the correction
-through a linear inhomogeneous equation driven by order-2 jets.  They
-share the integrator (``flow.rk4``) and H's table of partials
-(``HamiltonianSpec.partials_at``); the formulas stay independent: the
-C1/C2 contraction of the map's first and second derivatives on the ode
-side, the cubed bidifferential under Boole's rule on the transport side.
+through a linear inhomogeneous equation driven by order-2 jets, with one
+right-hand side generated per Hamiltonian: the jet field, H's partials
+and the drive written out as straight-line code.  They share the
+integrator (``flow.rk4``) and H's table of partials (the transport route
+reads it through ``HamiltonianSpec.partials_at``); the formulas stay
+independent: the C1/C2 contraction of the map's first and second
+derivatives on the ode side, the cubed bidifferential under Boole's rule
+on the transport side.
 So agreement is evidence the formulas are right, and both are compared
 against closed forms where one exists.
 """
@@ -31,14 +34,16 @@ from functools import partial
 
 from .expr import ZERO, DerivTable, Expr, add
 from .flow import (
+    PARTIAL_KEYS,
     STEPS_PER_UNIT_TIME,
+    FlatFloats,
     FlowBlowupError,
     HamiltonianSpec,
     integrate_flow,
     integrate_flow_jets,
     rk4,
 )
-from .jets import derivative, invert, jet_order, seed
+from .jets import derivative, invert, jet_field, seed
 from .poly import (
     P,
     PhasePolynomial,
@@ -63,7 +68,6 @@ __all__ = [
     "Hbar2Result",
     "hbar2_transport",
     "hbar2_ode",
-    "hbar2_inhomogeneity",
     "star_exp_A2",
     "cubic_order7_report",
     "CubicOrder7Report",
@@ -264,51 +268,80 @@ def _boole(values: list[float], h: float) -> float:
     return s_n + (s_n - simpson(values[::2], 2.0 * h)) / 15.0
 
 
-def hbar2_inhomogeneity(
-    h: dict[tuple[int, int], float], jq: list[float], jp: list[float]
-) -> tuple[float, float]:
-    """Inhomogeneous part of the hbar^2 correction equation.
+# the ode route's RK4 steps at least this many times, whatever t_final: a
+# correction that starts at t^5 is below the error of fewer steps
+_MIN_ODE_STEPS = 32
 
-    ``h`` holds the partials of H at the jets' value point, as returned by
-    :meth:`HamiltonianSpec.partials_at`.  The contraction couples the map's
-    first and second derivatives (from the jets jq, jp, of order 2 at
-    least) to the second and third derivatives of the Hamiltonian vector
-    field F = (dH/dp, -dH/dq):
+
+class _Hbar2Emitter(FlatFloats):
+    """Writes the ode route's right-hand side over its flat state ``s`` of
+    14 floats: the order-2 jets of q and p (six coefficients each), then the
+    correction pair (z2q, z2p).  It calls ``J``, the order-2 jet field
+    (:func:`jets.jet_field`), walks H's partials as float code at the jets'
+    value, then writes out the drive and the Jacobian term; the rates come
+    back flat, the jets' then the pair's.
+
+    The drive contracts the map's first and second derivatives with the
+    second and third derivatives of the Hamiltonian vector field
+    F = (dH/dp, -dH/dq):
 
         drive_r = -(1/16) sum_{ab} C1_ab d2F_r/dZa dZb
                   -(1/24) sum_{abc} C2_abc d3F_r/dZa dZb dZc
 
     with C1 and C2 the symplectic contractions of the map derivatives.
+    Each component sums the C1 terms, then the C2 terms, over (a, b) and
+    (a, b, c) in lexicographic order.
     """
-    for m in (jq, jp):
-        if jet_order(m) == 1:
-            raise ValueError("derivative (2,0) beyond jet order 1")
-    # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp), read
-    # from the normalized coefficients with jets.derivative's exact
-    # factorial products
-    d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
-    d2 = ((jq[3] * 2, jq[4], jq[5] * 2), (jp[3] * 2, jp[4], jp[5] * 2))
-    # (d_q^i d_p^j F_0, d_q^i d_p^j F_1) of total order 2 and 3, by the
-    # number j of p slots: a partial of F_r depends only on that number
-    f2 = [(h[2 - j, j + 1], -h[3 - j, j]) for j in range(3)]
-    f3 = [(h[3 - j, j + 1], -h[4 - j, j]) for j in range(4)]
-    # each component sums the C1 terms, then the C2 terms, over (a, b) and
-    # (a, b, c) in lexicographic order
-    acc0 = acc1 = 0.0
-    for a, (xqq, xqp, xpp) in enumerate(d2):
-        for b, (yqq, yqp, ypp) in enumerate(d2):
-            c1 = xqq * ypp - 2.0 * xqp * yqp + xpp * yqq
-            g0, g1 = f2[a + b]
-            acc0 -= c1 * g0 / 16.0
-            acc1 -= c1 * g1 / 16.0
-    for a, (xqq, xqp, xpp) in enumerate(d2):
-        for b, (yq, yp) in enumerate(d1):
-            for c, (zq, zp) in enumerate(d1):
-                c2 = xqq * yp * zp - xqp * (yp * zq + yq * zp) + xpp * yq * zq
-                g0, g1 = f3[a + b + c]
-                acc0 -= c2 * g0 / 24.0
-                acc1 -= c2 * g1 / 24.0
-    return acc0, acc1
+
+    stride = 6
+
+    def __init__(self, jet_rates, program, key):
+        super().__init__(program, key)
+        self.env["J"] = jet_rates
+        self.lines.append("r = J(s, b)")
+
+    def output(self, roots, single: bool) -> str:
+        h = dict(zip(PARTIAL_KEYS, roots))
+        # the jets' coefficients past the value, keyed by index
+        jq, jp = ({m: self.local(f"s[{start + m}]") for m in range(1, 6)} for start in (0, 6))
+        # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp),
+        # read from the normalized coefficients with jets.derivative's exact
+        # factorial products
+        d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
+        d2 = [(self.local(f"{m[3]} * 2"), m[4], self.local(f"{m[5]} * 2")) for m in (jq, jp)]
+        # (d_q^i d_p^j F_0, d_q^i d_p^j F_1) of total order 2 and 3, by the
+        # number j of p slots: a partial of F_r depends only on that number
+        f2 = [(h[2 - j, j + 1], self.local(f"-{h[3 - j, j]}")) for j in range(3)]
+        f3 = [(h[3 - j, j + 1], self.local(f"-{h[4 - j, j]}")) for j in range(4)]
+        acc = ["0.0", "0.0"]
+
+        def subtract(c, gs, weight):
+            for r, g in enumerate(gs):
+                acc[r] = self.local(f"{acc[r]} - {c} * {g} / {weight}")
+
+        for a, (xqq, xqp, xpp) in enumerate(d2):
+            for b, (yqq, yqp, ypp) in enumerate(d2):
+                c1 = self.local(f"{xqq} * {ypp} - 2.0 * {xqp} * {yqp} + {xpp} * {yqq}")
+                subtract(c1, f2[a + b], 16.0)
+        for a, (xqq, xqp, xpp) in enumerate(d2):
+            for b, (yq, yp) in enumerate(d1):
+                for c, (zq, zp) in enumerate(d1):
+                    c2 = self.local(
+                        f"{xqq} * {yp} * {zp} - {xqp} * ({yp} * {zq} + {yq} * {zp}) + {xpp} * {yq} * {zq}"
+                    )
+                    subtract(c2, f3[a + b + c], 24.0)
+        # the Jacobian of F applied to the correction, plus the drive
+        z2q, z2p = self.local("s[12]"), self.local("s[13]")
+        rate_q = f"{h[1, 1]} * {z2q} + {h[0, 2]} * {z2p} + {acc[0]}"
+        rate_p = f"-{h[2, 0]} * {z2q} - {h[1, 1]} * {z2p} + {acc[1]}"
+        return f"[*r, {rate_q}, {rate_p}]"
+
+
+def _hbar2_rates(ham: HamiltonianSpec):
+    """The ode route's right-hand side for ``ham``, ``kernel(s, b)`` with
+    ``b`` the parameters' bindings: generated on first use and kept with
+    H's partials."""
+    return ham._partials.kernel("hbar2", partial(_Hbar2Emitter, jet_field(ham._field, 2)))
 
 
 def hbar2_ode(
@@ -322,29 +355,16 @@ def hbar2_ode(
 
     The correction pair rides along order-2 jets of the classical flow:
     its rate is the Jacobian of the Hamiltonian vector field applied to
-    the current correction plus the jet-driven inhomogeneity.  Starts from
-    zero correction and the identity jets; H's partials are read once per
-    RK4 stage.
+    the current correction plus the jet-driven inhomogeneity
+    (:class:`_Hbar2Emitter`).  Starts from zero correction and the
+    identity jets, and takes at least 32 RK4 steps.
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
-
-    def rhs(state):
-        jq, jp, (z2q, z2p) = state[:6], state[6:12], state[12:]
-        fq, fp = ham.field_jets(jq, jp)
-        h = ham.partials_at(jq[0], jp[0])
-        dq_drive, dp_drive = hbar2_inhomogeneity(h, jq, jp)
-        # the Jacobian of F = (H_p, -H_q) applied to the correction
-        return [
-            *fq,
-            *fp,
-            h[1, 1] * z2q + h[0, 2] * z2p + dq_drive,
-            -h[2, 0] * z2q - h[1, 1] * z2p + dp_drive,
-        ]
-
+    rhs = partial(_hbar2_rates(ham), b=ham.params)
     # the order-2 jets' six coefficients each, then the correction pair
     state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
-    for state in rk4(rhs, state, t_final, max(1, round(steps_per_unit * t_final))):
+    for state in rk4(rhs, state, t_final, max(_MIN_ODE_STEPS, round(steps_per_unit * t_final))):
         pass
     return Hbar2Result(q2=(state[12],), p2=(state[13],))
 

@@ -84,6 +84,17 @@ def test_example2_ratio_check(runner):
     assert checks["p"]["ratio"] == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("t1", ["1e-8", "1e-4", "1e-3", "1e-2"])
+def test_example2_small_times_agree_with_taylor(runner, t1):
+    # the corrections start at t^6 (seed q) and t^5 (seed p); the ode
+    # route's floor of 32 steps keeps its error below them
+    res = runner.invoke(main, ["example2", "--q0", "1", "--p0", "1", "--t1", t1])
+    assert res.exit_code == 0
+    for chk in json.loads(res.output)["hbar2_ratio_checks"]:
+        assert chk["within_tolerance"] is True
+        assert chk["ratio"] == pytest.approx(1.0, abs=1e-5)
+
+
 def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")

@@ -32,6 +32,8 @@ def test_spec_validation():
         HamiltonianSpec(parse_expr("i*q*p"))
     with pytest.raises(ValueError):
         HamiltonianSpec(parse_expr("omega*q^2"))
+    with pytest.raises(ValueError, match="^q and p are the coordinates, not parameters$"):
+        HamiltonianSpec(parse_expr("p^2/2 + q^2/2"), {"q": 2.0})
     # bound parameters are fine
     HamiltonianSpec(parse_expr("omega^2*q^2/2"), {"omega": 2.0})
     # powers up to the polynomial degree budget
@@ -42,7 +44,7 @@ def test_spec_validation():
 
 def test_field_and_energy():
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^4/24"))
-    fq, fp = ham.field(2.0, 3.0)
+    fq, fp = ham.field([2.0, 3.0])
     assert fq == pytest.approx(3.0)
     assert fp == pytest.approx(-8.0 / 6.0)
     assert ham.energy(2.0, 3.0) == pytest.approx(4.5 + 16.0 / 24.0)
@@ -150,8 +152,8 @@ def scaled_quartic():
 
 def test_warm_field_jets_makes_no_constant_jets(monkeypatch):
     # bound parameters stay floats in a jet run: the generated code reads
-    # each into one local and unpacks only q and p as jets, and a warm
-    # call generates nothing
+    # each into one local and reads only q and p from the flat state as
+    # jets, and a warm call generates nothing
     sources = []
     function = FloatEmitter.function
 
@@ -161,39 +163,40 @@ def test_warm_field_jets_makes_no_constant_jets(monkeypatch):
 
     monkeypatch.setattr(FloatEmitter, "function", recorded)
     ham = scaled_quartic()
-    jq, jp = seed(0.9, 0, 3), seed(0.4, 1, 3)
-    want = ham.field_jets(jq, jp)
-    assert ham.field_jets(jq, jp) == want
+    state = seed(0.9, 0, 3) + seed(0.4, 1, 3)
+    want = ham.field_jets(state)
+    assert ham.field_jets(state) == want
     # the spec's realness probe, then the order-3 field
     assert len(sources) == 2
-    reads = re.findall(r"(v\d+(?:, v\d+)*) = b\[N\[(\d+)\]\]", sources[1])
+    reads = re.findall(r"v\d+ = b\[N\[(\d+)\]\]", sources[1])
     names = ham._field.names
-    assert sorted((names[int(k)], len(lhs.split(", "))) for lhs, k in reads) == [
-        ("l", 1), ("m", 1), ("p", 10), ("q", 10)
-    ]
+    assert sorted(names[int(k)] for k in reads) == ["l", "m"]
+    # q's ten coefficients and p's ten after them, one local each
+    assert sorted(int(i) for i in re.findall(r"v\d+ = s\[(\d+)\]", sources[1])) == list(range(20))
 
 
 def test_field_jets_reads_the_order_from_the_jets():
     # dH/dq = 1 depends on no jet and comes back at the jets' order
     ham = HamiltonianSpec(parse_expr("p^2/2 + q"))
     for order in (1, 2, 3):
-        fq, fp = ham.field_jets(seed(0.9, 0, order), seed(0.4, 1, order))
-        assert len(fq) == len(fp) == len(seed(0.0, 0, order))
-        assert fp == [-1.0] + [0.0] * (len(fp) - 1)
+        rates = ham.field_jets(seed(0.9, 0, order) + seed(0.4, 1, order))
+        n = len(seed(0.0, 0, order))
+        assert len(rates) == 2 * n
+        assert [x.hex() for x in rates[n:]] == [x.hex() for x in [-1.0] + [-0.0] * (n - 1)]
 
 
 def test_field_jets_refuses_mixed_orders():
-    with pytest.raises(ValueError, match="jet orders differ"):
-        scaled_quartic().field_jets(seed(0.9, 0, 2), seed(0.4, 1, 3))
+    with pytest.raises(ValueError, match="^a jet flow's state holds 6, 12 or 20 floats, not 16$"):
+        scaled_quartic().field_jets(seed(0.9, 0, 2) + seed(0.4, 1, 3))
 
 
 def test_field_jets_refuses_a_momentum_jet_of_another_order():
     # the second field reads no p
     for text in ("p^2/2+q^2/2", "q^2/2 + p"):
         ham = HamiltonianSpec(parse_expr(text))
-        for jq, jp in ((2, 3), (3, 2)):
-            with pytest.raises(ValueError, match="^jet orders differ$"):
-                ham.field_jets(seed(0.9, 0, jq), seed(0.4, 1, jp))
+        for jq, jp in ((1, 2), (2, 3), (3, 2), (3, 1)):
+            with pytest.raises(ValueError, match="^a jet flow's state holds 6, 12 or 20 floats, not"):
+                ham.field_jets(seed(0.9, 0, jq) + seed(0.4, 1, jp))
 
 
 def test_rk4_refuses_rates_of_another_length():

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from moyal.cli import main
 from moyal.expr import Program, parse_expr
-from moyal.flow import HamiltonianSpec, integrate_flow_jets
+from moyal.flow import FlowBlowupError, HamiltonianSpec, integrate_flow_jets
 from moyal.jets import eval_expr_jet, seed
 from moyal.semiclassical import hbar2_ode, hbar2_transport
 
@@ -76,26 +76,44 @@ def test_cli_stdout_matches_golden(name):
     assert res.output == (GOLDEN / name).read_text()
 
 
+def flow_bits(ham, z0, t, spu):
+    """float.hex of both hbar^2 routes and of the final order-1 to 3 jets at
+    ``spu`` steps per unit time; a part that blows up gives the error's
+    class, text and time instead."""
+
+    def bits(run):
+        try:
+            return run()
+        except FlowBlowupError as err:
+            return {"error": [type(err).__name__, str(err), err.time.hex()]}
+
+    def routes(route):
+        res = route(ham, z0, t, steps_per_unit=spu)
+        return [x.hex() for x in res.q2 + res.p2]
+
+    def jets(order):
+        final = integrate_flow_jets(ham, z0, t, round(spu * t), order).jets[-1]
+        return [[x.hex() for x in jet] for jet in final]
+
+    return {
+        "ode": bits(lambda: routes(hbar2_ode)),
+        "transport": bits(lambda: routes(hbar2_transport)),
+        "jets": {str(order): bits(lambda: jets(order)) for order in (1, 2, 3)},
+    }
+
+
 def test_flow_bits_match_golden():
     # float.hex of both hbar^2 routes and of the final order-1 to 3 jets, at
-    # a reduced resolution; the Hamiltonians are polynomials, so no exp or
-    # trig call, whose last bits differ between C libraries, reaches them
+    # a reduced resolution, with bound parameters, a power outside 2 to 4
+    # and a blowup; the Hamiltonians are polynomials, so no exp or trig
+    # call, whose last bits differ between C libraries, reaches them
     golden = json.loads((GOLDEN / "flow_bits.json").read_text())
     spu = golden["steps_per_unit"]
     hams = {}
     for rec in golden["records"]:
-        text, z0, t = rec["hamiltonian"], tuple(rec["z0"]), rec["t"]
-        ham = hams.setdefault(text, HamiltonianSpec(parse_expr(text)))
-        ode = hbar2_ode(ham, z0, t, steps_per_unit=spu)
-        tra = hbar2_transport(ham, z0, t, steps_per_unit=spu)
-        got = {
-            "ode": [x.hex() for x in ode.q2 + ode.p2],
-            "transport": [x.hex() for x in tra.q2 + tra.p2],
-            "jets": {
-                str(order): [[x.hex() for x in jet] for jet in integrate_flow_jets(ham, z0, t, round(spu * t), order).jets[-1]]
-                for order in (1, 2, 3)
-            },
-        }
+        text, params, z0, t = rec["hamiltonian"], rec.get("params", {}), tuple(rec["z0"]), rec["t"]
+        ham = hams.setdefault((text, tuple(params.items())), HamiltonianSpec(parse_expr(text), params))
+        got = flow_bits(ham, z0, t, spu)
         assert got == {k: rec[k] for k in got}, (text, z0, t)
 
 

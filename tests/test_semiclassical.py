@@ -6,6 +6,8 @@ from functools import partial
 
 import pytest
 
+import moyal.expr
+import moyal.flow
 import moyal.semiclassical
 from moyal.closed_forms import builtin_example1
 from moyal.expr import ZERO, Program, parse_expr
@@ -23,7 +25,6 @@ from moyal.semiclassical import (
     _boole,
     cubic_order7_report,
     divergence_order,
-    hbar2_inhomogeneity,
     hbar2_ode,
     hbar2_transport,
     iterated_brackets,
@@ -263,7 +264,7 @@ SLOTS = (0, 1)
 
 
 def reference_inhomogeneity(h, jq, jp):
-    """hbar2_inhomogeneity's docstring transcribed index by index:
+    """The ode route's drive (``semiclassical._Hbar2Emitter``) transcribed index by index:
     drive_r = -(1/16) sum_ab C1_ab d2F_r/dZa dZb
               -(1/24) sum_abc C2_abc d3F_r/dZa dZb dZc,
     C1_ab = J_ik J_jl (d_i d_j Z_a)(d_k d_l Z_b) and
@@ -291,21 +292,83 @@ def reference_inhomogeneity(h, jq, jp):
     return drive
 
 
+def loop_inhomogeneity(h, jq, jp):
+    """The ode route's drive as a loop over the map's derivatives, in the
+    term order of the generated code: each component sums the C1 terms,
+    then the C2 terms, over (a, b) and (a, b, c) in lexicographic order."""
+    d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
+    d2 = ((jq[3] * 2, jq[4], jq[5] * 2), (jp[3] * 2, jp[4], jp[5] * 2))
+    f2 = [(h[2 - j, j + 1], -h[3 - j, j]) for j in range(3)]
+    f3 = [(h[3 - j, j + 1], -h[4 - j, j]) for j in range(4)]
+    acc0 = acc1 = 0.0
+    for a, (xqq, xqp, xpp) in enumerate(d2):
+        for b, (yqq, yqp, ypp) in enumerate(d2):
+            c1 = xqq * ypp - 2.0 * xqp * yqp + xpp * yqq
+            g0, g1 = f2[a + b]
+            acc0 -= c1 * g0 / 16.0
+            acc1 -= c1 * g1 / 16.0
+    for a, (xqq, xqp, xpp) in enumerate(d2):
+        for b, (yq, yp) in enumerate(d1):
+            for c, (zq, zp) in enumerate(d1):
+                c2 = xqq * yp * zp - xqp * (yp * zq + yq * zp) + xpp * yq * zq
+                g0, g1 = f3[a + b + c]
+                acc0 -= c2 * g0 / 24.0
+                acc1 -= c2 * g1 / 24.0
+    return [acc0, acc1]
+
+
+def random_drives(seed, hamiltonians, points):
+    """(H, jq, jp) for seeded polynomial Hamiltonians with every partial of
+    orders 2 to 4, and seeded order-2 jets at seeded points."""
+    rng = random.Random(seed)
+    for _ in range(hamiltonians):
+        terms = [f"({rng.randint(-40, 40)}/{rng.randint(1, 9)})*q^{a + 1}*p^{b + 1}"
+                 for a in range(3) for b in range(3) if a + b <= 2]
+        terms += [f"({rng.randint(-40, 40)}/{rng.randint(1, 9)})*{x}^{n}" for x in "qp" for n in (2, 3, 4)]
+        ham = HamiltonianSpec(parse_expr(" + ".join(terms)))
+        for _ in range(points):
+            yield ham, *([rng.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(2))
+
+
+def generated_drive(ham, jq, jp):
+    """The generated ode right-hand side at zero correction: the jets'
+    rates, and the correction pair's, which are then the drive alone."""
+    rates = moyal.semiclassical._hbar2_rates(ham)([*jq, *jp, 0.0, 0.0], ham.params)
+    return rates[:12], rates[12:]
+
+
 def test_hbar2_inhomogeneity_matches_its_index_sums():
-    rng = random.Random(7)
-    keys = [(a, n - a) for n in (2, 3, 4) for a in range(n + 1)]
-    for _ in range(50):
-        jq, jp = ([rng.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(2))
-        h = {k: rng.uniform(-3.0, 3.0) for k in keys}
-        got = hbar2_inhomogeneity(h, jq, jp)
-        assert list(got) == pytest.approx(reference_inhomogeneity(h, jq, jp), rel=1e-12)
+    for ham, jq, jp in random_drives(7, 10, 5):
+        _jets, got = generated_drive(ham, jq, jp)
+        want = reference_inhomogeneity(ham.partials_at(jq[0], jp[0]), jq, jp)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_hbar2_inhomogeneity_refuses_order_1_jets():
-    h = {(a, n - a): 1.0 for n in (2, 3, 4) for a in range(n + 1)}
-    for jq, jp in ((seed(0.9, 0, 1), seed(0.4, 1, 1)), (seed(0.9, 0, 2), seed(0.4, 1, 1))):
-        with pytest.raises(ValueError, match=r"^derivative \(2,0\) beyond jet order 1$"):
-            hbar2_inhomogeneity(h, jq, jp)
+def test_generated_drive_is_the_loop_bit_for_bit():
+    for ham, jq, jp in random_drives(11, 6, 5):
+        jets, got = generated_drive(ham, jq, jp)
+        assert [x.hex() for x in jets] == [x.hex() for x in ham.field_jets(jq + jp)]
+        want = loop_inhomogeneity(ham.partials_at(jq[0], jp[0]), jq, jp)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_a_warm_spec_generates_no_code(monkeypatch):
+    # each route's right-hand side and each RK4 step width is generated by
+    # the first flow that needs it; a second flow runs the kept code
+    ham = HamiltonianSpec(parse_expr("q^2*p^2/(4*m*l^2) + q^7/50"), {"m": 1.3, "l": 0.7})
+    z0, t = (0.9, 0.4), 0.05
+    runs = [
+        lambda: hbar2_ode(ham, z0, t),
+        lambda: hbar2_transport(ham, z0, t),
+        lambda: integrate_flow(ham, z0, t).states[-1],
+        *(lambda order=order: integrate_flow_jets(ham, z0, t, order=order).jets[-1] for order in (1, 2, 3)),
+    ]
+    first = [run() for run in runs]
+    compiled = []
+    for module in (moyal.expr, moyal.flow):
+        monkeypatch.setattr(module, "exec", lambda *args: compiled.append(args), raising=False)
+    assert [run() for run in runs] == first
+    assert compiled == []
 
 
 def test_boole_is_exact_for_quintics():

@@ -25,6 +25,7 @@ from array import array
 from fractions import Fraction
 from typing import Callable
 
+from . import scalars
 from .poly import MAX_COEFF_BITS, _Parser, coeff_bits
 from .scalars import ExactScalar
 
@@ -158,7 +159,8 @@ class Const(Expr):
     def __init__(self, value: ExactScalar):
         self.value = value
         self._free = _EMPTY
-        self._hash = hash((0, value.re, value.im))
+        re, im = value.re, value.im
+        self._hash = hash((0, re.numerator, re.denominator, im.numerator, im.denominator))
         self._skey = None
         self._ladders = None
 
@@ -321,7 +323,7 @@ def sym(name: str) -> Sym:
 
 def add(*terms) -> Expr:
     """Sum with exact folding and like-term collection; canonical order."""
-    const_acc = ExactScalar(0)
+    const_acc = scalars.ZERO
     parts: dict[Expr, ExactScalar] = {}
     stack = list(terms)
     stack.reverse()
@@ -338,7 +340,7 @@ def add(*terms) -> Expr:
                 rest = t.factors[1:]
                 part = rest[0] if len(rest) == 1 else Mul(rest)
             else:
-                coeff = ExactScalar(1)
+                coeff = scalars.ONE
                 part = t
             got = parts.get(part)
             parts[part] = coeff if got is None else got + coeff
@@ -364,7 +366,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """Product with exact folding and like-base power collection."""
-    coeff = ExactScalar(1)
+    coeff = scalars.ONE
     powers: dict[Expr, int] = {}
     stack = list(factors)
     stack.reverse()

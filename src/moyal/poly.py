@@ -305,6 +305,23 @@ def bracket_weight(n: int) -> Fraction:
     return Fraction((-1) ** n, math.factorial(2 * n + 1) * 4 ** n)
 
 
+def _require_term_products(what: str, f: PhasePolynomial, g: PhasePolynomial, orders) -> None:
+    """Refuse, before computing anything, bidifferential sums of the given
+    operator orders that could multiply more than ``MAX_TERM_PRODUCTS``
+    pairs of terms: order k has k + 1 products of a derivative of f by one
+    of g, each of at most ``len(f.terms) * len(g.terms)`` term pairs, and
+    an order above the lower (q, p)-degree has none."""
+    pairs = len(f.terms) * len(g.terms)
+    if pairs * sum(k + 1 for k in orders) <= MAX_TERM_PRODUCTS:
+        return
+    n_max = min(f.degree_qp(), g.degree_qp())
+    if pairs * sum(k + 1 for k in orders if k <= n_max) > MAX_TERM_PRODUCTS:
+        raise ValueError(
+            f"{what} of {len(f.terms)} by {len(g.terms)} terms is above "
+            f"the budget of {MAX_TERM_PRODUCTS} term products"
+        )
+
+
 def star_n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomial:
     """The n-th graded piece of the star product (hbar stripped off).
 
@@ -314,6 +331,7 @@ def star_n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomial:
     """
     if n < 0:
         raise ValueError("grade must be non-negative")
+    _require_term_products("star grade", f, g, (n,))
     if n == 0:
         return f * g
     return bidifferential(f.derivative, g.derivative, n, PhasePolynomial.zero(), star_weight(n))
@@ -326,6 +344,7 @@ def star_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     the factors, so the sum stops there.
     """
     n_max = min(f.degree_qp(), g.degree_qp())
+    _require_term_products("star product", f, g, range(n_max + 1))
     acc = PhasePolynomial.zero()
     for n in range(n_max + 1):
         piece = star_n(f, g, n)
@@ -347,6 +366,7 @@ def bracket_2n(f: PhasePolynomial, g: PhasePolynomial, n: int) -> PhasePolynomia
     """
     if n < 0:
         raise ValueError("grade must be non-negative")
+    _require_term_products("bracket grade", f, g, (2 * n + 1,))
     return bidifferential(
         f.derivative, g.derivative, 2 * n + 1, PhasePolynomial.zero(), bracket_weight(n)
     )
@@ -359,6 +379,7 @@ def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     star_product(g, f) identically in the formal hbar.
     """
     n_max = min(f.degree_qp(), g.degree_qp())
+    _require_term_products("bracket", f, g, range(1, n_max + 1, 2))
     acc = PhasePolynomial.zero()
     n = 0
     while 2 * n + 1 <= n_max:
@@ -448,6 +469,11 @@ MAX_DEGREE = 64
 # after every sum and product and, from the base's bits times the exponent,
 # before every power; constant powers in parsed expressions obey it too
 MAX_COEFF_BITS = 4096
+# and a product or power that could multiply more pairs of terms than this,
+# checked before expanding; star products and brackets obey it too.  At
+# about 9 us per term product (powers of dense linear forms in q, p and
+# hbar, the dearest measured) it stops work at about 2 s
+MAX_TERM_PRODUCTS = 200_000
 
 
 def coeff_bits(*coeffs: ExactScalar) -> int:
@@ -605,10 +631,37 @@ def _degree(f: PhasePolynomial) -> int:
     return max((a + b + h for (a, b, h) in f.terms), default=0)
 
 
+def _power_term_products(base: PhasePolynomial, n: int) -> int:
+    """Term pairs that ``base ** n`` multiplies at most, by its repeated
+    squaring.  ``base ** k`` has at most as many terms as there are
+    multisets of k of base's terms, and as monomials of degree up to
+    k * deg(base) in base's variables."""
+    t = len(base.terms)
+    if not t:
+        return 0
+    v = sum(any(key[i] for key in base.terms) for i in range(3))
+    d = _degree(base)
+
+    def most(k: int) -> int:
+        return min(math.comb(t + k - 1, k), math.comb(d * k + v, v))
+
+    count, have, step = 0, 0, 1
+    while n:
+        if n & 1:
+            count += most(have) * most(step)
+            have += step
+        n >>= 1
+        if n:
+            count += most(step) ** 2
+            step *= 2
+    return count
+
+
 class _PolyParser(_Parser):
-    """Builds a :class:`PhasePolynomial` under the degree and coefficient
-    budgets.  It knows the names q, p, hbar and i and no functions; only a
-    constant can be divided by or raised to a negative power."""
+    """Builds a :class:`PhasePolynomial` under the degree, coefficient and
+    term-product budgets.  It knows the names q, p, hbar and i and no
+    functions; only a constant can be divided by or raised to a negative
+    power."""
 
     error = PolyParseError
     _NAMES = {"q": Q, "p": P, "hbar": HBAR, "i": PhasePolynomial.constant(I)}
@@ -632,11 +685,15 @@ class _PolyParser(_Parser):
             raise self.error(f"power of degree above {MAX_DEGREE}", pos)
         if coeff_bits(*base.terms.values()) * exp > MAX_COEFF_BITS:
             raise self.error(f"power with coefficients above {MAX_COEFF_BITS} bits", pos)
+        if _power_term_products(base, exp) > MAX_TERM_PRODUCTS:
+            raise self.error(f"power of more than {MAX_TERM_PRODUCTS} term products", pos)
         return base ** exp
 
     def product(self, acc: PhasePolynomial, factor: PhasePolynomial, pos: int) -> PhasePolynomial:
         if _degree(acc) + _degree(factor) > MAX_DEGREE:
             raise self.error(f"product of degree above {MAX_DEGREE}", pos)
+        if len(acc.terms) * len(factor.terms) > MAX_TERM_PRODUCTS:
+            raise self.error(f"product of more than {MAX_TERM_PRODUCTS} term products", pos)
         out = acc * factor
         if coeff_bits(*out.terms.values()) > MAX_COEFF_BITS:
             raise self.error(f"product with coefficients above {MAX_COEFF_BITS} bits", pos)
@@ -654,7 +711,8 @@ def parse_poly(text: str) -> PhasePolynomial:
     Accepts sums/differences of terms, ``*`` products, ``/`` division by a
     constant, ``^`` integer powers (negative ones of constants only), the
     imaginary unit ``i`` and the variables ``q``, ``p``, ``hbar``; ``a/b^n``
-    is a/(b^n).  Unknown names, trailing input and results over the degree
-    or the coefficient budget raise :class:`PolyParseError` with a position.
+    is a/(b^n).  Unknown names, trailing input and results over the degree,
+    the coefficient or the term-product budget raise :class:`PolyParseError`
+    with a position.
     """
     return _PolyParser(text).parse()

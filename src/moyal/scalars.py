@@ -27,7 +27,10 @@ class ExactScalar:
     """A Gaussian rational ``re + im*i``.
 
     Instances are immutable by convention; arithmetic returns new values.
-    ``int`` and ``Fraction`` operands coerce on either side.
+    ``int`` and ``Fraction`` operands coerce on either side.  ``re`` and
+    ``im`` are always ``Fraction``s.  Operands with a zero imaginary part
+    take real-only paths: a sum or a product of two of them is one
+    ``Fraction`` operation, a real times a complex two.
 
     Example
     -------
@@ -44,18 +47,20 @@ class ExactScalar:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar(self.re + other.re, self.im + other.im)
+        if type(other) is not ExactScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _new(self.re + other.re, self.im + other.im if other.im else self.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar(self.re - other.re, self.im - other.im)
+        if type(other) is not ExactScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _new(self.re - other.re, self.im - other.im if other.im else self.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -64,30 +69,34 @@ class ExactScalar:
         return other - self
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _new(-self.re, -self.im if self.im else self.im)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ExactScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return _new(a * c, a * d if d else b)
+        if not d:
+            return _new(a * c, b * c)
+        return _new(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero ExactScalar")
-        return ExactScalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        if type(other) is not ExactScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero ExactScalar")
+            return _new(a / c, b / c if b else b)
+        n = c * c + d * d
+        return _new((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -100,6 +109,8 @@ class ExactScalar:
             return NotImplemented
         if n < 0:
             return ONE / (self ** (-n))
+        if not self.im:
+            return _new(self.re ** n, self.im)
         out = ONE
         base = self
         k = n
@@ -113,16 +124,17 @@ class ExactScalar:
     # -- structure -------------------------------------------------------
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _new(self.re, -self.im)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is ExactScalar:
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         if self.im == 0:
@@ -144,6 +156,18 @@ class ExactScalar:
         return im if self.re == 0 else f"({_rational_text(self.re)} + {im})"
 
 
+_new_instance = object.__new__
+_FRACTION_ZERO = Fraction(0)
+
+
+def _new(re: Fraction, im: Fraction) -> ExactScalar:
+    """An ExactScalar from two values that are already ``Fraction``s."""
+    s = _new_instance(ExactScalar)
+    s.re = re
+    s.im = im
+    return s
+
+
 def _rational_text(r: Fraction) -> str:
     return str(r) if r.denominator == 1 and r >= 0 else f"({r})"
 
@@ -152,7 +176,7 @@ def _coerce(x):
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar(x)
+        return _new(_as_fraction(x), _FRACTION_ZERO)
     return NotImplemented
 
 

@@ -404,3 +404,22 @@ def test_hierarchy_work_options_out_of_range_exit_2_quickly(runner, option, valu
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert f"Invalid value for '{option}'" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["star", "(q+p+1)^32", "(q-p+1)^32"], "star product of 561 by 561 terms is above the budget of 200000 term products"),
+        (["bracket", "(q+p)^64", "(q-p)^64"], "bracket of 65 by 65 terms is above the budget of 200000 term products"),
+        (["star", "(q+p+hbar+1)^32*(q+p+hbar+1)^32", "p"], "power of more than 200000 term products (at position 12)"),
+        (["star", "p", "(q+p+hbar+1)^32"], "cannot parse second symbol: power of more than 200000 term products (at position 12)"),
+        (["star", "--grade", "16", "(q+p+1)^16", "(q-p+1)^16"], "star grade of 153 by 153 terms is above the budget"),
+    ],
+)
+def test_term_product_budget_exits_2_quickly(runner, args, message):
+    start = time.perf_counter()
+    res = runner.invoke(main, args)
+    assert time.perf_counter() - start < 2.0
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from moyal.expr import ZERO, DerivTable, eval_expr, parse_expr
 from moyal.poly import (
     HBAR,
+    MAX_TERM_PRODUCTS,
     P,
     PhasePolynomial,
     PolyParseError,
@@ -21,6 +22,7 @@ from moyal.poly import (
     poisson_bracket,
     star_n,
     star_product,
+    _power_term_products,
 )
 from moyal.scalars import ExactScalar
 
@@ -314,3 +316,69 @@ def test_parse_coefficient_budget():
             parse_poly(text)
         assert err.value.position == position, text
         assert f"{what} above 4096 bits" in str(err.value)
+
+
+# -- the term-product budget -------------------------------------------
+
+
+def _squaring_products(base, n):
+    """Term pairs that ``base ** n`` multiplies, by the same repeated squaring."""
+    count, out, step = 0, PhasePolynomial.constant(1), base
+    while n:
+        if n & 1:
+            count += len(out.terms) * len(step.terms)
+            out = out * step
+        n >>= 1
+        if n:
+            count += len(step.terms) ** 2
+            step = step * step
+    return count
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_degree=3, max_terms=5, with_hbar=True), st.integers(0, 11))
+def test_power_term_products_bound_the_squaring(base, n):
+    assert _squaring_products(base, n) <= _power_term_products(base, n)
+
+
+def test_power_term_products_are_exact_for_sums_of_variables():
+    for text, n in (("q+p+1", 32), ("q+p+hbar+1", 12), ("q+p", 64), ("3*q - p/2", 17)):
+        base = parse_poly(text)
+        assert _power_term_products(base, n) == _squaring_products(base, n), text
+
+
+def test_parse_term_product_budget():
+    assert MAX_TERM_PRODUCTS == 200_000
+    # the largest powers of the exact-algebra benchmark are far inside
+    assert len(parse_poly("(2*q/3 - p + 3/4)^8").terms) == 45
+    # the largest power of q + p + hbar + 1 within the budget is the 24th
+    base = parse_poly("q+p+hbar+1")
+    assert _power_term_products(base, 24) == 188_616
+    assert _power_term_products(base, 25) > MAX_TERM_PRODUCTS
+    for text, position, what in (
+        ("(q+p+hbar+1)^32", 12, "power"),
+        ("(q+p+hbar+1)^28 + q", 12, "power"),
+        ("(q+p+hbar+1)^16*(q+p+hbar+1)^16", 15, "product"),
+    ):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.position == position, text
+        assert f"{what} of more than 200000 term products" in str(err.value)
+
+
+def test_star_and_bracket_term_product_budget():
+    f, g = parse_poly("(q+p+1)^32"), parse_poly("(q-p+1)^32")
+    for op, what in (
+        (star_product, "star product"),
+        (moyal_bracket, "bracket"),
+        (lambda a, b: star_n(a, b, 32), "star grade"),
+        (lambda a, b: bracket_2n(a, b, 15), "bracket grade"),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} of 561 by 561 terms is above the budget"):
+            op(f, g)
+    # a grade above the lower degree multiplies nothing, so it is not refused
+    assert not star_n(f, g, 40)
+    assert not bracket_2n(f, g, 20)
+    # the dense benchmark products, 28 by 36 terms to grade 6, are far inside
+    a, b = parse_poly("(2*q/3 - p + 3/4)^6"), parse_poly("(q/3 + 4*p/3 - 1)^7")
+    assert star_product(a, b) - star_product(b, a) == moyal_bracket(a, b) * I_HBAR

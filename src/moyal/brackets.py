@@ -4,8 +4,11 @@ Mirrors the polynomial-side operators for symbols that live outside the
 polynomial algebra (exponentials, secants, parameter-dependent closed
 forms).  Derivatives are exact; the deformation series generally does not
 terminate here, so the truncated bracket returns a numeric convergence
-report at a phase-space point instead of a symbol.  Its grade bodies are
-compiled once per pair and reused while the left factor lives.
+report at a phase-space point instead of a symbol.  Every operator runs
+the one bidifferential kernel on the sparse entries of the pair's two
+derivative tables, so like terms are collected before one expression per
+grade body is built.  The truncated bracket's grade bodies are compiled
+once per pair and reused while the left factor lives.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # differentiate stays bound here for perfbench's tracer test
-from .expr import DerivTable, Expr, Program, ZERO, const, differentiate, eval_expr, mul  # noqa: F401
+from .expr import SPARSE_ZERO, DerivTable, Expr, Program, const, differentiate, eval_expr, mul  # noqa: F401
 from .poly import EvalPoint, bidifferential, bracket_weight, star_weight
 
 __all__ = [
@@ -34,8 +37,16 @@ class DepthCapError(ValueError):
     """Requested grade exceeds :data:`MAX_EXPR_GRADE`."""
 
 
+def _bodies(f: Expr, g: Expr, orders) -> list[Expr]:
+    """The k-th bidifferential power of (f, g) as one expression for each k
+    in ``orders``, from two derivative tables over one atom table."""
+    tf = DerivTable(f)
+    tg = DerivTable(g, tf.atoms)
+    return [tf.atoms.expr(bidifferential(tf.sparse, tg.sparse, k, SPARSE_ZERO)) for k in orders]
+
+
 def poisson_expr(f: Expr, g: Expr) -> Expr:
-    return bidifferential(DerivTable(f).get, DerivTable(g).get, 1, ZERO)
+    return _bodies(f, g, (1,))[0]
 
 
 def _check_grade(n: int):
@@ -50,15 +61,13 @@ def star_n_expr(f: Expr, g: Expr, n: int) -> Expr:
     _check_grade(n)
     if n == 0:
         return mul(f, g)
-    body = bidifferential(DerivTable(f).get, DerivTable(g).get, n, ZERO)
-    return mul(const(star_weight(n)), body)
+    return mul(const(star_weight(n)), _bodies(f, g, (n,))[0])
 
 
 def bracket_2n_expr(f: Expr, g: Expr, n: int) -> Expr:
     """Grade-2n piece of the odd-sine bracket ladder on expressions."""
     _check_grade(n)
-    body = bidifferential(DerivTable(f).get, DerivTable(g).get, 2 * n + 1, ZERO)
-    return mul(const(bracket_weight(n)), body)
+    return mul(const(bracket_weight(n)), _bodies(f, g, (2 * n + 1,))[0])
 
 
 @dataclass(frozen=True)
@@ -85,10 +94,8 @@ def _ladder(f: Expr, g: Expr, n_max: int) -> list[Program]:
             f._ladders = memo
     ladder = memo.setdefault(g, [])
     if len(ladder) <= n_max:
-        df = DerivTable(f).get
-        dg = DerivTable(g).get
-        for n in range(len(ladder), n_max + 1):
-            ladder.append(Program(bidifferential(df, dg, 2 * n + 1, ZERO)))
+        orders = range(2 * len(ladder) + 1, 2 * n_max + 2, 2)
+        ladder.extend(map(Program, _bodies(f, g, orders)))
     return ladder
 
 

@@ -57,9 +57,9 @@ class _FiniteFloat(click.types.FloatParamType):
 FLOAT = _FiniteFloat()
 
 
-def _fail(message: str) -> None:
+def _fail(message: str, code: int = 2) -> None:
     click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+    sys.exit(code)
 
 
 def _parse_poly_arg(text: str, what: str):
@@ -83,6 +83,21 @@ def _emit_json(payload) -> None:
 
 def _g(x: float) -> str:
     return f"{x:.17g}"
+
+
+# the largest relative gap between the ode and transport routes that
+# hierarchy accepts: the tolerance the benchmark's and criterion 06's
+# checks of the two routes use
+ROUTE_GAP_TOL = 1e-6
+
+
+def _rel_gap(x: float, y: float) -> float:
+    """|x - y| over max(|x|, |y|): 0 when both are 0, infinite when
+    either is not finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
 
 
 def _time_grid(t0: float, t1: float, t_steps: int) -> list[float]:
@@ -169,6 +184,8 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     Runs the correction ODE and the transport quadrature at each sampled
     time; when the Hamiltonian parses in the plain polynomial grammar the
     exact bracket-ladder Taylor series is evaluated as a third route.
+    Where the ode and transport routes differ by more than 1e-6 relative,
+    the rows are printed and the command exits 1, naming the worst gap.
     """
     expr = _parse_expr_arg(ham_text, "Hamiltonian")
     params = {
@@ -184,6 +201,8 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     if min(times) < 0:
         _fail("the hbar^2 routes need times >= 0")
     rows = []
+    # (relative gap, t, component, ode value, transport value)
+    gaps = []
 
     def row(t, q2, p2, method):
         rows.append({"t": t, "Q2": q2, "P2": p2, "method": method})
@@ -197,6 +216,8 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
         tra = hbar2_transport(ham, (q0, p0), t, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
         row(t, ode.q2[0], ode.p2[0], "ode")
         row(t, tra.q2[0], tra.p2[0], "transport")
+        for name, a, b in (("Q2", ode.q2[0], tra.q2[0]), ("P2", ode.p2[0], tra.p2[0])):
+            gaps.append((_rel_gap(a, b), t, name, a, b))
     try:
         h_poly = parse_poly(ham_text)
     except PolyParseError:
@@ -208,10 +229,18 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     rows.sort(key=lambda r: (r["method"], r["t"]))
     if fmt != "text":
         _emit_rows(rows, fmt)
-        return
-    click.echo(f"{'t':>10} {'Q2':>22} {'P2':>22} method")
-    for r in rows:
-        click.echo(f"{r['t']:>10.4g} {r['Q2']:>22.12g} {r['P2']:>22.12g} {r['method']}")
+    else:
+        click.echo(f"{'t':>10} {'Q2':>22} {'P2':>22} method")
+        for r in rows:
+            click.echo(f"{r['t']:>10.4g} {r['Q2']:>22.12g} {r['P2']:>22.12g} {r['method']}")
+    worst = max(gaps, default=(0.0,))
+    if worst[0] > ROUTE_GAP_TOL:
+        gap, t, name, a, b = worst
+        _fail(
+            f"at t = {t:.12g} the ode and transport routes differ in {name}: {a:.12g} (ode) "
+            f"against {b:.12g} (transport), relative gap {gap:.3g} > {ROUTE_GAP_TOL:g}",
+            1,
+        )
 
 
 # -- worked examples ----------------------------------------------------

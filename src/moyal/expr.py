@@ -7,7 +7,9 @@ exactly, sums collect like terms, products collect like bases, factor and
 term order is canonical), so structurally equal means equal as written
 formulas and the printer is deterministic.
 
-Differentiation is rule-based and exact.  The one evaluator, a
+Differentiation is rule-based and exact; a derivative table holds its
+entries as sparse polynomials over call atoms, so the chain rule never
+rebuilds a tree.  The one evaluator, a
 :class:`Program`, compiles trees once into a flat tape and runs it over
 floats, complexes or truncated jets, with symbols bound to values of that
 type; a jet run keeps its constants and parameters as floats.  Every run
@@ -45,6 +47,8 @@ __all__ = [
     "pow_int",
     "call",
     "differentiate",
+    "Sparse",
+    "Atoms",
     "DerivTable",
     "Program",
     "FloatEmitter",
@@ -494,28 +498,163 @@ def differentiate(e: Expr, var: str) -> Expr:
     return d(e)
 
 
+def _collect(terms) -> dict:
+    """(monomial, coefficient) pairs with like terms summed, zeros dropped."""
+    out: dict = {}
+    for m, c in terms:
+        got = out.get(m)
+        out[m] = c if got is None else got + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two monomials: exponents added, trailing zeros cut."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, e in enumerate(b):
+        out[i] += e
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+class Sparse:
+    """A polynomial over the atoms of one :class:`Atoms` table.
+
+    ``terms`` maps a monomial to its nonzero ``ExactScalar`` coefficient.
+    A monomial is a tuple of integer exponents, negative ones included,
+    indexed by atom and without trailing zeros, so equal monomials are
+    equal tuples.  Sums and products collect like terms, and a product by
+    a number scales: all that :func:`poly.bidifferential` asks of values.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, ...], ExactScalar]):
+        self.terms = terms
+
+    def __eq__(self, other):
+        return type(other) is Sparse and self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other: Sparse) -> Sparse:
+        return Sparse(_collect([*self.terms.items(), *other.terms.items()]))
+
+    def __mul__(self, other) -> Sparse:
+        if type(other) is not Sparse:
+            s = other if type(other) is ExactScalar else ExactScalar(other)
+            return Sparse({m: c * s for m, c in self.terms.items()} if s else {})
+        return Sparse(_collect(
+            (_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
+        ))
+
+    __rmul__ = __mul__
+
+
+SPARSE_ZERO = Sparse({})
+
+
+class Atoms:
+    """The atoms that the :class:`Sparse` entries of derivative tables are
+    polynomials in, with the derivatives taken so far.
+
+    An atom is a symbol, pi or a call, or a sum that is a factor of a
+    product or the base of a power (never expanded).  Each atom's
+    derivative by q or p is taken once, by :func:`differentiate` on that
+    atom alone, and each monomial's once, by the chain rule.  Tables whose
+    entries are multiplied together share one ``Atoms``; nothing else
+    keeps it.
+    """
+
+    def __init__(self):
+        self.exprs: list[Expr] = []
+        self.index: dict[Expr, int] = {}
+        # (monomial, variable) -> the terms of the monomial's derivative
+        self.derivs: dict[tuple[tuple[int, ...], str], dict] = {}
+
+    def monomial(self, e: Expr, k: int) -> tuple[int, ...]:
+        """The monomial of the atom ``e`` to the power ``k``."""
+        i = self.index.get(e)
+        if i is None:
+            i = self.index[e] = len(self.exprs)
+            self.exprs.append(e)
+        return (0,) * i + (k,)
+
+    def term(self, e: Expr) -> tuple[tuple[int, ...], ExactScalar]:
+        """A product of constants, atoms and atom powers as (monomial, coefficient)."""
+        coeff, mono = scalars.ONE, ()
+        for f in e.factors if type(e) is Mul else (e,):
+            if type(f) is Const:
+                coeff = coeff * f.value
+            else:
+                mono = _mono_mul(mono, self.monomial(f.base, f.exp) if type(f) is Pow else self.monomial(f, 1))
+        return mono, coeff
+
+    def sparse(self, e: Expr) -> Sparse:
+        """``e`` as a polynomial in atoms, like terms collected."""
+        return Sparse(_collect(map(self.term, e.terms if type(e) is Add else (e,))))
+
+    def derivative(self, s: Sparse, var: str) -> Sparse:
+        """d ``s`` / d ``var``, one monomial at a time."""
+        return Sparse(_collect(
+            (m, c * dc) for mono, c in s.terms.items() for m, dc in self.chain(mono, var).items()
+        ))
+
+    def chain(self, mono: tuple[int, ...], var: str) -> dict:
+        """The terms of d ``mono`` / d ``var``, by the chain rule on first
+        use; an atom's own derivative is kept under its first power."""
+        key = (mono, var)
+        got = self.derivs.get(key)
+        if got is None:
+            if mono and mono[-1] == 1 and not any(mono[:-1]):
+                atom = self.exprs[len(mono) - 1]
+                got = self.sparse(differentiate(atom, var)).terms if var in atom._free else {}
+            else:
+                got = _collect(
+                    (_mono_mul(mono[:i] + (e - 1,) + mono[i + 1:], dm), dc * e)
+                    for i, e in enumerate(mono) if e
+                    for dm, dc in self.chain((0,) * i + (1,), var).items()
+                )
+            self.derivs[key] = got
+        return got
+
+    def expr(self, s: Sparse) -> Expr:
+        """``s`` as an expression, through the normalizing constructors."""
+        atoms = self.exprs
+        return add(*(
+            mul(Const(c), *(pow_int(atoms[i], e) for i, e in enumerate(m) if e))
+            for m, c in s.terms.items()
+        ))
+
+
 class DerivTable:
     """Mixed partial derivatives d_q^a d_p^b f, filled on demand.
 
-    Rows are built from the previous row, so each derivative is taken
-    once; zero entries short-circuit.
+    Each entry is a :class:`Sparse` polynomial over ``atoms`` (the table's
+    own, or one shared with the tables its entries meet), taken from the
+    entry before it in its row, so each derivative is taken once.
+    :meth:`get` builds an entry's expression on first use.
     """
 
-    def __init__(self, f: Expr):
-        self.cache: dict[tuple[int, int], Expr] = {(0, 0): f}
+    def __init__(self, f: Expr, atoms: Atoms | None = None):
+        self.atoms = Atoms() if atoms is None else atoms
+        self.entries: dict[tuple[int, int], Sparse] = {(0, 0): self.atoms.sparse(f)}
+        self.exprs: dict[tuple[int, int], Expr] = {(0, 0): f}
+
+    def sparse(self, a: int, b: int) -> Sparse:
+        got = self.entries.get((a, b))
+        if got is None:
+            prev = self.sparse(a, b - 1) if b > 0 else self.sparse(a - 1, 0)
+            got = self.entries[(a, b)] = self.atoms.derivative(prev, "p" if b > 0 else "q")
+        return got
 
     def get(self, a: int, b: int) -> Expr:
-        got = self.cache.get((a, b))
-        if got is not None:
-            return got
-        if b > 0:
-            prev = self.get(a, b - 1)
-            out = ZERO if prev is ZERO else differentiate(prev, "p")
-        else:
-            prev = self.get(a - 1, 0)
-            out = ZERO if prev is ZERO else differentiate(prev, "q")
-        self.cache[(a, b)] = out
-        return out
+        got = self.exprs.get((a, b))
+        if got is None:
+            got = self.exprs[(a, b)] = self.atoms.expr(self.sparse(a, b))
+        return got
 
 
 # -- evaluation ----------------------------------------------------------

@@ -279,9 +279,9 @@ def bidifferential(df, dg, k: int, zero, weight=1):
 
     where ``df(a, b)`` and ``dg(a, b)`` return d_q^a d_p^b of the left and
     the right factor.  Works on any values that add and multiply
-    (polynomials, expressions, floats); terms are added to ``zero`` in j
-    order, and a term stops at its first factor equal to ``zero``, so the
-    second is never computed.
+    (polynomials, expressions, the sparse entries of ``expr.DerivTable``,
+    floats); terms are added to ``zero`` in j order, and a term stops at
+    its first factor equal to ``zero``, so the second is never computed.
     """
     acc = zero
     for j in range(k + 1):

@@ -14,6 +14,7 @@ first operand once its operands are evaluated, tan and sec refuse a cosine
 below 1e-12 in magnitude, and a root that depends on no jet comes back as a
 constant jet of the requested order.  :func:`walk_complex` keeps the same
 fold, pole and power rules over complexes, through ``cmath``.
+:func:`partials` is the derivative table by repeated ``differentiate``.
 """
 
 import cmath
@@ -86,6 +87,19 @@ def call_derivatives(fn, u, order):
     """Derivatives of the function ``fn`` at u up to ``order``, each walked
     in turn, so tan and sec refuse a point near a pole first by name."""
     return [walk(d, {"x": u}) for d in _chain_rule(fn, order)]
+
+
+def partials(e, order):
+    """Every d_q^a d_p^b e with a + b <= order, keyed by (a, b), each by
+    ``differentiate`` on the entry before it in its row: the reference for
+    ``expr.DerivTable``, which takes no whole entry through ``differentiate``."""
+    out = {(0, 0): e}
+    for a in range(order + 1):
+        if a:
+            out[(a, 0)] = differentiate(out[(a - 1, 0)], "q")
+        for b in range(1, order + 1 - a):
+            out[(a, b)] = differentiate(out[(a, b - 1)], "p")
+    return out
 
 
 def _jet_power(u, n):

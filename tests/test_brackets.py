@@ -1,4 +1,7 @@
+import gc
 import math
+import types
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +14,10 @@ from moyal.brackets import (
 )
 from moyal import brackets, expr
 from moyal.closed_forms import builtin_example1, builtin_unitary_pair
-from moyal.expr import ZERO, eval_expr, parse_expr, print_expr
-from moyal.poly import EvalPoint, star_n
+from moyal.expr import (
+    ZERO, Atoms, DerivTable, Expr, Program, Sparse, call, const, eval_expr, parse_expr, print_expr,
+)
+from moyal.poly import EvalPoint, bracket_2n, parse_poly, star_n
 from moyal.poly import PhasePolynomial as PP
 
 
@@ -36,6 +41,13 @@ def test_star_n_expr_matches_polynomial_kernel():
         got = eval_expr(star_n_expr(fe, ge, n), point)
         want = star_n(fp, gp, n).evaluate(1.3, -0.7, 1.0)
         assert got == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_bracket_2n_expr_on_polynomials_is_the_exact_grade(n):
+    f, g = "q^4 + q*p^3 - 2*q^2*p", "q^3*p^2 + p^5/3"
+    got = bracket_2n_expr(parse_expr(f), parse_expr(g), n)
+    assert parse_poly(print_expr(got)) == bracket_2n(parse_poly(f), parse_poly(g), n)
 
 
 def test_star_n_expr_on_transcendental():
@@ -166,3 +178,45 @@ def test_ladder_is_kept_on_the_left_factor_only_while_it_is_not_constant():
     one = parse_expr("1")
     assert moyal_bracket_truncated(one, g, 2, point).partial_sums == (0j, 0j, 0j)
     assert one._ladders is None
+
+
+def _fresh_pair(rate):
+    arg = const(rate) * parse_expr("q*p*t")
+    return parse_expr("q") * call("exp", arg), parse_expr("p") * call("exp", -arg)
+
+
+FRESH_POINT = EvalPoint(q=0.6, p=-0.9, hbar=0.1, params={"t": 0.7})
+
+
+def test_fresh_pair_ladder_bodies_collapse():
+    # each grade body of the pair is c_n t^2n exp(u) exp(-u) once like terms
+    # are collected; built from uncollected products the nine tapes held
+    # 8,146 entries
+    f, g = _fresh_pair(Fraction(-613, 1000))
+    rep = moyal_bracket_truncated(f, g, 8, FRESH_POINT)
+    assert rep.partial_sums[-1].real == pytest.approx((1 + (0.1 * -0.613 * 0.7 / 2) ** 2) ** -2, rel=1e-14)
+    assert sum(len(prog.code) for prog in f._ladders[g]) < 1000
+
+
+def _reachable(prog):
+    """What a kept ladder Program holds: its fields and its generated
+    kernels' globals, followed through containers and numbers but not into
+    functions, modules or classes."""
+    stack = [getattr(prog, name) for name in Program.__slots__]
+    stack += [fn.__globals__ for fn in prog._kernels.values()]
+    seen = set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        yield x
+        stack.extend(gc.get_referents(x))
+
+
+def test_kept_ladders_hold_no_derivative_table():
+    f, g = _fresh_pair(Fraction(37, 100))
+    moyal_bracket_truncated(f, g, 8, FRESH_POINT)
+    reached = [x for prog in f._ladders[g] for x in _reachable(prog)]
+    assert any(type(x) is complex for x in reached)
+    assert not any(isinstance(x, (Expr, Sparse, Atoms, DerivTable)) for x in reached)

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from moyal import checks
-from moyal.cli import main
+from moyal.cli import _rel_gap, main
 from moyal.poly import PhasePolynomial, moyal_bracket
 
 
@@ -181,6 +181,35 @@ def test_hierarchy_long_time_finishes(runner):
     res = runner.invoke(main, ["hierarchy", "--t0", "2", "--t1", "2", "--t-steps", "1"])
     assert res.exit_code == 0
     assert time.perf_counter() - start < 20.0
+
+
+@pytest.mark.parametrize(
+    "args, where",
+    [
+        # a stiff potential: the transport quadrature has not converged
+        (["--hamiltonian", "p^2/2 + exp(10*q)", "--q0", "1", "--p0", "0", "--t-steps", "1", "--t1", "1"],
+         "at t = 1 the ode and transport routes differ in P2: -0.0148455988001 (ode) against "
+         "-0.000191682241931 (transport)"),
+        # the flow steps over the pole of tan near q = 1.509
+        (["--hamiltonian", "p^2/2+tan(q)", "--q0", "1.5", "--p0", "2", "--t0", "0.2", "--t1", "0.2",
+          "--t-steps", "1"],
+         "at t = 0.2 the ode and transport routes differ in Q2: -0.942992962394 (ode) against "
+         "-0.940689904046 (transport)"),
+    ],
+)
+def test_hierarchy_route_gap_exits_1(runner, args, where):
+    res = runner.invoke(main, ["hierarchy", *args, "--format", "csv"])
+    assert res.exit_code == 1
+    assert res.output.startswith("t,Q2,P2,method\n")
+    assert f"error: {where}, relative gap " in res.output
+    assert res.output.endswith(" > 1e-06\n")
+
+
+def test_hierarchy_route_gap_is_relative_to_the_larger_value():
+    assert _rel_gap(0.0, 0.0) == 0.0
+    assert _rel_gap(-2.0, 1.0) == 1.5
+    assert _rel_gap(1e-300, 0.0) == 1.0
+    assert _rel_gap(float("nan"), 1.0) == _rel_gap(1.0, float("inf")) == float("inf")
 
 
 def test_example1_csv_header(runner):

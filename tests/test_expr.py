@@ -2,8 +2,11 @@ import cmath
 import gc
 import math
 import random
+from fractions import Fraction
 
 import pytest
+
+from expr_walk import partials, walk
 
 from moyal.expr import (
     DerivTable,
@@ -15,6 +18,7 @@ from moyal.expr import (
     Program,
     ZERO,
     call,
+    const,
     differentiate,
     eval_expr,
     eval_real,
@@ -163,6 +167,48 @@ def test_nth_derivative():
     e = parse_expr("q^4")
     assert print_expr(DerivTable(e).get(2, 0)) == "12*q^2"
     assert DerivTable(e).get(5, 0) is ZERO
+
+
+# Hamiltonians whose partials the flows and both hbar^2 routes read
+_FLOW_TEXTS = (
+    "q^2*p^2/4", "p^2/2 + q^2/2 + q^4/24", "p^2/2 + q^3/6", "p^2/2 + cosh(q)/4",
+    "q^2*p^2/(4*m*l^2)", "p^2/2+tan(q)", "p^2/2+sec(q)*sin(q)", "p^2/2 + exp(10*q)",
+    "exp(p/3)*cos(q)", "q^-2 + q^7", "p^2/(2*m) + m*omega^2*q^2/2 + lambda*q^4",
+    "p^2/2 + q^6/30 + sec(q/4) + q*tan(p/5)",
+)
+
+
+@pytest.mark.parametrize(
+    "h", [parse_expr(t) for t in _FLOW_TEXTS] + [ham.expr for _, ham in _flow_hamiltonians()]
+)
+def test_hamiltonian_partials_print_as_repeated_differentiation_does(h):
+    # the generated field and partial kernels, and so every flow's bits,
+    # follow from these trees
+    table = DerivTable(h)
+    for key, want in partials(h, 3).items():
+        assert print_expr(table.get(*key)) == print_expr(want), key
+
+
+def _sweep_exprs():
+    ex = builtin_example1()
+    fresh = []
+    for rate in (Fraction(37, 100), Fraction(-613, 1000), Fraction(91, 100)):
+        arg = const(rate) * parse_expr("q*p*t")
+        fresh += [parse_expr("q") * call("exp", arg), parse_expr("p") * call("exp", -arg)]
+    return [
+        ex.classical_position, ex.classical_momentum,
+        ex.deformed_position.expr, ex.deformed_momentum.expr,
+        *builtin_unitary_pair(), *fresh,
+    ]
+
+
+@pytest.mark.parametrize("e", _sweep_exprs())
+def test_derivative_table_of_the_sweep_pairs_to_order_17(e):
+    point = {"q": 0.43, "p": -0.71, "t": 0.37, "m": 1.1, "l": 0.9, "hbar": 0.1, "beta": 1.0, "gamma": 1.0}
+    table = DerivTable(e)
+    for key, want in partials(e, 17).items():
+        x, y = walk(want, point), walk(table.get(*key), point)
+        assert abs(x - y) <= 1e-13 * max(abs(x), abs(y)), key
 
 
 def test_derivative_of_pi_is_zero():

@@ -4,7 +4,8 @@ Every text either parses or is refused with the parser's own error, a text
 that parses as a polynomial means the same polynomial when read as an
 expression, and the ``star``, ``hierarchy`` and ``example2`` commands exit
 0 or 2 without an exception.  Random expression trees evaluate over
-complexes, floats and jets exactly as the reference walk does.  Examples
+complexes, floats and jets exactly as the reference walk does, and their
+derivative tables agree with repeated differentiation.  Examples
 are derandomized, so every run tries the same texts and trees.
 """
 
@@ -15,10 +16,11 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expr_walk import outcome, walk, walk_complex, walk_jet
+from expr_walk import outcome, partials, walk, walk_complex, walk_jet
 from moyal.cli import main
 from moyal.expr import (
     FUNCTION_NAMES,
+    DerivTable,
     I_UNIT,
     PI,
     Expr,
@@ -157,3 +159,23 @@ def test_generated_code_matches_the_reference_walk(e, z, q, p, m):
     for order in (1, 2, 3):
         jets = dict(b, q=seed(q, 0, order), p=seed(p, 1, order))
         assert outcome(lambda: eval_expr_jet(prog, jets, order)) == outcome(lambda: walk_jet(e, jets, order))
+
+
+# a generic point; entries the reference cannot evaluate there are skipped
+TABLE_POINT = {"q": 0.43, "p": -0.71, "m": 1.13}
+
+
+@FUZZ
+@given(trees)
+@example(call("tan", sym("q") * sym("p")) * pow_int(sym("m") + sym("q"), -2))
+@example(call("exp", pow_int(sym("q"), 2) + sym("p")) * call("sec", PI * sym("p")))
+def test_derivative_table_matches_repeated_differentiation(e):
+    ref = partials(e, 5)
+    table = DerivTable(e)
+    for key, want in ref.items():
+        try:
+            x = walk(want, TABLE_POINT)
+        except (ArithmeticError, ValueError):
+            continue
+        y = walk(table.get(*key), TABLE_POINT)
+        assert abs(x - y) <= 1e-13 * max(abs(x), abs(y)), (key, print_expr(want))

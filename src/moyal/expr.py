@@ -8,15 +8,15 @@ term order is canonical), so structurally equal means equal as written
 formulas and the printer is deterministic.
 
 Differentiation is rule-based and exact; a derivative table holds its
-entries as sparse polynomials over call atoms, so the chain rule never
-rebuilds a tree.  The one evaluator, a
-:class:`Program`, compiles trees once into a flat tape and runs it over
-floats, complexes or truncated jets, with symbols bound to values of that
-type; a jet run keeps its constants and parameters as floats.  Every run
-calls straight-line code generated from the tape on first use.  There is
-no general simplifier: normalization is limited to the constructor rules
-above, and identities beyond them are the test suite's job to check
-numerically.
+entries as sparse polynomials over call atoms, with integer coefficients
+over one denominator, so the chain rule never rebuilds a tree.  The one
+evaluator, a :class:`Program`, compiles trees once into a flat tape and
+runs it over floats, complexes or truncated jets, with symbols bound to
+values of that type; a jet run keeps its constants and parameters as
+floats.  Every run calls straight-line code generated from the tape on
+first use.  There is no general simplifier: normalization is limited to
+the constructor rules above, and identities beyond them are the test
+suite's job to check numerically.
 """
 
 from __future__ import annotations
@@ -498,15 +498,6 @@ def differentiate(e: Expr, var: str) -> Expr:
     return d(e)
 
 
-def _collect(terms) -> dict:
-    """(monomial, coefficient) pairs with like terms summed, zeros dropped."""
-    out: dict = {}
-    for m, c in terms:
-        got = out.get(m)
-        out[m] = c if got is None else got + c
-    return {m: c for m, c in out.items() if c}
-
-
 def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product of two monomials: exponents added, trailing zeros cut."""
     if len(a) < len(b):
@@ -522,38 +513,98 @@ def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class Sparse:
     """A polynomial over the atoms of one :class:`Atoms` table.
 
-    ``terms`` maps a monomial to its nonzero ``ExactScalar`` coefficient.
     A monomial is a tuple of integer exponents, negative ones included,
     indexed by atom and without trailing zeros, so equal monomials are
-    equal tuples.  Sums and products collect like terms, and a product by
-    a number scales: all that :func:`poly.bidifferential` asks of values.
+    equal tuples.  Coefficients are Gaussian rationals held as integers
+    over one common denominator ``den`` >= 1: ``re`` and ``im`` map a
+    monomial to the nonzero numerators of the real and imaginary parts
+    (``im`` is usually empty), and gcd(den, every numerator) is 1, so
+    equal polynomials are equal.  Sums and products collect like terms,
+    and a product by a number scales: all that :func:`poly.bidifferential`
+    asks of values.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("re", "im", "den")
 
-    def __init__(self, terms: dict[tuple[int, ...], ExactScalar]):
-        self.terms = terms
+    def __init__(self, re: dict[tuple[int, ...], int], im: dict[tuple[int, ...], int], den: int):
+        self.re = re
+        self.im = im
+        self.den = den
 
     def __eq__(self, other):
-        return type(other) is Sparse and self.terms == other.terms
+        return type(other) is Sparse and self.den == other.den and self.re == other.re and self.im == other.im
 
     __hash__ = None
 
+    def items(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """(monomial, real numerator, imaginary numerator) of each term."""
+        re, im = self.re, self.im
+        if not im:
+            return [(m, c, 0) for m, c in re.items()]
+        return [(m, c, im.get(m, 0)) for m, c in re.items()] + [(m, 0, c) for m, c in im.items() if m not in re]
+
     def __add__(self, other: Sparse) -> Sparse:
-        return Sparse(_collect([*self.terms.items(), *other.terms.items()]))
+        return _combine(((1, 0, (), self), (1, 0, (), other)))
 
     def __mul__(self, other) -> Sparse:
         if type(other) is not Sparse:
-            s = other if type(other) is ExactScalar else ExactScalar(other)
-            return Sparse({m: c * s for m, c in self.terms.items()} if s else {})
-        return Sparse(_collect(
-            (_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
-        ))
+            return _of_scalars([((), other if type(other) is ExactScalar else ExactScalar(other))]) * self
+        return _combine([(cr, ci, m, other) for m, cr, ci in self.items()], self.den)
 
     __rmul__ = __mul__
 
 
-SPARSE_ZERO = Sparse({})
+def _into(out: dict, part: dict, k: int, mono: tuple[int, ...]) -> None:
+    """Add k times ``mono`` times each term of ``part`` to ``out``."""
+    get = out.get
+    if mono:
+        for m, c in part.items():
+            m = _mono_mul(mono, m)
+            out[m] = get(m, 0) + k * c
+    else:
+        for m, c in part.items():
+            out[m] = get(m, 0) + k * c
+
+
+def _combine(terms, den: int = 1) -> Sparse:
+    """The sum of (cr + ci*i) * mono * s over ``den``, for each (cr, ci,
+    mono, s) of ``terms``: every s scaled to the lcm of their denominators,
+    like terms collected, then one gcd reduction to lowest terms."""
+    lcm = math.lcm(*{s.den for *_, s in terms})
+    re: dict = {}
+    im: dict = {}
+    for cr, ci, mono, s in terms:
+        k = lcm // s.den
+        if cr:
+            _into(re, s.re, cr * k, mono)
+            if s.im:
+                _into(im, s.im, cr * k, mono)
+        if ci:
+            _into(im, s.re, ci * k, mono)
+            if s.im:
+                _into(re, s.im, -ci * k, mono)
+    g = math.gcd(den * lcm, *re.values(), *im.values())
+    return Sparse(
+        {m: c // g for m, c in re.items() if c},
+        {m: c // g for m, c in im.items() if c} if im else _REAL,
+        den * lcm // g,
+    )
+
+
+def _of_scalars(terms) -> Sparse:
+    """A :class:`Sparse` from (monomial, ``ExactScalar``) pairs."""
+    terms = list(terms)
+    den = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
+    return _combine([
+        (c.re.numerator * den // c.re.denominator, c.im.numerator * den // c.im.denominator, m, _ONE_SPARSE)
+        for m, c in terms
+    ], den)
+
+
+# the imaginary part of every real Sparse; no Sparse's dicts are written after it is built
+_REAL: dict = {}
+SPARSE_ZERO = Sparse({}, _REAL, 1)
+_ONE_SPARSE = Sparse({(): 1}, _REAL, 1)
 
 
 class Atoms:
@@ -571,8 +622,8 @@ class Atoms:
     def __init__(self):
         self.exprs: list[Expr] = []
         self.index: dict[Expr, int] = {}
-        # (monomial, variable) -> the terms of the monomial's derivative
-        self.derivs: dict[tuple[tuple[int, ...], str], dict] = {}
+        # (monomial, variable) -> the monomial's derivative
+        self.derivs: dict[tuple[tuple[int, ...], str], Sparse] = {}
 
     def monomial(self, e: Expr, k: int) -> tuple[int, ...]:
         """The monomial of the atom ``e`` to the power ``k``."""
@@ -594,38 +645,39 @@ class Atoms:
 
     def sparse(self, e: Expr) -> Sparse:
         """``e`` as a polynomial in atoms, like terms collected."""
-        return Sparse(_collect(map(self.term, e.terms if type(e) is Add else (e,))))
+        return _of_scalars(map(self.term, e.terms if type(e) is Add else (e,)))
 
     def derivative(self, s: Sparse, var: str) -> Sparse:
         """d ``s`` / d ``var``, one monomial at a time."""
-        return Sparse(_collect(
-            (m, c * dc) for mono, c in s.terms.items() for m, dc in self.chain(mono, var).items()
-        ))
+        return _combine([(cr, ci, (), self.chain(m, var)) for m, cr, ci in s.items()], s.den)
 
-    def chain(self, mono: tuple[int, ...], var: str) -> dict:
-        """The terms of d ``mono`` / d ``var``, by the chain rule on first
-        use; an atom's own derivative is kept under its first power."""
+    def chain(self, mono: tuple[int, ...], var: str) -> Sparse:
+        """d ``mono`` / d ``var``, by the chain rule on first use: each
+        atom's derivative times the exponent and the other powers, summed
+        into one pair of numerator dicts; an atom's own derivative is kept
+        under its first power."""
         key = (mono, var)
         got = self.derivs.get(key)
         if got is None:
             if mono and mono[-1] == 1 and not any(mono[:-1]):
                 atom = self.exprs[len(mono) - 1]
-                got = self.sparse(differentiate(atom, var)).terms if var in atom._free else {}
+                got = self.sparse(differentiate(atom, var)) if var in atom._free else SPARSE_ZERO
             else:
-                got = _collect(
-                    (_mono_mul(mono[:i] + (e - 1,) + mono[i + 1:], dm), dc * e)
+                got = _combine([
+                    (e, 0, mono[:i] + (e - 1,) + mono[i + 1:], self.chain((0,) * i + (1,), var))
                     for i, e in enumerate(mono) if e
-                    for dm, dc in self.chain((0,) * i + (1,), var).items()
-                )
+                ])
             self.derivs[key] = got
         return got
 
     def expr(self, s: Sparse) -> Expr:
-        """``s`` as an expression, through the normalizing constructors."""
-        atoms = self.exprs
+        """``s`` as an expression, through the normalizing constructors; each
+        coefficient becomes one exact ``Const``."""
+        atoms, den = self.exprs, s.den
         return add(*(
-            mul(Const(c), *(pow_int(atoms[i], e) for i, e in enumerate(m) if e))
-            for m, c in s.terms.items()
+            mul(Const(ExactScalar(Fraction(cr, den), Fraction(ci, den))),
+                *(pow_int(atoms[i], e) for i, e in enumerate(m) if e))
+            for m, cr, ci in s.items()
         ))
 
 

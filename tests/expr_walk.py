@@ -15,14 +15,28 @@ below 1e-12 in magnitude, and a root that depends on no jet comes back as a
 constant jet of the requested order.  :func:`walk_complex` keeps the same
 fold, pole and power rules over complexes, through ``cmath``.
 :func:`partials` is the derivative table by repeated ``differentiate``.
+:class:`RefSparse` is the exact reference for ``expr.Sparse``: coefficients
+as ``ExactScalar``s, one per monomial, and the chain rule taken monomial by
+monomial and atom by atom (:func:`ref_table`), with no common denominator;
+:func:`check_exact_tables_and_bodies` holds tables and ladder bodies to it.
 """
 
 import cmath
+import contextlib
 import functools
+import itertools
 import math
+from fractions import Fraction
+from unittest import mock
 
-from moyal.expr import Add, Call, Const, ExprDomainError, ExprEvalError, Mul, Pi, Pow, Sym, differentiate
+from moyal.brackets import _bodies
+from moyal.expr import (
+    SPARSE_ZERO, Add, Call, Const, DerivTable, ExprDomainError, ExprEvalError, Mul, Pi, Pow, Sparse, Sym, add,
+    const, differentiate, mul, pow_int,
+)
 from moyal.jets import MONOMIALS, jet_order
+from moyal.poly import bidifferential
+from moyal.scalars import ExactScalar
 
 _PLAIN = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh}
 
@@ -100,6 +114,129 @@ def partials(e, order):
         for b in range(1, order + 1 - a):
             out[(a, b)] = differentiate(out[(a, b - 1)], "p")
     return out
+
+
+def _collect(terms):
+    out = {}
+    for m, c in terms:
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+def _mono_mul(a, b):
+    out = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+class RefSparse:
+    """A dict from monomial (atom exponents, no trailing zeros) to nonzero
+    ``ExactScalar``, with the sum, product and scaling that
+    ``poly.bidifferential`` asks of values."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        return RefSparse(_collect([*self.terms.items(), *other.terms.items()]))
+
+    def __mul__(self, other):
+        if type(other) is not RefSparse:
+            return RefSparse(_collect((m, c * other) for m, c in self.terms.items()))
+        return RefSparse(_collect(
+            (_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
+        ))
+
+    __rmul__ = __mul__
+
+
+def ref_sparse(atoms, e):
+    """``e`` as a :class:`RefSparse` over the ``expr.Atoms`` table ``atoms``."""
+    return RefSparse(_collect(map(atoms.term, e.terms if type(e) is Add else (e,))))
+
+
+def ref_table(atoms, e, order):
+    """Every d_q^a d_p^b e with a + b <= order as a :class:`RefSparse`, keyed
+    by (a, b), each entry from the one before it in its row: every term
+    c * prod(atom_i^e_i) gives c * e_i * atom_i^(e_i - 1) * d(atom_i) * (the
+    other powers) for each i, with each d(atom_i) from ``differentiate``."""
+
+    def d(s, var):
+        return RefSparse(_collect(
+            (_mono_mul(m[:i] + (e - 1,) + m[i + 1:], dm), c * e * dc)
+            for m, c in s.terms.items() for i, e in enumerate(m) if e
+            for dm, dc in ref_sparse(atoms, differentiate(atoms.exprs[i], var)).terms.items()
+        ))
+
+    out = {(0, 0): ref_sparse(atoms, e)}
+    for a in range(order + 1):
+        if a:
+            out[(a, 0)] = d(out[(a - 1, 0)], "q")
+        for b in range(1, order + 1 - a):
+            out[(a, b)] = d(out[(a, b - 1)], "p")
+    return out
+
+
+def ref_expr(atoms, s):
+    """A :class:`RefSparse` as an expression, one ``Const`` per term."""
+    return add(*(
+        mul(const(c), *(pow_int(atoms.exprs[i], e) for i, e in enumerate(m) if e)) for m, c in s.terms.items()
+    ))
+
+
+def exact_terms(s):
+    """An ``expr.Sparse``'s coefficients as ``ExactScalar``s, by monomial."""
+    return {m: ExactScalar(Fraction(cr, s.den), Fraction(ci, s.den)) for m, cr, ci in s.items()}
+
+
+def in_lowest_terms(s):
+    """Whether an ``expr.Sparse`` is in its normal form: a positive
+    denominator sharing no factor with every numerator, no zero numerator,
+    and an empty one equal to ``SPARSE_ZERO``."""
+    nums = [*s.re.values(), *s.im.values()]
+    return s.den >= 1 and math.gcd(s.den, *nums) == 1 and all(nums) and (bool(nums) or s == SPARSE_ZERO)
+
+
+@contextlib.contextmanager
+def built_sparses():
+    """Every ``expr.Sparse`` built inside the block, in a list."""
+    built, init = [], Sparse.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with mock.patch.object(Sparse, "__init__", record):
+        yield built
+
+
+def check_exact_tables_and_bodies(f, g, order):
+    """Every derivative-table entry of f and g to ``order``, as a sparse
+    polynomial and as an expression, and every bidifferential body of
+    orders 1..order, as one and as ``_bodies`` builds it, has exactly the
+    coefficients of the ExactScalar reference; every polynomial built on
+    the way is in lowest terms."""
+    with built_sparses() as built:
+        tf = DerivTable(f)
+        tg = DerivTable(g, tf.atoms)
+        got = {(a, b): (tf.get(a, b), tg.get(a, b)) for a in range(order + 1) for b in range(order + 1 - a)}
+        bodies = [bidifferential(tf.sparse, tg.sparse, k, SPARSE_ZERO) for k in range(1, order + 1)]
+        exprs = _bodies(f, g, range(1, order + 1))
+    assert all(map(in_lowest_terms, built))
+    # the reference reads the atom indices the tables gave
+    rf, rg = ref_table(tf.atoms, f, order), ref_table(tf.atoms, g, order)
+    for key, exprs_at in got.items():
+        for table, ref, e in zip((tf, tg), (rf, rg), exprs_at):
+            assert exact_terms(table.sparse(*key)) == ref[key].terms, key
+            assert e == ref_expr(tf.atoms, ref[key]), key
+    for k, body, e in zip(range(1, order + 1), bodies, exprs):
+        want = bidifferential(lambda a, b: rf[(a, b)], lambda a, b: rg[(a, b)], k, RefSparse({}))
+        assert exact_terms(body) == want.terms, k
+        assert e == ref_expr(tf.atoms, want), k
 
 
 def _jet_power(u, n):

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from expr_walk import partials, walk
+from expr_walk import built_sparses, check_exact_tables_and_bodies, exact_terms, in_lowest_terms, partials, walk
 
 from moyal.expr import (
+    SPARSE_ZERO,
+    Atoms,
     DerivTable,
     Expr,
     ExprDomainError,
@@ -31,6 +33,7 @@ from moyal.expr import (
 from moyal.checks import _flow_hamiltonians
 from moyal.closed_forms import builtin_example1, builtin_unitary_pair
 from moyal.jets import eval_expr_jet, seed
+from moyal.scalars import ExactScalar
 
 
 def roundtrip(text):
@@ -209,6 +212,24 @@ def test_derivative_table_of_the_sweep_pairs_to_order_17(e):
     for key, want in partials(e, 17).items():
         x, y = walk(want, point), walk(table.get(*key), point)
         assert abs(x - y) <= 1e-13 * max(abs(x), abs(y)), key
+
+
+@pytest.mark.parametrize("f, g", list(zip(_sweep_exprs()[::2], _sweep_exprs()[1::2])))
+def test_sweep_pairs_to_order_17_have_the_reference_coefficients(f, g):
+    check_exact_tables_and_bodies(f, g, 17)
+
+
+def test_sums_that_cancel_across_denominators_stay_in_lowest_terms():
+    atoms = Atoms()
+    a = atoms.sparse(parse_expr("q/6 + p/4 + i*q/10"))
+    b = atoms.sparse(parse_expr("-q/6 + p/12 - i*q/10"))
+    with built_sparses() as built:
+        third, zero, scaled = a + b, a + -1 * a, Fraction(3, 5) * a
+    assert all(map(in_lowest_terms, built))
+    assert exact_terms(third) == {atoms.monomial(sym("p"), 1): ExactScalar(Fraction(1, 3))}
+    assert third.den == 3 and zero == SPARSE_ZERO
+    assert atoms.sparse(parse_expr("p/3")) == third != atoms.sparse(parse_expr("p/2"))
+    assert exact_terms(scaled) == {m: c * Fraction(3, 5) for m, c in exact_terms(a).items()}
 
 
 def test_derivative_of_pi_is_zero():

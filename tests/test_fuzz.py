@@ -4,9 +4,11 @@ Every text either parses or is refused with the parser's own error, a text
 that parses as a polynomial means the same polynomial when read as an
 expression, and the ``star``, ``hierarchy`` and ``example2`` commands exit
 0 or 2 without an exception.  Random expression trees evaluate over
-complexes, floats and jets exactly as the reference walk does, and their
-derivative tables agree with repeated differentiation.  Examples
-are derandomized, so every run tries the same texts and trees.
+complexes, floats and jets exactly as the reference walk does, their
+derivative tables agree with repeated differentiation, and the tables and
+ladder bodies of pairs of them hold exactly the coefficients of the
+``ExactScalar`` reference.  Examples are derandomized, so every run tries
+the same texts and trees.
 """
 
 import math
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expr_walk import outcome, partials, walk, walk_complex, walk_jet
+from expr_walk import check_exact_tables_and_bodies, outcome, partials, walk, walk_complex, walk_jet
 from moyal.cli import main
 from moyal.expr import (
     FUNCTION_NAMES,
@@ -179,3 +181,14 @@ def test_derivative_table_matches_repeated_differentiation(e):
             continue
         y = walk(table.get(*key), TABLE_POINT)
         assert abs(x - y) <= 1e-13 * max(abs(x), abs(y)), (key, print_expr(want))
+
+
+@settings(FUZZ, max_examples=150, deadline=None)
+@given(complex_trees, complex_trees)
+@example(
+    I_UNIT * call("exp", I_UNIT * sym("q") / 3) + sym("p") / 6,
+    call("sec", sym("q") / 4) - sym("q") * sym("p") / 10,
+)
+@example(pow_int(sym("q") + sym("m"), -2) * call("tan", sym("p")), I_UNIT * pow_int(sym("q"), 7) + PI)
+def test_derivative_tables_and_bodies_have_the_reference_coefficients(f, g):
+    check_exact_tables_and_bodies(f, g, 5)

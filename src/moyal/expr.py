@@ -7,14 +7,14 @@ exactly, sums collect like terms, products collect like bases, factor and
 term order is canonical), so structurally equal means equal as written
 formulas and the printer is deterministic.
 
-Differentiation is rule-based and exact; a derivative table holds its
-entries as sparse polynomials over call atoms, with integer coefficients
-over one denominator, so the chain rule never rebuilds a tree.  The one
-evaluator, a :class:`Program`, compiles trees once into a flat tape and
-runs it over floats, complexes or truncated jets, with symbols bound to
-values of that type; a jet run keeps its constants and parameters as
-floats.  Every run calls straight-line code generated from the tape on
-first use.  There is no general simplifier: normalization is limited to
+Differentiation is exact and has one rule: the chain rule over a sparse
+polynomial in atoms (symbols, pi, calls and unexpanded sums) with integer
+coefficients over one denominator, the form a derivative table holds its
+entries in.  The one evaluator, a :class:`Program`, compiles trees once
+into a flat tape and runs it over floats, complexes or truncated jets, with
+symbols bound to values of that type; a jet run keeps its constants and
+parameters as floats.  Every run calls straight-line code generated from
+the tape on first use.  There is no general simplifier: normalization is limited to
 the constructor rules above, and identities beyond them are the test
 suite's job to check numerically.
 """
@@ -463,39 +463,12 @@ _CHAIN = {
 
 
 def differentiate(e: Expr, var: str) -> Expr:
-    """Exact partial derivative; subtrees free of ``var`` prune to zero."""
-    memo: dict[int, Expr] = {}
-
-    def d(n: Expr) -> Expr:
-        if var not in n._free:
-            return ZERO
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        tn = type(n)
-        if tn is Sym:
-            r = ONE
-        elif tn is Add:
-            r = add(*(d(t) for t in n.terms))
-        elif tn is Mul:
-            pieces = []
-            fs = n.factors
-            for k, f in enumerate(fs):
-                if var not in f._free:
-                    continue
-                df = d(f)
-                pieces.append(mul(*fs[:k], df, *fs[k + 1:]))
-            r = add(*pieces)
-        elif tn is Pow:
-            r = mul(const(n.exp), pow_int(n.base, n.exp - 1), d(n.base))
-        elif tn is Call:
-            r = mul(_CHAIN[n.fn](n.arg), d(n.arg))
-        else:
-            raise TypeError(f"cannot differentiate {tn.__name__}")
-        memo[id(n)] = r
-        return r
-
-    return d(e)
+    """Exact partial derivative, by :meth:`Atoms.chain` over ``e``'s atoms;
+    zero when ``var`` is not free in ``e``."""
+    if var not in e._free:
+        return ZERO
+    atoms = Atoms()
+    return atoms.expr(atoms.derivative(atoms.sparse(e), var))
 
 
 def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -613,10 +586,12 @@ class Atoms:
 
     An atom is a symbol, pi or a call, or a sum that is a factor of a
     product or the base of a power (never expanded).  Each atom's
-    derivative by q or p is taken once, by :func:`differentiate` on that
-    atom alone, and each monomial's once, by the chain rule.  Tables whose
-    entries are multiplied together share one ``Atoms``; nothing else
-    keeps it.
+    derivative is taken once: a symbol's is 1, a call's is its function's
+    derivative (``_CHAIN``) times :func:`differentiate` of its argument, a
+    sum's is the derivative of its terms, and that of an atom free of the
+    variable is 0.  Each monomial's is taken once, by the chain rule.
+    Tables whose entries are multiplied together share one ``Atoms``;
+    nothing else keeps it.
     """
 
     def __init__(self):
@@ -654,14 +629,21 @@ class Atoms:
     def chain(self, mono: tuple[int, ...], var: str) -> Sparse:
         """d ``mono`` / d ``var``, by the chain rule on first use: each
         atom's derivative times the exponent and the other powers, summed
-        into one pair of numerator dicts; an atom's own derivative is kept
-        under its first power."""
+        into one pair of numerator dicts; an atom's own derivative, by the
+        atom rule above, is kept under its first power."""
         key = (mono, var)
         got = self.derivs.get(key)
         if got is None:
             if mono and mono[-1] == 1 and not any(mono[:-1]):
                 atom = self.exprs[len(mono) - 1]
-                got = self.sparse(differentiate(atom, var)) if var in atom._free else SPARSE_ZERO
+                if var not in atom._free:
+                    got = SPARSE_ZERO
+                elif type(atom) is Sym:
+                    got = _ONE_SPARSE
+                elif type(atom) is Call:
+                    got = self.sparse(mul(_CHAIN[atom.fn](atom.arg), differentiate(atom.arg, var)))
+                else:
+                    got = self.derivative(self.sparse(atom), var)
             else:
                 got = _combine([
                     (e, 0, mono[:i] + (e - 1,) + mono[i + 1:], self.chain((0,) * i + (1,), var))
@@ -698,6 +680,8 @@ class DerivTable:
     def sparse(self, a: int, b: int) -> Sparse:
         got = self.entries.get((a, b))
         if got is None:
+            if a < 0 or b < 0:
+                raise ValueError("derivative order must be non-negative")
             prev = self.sparse(a, b - 1) if b > 0 else self.sparse(a - 1, 0)
             got = self.entries[(a, b)] = self.atoms.derivative(prev, "p" if b > 0 else "q")
         return got

@@ -6,7 +6,7 @@ jets (lists of coefficients) through a small jet arithmetic of its own
 (:func:`product`, :func:`plus`, :func:`scale`, :func:`series`), whose
 product is built from the exponent sums of ``MONOMIALS``, so it shares no
 table with the code generator.  A call of a jet takes its derivatives by
-walking the expressions ``expr.differentiate`` gives (:func:`call_derivatives`),
+walking the expressions :func:`walk_differentiate` gives (:func:`call_derivatives`),
 and a power outside 2 to 4 from its own falling-factorial chain
 (:func:`power_derivatives`), an independent reference.  It keeps the evaluator's rules: constants,
 ``pi`` and float bindings stay floats, every sum and product folds from its
@@ -14,10 +14,13 @@ first operand once its operands are evaluated, tan and sec refuse a cosine
 below 1e-12 in magnitude, and a root that depends on no jet comes back as a
 constant jet of the requested order.  :func:`walk_complex` keeps the same
 fold, pole and power rules over complexes, through ``cmath``.
-:func:`partials` is the derivative table by repeated ``differentiate``.
+:func:`walk_differentiate` is the product rule down the tree, a
+second algorithm for ``expr.differentiate``, and :func:`partials` the
+derivative table by repeating it.
 :class:`RefSparse` is the exact reference for ``expr.Sparse``: coefficients
 as ``ExactScalar``s, one per monomial, and the chain rule taken monomial by
-monomial and atom by atom (:func:`ref_table`), with no common denominator;
+monomial and atom by atom (:func:`ref_derivative`, :func:`ref_table`), with
+no common denominator;
 :func:`check_exact_tables_and_bodies` holds tables and ladder bodies to it.
 """
 
@@ -31,8 +34,8 @@ from unittest import mock
 
 from moyal.brackets import _bodies
 from moyal.expr import (
-    SPARSE_ZERO, Add, Call, Const, DerivTable, ExprDomainError, ExprEvalError, Mul, Pi, Pow, Sparse, Sym, add,
-    const, differentiate, mul, pow_int,
+    ONE, SPARSE_ZERO, ZERO, Add, Atoms, Call, Const, DerivTable, ExprDomainError, ExprEvalError, Mul, Pi, Pow,
+    Sparse, Sym, add, const, mul, pow_int,
 )
 from moyal.jets import MONOMIALS, jet_order
 from moyal.poly import bidifferential
@@ -88,12 +91,54 @@ def power_derivatives(u, n, order):
     return derivs
 
 
+_CALL_RULE = {
+    "exp": lambda u: Call("exp", u),
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: mul(const(-1), Call("sin", u)),
+    "tan": lambda u: pow_int(Call("sec", u), 2),
+    "sec": lambda u: mul(Call("sec", u), Call("tan", u)),
+    "sinh": lambda u: Call("cosh", u),
+    "cosh": lambda u: Call("sinh", u),
+}
+
+
+def walk_differentiate(e, var):
+    """Exact partial derivative by the product rule down the tree, through
+    the normalizing constructors: a second algorithm for
+    ``expr.differentiate``, which takes the chain rule over atoms.  Each
+    node is differentiated once; subtrees free of ``var`` give zero."""
+    memo = {}
+
+    def d(n):
+        if var not in n._free:
+            return ZERO
+        got = memo.get(id(n))
+        if got is not None:
+            return got
+        tn = type(n)
+        if tn is Sym:
+            r = ONE
+        elif tn is Add:
+            r = add(*(d(t) for t in n.terms))
+        elif tn is Mul:
+            fs = n.factors
+            r = add(*(mul(*fs[:k], d(f), *fs[k + 1:]) for k, f in enumerate(fs) if var in f._free))
+        elif tn is Pow:
+            r = mul(const(n.exp), pow_int(n.base, n.exp - 1), d(n.base))
+        else:
+            r = mul(_CALL_RULE[n.fn](n.arg), d(n.arg))
+        memo[id(n)] = r
+        return r
+
+    return d(e)
+
+
 @functools.cache
 def _chain_rule(fn, order):
-    """f(x), f'(x), ..., f^(order)(x) as expressions, by ``differentiate``."""
+    """f(x), f'(x), ..., f^(order)(x) as expressions, by :func:`walk_differentiate`."""
     ds = [Call(fn, Sym("x"))]
     for _ in range(order):
-        ds.append(differentiate(ds[-1], "x"))
+        ds.append(walk_differentiate(ds[-1], "x"))
     return tuple(ds)
 
 
@@ -105,14 +150,14 @@ def call_derivatives(fn, u, order):
 
 def partials(e, order):
     """Every d_q^a d_p^b e with a + b <= order, keyed by (a, b), each by
-    ``differentiate`` on the entry before it in its row: the reference for
-    ``expr.DerivTable``, which takes no whole entry through ``differentiate``."""
+    :func:`walk_differentiate` on the entry before it in its row: the
+    reference for ``expr.DerivTable``."""
     out = {(0, 0): e}
     for a in range(order + 1):
         if a:
-            out[(a, 0)] = differentiate(out[(a - 1, 0)], "q")
+            out[(a, 0)] = walk_differentiate(out[(a - 1, 0)], "q")
         for b in range(1, order + 1 - a):
-            out[(a, b)] = differentiate(out[(a, b - 1)], "p")
+            out[(a, b)] = walk_differentiate(out[(a, b - 1)], "p")
     return out
 
 
@@ -159,25 +204,53 @@ def ref_sparse(atoms, e):
     return RefSparse(_collect(map(atoms.term, e.terms if type(e) is Add else (e,))))
 
 
+def ref_derivative(atoms, s, var, memo):
+    """d ``s`` / d ``var`` for a :class:`RefSparse` over ``atoms``: every
+    term c * prod(atom_i^e_i) gives c * e_i * atom_i^(e_i - 1) * d(atom_i) *
+    (the other powers) for each i, with each d(atom_i) kept in ``memo``."""
+
+    def d_atom(i):
+        got = memo.get((i, var))
+        if got is None:
+            got = memo[(i, var)] = _ref_atom_derivative(atoms, atoms.exprs[i], var, memo)
+        return got
+
+    return RefSparse(_collect(
+        (_mono_mul(m[:i] + (e - 1,) + m[i + 1:], dm), c * e * dc)
+        for m, c in s.terms.items() for i, e in enumerate(m) if e
+        for dm, dc in d_atom(i).terms.items()
+    ))
+
+
+def _ref_atom_derivative(atoms, a, var, memo):
+    """0 for an atom free of ``var``, 1 for a symbol, the derivative of its
+    terms for a sum, and for a call ``_CALL_RULE`` at the argument times the
+    argument's derivative, built by this same rule over a fresh table: that
+    derivative is one atom of the call's, so it has to be the expression
+    ``expr.differentiate`` gives, which :func:`walk_differentiate` need not
+    print alike (its values are held to the walk's elsewhere)."""
+    if var not in a._free:
+        return RefSparse({})
+    if type(a) is Sym:
+        return RefSparse({(): ExactScalar(1)})
+    if type(a) is Call:
+        fresh = Atoms()
+        d_arg = ref_expr(fresh, ref_derivative(fresh, ref_sparse(fresh, a.arg), var, {}))
+        return ref_sparse(atoms, mul(_CALL_RULE[a.fn](a.arg), d_arg))
+    return ref_derivative(atoms, ref_sparse(atoms, a), var, memo)
+
+
 def ref_table(atoms, e, order):
     """Every d_q^a d_p^b e with a + b <= order as a :class:`RefSparse`, keyed
-    by (a, b), each entry from the one before it in its row: every term
-    c * prod(atom_i^e_i) gives c * e_i * atom_i^(e_i - 1) * d(atom_i) * (the
-    other powers) for each i, with each d(atom_i) from ``differentiate``."""
-
-    def d(s, var):
-        return RefSparse(_collect(
-            (_mono_mul(m[:i] + (e - 1,) + m[i + 1:], dm), c * e * dc)
-            for m, c in s.terms.items() for i, e in enumerate(m) if e
-            for dm, dc in ref_sparse(atoms, differentiate(atoms.exprs[i], var)).terms.items()
-        ))
-
+    by (a, b), each entry by :func:`ref_derivative` of the one before it in
+    its row."""
+    memo = {}
     out = {(0, 0): ref_sparse(atoms, e)}
     for a in range(order + 1):
         if a:
-            out[(a, 0)] = d(out[(a - 1, 0)], "q")
+            out[(a, 0)] = ref_derivative(atoms, out[(a - 1, 0)], "q", memo)
         for b in range(1, order + 1 - a):
-            out[(a, b)] = d(out[(a, b - 1)], "p")
+            out[(a, b)] = ref_derivative(atoms, out[(a, b - 1)], "p", memo)
     return out
 
 

@@ -172,6 +172,54 @@ def test_nth_derivative():
     assert DerivTable(e).get(5, 0) is ZERO
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (2, -3)])
+def test_negative_derivative_orders_are_refused(a, b):
+    table = DerivTable(parse_expr("q*p"))
+    with pytest.raises(ValueError, match="derivative order must be non-negative"):
+        table.get(a, b)
+    with pytest.raises(ValueError, match="derivative order must be non-negative"):
+        table.sparse(a, b)
+
+
+def _short_example1(e):
+    """The print of ``e`` with example 1's recurring calls named: C and S
+    for cos and sin of hbar*t/(4*m*l^2), C2 and S2 at twice that argument,
+    and E for the exponential of the inverse maps."""
+    s = print_expr(e)
+    w = "hbar*t*l^-2*m^-1"
+    for text, name in ((f"cos((1/4)*{w})", "C"), (f"sin((1/4)*{w})", "S"),
+                       (f"cos((1/2)*{w})", "C2"), (f"sin((1/2)*{w})", "S2")):
+        s = s.replace(text, name)
+    return s.replace("exp((-1)*p*q*S2*hbar^-1*C^2)", "E").replace("exp(p*q*S2*hbar^-1*C^2)", "E")
+
+
+def test_a_sum_atoms_derivative_is_expanded():
+    # the derivatives of the sum p + gamma*sinh(...) and of the inverse maps'
+    # exponent are sums; the chain rule over atoms multiplies them out
+    # where a product-rule walk keeps them as factors
+    momentum = builtin_unitary_pair()[1]
+    assert print_expr(differentiate(momentum, "p")) == (
+        "exp((-1)*q*beta^-1) + 2*beta*gamma*pi*cosh(2*beta*p*pi*hbar^-1)*exp((-1)*q*beta^-1)*hbar^-1"
+    )
+    ex = builtin_example1()
+    position = differentiate(differentiate(ex.inverse_position, "t"), "t")
+    assert _short_example1(position) == (
+        "(-1)*hbar*q*C*E*S*l^-2*m^-1*((-1/2)*p*q*C2*l^-2*m^-1*C^2 + (1/2)*p*q*C*S2*S*l^-2*m^-1)"
+        " + (-1/8)*hbar*p*E*S2*l^-4*m^-2*q^2*C^2*S^2 + (-1/8)*q*E*hbar^2*l^-4*m^-2*C^2"
+        " + (1/2)*hbar*p*C2*E*S*l^-4*m^-2*q^2*C^3 + (1/8)*q*E*hbar^2*l^-4*m^-2*S^2"
+        " + (3/8)*hbar*p*E*S2*l^-4*m^-2*q^2*C^4"
+        " + q*E*C^2*((-1/2)*p*q*C2*l^-2*m^-1*C^2 + (1/2)*p*q*C*S2*S*l^-2*m^-1)^2"
+    )
+    momentum = differentiate(differentiate(ex.inverse_momentum, "t"), "t")
+    assert _short_example1(momentum) == (
+        "(-3/8)*hbar*q*E*S2*l^-4*m^-2*p^2*C^4"
+        " + (-1)*hbar*p*C*E*S*l^-2*m^-1*((-1/2)*p*q*C*S2*S*l^-2*m^-1 + (1/2)*p*q*C2*l^-2*m^-1*C^2)"
+        " + (-1/2)*hbar*q*C2*E*S*l^-4*m^-2*p^2*C^3 + (-1/8)*p*E*hbar^2*l^-4*m^-2*C^2"
+        " + (1/8)*hbar*q*E*S2*l^-4*m^-2*p^2*C^2*S^2 + (1/8)*p*E*hbar^2*l^-4*m^-2*S^2"
+        " + p*E*C^2*((-1/2)*p*q*C*S2*S*l^-2*m^-1 + (1/2)*p*q*C2*l^-2*m^-1*C^2)^2"
+    )
+
+
 # Hamiltonians whose partials the flows and both hbar^2 routes read
 _FLOW_TEXTS = (
     "q^2*p^2/4", "p^2/2 + q^2/2 + q^4/24", "p^2/2 + q^3/6", "p^2/2 + cosh(q)/4",

@@ -5,20 +5,24 @@ that parses as a polynomial means the same polynomial when read as an
 expression, and the ``star``, ``hierarchy`` and ``example2`` commands exit
 0 or 2 without an exception.  Random expression trees evaluate over
 complexes, floats and jets exactly as the reference walk does, their
-derivative tables agree with repeated differentiation, and the tables and
+derivatives agree with the product-rule walk, their derivative tables
+agree with repeated differentiation, and the tables and
 ladder bodies of pairs of them hold exactly the coefficients of the
 ``ExactScalar`` reference.  Examples are derandomized, so every run tries
 the same texts and trees.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expr_walk import check_exact_tables_and_bodies, outcome, partials, walk, walk_complex, walk_jet
+from expr_walk import (
+    check_exact_tables_and_bodies, outcome, partials, walk, walk_complex, walk_differentiate, walk_jet,
+)
 from moyal.cli import main
 from moyal.expr import (
     FUNCTION_NAMES,
@@ -31,6 +35,7 @@ from moyal.expr import (
     add,
     call,
     const,
+    differentiate,
     eval_expr,
     eval_real,
     mul,
@@ -163,6 +168,35 @@ def test_generated_code_matches_the_reference_walk(e, z, q, p, m):
         assert outcome(lambda: eval_expr_jet(prog, jets, order)) == outcome(lambda: walk_jet(e, jets, order))
 
 
+def _value(e, point):
+    try:
+        return walk(e, point)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+# seeded generic points, with the time t among the symbols
+_rng = random.Random(25)
+DERIVATIVE_POINTS = [{v: _rng.uniform(-1.5, 1.5) for v in ("q", "p", "m", "t")} for _ in range(3)]
+
+
+@FUZZ
+@given(tree_strategy(st.one_of(leaves, st.just(sym("t")))))
+@example(call("exp", -sym("q") / sym("m")) * (sym("p") + call("sinh", 2 * PI * sym("p"))))
+@example(sym("q") * call("exp", sym("p") * sym("q") * call("sin", sym("t") / 2)) * call("cos", sym("t") / 4))
+def test_differentiate_matches_the_product_rule_walk(e):
+    for var in ("q", "p", "t"):
+        got, want = differentiate(e, var), walk_differentiate(e, var)
+        if var != "t":
+            assert got == DerivTable(e).get(*((1, 0) if var == "q" else (0, 1))), var
+        for point in DERIVATIVE_POINTS:
+            x, y = _value(want, point), _value(got, point)
+            if type(x) is tuple or type(y) is tuple:
+                assert x == y, (var, print_expr(want))
+            else:
+                assert x == y or abs(x - y) <= 1e-13 * max(abs(x), abs(y)), (var, print_expr(want))
+
+
 # a generic point; entries the reference cannot evaluate there are skipped
 TABLE_POINT = {"q": 0.43, "p": -0.71, "m": 1.13}
 
@@ -190,5 +224,10 @@ def test_derivative_table_matches_repeated_differentiation(e):
     call("sec", sym("q") / 4) - sym("q") * sym("p") / 10,
 )
 @example(pow_int(sym("q") + sym("m"), -2) * call("tan", sym("p")), I_UNIT * pow_int(sym("q"), 7) + PI)
+# a sum atom, and a call's argument, whose derivatives are sums
+@example(
+    call("exp", sym("q")) * (sym("m") * (pow_int(sym("q"), 2) + sym("q") * sym("p")) + 1),
+    call("exp", sym("m") * (pow_int(sym("q"), 2) + sym("q") * sym("p"))),
+)
 def test_derivative_tables_and_bodies_have_the_reference_coefficients(f, g):
     check_exact_tables_and_bodies(f, g, 5)

@@ -668,8 +668,10 @@ class DerivTable:
 
     Each entry is a :class:`Sparse` polynomial over ``atoms`` (the table's
     own, or one shared with the tables its entries meet), taken from the
-    entry before it in its row, so each derivative is taken once.
-    :meth:`get` builds an entry's expression on first use.
+    entry before it in its row (column 0's from the one before it in the
+    column), so each derivative is taken once; a deep entry fills its row
+    and column in a loop.  :meth:`get` builds an entry's expression on
+    first use.
     """
 
     def __init__(self, f: Expr, atoms: Atoms | None = None):
@@ -682,8 +684,15 @@ class DerivTable:
         if got is None:
             if a < 0 or b < 0:
                 raise ValueError("derivative order must be non-negative")
-            prev = self.sparse(a, b - 1) if b > 0 else self.sparse(a - 1, 0)
-            got = self.entries[(a, b)] = self.atoms.derivative(prev, "p" if b > 0 else "q")
+            # back along row a, then down column 0, to the nearest entry held;
+            # then forward from it, one derivative per entry
+            path, key = [], (a, b)
+            while key not in self.entries:
+                path.append(key)
+                key = (key[0], key[1] - 1) if key[1] else (key[0] - 1, 0)
+            got = self.entries[key]
+            for key in reversed(path):
+                got = self.entries[key] = self.atoms.derivative(got, "p" if key[1] else "q")
         return got
 
     def get(self, a: int, b: int) -> Expr:

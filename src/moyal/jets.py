@@ -289,10 +289,12 @@ def invert(gq: list[float], gp: list[float]) -> tuple[list[float], list[float]]:
     Returns displacement jets (dq, dp), with zero value, such that
     (gq, gp) evaluated at (dq, dp) is the value plus the identity
     displacement to the jets' order.  With L the linear part of the map
-    and N its part of order 2 and above, each sweep of
-    d <- L^-1 (e - N(d)) gains one order, starting from d = L^-1 e.
-    A singular linear part raises ValueError.  The sweeps run in code
-    generated per jet order on first use (:func:`_inverse`).
+    and N its part of order 2 and above, the inverse is found order by
+    order (Berz, *Modern Map Methods in Particle Beam Physics*, 1999): its
+    degree 1 is L^-1, and its degree n is -L^-1 times the degree-n part of
+    N at the inverse below degree n.  A singular linear part raises
+    ValueError.  The code is generated per jet order on first use
+    (:func:`_inverse`).
     """
     if len(gq) != len(gp):
         raise ValueError("jet orders differ")
@@ -300,38 +302,35 @@ def invert(gq: list[float], gp: list[float]) -> tuple[list[float], list[float]]:
     det = a * d - b * c
     if det == 0.0:
         raise ValueError("the jet's linear part is singular")
-    return tuple(_inverse(jet_order(gq))((gq, gp, (d / det, b / det, a / det, c / det))))
+    return tuple(_inverse(jet_order(gq))((gq, gp, (d / det, -b / det, -c / det, a / det))))
 
 
 @functools.cache
 def _inverse(order: int):
-    """The sweeps of :func:`invert` at one jet order, written out by the jet
-    emitter (of the empty tape) over the coefficients of (gq, gp) and the
-    entries of L^-1 scaled by the determinant.  The unit jets e and the constant one are
-    literal; L^-1 applies as two scales and a difference per component."""
+    """:func:`invert` at one jet order, written out degree by degree by the
+    jet emitter over the coefficients of (gq, gp) and the rows of L^-1.
+    ``powers[i, j]`` holds the coefficients of dq^i dp^j found so far:
+    dq^i times dp^j, or a pure power as the one below it times dq or dp.
+    Each coefficient sums only its terms of its degree, so no literal 0 or
+    1 is multiplied: a product's in the multiplication table's order, N's
+    in ``MONOMIALS`` order."""
     emit = _JetEmitter(Program(()), (order, ()))
-    gq, gp = emit.unpack("b[0]"), emit.unpack("b[1]")
-    sd, sb, sa, sc = emit.unpack("b[2]", 4)
-    one, eq, ep = (["1.0" if m == k else "0.0" for m in range(emit.width)] for k in range(3))
-    sub = lambda x, y: [emit.local(f"{u} - {v}") for u, v in zip(x, y)]
-
-    def solve(rq, rp):  # L^-1 (rq, rp)
-        return sub(emit.mul2(sd, rq), emit.mul2(sb, rp)), sub(emit.mul2(sa, rp), emit.mul2(sc, rq))
-
-    dq, dp = solve(eq, ep)
-    # one sweep, written once and run order - 1 times by a loop in the code
-    # (a function twice as long takes twice the memory to compile)
-    head = len(emit.lines)
-    pq, pp = [one, dq], [one, dp]
-    for _n in range(2, order + 1):
-        pq.append(emit.mul2(pq[-1], dq))
-        pp.append(emit.mul2(pp[-1], dp))
-    terms = [(k, emit.mul2(pq[i], pp[j])) for k, (i, j) in enumerate(MONOMIALS[order]) if i + j >= 2]
-    nq = np_ = ["0.0"] * emit.width
-    for k, t in terms:
-        nq, np_ = emit.add2(nq, emit.mul2(gq[k], t)), emit.add2(np_, emit.mul2(gp[k], t))
-    nq, np_ = solve(sub(eq, nq), sub(ep, np_))
-    emit.lines.append(f"{', '.join(dq + dp)} = {', '.join(nq + np_)}")
-    sweep = "\n".join(emit.lines[head:]).replace("\n", "\n    ")
-    emit.lines[head:] = [f"for _ in range({order - 1}):\n    {sweep}"]
-    return emit.function([dq, dp], False)
+    monos, table = MONOMIALS[order], _MUL_TABLE[order]
+    gs, m = (emit.unpack("b[0]"), emit.unpack("b[1]")), emit.unpack("b[2]", 4)
+    d = [["0.0", *row, *["0.0"] * (emit.width - 3)] for row in (m[:2], m[2:])]
+    powers = {(1, 0): d[0], (0, 1): d[1]}
+    for n in range(2, order + 1):
+        part = [k for k, mono in enumerate(monos) if sum(mono) == n]
+        for i, j in (mono for mono in monos if 2 <= sum(mono) <= n):
+            x, y = ((powers[i, 0], powers[0, j]) if i and j
+                    else (powers[i - 1, 0], d[0]) if i else (powers[0, j - 1], d[1]))
+            got = powers.setdefault((i, j), ["0.0"] * emit.width)
+            for k in part:
+                terms = [f"{x[u]} * {y[v]}" for u, v in table[k] if "0.0" not in (x[u], y[v])]
+                got[k] = emit.local(" + ".join(terms))
+        for k in part:
+            terms = [(c, powers[mono][k]) for c, mono in enumerate(monos) if 2 <= sum(mono) <= n]
+            rq, rp = (emit.local(" + ".join(f"{g[c]} * {t}" for c, t in terms)) for g in gs)
+            d[0][k] = emit.local(f"-({m[0]} * {rq} + {m[1]} * {rp})")
+            d[1][k] = emit.local(f"-({m[2]} * {rq} + {m[3]} * {rp})")
+    return emit.function(d, False)

@@ -11,24 +11,24 @@ against the Hamiltonian along the classical trajectory.  The flow is a
 group, so the map it needs at each quadrature node (duration s, based at
 z(T - s)) is the inverse of the duration -s map based at z(T): one
 backward pass of order-3 jets from z(T) holds every node's map, and a
-truncated jet inversion per node (``jets.invert``) turns it around, so
-the work grows linearly with T.  The ode route propagates the correction
-through a linear inhomogeneous equation driven by order-2 jets, with one
-right-hand side generated per Hamiltonian: the jet field, H's partials
-and the drive written out as straight-line code.  They share the
-integrator (``flow.rk4``) and H's table of partials (the transport route
-reads it through ``HamiltonianSpec.partials_at``); the formulas stay
-independent: the C1/C2 contraction of the map's first and second
-derivatives on the ode side, the cubed bidifferential under Boole's rule
-on the transport side.
-So agreement is evidence the formulas are right, and both are compared
-against closed forms where one exists.
+truncated jet inversion per node, order by order (``jets.invert``), turns
+it around, so the work grows linearly with T.  The ode route propagates
+the correction through a linear inhomogeneous equation driven by order-2
+jets, with one right-hand side generated per Hamiltonian: the jet field,
+H's partials and the drive, grouped by its symmetries and with the terms
+of H's partials that are 0 left out, written out as straight-line code.
+They share the integrator (``flow.rk4``) and H's table of partials (the
+transport route reads it through ``HamiltonianSpec.partials_at``); the
+formulas stay independent: the C1/C2 contraction of the map's first and
+second derivatives on the ode side, the cubed bidifferential under Boole's
+rule on the transport side.  So agreement is evidence the formulas are
+right, and both are compared against closed forms where one exists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import partial
 
@@ -100,16 +100,11 @@ def iterated_brackets(h: PhasePolynomial, depth: int, seed: str) -> HierarchyLad
         raise ValueError("seed must be 'q' or 'p'")
     if not 1 <= depth <= MAX_LADDER_DEPTH:
         raise ValueError(f"depth must be within [1, {MAX_LADDER_DEPTH}]")
-    classical = []
-    deformed = []
-    c = _SEEDS[seed]
-    d = _SEEDS[seed]
+    classical, deformed = [_SEEDS[seed]], [_SEEDS[seed]]
     for _ in range(depth):
-        c = poisson_bracket(c, h)
-        d = moyal_bracket(d, h)
-        classical.append(c)
-        deformed.append(d)
-    return HierarchyLadders(classical=tuple(classical), deformed=tuple(deformed))
+        classical.append(poisson_bracket(classical[-1], h))
+        deformed.append(moyal_bracket(deformed[-1], h))
+    return HierarchyLadders(classical=tuple(classical[1:]), deformed=tuple(deformed[1:]))
 
 
 @dataclass(frozen=True)
@@ -171,20 +166,11 @@ def divergence_order(h: PhasePolynomial, depth: int) -> dict[str, DivergenceRepo
     out = {}
     for seed in ("q", "p"):
         ladders = iterated_brackets(h, depth, seed)
-        equal = []
-        first = None
-        diff = PhasePolynomial.zero()
-        for n0, (c, d) in enumerate(zip(ladders.classical, ladders.deformed)):
-            same = c == d
-            equal.append(same)
-            if not same and first is None:
-                first = n0 + 1
-                diff = d - c
+        equal = tuple(c == d for c, d in zip(ladders.classical, ladders.deformed))
+        first = equal.index(False) + 1 if False in equal else None
+        diff = ladders.deformed[first - 1] - ladders.classical[first - 1] if first else PhasePolynomial.zero()
         out[seed] = DivergenceReport(
-            seed=seed,
-            first_divergent_order=first,
-            difference=diff,
-            per_order_equal=tuple(equal),
+            seed=seed, first_divergent_order=first, difference=diff, per_order_equal=equal
         )
     return out
 
@@ -289,8 +275,13 @@ class _Hbar2Emitter(FlatFloats):
                   -(1/24) sum_{abc} C2_abc d3F_r/dZa dZb dZc
 
     with C1 and C2 the symplectic contractions of the map derivatives.
-    Each component sums the C1 terms, then the C2 terms, over (a, b) and
-    (a, b, c) in lexicographic order.
+    C1 is symmetric in (a, b), C2 in (b, c), and a partial of F depends
+    only on the number j of its slots that are p.  So each component is
+    (sum_j c1_j F_j) / 8 + (sum_j c2_j F_j) / 24 in j order, with c1_j half
+    the C1 terms and c2_j the C2 terms of j p slots, and each (b, c) pair's
+    products are formed once.  A partial of H that is identically 0 is the
+    literal 0.0 in the code, and the drive terms it would multiply are not
+    written.
     """
 
     stride = 6
@@ -299,6 +290,9 @@ class _Hbar2Emitter(FlatFloats):
         super().__init__(program, key)
         self.env["J"] = jet_rates
         self.lines.append("r = J(s, b)")
+
+    def const(self, k):
+        return "0.0" if self.env["K"][k] == 0.0 else super().const(k)
 
     def output(self, roots, single: bool) -> str:
         h = dict(zip(PARTIAL_KEYS, roots))
@@ -309,31 +303,39 @@ class _Hbar2Emitter(FlatFloats):
         # factorial products
         d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
         d2 = [(self.local(f"{m[3]} * 2"), m[4], self.local(f"{m[5]} * 2")) for m in (jq, jp)]
-        # (d_q^i d_p^j F_0, d_q^i d_p^j F_1) of total order 2 and 3, by the
-        # number j of p slots: a partial of F_r depends only on that number
-        f2 = [(h[2 - j, j + 1], self.local(f"-{h[3 - j, j]}")) for j in range(3)]
-        f3 = [(h[3 - j, j + 1], self.local(f"-{h[4 - j, j]}")) for j in range(4)]
-        acc = ["0.0", "0.0"]
+        # the partial of order n with j p slots of F_0, and of F_1 negated;
+        # c1_j and c2_j are written where one of them is not 0
+        fs = (lambda n, j: h[n - j, j + 1]), (lambda n, j: h[n + 1 - j, j])
+        read = lambda n, j: any(f(n, j) != "0.0" for f in fs)
+        (xqq, xqp, xpp), (yqq, yqp, ypp) = d2
+        c1 = (
+            f"{xqq} * {xpp} - {xqp} * {xqp}",
+            f"{xqq} * {ypp} - 2.0 * {xqp} * {yqp} + {xpp} * {yqq}",
+            f"{yqq} * {ypp} - {yqp} * {yqp}",
+        )
+        c1 = {j: self.local(rhs) for j, rhs in enumerate(c1) if read(2, j)}
+        c2 = {j: [] for j in range(4) if read(3, j)}
+        for b, c in ((0, 0), (0, 1), (1, 1)):
+            if not c2.keys() & {b + c, b + c + 1}:
+                continue
+            (yq, yp), (zq, zp) = d1[b], d1[c]
+            pp, pm, qq = map(self.local, (f"{yp} * {zp}", f"{yp} * {zq} + {yq} * {zp}", f"{yq} * {zq}"))
+            for a, (xqq, xqp, xpp) in enumerate(d2):
+                if a + b + c in c2:
+                    term = f"({xqq} * {pp} - {xqp} * {pm} + {xpp} * {qq})"
+                    c2[a + b + c].append(f"2.0 * {term}" if b != c else term)
+        c2 = {j: self.local(" + ".join(terms)) for j, terms in c2.items()}
 
-        def subtract(c, gs, weight):
-            for r, g in enumerate(gs):
-                acc[r] = self.local(f"{acc[r]} - {c} * {g} / {weight}")
+        def drive(f):
+            sums = [(" + ".join(f"{cs[j]} * {f(n, j)}" for j in cs if f(n, j) != "0.0"), w)
+                    for cs, n, w in ((c1, 2, "8.0"), (c2, 3, "24.0"))]
+            return " + ".join(f"({terms}) / {w}" for terms, w in sums if terms)
 
-        for a, (xqq, xqp, xpp) in enumerate(d2):
-            for b, (yqq, yqp, ypp) in enumerate(d2):
-                c1 = self.local(f"{xqq} * {ypp} - 2.0 * {xqp} * {yqp} + {xpp} * {yqq}")
-                subtract(c1, f2[a + b], 16.0)
-        for a, (xqq, xqp, xpp) in enumerate(d2):
-            for b, (yq, yp) in enumerate(d1):
-                for c, (zq, zp) in enumerate(d1):
-                    c2 = self.local(
-                        f"{xqq} * {yp} * {zp} - {xqp} * ({yp} * {zq} + {yq} * {zp}) + {xpp} * {yq} * {zq}"
-                    )
-                    subtract(c2, f3[a + b + c], 24.0)
         # the Jacobian of F applied to the correction, plus the drive
         z2q, z2p = self.local("s[12]"), self.local("s[13]")
-        rate_q = f"{h[1, 1]} * {z2q} + {h[0, 2]} * {z2p} + {acc[0]}"
-        rate_p = f"-{h[2, 0]} * {z2q} - {h[1, 1]} * {z2p} + {acc[1]}"
+        dq, dp = map(drive, fs)
+        rate_q = f"{h[1, 1]} * {z2q} + {h[0, 2]} * {z2p}" + (dq and f" - ({dq})")
+        rate_p = f"-{h[2, 0]} * {z2q} - {h[1, 1]} * {z2p}" + (dp and f" + {dp}")
         return f"[*r, {rate_q}, {rate_p}]"
 
 
@@ -412,12 +414,7 @@ class CubicOrder7Report:
     matches_quoted: dict[str, bool]
 
     def to_json_dict(self) -> dict:
-        return {
-            "agrees_through_order_6": self.agrees_through_order_6,
-            "difference_order_7": self.difference_order_7,
-            "quoted_order_7": self.quoted_order_7,
-            "matches_quoted": self.matches_quoted,
-        }
+        return asdict(self)
 
 
 def cubic_order7_report(m=1) -> CubicOrder7Report:
@@ -427,15 +424,10 @@ def cubic_order7_report(m=1) -> CubicOrder7Report:
         Fraction(1, 6), 3, 0, 0
     )
     quoted = PhasePolynomial.monomial(Fraction(5, 4) / m ** 4, 0, 0, 2)
-    agrees = {}
-    diffs = {}
-    matches = {}
+    agrees, diffs, matches = {}, {}, {}
     for seed in ("q", "p"):
         ladders = iterated_brackets(h, 7, seed)
-        agrees[seed] = all(
-            c == d
-            for c, d in zip(ladders.classical[:6], ladders.deformed[:6])
-        )
+        agrees[seed] = all(c == d for c, d in zip(ladders.classical[:6], ladders.deformed[:6]))
         diff7 = ladders.deformed[6] - ladders.classical[6]
         diffs[seed] = format_poly(diff7)
         matches[seed] = diff7 == quoted

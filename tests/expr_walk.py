@@ -16,7 +16,9 @@ constant jet of the requested order.  :func:`walk_complex` keeps the same
 fold, pole and power rules over complexes, through ``cmath``.
 :func:`walk_differentiate` is the product rule down the tree, a
 second algorithm for ``expr.differentiate``, and :func:`partials` the
-derivative table by repeating it.
+derivative table by repeating it.  :func:`reference_invert` inverts a
+truncated map by fixed-point sweeps, a second algorithm for
+``jets.invert``.
 :class:`RefSparse` is the exact reference for ``expr.Sparse``: coefficients
 as ``ExactScalar``s, one per monomial, and the chain rule taken monomial by
 monomial and atom by atom (:func:`ref_derivative`, :func:`ref_table`), with
@@ -415,6 +417,37 @@ def walk_complex(e, bindings):
     for v in vals[1:]:
         acc = acc + v if te is Add else acc * v
     return acc
+
+
+def reference_invert(gq, gp):
+    """The truncated inverse of the map (gq, gp) by fixed-point sweeps over
+    the test arithmetic, a second algorithm for ``jets.invert``:
+    d <- L^-1 (e - N(d)), with L^-1 as two scales and a difference."""
+    order, n = jet_order(gq), len(gq)
+    (a, b), (c, d) = gq[1:3], gp[1:3]
+    det = a * d - b * c
+    one, eq, ep = ([1.0 if m == k else 0.0 for m in range(n)] for k in range(3))
+    minus = lambda x, y: [u - v for u, v in zip(x, y)]
+
+    def solve(rq, rp):
+        return (
+            minus(scale(d / det, rq), scale(b / det, rp)),
+            minus(scale(a / det, rp), scale(c / det, rq)),
+        )
+
+    dq, dp = solve(eq, ep)
+    for _ in range(order - 1):
+        pq, pp = [one, dq], [one, dp]
+        for _n in range(2, order + 1):
+            pq.append(product(order, pq[-1], dq))
+            pp.append(product(order, pp[-1], dp))
+        terms = [(k, product(order, pq[i], pp[j])) for k, (i, j) in enumerate(MONOMIALS[order]) if i + j >= 2]
+        nq = np_ = [0.0] * n
+        for k, t in terms:
+            nq = plus(nq, scale(gq[k], t))
+            np_ = plus(np_, scale(gp[k], t))
+        dq, dp = solve(minus(eq, nq), minus(ep, np_))
+    return dq, dp
 
 
 def walk_jet(e, bindings, order):

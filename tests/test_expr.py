@@ -172,6 +172,21 @@ def test_nth_derivative():
     assert DerivTable(e).get(5, 0) is ZERO
 
 
+def test_a_deep_entry_is_filled_without_recursion():
+    table = DerivTable(parse_expr("q*p"))
+    assert table.get(1500, 0) is ZERO
+    assert table.get(1, 1500) is ZERO
+
+
+def test_entries_are_filled_from_the_nearest_one_held_in_row_then_column_order():
+    table = DerivTable(parse_expr("exp(q)*sin(p)"))
+    table.sparse(3, 2)
+    table.sparse(1, 2)
+    table.sparse(3, 3)
+    assert list(table.entries) == [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (1, 1), (1, 2), (3, 3)]
+    assert table.get(3, 3) == differentiate(table.get(3, 2), "p")
+
+
 @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (2, -3)])
 def test_negative_derivative_orders_are_refused(a, b):
     table = DerivTable(parse_expr("q*p"))

@@ -1,11 +1,13 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expr_walk import outcome, plus, product, scale
+from expr_walk import outcome, plus, product, reference_invert, scale
 from moyal import jets
 from moyal.expr import FUNCTION_NAMES, ComplexEmitter, ExprDomainError, FloatEmitter, Program, eval_real, parse_expr
 from moyal.flow import HamiltonianSpec
@@ -356,34 +358,42 @@ def test_invert_composes_to_the_identity(order):
             assert max(abs(x - y) for x, y in zip(got, e, strict=True)) < 1e-13
 
 
-def reference_invert(gq, gp):
-    """The sweeps of :func:`invert`, transcribed over the test arithmetic:
-    d <- L^-1 (e - N(d)), with L^-1 as two scales and a difference."""
-    order, n = jet_order(gq), len(gq)
+def order_by_order_invert(gq, gp):
+    """:func:`invert`'s rule, transcribed over floats: degree 1 of the
+    inverse is L^-1, and degree n is -L^-1 times the degree-n part of N at
+    the inverse below degree n.  A coefficient is a dict entry once found;
+    dq^i dp^j is dq^i times dp^j, and dq^i (dp^j) is dq^(i-1) (dp^(j-1))
+    times dq (dp); a product's or a sum's coefficient of degree n folds,
+    from its first term, only the terms whose factors are both found, in
+    the multiplication table's order, and N sums over g's monomials in
+    ``MONOMIALS`` order."""
+    order = jet_order(gq)
+    monos = MONOMIALS[order]
     (a, b), (c, d) = gq[1:3], gp[1:3]
     det = a * d - b * c
-    one, eq, ep = ([1.0 if m == k else 0.0 for m in range(n)] for k in range(3))
-    minus = lambda x, y: [u - v for u, v in zip(x, y)]
-
-    def solve(rq, rp):
-        return (
-            minus(scale(d / det, rq), scale(b / det, rp)),
-            minus(scale(a / det, rp), scale(c / det, rq)),
-        )
-
-    dq, dp = solve(eq, ep)
-    for _ in range(order - 1):
-        pq, pp = [one, dq], [one, dp]
-        for _n in range(2, order + 1):
-            pq.append(product(order, pq[-1], dq))
-            pp.append(product(order, pp[-1], dp))
-        terms = [(k, product(order, pq[i], pp[j])) for k, (i, j) in enumerate(MONOMIALS[order]) if i + j >= 2]
-        nq = np_ = [0.0] * n
-        for k, t in terms:
-            nq = plus(nq, scale(gq[k], t))
-            np_ = plus(np_, scale(gp[k], t))
-        dq, dp = solve(minus(eq, nq), minus(ep, np_))
-    return dq, dp
+    m = (d / det, -b / det, -c / det, a / det)
+    fold = lambda terms: functools.reduce(operator.add, terms)
+    dq, dp = {1: m[0], 2: m[1]}, {1: m[2], 2: m[3]}
+    powers = {(1, 0): dq, (0, 1): dp}
+    for n in range(2, order + 1):
+        part = [k for k, (i, j) in enumerate(monos) if i + j == n]
+        for i, j in monos:
+            if 2 <= i + j <= n:
+                x, y = ((powers[i, 0], powers[0, j]) if i and j
+                        else (powers[i - 1, 0], dq) if i else (powers[0, j - 1], dp))
+                got = powers.setdefault((i, j), {})
+                for k in part:
+                    pairs = [
+                        (u, v) for u, (i1, j1) in enumerate(monos) for v, (i2, j2) in enumerate(monos)
+                        if (i1 + i2, j1 + j2) == monos[k]
+                    ]
+                    got[k] = fold([x[u] * y[v] for u, v in pairs if u in x and v in y])
+        for k in part:
+            terms = [(e, powers[mono][k]) for e, mono in enumerate(monos) if 2 <= sum(mono) <= n]
+            rq, rp = (fold([g[e] * t for e, t in terms]) for g in (gq, gp))
+            dq[k] = -(m[0] * rq + m[1] * rp)
+            dp[k] = -(m[2] * rq + m[3] * rp)
+    return tuple([x.get(k, 0.0) for k in range(len(monos))] for x in (dq, dp))
 
 
 coefficients = st.one_of(st.floats(-3, 3), st.sampled_from((0.0, -0.0, 1.0, -1.0)))
@@ -393,11 +403,28 @@ coefficients = st.one_of(st.floats(-3, 3), st.sampled_from((0.0, -0.0, 1.0, -1.0
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_invert_matches_the_sweep_bit_for_bit(order, data):
+    # the sweep is now the order-by-order rule; reference_invert is the
+    # fixed-point sweep, kept as the oracle below
     n = len(MONOMIALS[order])
     gq, gp = (data.draw(st.lists(coefficients, min_size=n, max_size=n)) for _ in range(2))
     (a, b), (c, d) = gq[1:3], gp[1:3]
     assume(a * d - b * c != 0.0)
-    assert outcome(lambda: invert(gq, gp)) == outcome(lambda: reference_invert(gq, gp))
+    assert outcome(lambda: invert(gq, gp)) == outcome(lambda: order_by_order_invert(gq, gp))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_invert_agrees_with_the_fixed_point_sweep(order):
+    # within 1e-13 of each jet's largest coefficient: a small coefficient
+    # that comes from cancelling terms carries the round-off of the large ones
+    rng = random.Random(10 + order)
+    n = len(MONOMIALS[order])
+    for _ in range(200):
+        u = lambda: rng.uniform(-0.5, 0.5)
+        gq = [rng.uniform(-2, 2), 1.0 + u(), u()] + [rng.uniform(-2, 2) for _ in range(n - 3)]
+        gp = [rng.uniform(-2, 2), u(), 1.0 + u()] + [rng.uniform(-2, 2) for _ in range(n - 3)]
+        for got, want in zip(invert(gq, gp), reference_invert(gq, gp), strict=True):
+            size = max(map(abs, want))
+            assert max(abs(x - y) for x, y in zip(got, want, strict=True)) <= 1e-13 * size
 
 
 @pytest.fixture
@@ -430,6 +457,14 @@ def test_invert_code_is_generated_once_per_order_on_first_use(generated):
         assert len(generated) == order
         assert outcome(lambda: invert(gq, gp)) == first
         assert len(generated) == order
+
+
+def test_the_order_3_inverse_is_written_out_in_few_lines(generated):
+    # the fixed-point sweeps' function took 538 lines at order 3 (535 in
+    # its body); solving order by order writes only the terms of the degree
+    # being solved
+    invert(*seed_pair(3, 0.3, -0.2))
+    assert len(generated) == 1 and len(generated[0].splitlines()) <= 538 // 3
 
 
 def test_invert_refuses_a_singular_linear_part(generated):

@@ -1,13 +1,24 @@
+import functools
+import importlib
+import inspect
 import itertools
 import math
+import operator
+import pkgutil
 import random
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expr_walk import reference_invert
 
 import moyal.expr
 import moyal.flow
+import moyal.jets
 import moyal.semiclassical
 from moyal.closed_forms import builtin_example1
 from moyal.expr import ZERO, Program, parse_expr
@@ -17,6 +28,7 @@ from moyal.flow import (
     HamiltonianSpec,
     integrate_flow,
     integrate_flow_jets,
+    rk4,
 )
 from moyal.jets import derivative, seed
 from moyal.poly import PhasePolynomial, bidifferential, format_poly, poisson_bracket
@@ -317,6 +329,44 @@ def loop_inhomogeneity(h, jq, jp):
     return [acc0, acc1]
 
 
+def folded_rates(h, jq, jp, z2):
+    """The correction pair's rates as the generated code forms them: the
+    drive grouped by its symmetries (C1 symmetric in (a, b), C2 in (b, c),
+    a partial of F fixed by its number j of p slots), so each component is
+    (sum_j c1_j F_j) / 8 + (sum_j c2_j F_j) / 24, with c1 the halved C1
+    sums and c2 the C2 sums, each (b, c) product formed once, and a term
+    whose partial of H is 0 left out; then the Jacobian term and the
+    drive, in the code's order."""
+    fold = lambda terms: functools.reduce(operator.add, terms)
+    d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
+    d2 = ((jq[3] * 2, jq[4], jq[5] * 2), (jp[3] * 2, jp[4], jp[5] * 2))
+    (xqq, xqp, xpp), (yqq, yqp, ypp) = d2
+    c1 = [
+        xqq * xpp - xqp * xqp,
+        xqq * ypp - 2.0 * xqp * yqp + xpp * yqq,
+        yqq * ypp - yqp * yqp,
+    ]
+    c2 = [[] for _ in range(4)]
+    for b, c in ((0, 0), (0, 1), (1, 1)):
+        (yq, yp), (zq, zp) = d1[b], d1[c]
+        pp, pm, qq = yp * zp, yp * zq + yq * zp, yq * zq
+        for a, (xqq, xqp, xpp) in enumerate(d2):
+            term = xqq * pp - xqp * pm + xpp * qq
+            c2[a + b + c].append(2.0 * term if b != c else term)
+    c2 = [fold(terms) for terms in c2]
+    drive = []
+    for f in (lambda n, j: h[n - j, j + 1]), (lambda n, j: h[n + 1 - j, j]):
+        sums = [[c[j] * f(n, j) for j in range(n + 1) if f(n, j) != 0.0] for c, n in ((c1, 2), (c2, 3))]
+        drive.append([fold(terms) / w for terms, w in zip(sums, (8.0, 24.0)) if terms])
+    z2q, z2p = z2
+    rate_q = h[1, 1] * z2q + h[0, 2] * z2p
+    rate_p = -h[2, 0] * z2q - h[1, 1] * z2p
+    return [
+        rate_q - fold(drive[0]) if drive[0] else rate_q,
+        fold([rate_p, *drive[1]]),
+    ]
+
+
 def random_drives(seed, hamiltonians, points):
     """(H, jq, jp) for seeded polynomial Hamiltonians with every partial of
     orders 2 to 4, and seeded order-2 jets at seeded points."""
@@ -330,10 +380,20 @@ def random_drives(seed, hamiltonians, points):
             yield ham, *([rng.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(2))
 
 
-def generated_drive(ham, jq, jp):
-    """The generated ode right-hand side at zero correction: the jets'
-    rates, and the correction pair's, which are then the drive alone."""
-    rates = moyal.semiclassical._hbar2_rates(ham)([*jq, *jp, 0.0, 0.0], ham.params)
+def bench_drives(seed, points):
+    """(H, jq, jp) for the benchmark Hamiltonians, some of whose partials
+    are 0, and seeded order-2 jets at seeded points."""
+    rng = random.Random(seed)
+    for make in BENCH_HAMILTONIANS.values():
+        ham = make()
+        for _ in range(points):
+            yield ham, *([rng.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(2))
+
+
+def generated_drive(ham, jq, jp, z2=(0.0, 0.0)):
+    """The generated ode right-hand side: the jets' rates, and the
+    correction pair's, which at zero correction are the drive alone."""
+    rates = moyal.semiclassical._hbar2_rates(ham)([*jq, *jp, *z2], ham.params)
     return rates[:12], rates[12:]
 
 
@@ -345,11 +405,94 @@ def test_hbar2_inhomogeneity_matches_its_index_sums():
 
 
 def test_generated_drive_is_the_loop_bit_for_bit():
-    for ham, jq, jp in random_drives(11, 6, 5):
-        jets, got = generated_drive(ham, jq, jp)
+    # the loop is now the symmetry-folded sum of folded_rates;
+    # loop_inhomogeneity, the term-by-term loop, is kept as the oracle below.
+    # The benchmark Hamiltonians have partials that are 0, whose terms drop
+    rng = random.Random(3)
+    for ham, jq, jp in [*random_drives(11, 6, 5), *bench_drives(3, 5)]:
+        z2 = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        jets, got = generated_drive(ham, jq, jp, z2)
         assert [x.hex() for x in jets] == [x.hex() for x in ham.field_jets(jq + jp)]
-        want = loop_inhomogeneity(ham.partials_at(jq[0], jp[0]), jq, jp)
+        want = folded_rates(ham.partials_at(jq[0], jp[0]), jq, jp, z2)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_generated_drive_agrees_with_the_term_by_term_loop():
+    for ham, jq, jp in [*random_drives(13, 10, 5), *bench_drives(5, 5)]:
+        _jets, got = generated_drive(ham, jq, jp)
+        assert got == pytest.approx(loop_inhomogeneity(ham.partials_at(jq[0], jp[0]), jq, jp), rel=1e-13)
+
+
+def parent_ode(ham, z0, t_final, steps_per_unit):
+    """The ode route with the term-by-term drive of ``loop_inhomogeneity``:
+    the same jets, Jacobian term, RK4 and step count as ``hbar2_ode``."""
+
+    def rhs(s):
+        h = ham.partials_at(s[0], s[6])
+        drive = loop_inhomogeneity(h, s[:6], s[6:12])
+        z2q, z2p = s[12], s[13]
+        return [
+            *ham.field_jets(s[:12]),
+            h[1, 1] * z2q + h[0, 2] * z2p + drive[0],
+            -h[2, 0] * z2q - h[1, 1] * z2p + drive[1],
+        ]
+
+    state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
+    steps = max(moyal.semiclassical._MIN_ODE_STEPS, round(steps_per_unit * t_final))
+    for state in rk4(rhs, state, t_final, steps):
+        pass
+    return state[12], state[13]
+
+
+# a polynomial Hamiltonian of degree at most 6: p^2/2 plus (a, b, n)
+# terms (n/4) q^a p^b, one with q in it and of degree 3 or more, which
+# gives the routes a nonzero drive, and up to five more
+def polynomial_term(low_q, low):
+    return st.tuples(st.integers(low_q, 6), st.integers(0, 6), st.integers(-4, 4).filter(bool)).filter(
+        lambda t: low <= t[0] + t[1] <= 6
+    )
+
+
+polynomial_terms = st.tuples(polynomial_term(1, 3), st.lists(polynomial_term(0, 1), max_size=5)).map(
+    lambda drawn: [drawn[0], *drawn[1]]
+)
+
+
+def route_values(run):
+    """A route's (Q2, P2), or the class and text of its refusal."""
+    try:
+        res = run()
+    except (ArithmeticError, ValueError, FlowBlowupError) as err:
+        return type(err), str(err)
+    return res if type(res) is tuple else (res.q2[0], res.p2[0])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    terms=polynomial_terms,
+    z0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    t=st.floats(0.01, 0.5),
+)
+def test_both_routes_agree_with_the_parent_formulas(terms, z0, t):
+    # the ode route against the term-by-term drive, the transport route
+    # against the fixed-point sweep inverse; each pair (Q2, P2) within
+    # 1e-12 of the larger of its two parent values
+    ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
+    transport = lambda: hbar2_transport(ham, z0, t, quad_panels_per_unit=16, steps_per_unit=200)
+    with mock.patch.object(moyal.semiclassical, "invert", reference_invert):
+        want = [route_values(lambda: parent_ode(ham, z0, t, 200)), route_values(transport)]
+    got = [route_values(lambda: hbar2_ode(ham, z0, t, steps_per_unit=200)), route_values(transport)]
+    for x, y in zip(got, want):
+        if type(y[0]) is type:  # both refuse the flow alike
+            assert x == y
+        else:
+            assert max(abs(u - v) for u, v in zip(x, y)) <= 1e-12 * max(map(abs, y))
+
+
+# the modules whose code calls exec: the emitters' kernels (expr, which the
+# jet field, the ode right-hand side and jets.invert's inverse go through)
+# and the RK4 steps (flow)
+GENERATING_MODULES = (moyal.expr, moyal.flow)
 
 
 def test_a_warm_spec_generates_no_code(monkeypatch):
@@ -363,12 +506,22 @@ def test_a_warm_spec_generates_no_code(monkeypatch):
         lambda: integrate_flow(ham, z0, t).states[-1],
         *(lambda order=order: integrate_flow_jets(ham, z0, t, order=order).jets[-1] for order in (1, 2, 3)),
     ]
+    # the transport route's inverse is generated by its first run too
+    moyal.jets._inverse.cache_clear()
     first = [run() for run in runs]
+    assert moyal.jets._inverse.cache_info().currsize == 1
     compiled = []
-    for module in (moyal.expr, moyal.flow):
+    for module in GENERATING_MODULES:
         monkeypatch.setattr(module, "exec", lambda *args: compiled.append(args), raising=False)
     assert [run() for run in runs] == first
     assert compiled == []
+
+
+def test_every_module_that_generates_code_is_watched():
+    # a module that calls exec must be in GENERATING_MODULES, so that the
+    # warm-run test above sees the code it generates
+    modules = [importlib.import_module(f"moyal.{info.name}") for info in pkgutil.iter_modules(moyal.__path__)]
+    assert {m for m in modules if "exec(" in inspect.getsource(m)} == set(GENERATING_MODULES)
 
 
 def test_boole_is_exact_for_quintics():

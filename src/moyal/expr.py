@@ -711,7 +711,9 @@ _CONST, _SYM, _PI, _POW, _CALL, _ADD, _MUL = range(7)
 class Program:
     """Expressions compiled once into a flat tape, then run at many points.
 
-    ``roots`` is one :class:`Expr` or a sequence of them.  The compile
+    ``roots`` is one :class:`Expr` or a sequence of them.  With
+    ``tables``, a Program whose constant and name tables this one's start
+    with, code written from either tape indexes this one's tables.  The compile
     step walks them in post-order and records each structurally distinct
     node once, as an opcode and its operands in an integer ``array``:
 
@@ -727,19 +729,19 @@ class Program:
     powers use the value type's own ``**``.  So a value does not depend on
     which roots were compiled together.  Complex, real and jet runs
     (:meth:`run`, :meth:`real`, ``jets.eval_expr_jet``) call straight-line
-    code generated from the tape on first use and kept (:meth:`kernel`,
-    the only code that reads the tape).  A Program keeps no ``Expr``: it
+    code generated from the tape on first use and kept (:meth:`kernel`
+    over :meth:`walk`).  A Program keeps no ``Expr``: it
     does not keep the tree it was compiled from alive.
     """
 
     __slots__ = ("code", "consts", "names", "roots", "single", "_kernels")
 
-    def __init__(self, roots):
+    def __init__(self, roots, tables: Program | None = None):
         self.single = isinstance(roots, Expr)
         roots = (roots,) if self.single else tuple(roots)
         code = array("q")
-        consts: list = []
-        names: list[str] = []
+        consts: list = list(tables.consts) if tables else []
+        names: list[str] = list(tables.names) if tables else []
         slot: dict[Expr, int] = {}
         for root in roots:
             stack = [root]
@@ -795,39 +797,45 @@ class Program:
         return (self._kernels.get(None) or self.kernel(None, FloatEmitter))(bindings)
 
     def kernel(self, key, emitter):
-        """The function of the bindings generated for ``key`` on first use:
-        the tape, walked once in order, with every slot handed to
-        ``emitter(self, key)`` (see :class:`FloatEmitter`)."""
+        """The function generated for ``key`` on first use and kept:
+        ``emitter(self, key).generate(self)``, which walks the tape (see
+        :meth:`FloatEmitter.generate`)."""
         fn = self._kernels.get(key)
         if fn is None:
-            emit = emitter(self, key)
-            code, refs = self.code, []
-            i, end = 0, len(code)
-            while i < end:
-                op = code[i]
-                if op == _ADD or op == _MUL:
-                    stop = i + 2 + code[i + 1]
-                    xs = [refs[j] for j in code[i + 2:stop]]
-                    ref = emit.add(xs) if op == _ADD else emit.mul(xs)
-                    i = stop
-                elif op == _POW:
-                    ref = emit.pow(refs[code[i + 1]], code[i + 2])
-                    i += 3
-                elif op == _CONST:
-                    ref = emit.const(code[i + 1])
-                    i += 2
-                elif op == _SYM:
-                    ref = emit.sym(code[i + 1])
-                    i += 2
-                elif op == _CALL:
-                    ref = emit.call(code[i + 1], refs[code[i + 2]])
-                    i += 3
-                else:
-                    ref = emit.pi()
-                    i += 1
-                refs.append(ref)
-            fn = self._kernels[key] = emit.function([refs[k] for k in self.roots], self.single)
+            fn = self._kernels[key] = emitter(self, key).generate(self)
         return fn
+
+    def walk(self, emit) -> list:
+        """The tape walked once in order, every slot handed to ``emit``;
+        the roots' references.  Each walk writes fresh locals, so one
+        emitter may walk a tape more than once (the only code that reads
+        the tape)."""
+        code, refs = self.code, []
+        i, end = 0, len(code)
+        while i < end:
+            op = code[i]
+            if op == _ADD or op == _MUL:
+                stop = i + 2 + code[i + 1]
+                xs = [refs[j] for j in code[i + 2:stop]]
+                ref = emit.add(xs) if op == _ADD else emit.mul(xs)
+                i = stop
+            elif op == _POW:
+                ref = emit.pow(refs[code[i + 1]], code[i + 2])
+                i += 3
+            elif op == _CONST:
+                ref = emit.const(code[i + 1])
+                i += 2
+            elif op == _SYM:
+                ref = emit.sym(code[i + 1])
+                i += 2
+            elif op == _CALL:
+                ref = emit.call(code[i + 1], refs[code[i + 2]])
+                i += 3
+            else:
+                ref = emit.pi()
+                i += 1
+            refs.append(ref)
+        return [refs[k] for k in self.roots]
 
 
 def _function_table(lib, tan) -> dict[str, Callable]:
@@ -893,8 +901,10 @@ class FloatEmitter:
     constant = staticmethod(_real_const)
     binding = "b[N[{}]]"
     calls, pi_value = _REAL_CALLS, math.pi
-    # the generated function's parameters
+    # the generated function's parameters, and the handlers that end its
+    # try block
     args = "b"
+    handlers = _HANDLERS
 
     def __init__(self, program: Program, key):
         # integer constants are power exponents and stay as they are
@@ -950,13 +960,17 @@ class FloatEmitter:
         """The returned value's source: one root's, or the list of them."""
         return self.result(roots[0]) if single else f"[{', '.join(map(self.result, roots))}]"
 
+    def generate(self, program: Program):
+        """The run of ``program``: its tape walked once (:meth:`function`)."""
+        return self.function(program.walk(self), program.single)
+
     def function(self, roots, single: bool):
         """The generated function of the bindings; it raises
         :class:`ExprEvalError` for an unbound symbol and
         :class:`ExprDomainError` for a zero raised to a negative power."""
         out = self.output(roots, single)
         body = "".join(f"        {row}\n" for line in self.lines for row in line.split("\n"))
-        exec(f"def kernel({self.args}):\n    try:\n{body}        return {out}\n{_HANDLERS}", self.env)
+        exec(f"def kernel({self.args}):\n    try:\n{body}        return {out}\n{self.handlers}", self.env)
         return self.env["kernel"]
 
 

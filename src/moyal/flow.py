@@ -12,14 +12,17 @@ partials with respect to the initial point into ordinary state components
 (no hand-derived variational equations): a jet is its list of
 coefficients, and the integrator steps one flat list of floats.  Each
 flow's right-hand side is generated code that reads that list and returns
-the flat rates (``HamiltonianSpec.field`` and ``field_jets``), and the RK4
-stage arithmetic is straight-line code generated once per state width.
+the flat rates (``HamiltonianSpec.field`` and ``field_jets``).  One loop
+generator writes every RK4 loop as straight-line code: the public
+:func:`rk4` calls its right-hand side once per stage, and each flow's loop
+(:func:`rk4_loop`, once per flow and state width) calls the public field
+for the first stage of its first step only, and writes every other stage
+as the field's code inline.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,7 +37,7 @@ from .expr import (
     eval_real,
     free_symbols,
 )
-from .jets import MONOMIALS, FlatState, eval_expr_jet, seed
+from .jets import MONOMIALS, FlatState, FlowJets, eval_expr_jet, seed
 from .poly import MAX_DEGREE
 
 __all__ = [
@@ -131,7 +134,8 @@ class HamiltonianSpec:
 
     @cached_property
     def _partials(self) -> Program:
-        return Program([self.partials.get(a, b) for a, b in PARTIAL_KEYS])
+        # the ode route's code walks both tapes over these tables
+        return Program([self.partials.get(a, b) for a, b in PARTIAL_KEYS], self._field)
 
     def partials_at(self, q: float, p: float) -> dict[tuple[int, int], float]:
         """d_q^a d_p^b H at (q, p) for 2 <= a + b <= 4, keyed by (a, b)."""
@@ -159,7 +163,7 @@ class FlatFloats(FlatState, FloatEmitter):
     q is ``s[0]`` and p is ``s[stride]``."""
 
     def read(self, start: int) -> str:
-        return self.local(f"s[{start}]")
+        return self.state(start)
 
     def coefficients(self, ref) -> list[str]:
         return [ref]
@@ -171,49 +175,80 @@ def rk4(rhs, state, t_final: float, steps: int):
     ``rhs(state)`` returns their rates as a sequence; rates of another
     length raise ValueError.  Float overflow in a stage, or a state
     component that is not finite, raises FlowBlowupError."""
-    h = t_final / steps
-    h6 = h / 6.0
-    step = _rk4_step(len(state))
-    for k in range(steps):
-        # float overflow inside a stage surfaces as OverflowError
-        try:
-            state = step(rhs, state, 0.5 * h, h, h6)
-        except OverflowError:
-            raise FlowBlowupError((k + 1) * h) from None
-        if not all(map(math.isfinite, state)):
-            raise FlowBlowupError((k + 1) * h)
-        yield state
+    return _call_loop(len(state))(state, None, t_final, steps, rhs)
 
 
-@functools.cache
-def _rk4_step(width: int):
-    """One RK4 step over a flat state of ``width`` floats, written out as
-    straight-line code once per width: each stage calls ``rhs`` once on
-    ``s + c * rates`` and the step returns
-    ``s + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)``, component by component."""
+def _rk4_loop(width: int, stage, env: dict, handlers: str = ""):
+    """The one RK4 loop over ``width`` floats as straight-line code:
+    ``loop(s, b, t_final, steps, rhs)``, a generator of the state after
+    each step.  ``stage(sources, targets)`` gives the lines that assign the
+    rates at the state ``sources`` to ``targets``, except in the first
+    stage of the first step, ``rhs(s)``.  Float overflow in a stage, or a
+    component that is not finite (times 0.0 is not 0.0), raises
+    FlowBlowupError at the end of the step; ``handlers`` end the try."""
     x, r1, r2, r3, r4 = ([f"{c}{i}" for i in range(width)] for c in "xabcd")
 
     def unpack(names):  # a trailing comma unpacks one name too
         return ", ".join(names) + ","
 
-    def stage(c, rates):
-        return f"rhs([{', '.join(f'{s} + {c} * {d}' for s, d in zip(x, rates))}])"
+    def at(c, rates):
+        return [f"{s} + {c} * {d}" for s, d in zip(x, rates)]
 
-    new = ", ".join(
-        f"{s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for s, a, b, c, d in zip(x, r1, r2, r3, r4)
-    )
-    env: dict = {}
+    body = [
+        "if k:", *(f"    {row}" for line in stage(x, r1) for row in line.split("\n")),
+        "else:", f"    {unpack(r1)} = rhs(s)",
+        *stage(at("half", r1), r2),
+        *stage(at("half", r2), r3),
+        *stage(at("h", r3), r4),
+        *(f"{s} = {s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for s, a, b, c, d in zip(x, r1, r2, r3, r4)),
+        f"if not {' + '.join(f'{s} * 0.0' for s in x)} == 0.0:",
+        "    raise FlowBlowupError((k + 1) * h)",
+        f"yield [{', '.join(x)}]",
+    ]
+    rows = "".join(f"            {row}\n" for line in body for row in line.split("\n"))
     exec(
-        f"def step(rhs, s, half, h, h6):\n"
+        f"def loop(s, b, t_final, steps, rhs):\n"
         f"    {unpack(x)} = s\n"
-        f"    {unpack(r1)} = rhs(s)\n"
-        f"    {unpack(r2)} = {stage('half', r1)}\n"
-        f"    {unpack(r3)} = {stage('half', r2)}\n"
-        f"    {unpack(r4)} = {stage('h', r3)}\n"
-        f"    return [{new}]\n",
+        f"    h = t_final / steps\n"
+        f"    half, h6, k = 0.5 * h, h / 6.0, 0\n"
+        f"    try:\n"
+        f"        for k in range(steps):\n{rows}"
+        f"    except OverflowError:\n"
+        f"        raise FlowBlowupError((k + 1) * h) from None\n{handlers}",
         env,
     )
-    return env["step"]
+    return env["loop"]
+
+
+@functools.cache
+def _call_loop(width: int):
+    """:func:`rk4`'s loop: every stage calls ``rhs`` on a list."""
+
+    def stage(sources, targets):
+        return [f"{', '.join(targets)}, = rhs([{', '.join(sources)}])"]
+
+    return _rk4_loop(width, stage, {"FlowBlowupError": FlowBlowupError})
+
+
+class _InlineLoop:
+    """Generates a flow's RK4 loop for :meth:`Program.kernel`."""
+
+    def __init__(self, emit):
+        self.emit = emit
+
+    def generate(self, program: Program):
+        emit = self.emit
+        emit.env["FlowBlowupError"] = FlowBlowupError
+        return _rk4_loop(emit.size, functools.partial(emit.stage, program), emit.env, emit.handlers)
+
+
+def rk4_loop(program: Program, key, emitter):
+    """The RK4 loop (:func:`_rk4_loop`) of the flow whose rates
+    ``emitter(program, key)``, a :class:`jets.FlatState` emitter, writes:
+    every stage but the first of the first step is that code inline, so a
+    step makes no call.  Generated on first use and kept with the
+    program's kernels."""
+    return program.kernel(("rk4", key), lambda prog, _key: _InlineLoop(emitter(prog, key)))
 
 
 def integrate_flow(
@@ -225,12 +260,14 @@ def integrate_flow(
     """Integrate Hamilton's equations from z0 over [0, t_final].
 
     Negative t_final integrates backwards.  Raises
-    :class:`FlowBlowupError` when the state stops being finite.
+    :class:`FlowBlowupError` when the state stops being finite.  The first
+    stage calls ``ham.field``, which checks the state (:func:`rk4_loop`).
     """
     if steps is None:
         steps = default_steps(t_final)
     states = [tuple(z0)]
-    states += [(q, p) for q, p in rk4(ham.field, states[0], t_final, steps)]
+    loop = rk4_loop(ham._field, "flat", FlatFloats)
+    states += [(q, p) for q, p in loop(states[0], ham.params, t_final, steps, ham.field)]
     return Trajectory(states=states)
 
 
@@ -244,13 +281,15 @@ def integrate_flow_jets(
     """Same flow with the state widened to jets of the given order.
 
     The initial jets are the identity map's: unit first derivatives,
-    nothing higher.  RK4 steps both jets' coefficients as one list.
+    nothing higher.  RK4 steps both jets' coefficients as one list; the
+    first stage calls ``ham.field_jets``.
     """
     if steps is None:
         steps = default_steps(t_final)
     jq, jp = seed(z0[0], 0, order), seed(z0[1], 1, order)
     n = len(jq)
-    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in rk4(ham.field_jets, jq + jp, t_final, steps)]
+    loop = rk4_loop(ham._field, (order, "flat"), FlowJets)
+    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in loop(jq + jp, ham.params, t_final, steps, ham.field_jets)]
     return Trajectory(states=[(jq[0], jp[0]) for jq, jp in jets], jets=jets)
 
 

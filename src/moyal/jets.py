@@ -11,7 +11,8 @@ factorials) in ``MONOMIALS[order]`` order, so its order is read from the
 list's length; :func:`seed` and :func:`derivative` keep that layout here.
 The one jet arithmetic is the straight-line code the jet emitter writes
 from the multiplication table precomputed per order, for expression runs
-(``eval_expr_jet``) and the truncated inverse (``invert``).  A call, or a
+(``eval_expr_jet``), the stages of the jet flows' RK4 loops (``FlowJets``)
+and the truncated inverse (``invert``).  A call, or a
 power outside 2 to 4, takes its derivatives from ``expr.differentiate``,
 the one derivative table, so this module holds no derivative formula.
 """
@@ -217,18 +218,32 @@ class _JetEmitter(FloatEmitter):
 
 
 class FlatState:
-    """Mixed into an emitter: a run over a Hamiltonian flow's flat state
-    ``s``, generated as ``kernel(s, b)``.
+    """Mixed into an emitter: a run over a Hamiltonian flow's flat state,
+    generated as ``kernel(s, b)`` that returns the rates at ``s``
+    (:meth:`generate`), or written inline as one stage of an RK4 loop
+    (:meth:`stage`).
 
-    The symbols q and p read their values from ``s``, q's from ``s[0]`` on
-    and p's from ``s[stride]`` on, one local per coefficient (``read``);
-    every other symbol is read from the bindings ``b``.  The two roots
-    (dH/dp, dH/dq) give the flow's rates, flat: the first root's
-    coefficients, then the second root's negated.
+    The symbols q and p read their values from the state, q's from
+    component 0 on and p's from component ``stride`` on, one local per
+    coefficient (``read``), and a run reads each component once
+    (:meth:`state`); every other symbol is read from the bindings ``b``.
+    The two roots (dH/dp, dH/dq) give the flow's rates, flat: the first
+    root's coefficients, then the second root's negated (:meth:`rates`).
     """
 
     args = "s, b"
     stride = 1
+
+    @property
+    def size(self) -> int:  # the state's length
+        return 2 * self.stride
+
+    def state(self, i: int) -> str:
+        """The local that holds component i of the state the run reads,
+        assigned its source on first read."""
+        if i not in self.held:
+            self.held[i] = self.local(self.sources[i])
+        return self.held[i]
 
     def sym(self, k):
         name = self.env["N"][k]
@@ -236,12 +251,28 @@ class FlatState:
             return super().sym(k)
         return self.read(self.stride if name == "p" else 0)
 
-    def output(self, roots, single: bool) -> str:
-        first, second = map(self.coefficients, roots)
-        return f"[{', '.join([*first, *(f'-{x}' for x in second)])}]"
+    def rates(self, program) -> list[str]:
+        """The sources of the rates: ``program``'s tape walked once."""
+        first, second = map(self.coefficients, program.walk(self))
+        return [*first, *(f"-{x}" for x in second)]
+
+    def generate(self, program):
+        self.held, self.sources = {}, [f"s[{i}]" for i in range(self.size)]
+        return self.function(self.rates(program), False)
+
+    def output(self, rates, single: bool) -> str:
+        return f"[{', '.join(rates)}]"
+
+    def stage(self, program, sources: list[str], targets: list[str]) -> list[str]:
+        """The lines of an RK4 stage: the rates at the state whose
+        components are the expressions ``sources``, assigned to
+        ``targets``; a component the rates do not read is not computed."""
+        self.held, self.sources, self.lines = {}, sources, []
+        rates = self.rates(program)
+        return [*self.lines, *(f"{t} = {r}" for t, r in zip(targets, rates))]
 
 
-class _FlowJets(FlatState, _JetEmitter):
+class FlowJets(FlatState, _JetEmitter):
     """The jet field of a flow over its flat state, two jets of the order
     ``key[0]`` end to end."""
 
@@ -250,14 +281,14 @@ class _FlowJets(FlatState, _JetEmitter):
         self.stride = self.width
 
     def read(self, start: int) -> list[str]:
-        return [self.local(f"s[{start + m}]") for m in range(self.width)]
+        return [self.state(start + m) for m in range(self.width)]
 
 
 def jet_field(program: Program, order: int):
     """The generated jet field of the Hamiltonian flow whose ``program``
     holds (dH/dp, dH/dq), at one jet order: ``kernel(s, b)`` of the flat
     state and the other symbols' bindings (see :class:`FlatState`)."""
-    return program.kernel((order, "flat"), _FlowJets)
+    return program.kernel((order, "flat"), FlowJets)
 
 
 def eval_expr_jet(e, bindings, order: int, state=None) -> list[float]:

@@ -17,8 +17,9 @@ the correction through a linear inhomogeneous equation driven by order-2
 jets, with one right-hand side generated per Hamiltonian: the jet field,
 H's partials and the drive, grouped by its symmetries and with the terms
 of H's partials that are 0 left out, written out as straight-line code.
-They share the integrator (``flow.rk4``) and H's table of partials (the
-transport route reads it through ``HamiltonianSpec.partials_at``); the
+Both run on the RK4 loops of ``flow.rk4_loop``, whose stages are their
+flows' right-hand sides written inline, and share H's table of partials
+(the transport route reads it through ``HamiltonianSpec.partials_at``); the
 formulas stay independent: the C1/C2 contraction of the map's first and
 second derivatives on the ode side, the cubed bidifferential under Boole's
 rule on the transport side.  So agreement is evidence the formulas are
@@ -36,14 +37,13 @@ from .expr import ZERO, DerivTable, Expr, add
 from .flow import (
     PARTIAL_KEYS,
     STEPS_PER_UNIT_TIME,
-    FlatFloats,
     FlowBlowupError,
     HamiltonianSpec,
     integrate_flow,
     integrate_flow_jets,
-    rk4,
+    rk4_loop,
 )
-from .jets import derivative, invert, jet_field, seed
+from .jets import FlowJets, invert, seed
 from .poly import (
     P,
     PhasePolynomial,
@@ -231,11 +231,18 @@ def hbar2_transport(
         dq, dp = invert(gq, gp)
         h = ham.partials_at(gq[0], gp[0])
         h3 = lambda a, b: h[a, b]
-        # [map component, H]_2: the cubed bidifferential, weight -1/24
-        fq_vals.append(-bidifferential(partial(derivative, dq), h3, 3, 0.0) / 24.0)
-        fp_vals.append(-bidifferential(partial(derivative, dp), h3, 3, 0.0) / 24.0)
+        for d, vals in ((dq, fq_vals), (dp, fp_vals)):
+            # d_q^(3-b) d_p^b of the component: its last four coefficients
+            # times jets.derivative's factorial products
+            d3 = [c * f * g for c, (f, g) in zip(d[-4:], _THIRD_FACTORIALS)]
+            # [map component, H]_2: the cubed bidifferential, weight -1/24
+            vals.append(-bidifferential(lambda a, b: d3[b], h3, 3, 0.0) / 24.0)
     h_node = t_final / panels
     return Hbar2Result(q2=(_boole(fq_vals, h_node),), p2=(_boole(fp_vals, h_node),))
+
+
+# a! and b! of the third-order partials d_q^a d_p^b, in MONOMIALS order
+_THIRD_FACTORIALS = ((6, 1), (2, 1), (1, 2), (1, 6))
 
 
 def _boole(values: list[float], h: float) -> float:
@@ -259,13 +266,14 @@ def _boole(values: list[float], h: float) -> float:
 _MIN_ODE_STEPS = 32
 
 
-class _Hbar2Emitter(FlatFloats):
+class _Hbar2Emitter(FlowJets):
     """Writes the ode route's right-hand side over its flat state ``s`` of
     14 floats: the order-2 jets of q and p (six coefficients each), then the
-    correction pair (z2q, z2p).  It calls ``J``, the order-2 jet field
-    (:func:`jets.jet_field`), walks H's partials as float code at the jets'
-    value, then writes out the drive and the Jacobian term; the rates come
-    back flat, the jets' then the pair's.
+    correction pair (z2q, z2p).  It walks the jet field's tape as the jet
+    emitter does (``key`` is that Program), then H's partials' tape, whose
+    tables start with the field's, as float code at the jets' value, then
+    writes out the drive and the Jacobian term; the rates come back flat,
+    the jets' then the pair's.
 
     The drive contracts the map's first and second derivatives with the
     second and third derivatives of the Hamiltonian vector field
@@ -284,20 +292,25 @@ class _Hbar2Emitter(FlatFloats):
     written.
     """
 
-    stride = 6
+    size = 14
 
-    def __init__(self, jet_rates, program, key):
-        super().__init__(program, key)
-        self.env["J"] = jet_rates
-        self.lines.append("r = J(s, b)")
+    def __init__(self, program, key):
+        super().__init__(program, (2,))
+        self.field, self.floats = key, False
 
     def const(self, k):
         return "0.0" if self.env["K"][k] == 0.0 else super().const(k)
 
-    def output(self, roots, single: bool) -> str:
-        h = dict(zip(PARTIAL_KEYS, roots))
+    def read(self, start: int):
+        return self.state(start) if self.floats else super().read(start)
+
+    def rates(self, program) -> list[str]:
+        self.floats = False
+        jets = super().rates(self.field)
+        self.floats = True
+        h = dict(zip(PARTIAL_KEYS, program.walk(self)))
         # the jets' coefficients past the value, keyed by index
-        jq, jp = ({m: self.local(f"s[{start + m}]") for m in range(1, 6)} for start in (0, 6))
+        jq, jp = ({m: self.state(start + m) for m in range(1, 6)} for start in (0, 6))
         # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp),
         # read from the normalized coefficients with jets.derivative's exact
         # factorial products
@@ -332,18 +345,18 @@ class _Hbar2Emitter(FlatFloats):
             return " + ".join(f"({terms}) / {w}" for terms, w in sums if terms)
 
         # the Jacobian of F applied to the correction, plus the drive
-        z2q, z2p = self.local("s[12]"), self.local("s[13]")
+        z2q, z2p = self.state(12), self.state(13)
         dq, dp = map(drive, fs)
         rate_q = f"{h[1, 1]} * {z2q} + {h[0, 2]} * {z2p}" + (dq and f" - ({dq})")
         rate_p = f"-{h[2, 0]} * {z2q} - {h[1, 1]} * {z2p}" + (dp and f" + {dp}")
-        return f"[*r, {rate_q}, {rate_p}]"
+        return [*jets, rate_q, rate_p]
 
 
 def _hbar2_rates(ham: HamiltonianSpec):
     """The ode route's right-hand side for ``ham``, ``kernel(s, b)`` with
     ``b`` the parameters' bindings: generated on first use and kept with
     H's partials."""
-    return ham._partials.kernel("hbar2", partial(_Hbar2Emitter, jet_field(ham._field, 2)))
+    return ham._partials.kernel(ham._field, _Hbar2Emitter)
 
 
 def hbar2_ode(
@@ -364,9 +377,10 @@ def hbar2_ode(
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
     rhs = partial(_hbar2_rates(ham), b=ham.params)
+    loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter)
     # the order-2 jets' six coefficients each, then the correction pair
     state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
-    for state in rk4(rhs, state, t_final, max(_MIN_ODE_STEPS, round(steps_per_unit * t_final))):
+    for state in loop(state, ham.params, t_final, max(_MIN_ODE_STEPS, round(steps_per_unit * t_final)), rhs):
         pass
     return Hbar2Result(q2=(state[12],), p2=(state[13],))
 

@@ -199,9 +199,9 @@ def test_hbar2_transport_compiles_per_call_not_per_node(monkeypatch):
     built = []
     init = Program.__init__
 
-    def counting_init(self, roots):
+    def counting_init(self, roots, *tables):
         built.append(roots)
-        init(self, roots)
+        init(self, roots, *tables)
 
     monkeypatch.setattr(Program, "__init__", counting_init)
     counts = []
@@ -491,12 +491,12 @@ def test_both_routes_agree_with_the_parent_formulas(terms, z0, t):
 
 # the modules whose code calls exec: the emitters' kernels (expr, which the
 # jet field, the ode right-hand side and jets.invert's inverse go through)
-# and the RK4 steps (flow)
+# and the RK4 loops (flow)
 GENERATING_MODULES = (moyal.expr, moyal.flow)
 
 
 def test_a_warm_spec_generates_no_code(monkeypatch):
-    # each route's right-hand side and each RK4 step width is generated by
+    # each route's right-hand side and each flow's RK4 loop is generated by
     # the first flow that needs it; a second flow runs the kept code
     ham = HamiltonianSpec(parse_expr("q^2*p^2/(4*m*l^2) + q^7/50"), {"m": 1.3, "l": 0.7})
     z0, t = (0.9, 0.4), 0.05

@@ -50,10 +50,12 @@ from .poly import (
 )
 from .scalars import ExactScalar
 from .semiclassical import (
+    ROUTE_GAP_TOL,
     divergence_order,
     hbar2_ode,
     hbar2_transport,
     iterated_brackets,
+    route_gap,
     star_exp_A2,
     taylor_flow,
 )
@@ -445,7 +447,8 @@ _ROUTE_GAP_CASES = (((0.9, -0.7), 0.3), ((1.1, 0.6), 0.5))
 
 def suite_hbar2_routes() -> Verdict:
     """Both hbar^2 routes against the squeeze closed form at t = 0.2, and
-    the gap between them on the quartic, cubic and cosh Hamiltonians."""
+    the gap between them (``semiclassical.route_gap``) there and on the
+    quartic, cubic and cosh Hamiltonians."""
     ex = builtin_example1()
     ham = HamiltonianSpec(ex.hamiltonian, {"m": 1.0, "l": 1.0})
     z0 = (1.0, 1.0)
@@ -454,18 +457,14 @@ def suite_hbar2_routes() -> Verdict:
     tra = hbar2_transport(ham, z0, t)
     qc = z0[0] * math.exp(z0[0] * z0[1] * t / 2.0)
     want = qc * (t * t / 16.0) * (1.0 + t * z0[0] * z0[1] / 6.0)
-    worst = max(
-        abs(ode.q2[0] / want - 1.0),
-        abs(tra.q2[0] / want - 1.0),
-        abs(ode.q2[0] / tra.q2[0] - 1.0),
-    )
-    gap = 0.0
+    worst = max(abs(ode.q2[0] / want - 1.0), abs(tra.q2[0] / want - 1.0))
+    gap = route_gap(ode.q2[0], tra.q2[0])
     for text in _ROUTE_GAP_HAMILTONIANS:
         ham = HamiltonianSpec(parse_expr(text))
         for z0, t in _ROUTE_GAP_CASES:
             ode, tra = hbar2_ode(ham, z0, t), hbar2_transport(ham, z0, t)
-            gap = max(gap, abs(ode.q2[0] / tra.q2[0] - 1.0), abs(ode.p2[0] / tra.p2[0] - 1.0))
-    ok = worst < 1e-6 and gap < 1e-6
+            gap = max(gap, route_gap(ode.q2[0], tra.q2[0]), route_gap(ode.p2[0], tra.p2[0]))
+    ok = worst < 1e-6 and gap <= ROUTE_GAP_TOL
     cases = 1 + len(_ROUTE_GAP_HAMILTONIANS) * len(_ROUTE_GAP_CASES)
     return ok, cases, f"squeeze worst rel {worst:.3g}, route gap {gap:.3g}"
 

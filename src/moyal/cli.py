@@ -36,9 +36,11 @@ from .poly import (
 from .semiclassical import (
     MAX_LADDER_DEPTH,
     QUAD_PANELS_PER_UNIT,
+    ROUTE_GAP_TOL,
     divergence_order,
     hbar2_ode,
     hbar2_transport,
+    route_gap,
     taylor_flow,
 )
 from .words import MAX_BCH_ORDER
@@ -83,21 +85,6 @@ def _emit_json(payload) -> None:
 
 def _g(x: float) -> str:
     return f"{x:.17g}"
-
-
-# the largest relative gap between the ode and transport routes that
-# hierarchy accepts: the tolerance the benchmark's and criterion 06's
-# checks of the two routes use
-ROUTE_GAP_TOL = 1e-6
-
-
-def _rel_gap(x: float, y: float) -> float:
-    """|x - y| over max(|x|, |y|): 0 when both are 0, infinite when
-    either is not finite."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return math.inf
-    scale = max(abs(x), abs(y))
-    return abs(x - y) / scale if scale else 0.0
 
 
 def _time_grid(t0: float, t1: float, t_steps: int) -> list[float]:
@@ -217,7 +204,7 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
         row(t, ode.q2[0], ode.p2[0], "ode")
         row(t, tra.q2[0], tra.p2[0], "transport")
         for name, a, b in (("Q2", ode.q2[0], tra.q2[0]), ("P2", ode.p2[0], tra.p2[0])):
-            gaps.append((_rel_gap(a, b), t, name, a, b))
+            gaps.append((route_gap(a, b), t, name, a, b))
     try:
         h_poly = parse_poly(ham_text)
     except PolyParseError:

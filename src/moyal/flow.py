@@ -12,19 +12,20 @@ partials with respect to the initial point into ordinary state components
 (no hand-derived variational equations): a jet is its list of
 coefficients, and the integrator steps one flat list of floats.  Each
 flow's right-hand side is generated code that reads that list and returns
-the flat rates (``HamiltonianSpec.field`` and ``field_jets``).  One loop
-generator writes every RK4 loop as straight-line code: the public
-:func:`rk4` calls its right-hand side once per stage, and each flow's loop
-(:func:`rk4_loop`, once per flow and state width) calls the public field
-for the first stage of its first step only, and writes every other stage
-as the field's code inline.
+the flat rates (``HamiltonianSpec.field`` and ``field_jets``).
+:func:`rk4_loop` is the only code that writes an RK4 loop: once per flow
+and state width, as straight-line code that calls the public field for
+the first stage of its first step only and writes every other stage as
+the field's code inline.  The public :func:`rk4` is the reference those
+loops are tested against: a plain loop over any callable that shares no
+code with them.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .brackets import poisson_expr
 from .expr import (
@@ -37,7 +38,7 @@ from .expr import (
     eval_real,
     free_symbols,
 )
-from .jets import MONOMIALS, FlatState, FlowJets, eval_expr_jet, seed
+from .jets import MONOMIALS, PARTIALS, FlatState, FlowJets, eval_expr_jet, jet_order, seed
 from .poly import MAX_DEGREE
 
 __all__ = [
@@ -171,22 +172,44 @@ class FlatFloats(FlatState, FloatEmitter):
 
 def rk4(rhs, state, t_final: float, steps: int):
     """Classical fixed-step RK4 from t = 0 to t_final, yielding the state
-    after each step.  The state is a flat sequence of floats, and
-    ``rhs(state)`` returns their rates as a sequence; rates of another
-    length raise ValueError.  Float overflow in a stage, or a state
-    component that is not finite, raises FlowBlowupError."""
-    return _call_loop(len(state))(state, None, t_final, steps, rhs)
+    after each step: the textbook step (Hairer, Norsett & Wanner, *Solving
+    ODEs I*, section II.1) as a plain loop, the reference the loops of
+    :func:`rk4_loop` are tested against, sharing no code with them.
+    ``rhs(state)`` returns the flat state's rates; rates of another length,
+    or fewer than one step, raise ValueError, and float overflow or a
+    component that is not finite raises FlowBlowupError."""
+    if steps < 1:
+        raise ValueError(f"RK4 needs at least one step, not {steps}")
+    h = t_final / steps
+    try:
+        for k in range(steps):
+            k1 = rhs(state)
+            k2 = rhs([x + 0.5 * h * r for x, r in zip(state, k1, strict=True)])
+            k3 = rhs([x + 0.5 * h * r for x, r in zip(state, k2, strict=True)])
+            k4 = rhs([x + h * r for x, r in zip(state, k3, strict=True)])
+            state = [x + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                     for x, a, b, c, d in zip(state, k1, k2, k3, k4, strict=True)]
+            if not all(map(math.isfinite, state)):
+                raise FlowBlowupError((k + 1) * h)
+            yield state
+    except OverflowError:
+        raise FlowBlowupError((k + 1) * h) from None
 
 
-def _rk4_loop(width: int, stage, env: dict, handlers: str = ""):
-    """The one RK4 loop over ``width`` floats as straight-line code:
-    ``loop(s, b, t_final, steps, rhs)``, a generator of the state after
-    each step.  ``stage(sources, targets)`` gives the lines that assign the
-    rates at the state ``sources`` to ``targets``, except in the first
-    stage of the first step, ``rhs(s)``.  Float overflow in a stage, or a
-    component that is not finite (times 0.0 is not 0.0), raises
-    FlowBlowupError at the end of the step; ``handlers`` end the try."""
-    x, r1, r2, r3, r4 = ([f"{c}{i}" for i in range(width)] for c in "xabcd")
+def rk4_loop(program: Program, key, emitter):
+    """The RK4 loop ``loop(s, b, t_final, steps, rhs)`` of the flow whose
+    rates ``emitter(program, key)``, a :class:`jets.FlatState` emitter,
+    writes: a generator of the state after each step, as straight-line
+    code, generated on first use and kept with the program's kernels.  The
+    first stage of the first step calls ``rhs(s)``, the public field, which
+    checks the state; every other stage is the rates' code inline.  Errors
+    are :func:`rk4`'s; a component is finite when times 0.0 it is 0.0."""
+    loop = program._kernels.get(("rk4", key))
+    if loop is not None:
+        return loop
+    emit = emitter(program, key)
+    x, r1, r2, r3, r4 = ([f"{c}{i}" for i in range(emit.size)] for c in "xabcd")
+    stage = partial(emit.stage, program)
 
     def unpack(names):  # a trailing comma unpacks one name too
         return ", ".join(names) + ","
@@ -206,49 +229,22 @@ def _rk4_loop(width: int, stage, env: dict, handlers: str = ""):
         f"yield [{', '.join(x)}]",
     ]
     rows = "".join(f"            {row}\n" for line in body for row in line.split("\n"))
+    emit.env["FlowBlowupError"] = FlowBlowupError
     exec(
         f"def loop(s, b, t_final, steps, rhs):\n"
+        f"    if steps < 1:\n"
+        f"        raise ValueError(f'RK4 needs at least one step, not {{steps}}')\n"
         f"    {unpack(x)} = s\n"
         f"    h = t_final / steps\n"
         f"    half, h6, k = 0.5 * h, h / 6.0, 0\n"
         f"    try:\n"
         f"        for k in range(steps):\n{rows}"
         f"    except OverflowError:\n"
-        f"        raise FlowBlowupError((k + 1) * h) from None\n{handlers}",
-        env,
+        f"        raise FlowBlowupError((k + 1) * h) from None\n{emit.handlers}",
+        emit.env,
     )
-    return env["loop"]
-
-
-@functools.cache
-def _call_loop(width: int):
-    """:func:`rk4`'s loop: every stage calls ``rhs`` on a list."""
-
-    def stage(sources, targets):
-        return [f"{', '.join(targets)}, = rhs([{', '.join(sources)}])"]
-
-    return _rk4_loop(width, stage, {"FlowBlowupError": FlowBlowupError})
-
-
-class _InlineLoop:
-    """Generates a flow's RK4 loop for :meth:`Program.kernel`."""
-
-    def __init__(self, emit):
-        self.emit = emit
-
-    def generate(self, program: Program):
-        emit = self.emit
-        emit.env["FlowBlowupError"] = FlowBlowupError
-        return _rk4_loop(emit.size, functools.partial(emit.stage, program), emit.env, emit.handlers)
-
-
-def rk4_loop(program: Program, key, emitter):
-    """The RK4 loop (:func:`_rk4_loop`) of the flow whose rates
-    ``emitter(program, key)``, a :class:`jets.FlatState` emitter, writes:
-    every stage but the first of the first step is that code inline, so a
-    step makes no call.  Generated on first use and kept with the
-    program's kernels."""
-    return program.kernel(("rk4", key), lambda prog, _key: _InlineLoop(emitter(prog, key)))
+    loop = program._kernels["rk4", key] = emit.env["loop"]
+    return loop
 
 
 def integrate_flow(
@@ -260,8 +256,9 @@ def integrate_flow(
     """Integrate Hamilton's equations from z0 over [0, t_final].
 
     Negative t_final integrates backwards.  Raises
-    :class:`FlowBlowupError` when the state stops being finite.  The first
-    stage calls ``ham.field``, which checks the state (:func:`rk4_loop`).
+    :class:`FlowBlowupError` when the state stops being finite, and
+    ValueError for fewer than one step.  The first stage calls
+    ``ham.field``, which checks the state (:func:`rk4_loop`).
     """
     if steps is None:
         steps = default_steps(t_final)
@@ -282,7 +279,8 @@ def integrate_flow_jets(
 
     The initial jets are the identity map's: unit first derivatives,
     nothing higher.  RK4 steps both jets' coefficients as one list; the
-    first stage calls ``ham.field_jets``.
+    first stage calls ``ham.field_jets``.  Fewer than one step raises
+    ValueError.
     """
     if steps is None:
         steps = default_steps(t_final)
@@ -290,7 +288,8 @@ def integrate_flow_jets(
     n = len(jq)
     loop = rk4_loop(ham._field, (order, "flat"), FlowJets)
     jets = [(jq, jp)] + [(s[:n], s[n:]) for s in loop(jq + jp, ham.params, t_final, steps, ham.field_jets)]
-    return Trajectory(states=[(jq[0], jp[0]) for jq, jp in jets], jets=jets)
+    (value, _), = PARTIALS[order][0]
+    return Trajectory(states=[(jq[value], jp[value]) for jq, jp in jets], jets=jets)
 
 
 def check_energy(traj: Trajectory, ham: HamiltonianSpec) -> float:
@@ -303,11 +302,11 @@ def check_symplectic(traj: Trajectory) -> float:
     """Largest deviation of det(d flow / d initial) from one."""
     if not traj.jets:
         raise ValueError("check_symplectic needs a trajectory with jets")
+    # the first partials, whose factorial products are 1
+    (q, _), (p, _) = PARTIALS[jet_order(traj.jets[0][0])][1]
     worst = 0.0
     for jq, jp in traj.jets:
-        # the coefficients of first order are the first derivatives
-        det = jq[1] * jp[2] - jq[2] * jp[1]
-        worst = max(worst, abs(det - 1.0))
+        worst = max(worst, abs(jq[q] * jp[p] - jq[p] * jp[q] - 1.0))
     return worst
 
 

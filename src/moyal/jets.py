@@ -8,7 +8,8 @@ flow map without hand-derived variational equations.
 
 A jet is its list of Taylor-normalized coefficients (divided by
 factorials) in ``MONOMIALS[order]`` order, so its order is read from the
-list's length; :func:`seed` and :func:`derivative` keep that layout here.
+list's length.  This module owns that layout: :func:`seed` writes it, and
+other modules read partials through ``PARTIALS`` or :func:`derivative`.
 The one jet arithmetic is the straight-line code the jet emitter writes
 from the multiplication table precomputed per order, for expression runs
 (``eval_expr_jet``), the stages of the jet flows' RK4 loops (``FlowJets``)
@@ -24,24 +25,30 @@ import math
 
 from .expr import FloatEmitter, Program, call, differentiate, pow_int, sym
 
-__all__ = ["MONOMIALS", "seed", "derivative", "jet_order", "eval_expr_jet", "invert"]
+__all__ = ["MONOMIALS", "PARTIALS", "seed", "derivative", "jet_order", "eval_expr_jet", "invert"]
 
 _MAX_ORDER = 3
 
 # graded lexicographic monomial order in the two displacements
 MONOMIALS: dict[int, list[tuple[int, int]]] = {}
 _INDEX: dict[int, dict[tuple[int, int], int]] = {}
+# PARTIALS[order][n]: (coefficient index, a! * b!) of each partial
+# d_q^a d_p^b of degree n = a + b, in b order; the partial is the
+# coefficient times the product
+PARTIALS: dict[int, list[list[tuple[int, int]]]] = {}
 # the (i, j) terms of each product coefficient k, in (i, j) order
 _MUL_TABLE: dict[int, list[list[tuple[int, int]]]] = {}
 for _order in range(1, _MAX_ORDER + 1):
     monos = [(d - b, b) for d in range(_order + 1) for b in range(d + 1)]
     MONOMIALS[_order] = monos
-    _INDEX[_order] = {mk: i for i, mk in enumerate(monos)}
+    _INDEX[_order] = index = {mk: i for i, mk in enumerate(monos)}
+    PARTIALS[_order] = [[(index[d - b, b], math.factorial(d - b) * math.factorial(b)) for b in range(d + 1)]
+                        for d in range(_order + 1)]
     _MUL_TABLE[_order] = table = [[] for _ in monos]
     for i, (a1, b1) in enumerate(monos):
         for j, (a2, b2) in enumerate(monos):
             if a1 + a2 + b1 + b2 <= _order:
-                table[_INDEX[_order][a1 + a2, b1 + b2]].append((i, j))
+                table[index[a1 + a2, b1 + b2]].append((i, j))
 
 
 # the order of a jet with this many coefficients
@@ -284,13 +291,6 @@ class FlowJets(FlatState, _JetEmitter):
         return [self.state(start + m) for m in range(self.width)]
 
 
-def jet_field(program: Program, order: int):
-    """The generated jet field of the Hamiltonian flow whose ``program``
-    holds (dH/dp, dH/dq), at one jet order: ``kernel(s, b)`` of the flat
-    state and the other symbols' bindings (see :class:`FlatState`)."""
-    return program.kernel((order, "flat"), FlowJets)
-
-
 def eval_expr_jet(e, bindings, order: int, state=None) -> list[float]:
     """Evaluate a :class:`Program`, or an :class:`Expr` compiled and its
     code generated for this one call, with some symbols bound to jets of the
@@ -303,13 +303,14 @@ def eval_expr_jet(e, bindings, order: int, state=None) -> list[float]:
 
     With a flow's flat ``state``, two jets of the order end to end, q and
     p are read from it instead, and the run is the flow's jet field: ``e``
-    holds (dH/dp, dH/dq) and the rates come back flat (:func:`jet_field`).
+    holds (dH/dp, dH/dq) and the rates come back flat (:class:`FlowJets`,
+    code generated once per Program and jet order).
     """
     if order not in MONOMIALS:
         raise ValueError("jet order must be 1, 2 or 3")
     program = e if type(e) is Program else Program(e)
     if state is not None:
-        return jet_field(program, order)(state, bindings)
+        return program.kernel((order, "flat"), FlowJets)(state, bindings)
     jets = tuple([n for n in program.names if type(bindings.get(n)) is list])
     return program.kernel((order, jets), _JetEmitter)(bindings)
 

@@ -17,13 +17,14 @@ the correction through a linear inhomogeneous equation driven by order-2
 jets, with one right-hand side generated per Hamiltonian: the jet field,
 H's partials and the drive, grouped by its symmetries and with the terms
 of H's partials that are 0 left out, written out as straight-line code.
-Both run on the RK4 loops of ``flow.rk4_loop``, whose stages are their
-flows' right-hand sides written inline, and share H's table of partials
-(the transport route reads it through ``HamiltonianSpec.partials_at``); the
-formulas stay independent: the C1/C2 contraction of the map's first and
-second derivatives on the ode side, the cubed bidifferential under Boole's
-rule on the transport side.  So agreement is evidence the formulas are
-right, and both are compared against closed forms where one exists.
+Both run on the RK4 loops of ``flow.rk4_loop``, read the jets' partials
+through ``jets.PARTIALS`` and share H's table of partials (the transport
+route reads it through ``HamiltonianSpec.partials_at``); the formulas stay
+independent: the C1/C2 contraction of the map's first and second
+derivatives on the ode side, the cubed bidifferential under Boole's rule
+on the transport side.  So agreement, within :func:`route_gap`'s one
+rule, is evidence the formulas are right, and both are compared against
+closed forms where one exists.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .flow import (
     integrate_flow_jets,
     rk4_loop,
 )
-from .jets import FlowJets, invert, seed
+from .jets import PARTIALS, FlowJets, invert, seed
 from .poly import (
     P,
     PhasePolynomial,
@@ -66,6 +67,8 @@ __all__ = [
     "DivergenceReport",
     "divergence_order",
     "Hbar2Result",
+    "ROUTE_GAP_TOL",
+    "route_gap",
     "hbar2_transport",
     "hbar2_ode",
     "star_exp_A2",
@@ -188,6 +191,21 @@ class Hbar2Result:
     p2: tuple[float, ...]
 
 
+# the largest relative gap between the ode and transport routes that is
+# accepted: the tolerance the benchmark's and criterion 06's checks of the
+# two routes use
+ROUTE_GAP_TOL = 1e-6
+
+
+def route_gap(x: float, y: float) -> float:
+    """The gap between two routes' values: |x - y| over max(|x|, |y|), 0
+    when both are 0, infinite when either is not finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
+
+
 def hbar2_transport(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
@@ -217,32 +235,28 @@ def hbar2_transport(
     steps = ((steps + panels - 1) // panels) * panels
     stride = steps // panels
     z_t = integrate_flow(ham, z0, t_final, steps).states[-1]
-    # jets[k * stride]: the duration -s map based at z(T), s = k * T / panels
+    # jets[k * stride]: the duration -s map based at z(T), s = k * T / panels,
+    # and states[k * stride] its value, the node z(T - s)
     try:
-        jets = integrate_flow_jets(ham, z_t, -t_final, steps, order=3).jets
+        back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3)
     except FlowBlowupError as err:
         # the backward pass's time -s is the user's time T - s
         raise FlowBlowupError(t_final + err.time) from None
     fq_vals = [0.0]
     fp_vals = [0.0]
-    for gq, gp in jets[stride::stride]:
+    for node, (gq, gp) in zip(back.states[stride::stride], back.jets[stride::stride]):
         # the inverse: the duration-s map's jets at the node, less their
         # value z(T), which the order-3 derivatives below do not read
         dq, dp = invert(gq, gp)
-        h = ham.partials_at(gq[0], gp[0])
+        h = ham.partials_at(*node)
         h3 = lambda a, b: h[a, b]
         for d, vals in ((dq, fq_vals), (dp, fp_vals)):
-            # d_q^(3-b) d_p^b of the component: its last four coefficients
-            # times jets.derivative's factorial products
-            d3 = [c * f * g for c, (f, g) in zip(d[-4:], _THIRD_FACTORIALS)]
+            # d_q^(3-b) d_p^b of the component
+            d3 = [d[i] * f for i, f in PARTIALS[3][3]]
             # [map component, H]_2: the cubed bidifferential, weight -1/24
             vals.append(-bidifferential(lambda a, b: d3[b], h3, 3, 0.0) / 24.0)
     h_node = t_final / panels
     return Hbar2Result(q2=(_boole(fq_vals, h_node),), p2=(_boole(fp_vals, h_node),))
-
-
-# a! and b! of the third-order partials d_q^a d_p^b, in MONOMIALS order
-_THIRD_FACTORIALS = ((6, 1), (2, 1), (1, 2), (1, 6))
 
 
 def _boole(values: list[float], h: float) -> float:
@@ -309,13 +323,10 @@ class _Hbar2Emitter(FlowJets):
         jets = super().rates(self.field)
         self.floats = True
         h = dict(zip(PARTIAL_KEYS, program.walk(self)))
-        # the jets' coefficients past the value, keyed by index
-        jq, jp = ({m: self.state(start + m) for m in range(1, 6)} for start in (0, 6))
-        # map component a: d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp),
-        # read from the normalized coefficients with jets.derivative's exact
-        # factorial products
-        d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
-        d2 = [(self.local(f"{m[3]} * 2"), m[4], self.local(f"{m[5]} * 2")) for m in (jq, jp)]
+        # map component a, whose jet starts at component 0 or width:
+        # d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp)
+        d1, d2 = ([[self.state(start + i) if f == 1 else self.local(f"{self.state(start + i)} * {f}")
+                    for i, f in PARTIALS[2][n]] for start in (0, self.width)] for n in (1, 2))
         # the partial of order n with j p slots of F_0, and of F_1 negated;
         # c1_j and c2_j are written where one of them is not 0
         fs = (lambda n, j: h[n - j, j + 1]), (lambda n, j: h[n + 1 - j, j])
@@ -345,7 +356,7 @@ class _Hbar2Emitter(FlowJets):
             return " + ".join(f"({terms}) / {w}" for terms, w in sums if terms)
 
         # the Jacobian of F applied to the correction, plus the drive
-        z2q, z2p = self.state(12), self.state(13)
+        z2q, z2p = self.state(2 * self.width), self.state(2 * self.width + 1)
         dq, dp = map(drive, fs)
         rate_q = f"{h[1, 1]} * {z2q} + {h[0, 2]} * {z2p}" + (dq and f" - ({dq})")
         rate_p = f"-{h[2, 0]} * {z2q} - {h[1, 1]} * {z2p}" + (dp and f" + {dp}")
@@ -382,7 +393,7 @@ def hbar2_ode(
     state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
     for state in loop(state, ham.params, t_final, max(_MIN_ODE_STEPS, round(steps_per_unit * t_final)), rhs):
         pass
-    return Hbar2Result(q2=(state[12],), p2=(state[13],))
+    return Hbar2Result(q2=(state[-2],), p2=(state[-1],))
 
 
 # -- star-exponential second-order kernel --------------------------------

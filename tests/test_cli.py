@@ -5,8 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from moyal import checks
-from moyal.cli import _rel_gap, main
+from moyal.cli import main
 from moyal.poly import PhasePolynomial, moyal_bracket
+from moyal.semiclassical import route_gap
 
 
 @pytest.fixture()
@@ -206,10 +207,10 @@ def test_hierarchy_route_gap_exits_1(runner, args, where):
 
 
 def test_hierarchy_route_gap_is_relative_to_the_larger_value():
-    assert _rel_gap(0.0, 0.0) == 0.0
-    assert _rel_gap(-2.0, 1.0) == 1.5
-    assert _rel_gap(1e-300, 0.0) == 1.0
-    assert _rel_gap(float("nan"), 1.0) == _rel_gap(1.0, float("inf")) == float("inf")
+    assert route_gap(0.0, 0.0) == 0.0
+    assert route_gap(-2.0, 1.0) == 1.5
+    assert route_gap(1e-300, 0.0) == 1.0
+    assert route_gap(float("nan"), 1.0) == route_gap(1.0, float("inf")) == float("inf")
 
 
 def test_example1_csv_header(runner):

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,53 @@ def test_harmonic_jets_are_rotation():
     assert derivative(jq, 0, 1) == pytest.approx(math.sin(1.3), abs=1e-10)
     assert derivative(jp, 1, 0) == pytest.approx(-math.sin(1.3), abs=1e-10)
     assert derivative(jp, 0, 1) == pytest.approx(math.cos(1.3), abs=1e-10)
+
+
+def matmul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def rk4_step_map(h):
+    """The RK4 step of the harmonic oscillator, z' = A z with A = [[0, 1],
+    [-1, 0]], exactly: M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24."""
+    m = term = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for n in range(1, 5):
+        term = [[c * h / n for c in row] for row in matmul(term, [[0, 1], [-1, 0]])]
+        m = [[a + b for a, b in zip(r, t)] for r, t in zip(m, term)]
+    return m
+
+
+def test_rk4_matches_the_exact_step_map_of_the_harmonic_oscillator():
+    # dyadic h = 1/16: the generated loops, the plain reference and the
+    # order-1 jets' first derivatives against M^n, computed in Fractions
+    z0, steps = (0.9, -0.7), 8
+    step = rk4_step_map(Fraction(1, 16))
+    powers = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]]
+    for _ in range(steps):
+        powers.append(matmul(step, powers[-1]))
+    want = [[float(r[0] * Fraction(z0[0]) + r[1] * Fraction(z0[1])) for r in mn] for mn in powers]
+    ham = harmonic()
+    states = [list(z0), *rk4(lambda s: [s[1], -s[0]], z0, steps / 16, steps)]
+    traj = integrate_flow_jets(ham, z0, steps / 16, steps, order=1)
+    for got in (states, integrate_flow(ham, z0, steps / 16, steps).states, traj.states):
+        assert len(got) == steps + 1
+        for z, w in zip(got, want):
+            assert max(abs(x - y) for x, y in zip(z, w)) < 1e-15
+    for (jq, jp), mn in zip(traj.jets, powers):
+        firsts = [derivative(c, 1, 0) for c in (jq, jp)] + [derivative(c, 0, 1) for c in (jq, jp)]
+        assert max(abs(x - float(y)) for x, y in zip(firsts, [mn[0][0], mn[1][0], mn[0][1], mn[1][1]])) < 1e-15
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_fewer_than_one_step_is_refused(steps):
+    ham = harmonic()
+    with pytest.raises(ValueError, match=f"^RK4 needs at least one step, not {steps}$"):
+        integrate_flow(ham, (0.9, -0.7), 0.5, steps)
+    for order in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"^RK4 needs at least one step, not {steps}$"):
+            integrate_flow_jets(ham, (0.9, -0.7), 0.5, steps, order)
+    with pytest.raises(ValueError, match=f"^RK4 needs at least one step, not {steps}$"):
+        list(rk4(lambda s: [s[1], -s[0]], [0.9, -0.7], 0.5, steps))
 
 
 def test_symplectic_determinant():

@@ -13,6 +13,7 @@ from moyal.expr import FUNCTION_NAMES, ComplexEmitter, ExprDomainError, FloatEmi
 from moyal.flow import HamiltonianSpec
 from moyal.jets import (
     MONOMIALS,
+    PARTIALS,
     derivative,
     eval_expr_jet,
     invert,
@@ -29,6 +30,18 @@ def test_monomial_tables():
     assert MONOMIALS[1] == [(0, 0), (1, 0), (0, 1)]
     assert MONOMIALS[2] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert len(MONOMIALS[3]) == 10
+
+
+def test_partials_table_agrees_with_derivative():
+    # every order, degree and coefficient, on seeded random jets
+    rng = random.Random(7)
+    for order, monos in MONOMIALS.items():
+        assert [len(row) for row in PARTIALS[order]] == list(range(1, order + 2))
+        assert sorted(i for row in PARTIALS[order] for i, _ in row) == list(range(len(monos)))
+        for _ in range(20):
+            c = [rng.uniform(-2.0, 2.0) for _ in monos]
+            for n, row in enumerate(PARTIALS[order]):
+                assert [c[i] * f for i, f in row] == [derivative(c, n - b, b) for b in range(n + 1)]
 
 
 def test_seed_value_and_first_derivatives():

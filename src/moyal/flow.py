@@ -16,9 +16,14 @@ the flat rates (``HamiltonianSpec.field`` and ``field_jets``).
 :func:`rk4_loop` is the only code that writes an RK4 loop: once per flow
 and state width, as straight-line code that calls the public field for
 the first stage of its first step only and writes every other stage as
-the field's code inline.  The public :func:`rk4` is the reference those
-loops are tested against: a plain loop over any callable that shares no
-code with them.
+the field's code inline.  A stage writes only float work that changes a
+state and keeps the field's bits (see :class:`jets.FlatState`): dH/dq's
+negation is carried as a sign and subtracted.  After every step the state
+is tested finite by its sum times 0.0, and component by component only
+where that sum is not.  A loop yields every ``every``-th state, so a flow
+keeps only the states its caller reads (``integrate_flow(..., every=n)``).
+The public :func:`rk4` is the reference those loops are tested against: a
+plain loop over any callable that shares no code with them.
 """
 
 from __future__ import annotations
@@ -153,10 +158,12 @@ def default_steps(t_final: float) -> int:
 @dataclass
 class Trajectory:
     """Sampled flow: the initial state, then the state after every
-    integrator step; jets, when integrated, in the same layout."""
+    ``every``-th integrator step; jets, when integrated, in the same
+    layout."""
 
     states: list[tuple[float, float]]
     jets: list[tuple[list[float], list[float]]] = field(default_factory=list)
+    every: int = 1
 
 
 class FlatFloats(FlatState, FloatEmitter):
@@ -197,13 +204,19 @@ def rk4(rhs, state, t_final: float, steps: int):
 
 
 def rk4_loop(program: Program, key, emitter):
-    """The RK4 loop ``loop(s, b, t_final, steps, rhs)`` of the flow whose
-    rates ``emitter(program, key)``, a :class:`jets.FlatState` emitter,
-    writes: a generator of the state after each step, as straight-line
-    code, generated on first use and kept with the program's kernels.  The
-    first stage of the first step calls ``rhs(s)``, the public field, which
-    checks the state; every other stage is the rates' code inline.  Errors
-    are :func:`rk4`'s; a component is finite when times 0.0 it is 0.0."""
+    """The RK4 loop ``loop(s, b, t_final, steps, rhs, every=1)`` of the flow
+    whose rates ``emitter(program, key)``, a :class:`jets.FlatState`
+    emitter, writes: a generator of the state after every ``every``-th
+    step, which must divide ``steps``, as straight-line code, generated on
+    first use and kept with the program's kernels.  The first stage of the
+    first step calls ``rhs(s)``, the public field, which checks the state;
+    every other stage is the rates' code inline (:meth:`FlatState.stage`),
+    where a negated rate is held without its sign and subtracted.  The
+    tables' entries the stages read are read once per loop.  Errors are
+    :func:`rk4`'s, and ``every`` below 1 or not dividing ``steps`` raises
+    ValueError.  After every step the state is finite when its sum times
+    0.0 is 0.0; only where it is not, each component is tested, since a sum
+    of finite components may overflow."""
     loop = program._kernels.get(("rk4", key))
     if loop is not None:
         return loop
@@ -214,36 +227,53 @@ def rk4_loop(program: Program, key, emitter):
     def unpack(names):  # a trailing comma unpacks one name too
         return ", ".join(names) + ","
 
+    first, negated = stage(x, r1)
+
     def at(c, rates):
-        return [f"{s} + {c} * {d}" for s, d in zip(x, rates)]
+        return [f"{s} {'-' if n else '+'} {c} * {d}" for s, n, d in zip(x, negated, rates)]
 
     body = [
-        "if k:", *(f"    {row}" for line in stage(x, r1) for row in line.split("\n")),
-        "else:", f"    {unpack(r1)} = rhs(s)",
-        *stage(at("half", r1), r2),
-        *stage(at("half", r2), r3),
-        *stage(at("h", r3), r4),
-        *(f"{s} = {s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for s, a, b, c, d in zip(x, r1, r2, r3, r4)),
-        f"if not {' + '.join(f'{s} * 0.0' for s in x)} == 0.0:",
-        "    raise FlowBlowupError((k + 1) * h)",
-        f"yield [{', '.join(x)}]",
+        "if k:", *(f"    {row}" for line in first for row in line.split("\n")),
+        "else:", f"    {unpack(r1)} = rhs(s)", *(f"    {a} = -{a}" for a, n in zip(r1, negated) if n),
+        *stage(at("half", r1), r2)[0],
+        *stage(at("half", r2), r3)[0],
+        *stage(at("h", r3), r4)[0],
+        *(f"{s} = {s} + h6 * (-{a} - 2.0 * {b} - 2.0 * {c} - {d})" if n else
+          f"{s} = {s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+          for s, n, a, b, c, d in zip(x, negated, r1, r2, r3, r4)),
+        f"if not ({' + '.join(x)}) * 0.0 == 0.0:",
+        f"    if not {' + '.join(f'{s} * 0.0' for s in x)} == 0.0:",
+        "        raise FlowBlowupError((k + 1) * h)",
+        "if k == due:",
+        "    due += every",
+        f"    yield [{', '.join(x)}]",
     ]
     rows = "".join(f"            {row}\n" for line in body for row in line.split("\n"))
-    emit.env["FlowBlowupError"] = FlowBlowupError
+    # each table entry the stages read becomes a local of the loop
+    env = emit.env
+    tables = [(f"{t}[{i}]", f"{t}{i}") for t in "KF" for i in range(len(env[t]))]
+    tables += [(f"b[N[{i}]]", f"B{i}") for i in range(len(env["N"]))]
+    tables = [(read, name) for read, name in tables if read in rows]
+    for read, name in tables:
+        rows = rows.replace(read, name)
+    env["FlowBlowupError"] = FlowBlowupError
     exec(
-        f"def loop(s, b, t_final, steps, rhs):\n"
+        f"def loop(s, b, t_final, steps, rhs, every=1):\n"
         f"    if steps < 1:\n"
         f"        raise ValueError(f'RK4 needs at least one step, not {{steps}}')\n"
+        f"    if every < 1 or steps % every:\n"
+        f"        raise ValueError(f'every must be a positive divisor of the {{steps}} steps, not {{every}}')\n"
         f"    {unpack(x)} = s\n"
         f"    h = t_final / steps\n"
-        f"    half, h6, k = 0.5 * h, h / 6.0, 0\n"
+        f"    half, h6, k, due = 0.5 * h, h / 6.0, 0, every - 1\n"
         f"    try:\n"
+        + "".join(f"        {name} = {read}\n" for read, name in tables) +
         f"        for k in range(steps):\n{rows}"
         f"    except OverflowError:\n"
         f"        raise FlowBlowupError((k + 1) * h) from None\n{emit.handlers}",
-        emit.env,
+        env,
     )
-    loop = program._kernels["rk4", key] = emit.env["loop"]
+    loop = program._kernels["rk4", key] = env["loop"]
     return loop
 
 
@@ -252,20 +282,23 @@ def integrate_flow(
     z0: tuple[float, float],
     t_final: float,
     steps: int | None = None,
+    every: int = 1,
 ) -> Trajectory:
-    """Integrate Hamilton's equations from z0 over [0, t_final].
+    """Integrate Hamilton's equations from z0 over [0, t_final], keeping
+    the state after every ``every``-th step, a divisor of ``steps``.
 
     Negative t_final integrates backwards.  Raises
-    :class:`FlowBlowupError` when the state stops being finite, and
-    ValueError for fewer than one step.  The first stage calls
-    ``ham.field``, which checks the state (:func:`rk4_loop`).
+    :class:`FlowBlowupError` when the state stops being finite, which is
+    tested after every step, and ValueError for fewer than one step or an
+    ``every`` that is not a positive divisor of ``steps``.  The first stage
+    calls ``ham.field``, which checks the state (:func:`rk4_loop`).
     """
     if steps is None:
         steps = default_steps(t_final)
     states = [tuple(z0)]
     loop = rk4_loop(ham._field, "flat", FlatFloats)
-    states += [(q, p) for q, p in loop(states[0], ham.params, t_final, steps, ham.field)]
-    return Trajectory(states=states)
+    states += [(q, p) for q, p in loop(states[0], ham.params, t_final, steps, ham.field, every)]
+    return Trajectory(states=states, every=every)
 
 
 def integrate_flow_jets(
@@ -274,61 +307,70 @@ def integrate_flow_jets(
     t_final: float,
     steps: int | None = None,
     order: int = 1,
+    every: int = 1,
 ) -> Trajectory:
     """Same flow with the state widened to jets of the given order.
 
     The initial jets are the identity map's: unit first derivatives,
     nothing higher.  RK4 steps both jets' coefficients as one list; the
-    first stage calls ``ham.field_jets``.  Fewer than one step raises
-    ValueError.
+    first stage calls ``ham.field_jets``.  ``every`` and the errors are
+    :func:`integrate_flow`'s.
     """
     if steps is None:
         steps = default_steps(t_final)
     jq, jp = seed(z0[0], 0, order), seed(z0[1], 1, order)
     n = len(jq)
     loop = rk4_loop(ham._field, (order, "flat"), FlowJets)
-    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in loop(jq + jp, ham.params, t_final, steps, ham.field_jets)]
+    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in loop(jq + jp, ham.params, t_final, steps, ham.field_jets, every)]
     (value, _), = PARTIALS[order][0]
-    return Trajectory(states=[(jq[value], jp[value]) for jq, jp in jets], jets=jets)
+    return Trajectory(states=[(jq[value], jp[value]) for jq, jp in jets], jets=jets, every=every)
+
+
+def _largest(deviations) -> float:
+    """The largest of the deviations, 0.0 for none, and inf where one is
+    not finite: ``max`` alone would pass over a nan."""
+    return max(deviations, default=0.0) if all(map(math.isfinite, deviations)) else math.inf
 
 
 def check_energy(traj: Trajectory, ham: HamiltonianSpec) -> float:
-    """Largest drift of the conserved energy along the trajectory."""
+    """Largest drift of the conserved energy along the trajectory, inf
+    where one is not finite."""
     e0 = ham.energy(*traj.states[0])
-    return max(abs(ham.energy(q, p) - e0) for q, p in traj.states)
+    return _largest([abs(ham.energy(q, p) - e0) for q, p in traj.states])
 
 
 def check_symplectic(traj: Trajectory) -> float:
-    """Largest deviation of det(d flow / d initial) from one."""
+    """Largest deviation of det(d flow / d initial) from one, inf where
+    one is not finite."""
     if not traj.jets:
         raise ValueError("check_symplectic needs a trajectory with jets")
     # the first partials, whose factorial products are 1
     (q, _), (p, _) = PARTIALS[jet_order(traj.jets[0][0])][1]
-    worst = 0.0
-    for jq, jp in traj.jets:
-        worst = max(worst, abs(jq[q] * jp[p] - jq[p] * jp[q] - 1.0))
-    return worst
+    return _largest([abs(jq[q] * jp[p] - jq[p] * jp[q] - 1.0) for jq, jp in traj.jets])
 
 
 def check_transport(a0: Expr, ham: HamiltonianSpec, traj: Trajectory, t_final: float) -> float:
     """Residual of d/dt A(flow) = {A, H}(flow) along a trajectory of ham
-    over [0, t_final].
+    over [0, t_final], inf where one residual is not finite.
 
     The time derivative is a central difference on the stored grid, so the
     residual carries an O(h^2) truncation floor; at the default resolution
-    that floor sits well under 1e-6 for the bundled Hamiltonians.
+    that floor sits well under 1e-6 for the bundled Hamiltonians.  So the
+    grid must be the integrator's: a trajectory that kept only every n-th
+    state (``every`` > 1) raises ValueError.
     """
+    if traj.every != 1:
+        raise ValueError(f"check_transport needs every step's state, not one in {traj.every}")
     steps = len(traj.states) - 1
     stride = max(1, steps // 256)
     h = t_final / steps
     a, pb = Program(a0), Program(poisson_expr(a0, ham.expr))
-    worst = 0.0
+    b = lambda q, p: {"q": q, "p": p, **ham.params}
+    residuals = []
     for i in range(stride, steps, stride):
         qm, pm = traj.states[i - 1]
         qp_, pp_ = traj.states[i + 1]
         qc, pc = traj.states[i]
-        b = lambda q, p: {"q": q, "p": p, **ham.params}
         dadt = (eval_real(a, b(qp_, pp_)) - eval_real(a, b(qm, pm))) / (2.0 * h)
-        rhs = eval_real(pb, b(qc, pc))
-        worst = max(worst, abs(dadt - rhs))
-    return worst
+        residuals.append(abs(dadt - eval_real(pb, b(qc, pc))))
+    return _largest(residuals)

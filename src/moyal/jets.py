@@ -13,7 +13,9 @@ other modules read partials through ``PARTIALS`` or :func:`derivative`.
 The one jet arithmetic is the straight-line code the jet emitter writes
 from the multiplication table precomputed per order, for expression runs
 (``eval_expr_jet``), the stages of the jet flows' RK4 loops (``FlowJets``)
-and the truncated inverse (``invert``).  A call, or a
+and the truncated inverse (``invert``).  Inside a stage it writes only
+the float work that changes a state (:class:`FlatState`); every public
+kernel keeps its text.  A call, or a
 power outside 2 to 4, takes its derivatives from ``expr.differentiate``,
 the one derivative table, so this module holds no derivative formula.
 """
@@ -122,7 +124,16 @@ class _JetEmitter(FloatEmitter):
     displacement part (:meth:`series`).  Each bound jet is unpacked into
     as many locals as its order has coefficients, and one of another order
     is refused there.
+
+    ``inline`` is set while the emitter writes a stage of an RK4 loop
+    (:meth:`FlatState.stage`).  There, in every coefficient but the value
+    (coefficient 0), a literal ``0.0`` operand writes no sum or product and
+    a jet product's sum starts from its first term; a value's operation on
+    literal 0.0s alone is the literal, +0.0; and the first Taylor term's
+    ``/ 1`` is not written.
     """
+
+    inline = False
 
     def __init__(self, program: Program, key):
         super().__init__(program, key)
@@ -177,7 +188,8 @@ class _JetEmitter(FloatEmitter):
         for r in range(1, self.order + 1):
             if r > 1:
                 power = self.mul2(power, delta)
-            acc = self.add2(acc, self.mul2(self.local(f"{derivs[r]} / {math.factorial(r)}"), power))
+            scale = derivs[r] if self.inline and r == 1 else self.local(f"{derivs[r]} / {math.factorial(r)}")
+            acc = self.add2(acc, self.mul2(scale, power))
         return acc
 
     def fold(self, xs, op: str, step):
@@ -194,6 +206,24 @@ class _JetEmitter(FloatEmitter):
     def mul(self, xs):
         return self.fold(xs, " * ", self.mul2)
 
+    def dropped(self, k: int, *operands: str) -> bool:
+        """Whether a stage writes no operation on coefficient k of these
+        operands: one is the literal 0.0 and k > 0, or all are."""
+        return self.inline and "0.0" in operands and (k > 0 or all(x == "0.0" for x in operands))
+
+    def plus(self, k: int, a: str, b: str) -> str:
+        """Coefficient k of a sum of jets."""
+        if self.dropped(k, a, b):
+            return b if a == "0.0" else a
+        return self.local(f"{a} + {b}")
+
+    def times(self, k: int, c: str, a: str) -> str:
+        """Coefficient k of the float c times a jet whose coefficient k is
+        a."""
+        if self.dropped(k, c, a):
+            return "0.0"
+        return self.local(f"{c} * {a}")
+
     def add2(self, x, y):
         if type(x) is str and type(y) is str:
             return self.local(f"{x} + {y}")
@@ -201,19 +231,22 @@ class _JetEmitter(FloatEmitter):
             return [self.local(f"{x[0]} + {y}"), *x[1:]]
         if type(x) is str:
             return [self.local(f"{y[0]} + {x}"), *y[1:]]
-        return [self.local(f"{a} + {b}") for a, b in zip(x, y)]
+        return [self.plus(k, a, b) for k, (a, b) in enumerate(zip(x, y))]
 
     def mul2(self, x, y):
         if type(x) is str and type(y) is str:
             return self.local(f"{x} * {y}")
         if type(y) is str:
-            return [self.local(f"{y} * {a}") for a in x]
+            return [self.times(k, y, a) for k, a in enumerate(x)]
         if type(x) is str:
-            return [self.local(f"{x} * {b}") for b in y]
-        return [
-            self.local(" + ".join(["0.0", *(f"{x[i]} * {y[j]}" for i, j in terms)]))
-            for terms in _MUL_TABLE[self.order]
-        ]
+            return [self.times(k, x, b) for k, b in enumerate(y)]
+        sums = []
+        for k, terms in enumerate(_MUL_TABLE[self.order]):
+            products = [f"{x[i]} * {y[j]}" for i, j in terms if not self.dropped(k, x[i], y[j])]
+            if products and not (k and self.inline):
+                products.insert(0, "0.0")
+            sums.append(self.local(" + ".join(products)) if products else "0.0")
+        return sums
 
     def coefficients(self, ref) -> list[str]:
         if type(ref) is str:  # a root that depends on no jet
@@ -222,6 +255,10 @@ class _JetEmitter(FloatEmitter):
 
     def result(self, ref) -> str:
         return f"[{', '.join(self.coefficients(ref))}]"
+
+
+# the characters around the names an expression reads
+_PUNCTUATION = str.maketrans("()[],+-*/", " " * 9)
 
 
 class FlatState:
@@ -235,11 +272,27 @@ class FlatState:
     coefficient (``read``), and a run reads each component once
     (:meth:`state`); every other symbol is read from the bindings ``b``.
     The two roots (dH/dp, dH/dq) give the flow's rates, flat: the first
-    root's coefficients, then the second root's negated (:meth:`rates`).
+    root's coefficients, then the second root's, which the kernel returns
+    negated and a stage leaves for the loop to subtract (:meth:`rates`).
+
+    A stage writes only float work that changes a state, and its states
+    keep the kernel's bits.  A jet's derivative coefficients start at +0.0
+    or 1.0 and are never -0.0 after, since x + y is -0.0 only when both
+    are; so the sign of a zero in their rates reaches no state, and their
+    sums and products may drop a literal 0.0 operand (:class:`_JetEmitter`'s
+    ``inline``).  A value (coefficient 0) may start at -0.0 and reads only
+    values, so its operations are written as the kernel writes them.  A
+    negated rate is carried as a sign: x - c * r is x + c * (-r), and the
+    loop's update negates the first rate and subtracts the other three,
+    which is the kernel's sum of the negated rates, exactly.  A stage also
+    reads a state name and the tables' entries (``K[k]``, bound
+    parameters) as they are, with no local, and writes each rate's last
+    operation straight into its target.
     """
 
     args = "s, b"
     stride = 1
+    inline = False
 
     @property
     def size(self) -> int:  # the state's length
@@ -247,36 +300,58 @@ class FlatState:
 
     def state(self, i: int) -> str:
         """The local that holds component i of the state the run reads,
-        assigned its source on first read."""
+        assigned its source on first read; a source that is a name is read
+        as it is."""
         if i not in self.held:
-            self.held[i] = self.local(self.sources[i])
+            source = self.sources[i]
+            self.held[i] = source if source.isidentifier() else self.local(source)
         return self.held[i]
+
+    def const(self, k):
+        return f"K[{k}]" if self.inline else super().const(k)
 
     def sym(self, k):
         name = self.env["N"][k]
         if name not in ("q", "p"):
-            return super().sym(k)
+            return self.binding.format(k) if self.inline else super().sym(k)
         return self.read(self.stride if name == "p" else 0)
 
-    def rates(self, program) -> list[str]:
-        """The sources of the rates: ``program``'s tape walked once."""
+    def rates(self, program) -> tuple[list[str], list[bool]]:
+        """The sources of the rates, ``program``'s tape walked once, and
+        which of them are negated."""
         first, second = map(self.coefficients, program.walk(self))
-        return [*first, *(f"-{x}" for x in second)]
+        return [*first, *second], [False] * len(first) + [True] * len(second)
 
     def generate(self, program):
         self.held, self.sources = {}, [f"s[{i}]" for i in range(self.size)]
-        return self.function(self.rates(program), False)
+        rates, negated = self.rates(program)
+        return self.function([f"-{r}" if n else r for r, n in zip(rates, negated)], False)
 
     def output(self, rates, single: bool) -> str:
         return f"[{', '.join(rates)}]"
 
-    def stage(self, program, sources: list[str], targets: list[str]) -> list[str]:
-        """The lines of an RK4 stage: the rates at the state whose
-        components are the expressions ``sources``, assigned to
-        ``targets``; a component the rates do not read is not computed."""
-        self.held, self.sources, self.lines = {}, sources, []
-        rates = self.rates(program)
-        return [*self.lines, *(f"{t} = {r}" for t, r in zip(targets, rates))]
+    def stage(self, program, sources: list[str], targets: list[str]) -> tuple[list[str], list[bool]]:
+        """The lines of an RK4 stage, which assign the rates at the state
+        whose components are the expressions ``sources`` to ``targets``, a
+        rate that :meth:`rates` negates without its sign; and which rates
+        are negated.  A component the rates do not read is not computed."""
+        self.held, self.sources, self.lines, self.inline = {}, sources, [], True
+        rates, negated = self.rates(program)
+        lines = self.lines
+        # a local that one rate holds and no line reads is assigned to the
+        # rate's target itself
+        defined = {line.partition(" = ")[0]: i for i, line in enumerate(lines)}
+        reads = set(" ".join(line.partition(" = ")[2] for line in lines).translate(_PUNCTUATION).split())
+        moved = {}
+        for t, r in zip(targets, rates):
+            if r in moved:
+                lines.append(f"{t} = {moved[r]}")
+            elif r in defined and r not in reads:
+                moved[r] = t
+                lines[defined[r]] = t + lines[defined[r]][len(r):]
+            else:
+                lines.append(f"{t} = {r}")
+        return lines, negated
 
 
 class FlowJets(FlatState, _JetEmitter):

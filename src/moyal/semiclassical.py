@@ -12,11 +12,13 @@ group, so the map it needs at each quadrature node (duration s, based at
 z(T - s)) is the inverse of the duration -s map based at z(T): one
 backward pass of order-3 jets from z(T) holds every node's map, and a
 truncated jet inversion per node, order by order (``jets.invert``), turns
-it around, so the work grows linearly with T.  The ode route propagates
-the correction through a linear inhomogeneous equation driven by order-2
-jets, with one right-hand side generated per Hamiltonian: the jet field,
-H's partials and the drive, grouped by its symmetries and with the terms
-of H's partials that are 0 left out, written out as straight-line code.
+it around, so the work grows linearly with T.  It keeps z(T) alone of its
+scalar pass and the nodes' jets alone of its backward pass.  The ode route
+propagates the correction through a linear inhomogeneous equation driven
+by order-2 jets, with one right-hand side generated per Hamiltonian: the
+jet field, H's partials and the drive, grouped by its symmetries and with
+the terms of H's partials that are 0 left out, written out as
+straight-line code; it keeps only its last state.
 Both run on the RK4 loops of ``flow.rk4_loop``, read the jets' partials
 through ``jets.PARTIALS`` and share H's table of partials (the transport
 route reads it through ``HamiltonianSpec.partials_at``); the formulas stay
@@ -220,9 +222,10 @@ def hbar2_transport(
     bracket of the duration-s flow map with H, the bracket taken at the
     point z(T - s).  The flow is a group, so that map, based at z(T - s),
     is the inverse of the duration -s map based at z(T).  One scalar pass
-    gives z(T); one backward pass of order-3 jets from z(T) gives the
-    duration -s maps at every node, and :func:`jets.invert` turns each
-    into the map the bracket needs.  The work grows linearly with T.
+    gives z(T), the one state it keeps; one backward pass of order-3 jets
+    from z(T) gives the duration -s maps at every node, the only jets it
+    keeps, and :func:`jets.invert` turns each into the map the bracket
+    needs.  The work grows linearly with T.
     Boole's rule (Romberg's first step on Simpson's rule, panel count a
     multiple of 4) assembles the integral.  Deterministic: panel counts
     and step counts are derived, not adaptive.
@@ -233,18 +236,17 @@ def hbar2_transport(
     panels += -panels % 4
     steps = max(panels, math.ceil(steps_per_unit * t_final))
     steps = ((steps + panels - 1) // panels) * panels
-    stride = steps // panels
-    z_t = integrate_flow(ham, z0, t_final, steps).states[-1]
-    # jets[k * stride]: the duration -s map based at z(T), s = k * T / panels,
-    # and states[k * stride] its value, the node z(T - s)
+    z_t = integrate_flow(ham, z0, t_final, steps, every=steps).states[-1]
+    # jets[k]: the duration -s map based at z(T), s = k * T / panels, and
+    # states[k] its value, the node z(T - s)
     try:
-        back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3)
+        back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3, every=steps // panels)
     except FlowBlowupError as err:
         # the backward pass's time -s is the user's time T - s
         raise FlowBlowupError(t_final + err.time) from None
     fq_vals = [0.0]
     fp_vals = [0.0]
-    for node, (gq, gp) in zip(back.states[stride::stride], back.jets[stride::stride]):
+    for node, (gq, gp) in zip(back.states[1:], back.jets[1:]):
         # the inverse: the duration-s map's jets at the node, less their
         # value z(T), which the order-3 derivatives below do not read
         dq, dp = invert(gq, gp)
@@ -303,7 +305,12 @@ class _Hbar2Emitter(FlowJets):
     the C1 terms and c2_j the C2 terms of j p slots, and each (b, c) pair's
     products are formed once.  A partial of H that is identically 0 is the
     literal 0.0 in the code, and the drive terms it would multiply are not
-    written.
+    written.  In a stage of the route's RK4 loop (see
+    :class:`jets.FlatState`) no Jacobian term of such a partial is written
+    either, a map derivative times 2 only where a C1 or C2 term reads it,
+    and the rate of z2p, which the kernel writes with a leading minus, is
+    carried as a negated rate.  The correction starts at +0.0, so the
+    signs of zeros these change reach none of its states.
     """
 
     size = 14
@@ -318,34 +325,49 @@ class _Hbar2Emitter(FlowJets):
     def read(self, start: int):
         return self.state(start) if self.floats else super().read(start)
 
-    def rates(self, program) -> list[str]:
+    def rates(self, program) -> tuple[list[str], list[bool]]:
         self.floats = False
-        jets = super().rates(self.field)
+        rates, negated = super().rates(self.field)
         self.floats = True
         h = dict(zip(PARTIAL_KEYS, program.walk(self)))
-        # map component a, whose jet starts at component 0 or width:
-        # d1[a] = (d_q, d_p), d2[a] = (d_qq, d_qp, d_pp)
-        d1, d2 = ([[self.state(start + i) if f == 1 else self.local(f"{self.state(start + i)} * {f}")
-                    for i, f in PARTIALS[2][n]] for start in (0, self.width)] for n in (1, 2))
+        held = {}
+
+        def d(n, a):
+            """The partials of degree n of map component a, whose jet starts
+            at component a * width: (d_q, d_p) or (d_qq, d_qp, d_pp), with
+            a local for each one that is not its coefficient, on first
+            read."""
+            if (n, a) not in held:
+                held[n, a] = [self.state(a * self.width + i) if f == 1
+                              else self.local(f"{self.state(a * self.width + i)} * {f}")
+                              for i, f in PARTIALS[2][n]]
+            return held[n, a]
+
+        if not self.inline:  # the kernel writes every partial first
+            for n in (1, 2):
+                d(n, 0), d(n, 1)
         # the partial of order n with j p slots of F_0, and of F_1 negated;
         # c1_j and c2_j are written where one of them is not 0
         fs = (lambda n, j: h[n - j, j + 1]), (lambda n, j: h[n + 1 - j, j])
         read = lambda n, j: any(f(n, j) != "0.0" for f in fs)
-        (xqq, xqp, xpp), (yqq, yqp, ypp) = d2
-        c1 = (
-            f"{xqq} * {xpp} - {xqp} * {xqp}",
-            f"{xqq} * {ypp} - 2.0 * {xqp} * {yqp} + {xpp} * {yqq}",
-            f"{yqq} * {ypp} - {yqp} * {yqp}",
-        )
-        c1 = {j: self.local(rhs) for j, rhs in enumerate(c1) if read(2, j)}
+
+        def c1(j):
+            if j != 1:
+                xqq, xqp, xpp = d(2, j // 2)
+                return f"{xqq} * {xpp} - {xqp} * {xqp}"
+            (xqq, xqp, xpp), (yqq, yqp, ypp) = d(2, 0), d(2, 1)
+            return f"{xqq} * {ypp} - 2.0 * {xqp} * {yqp} + {xpp} * {yqq}"
+
+        c1 = {j: self.local(c1(j)) for j in range(3) if read(2, j)}
         c2 = {j: [] for j in range(4) if read(3, j)}
         for b, c in ((0, 0), (0, 1), (1, 1)):
             if not c2.keys() & {b + c, b + c + 1}:
                 continue
-            (yq, yp), (zq, zp) = d1[b], d1[c]
+            (yq, yp), (zq, zp) = d(1, b), d(1, c)
             pp, pm, qq = map(self.local, (f"{yp} * {zp}", f"{yp} * {zq} + {yq} * {zp}", f"{yq} * {zq}"))
-            for a, (xqq, xqp, xpp) in enumerate(d2):
+            for a in (0, 1):
                 if a + b + c in c2:
+                    xqq, xqp, xpp = d(2, a)
                     term = f"({xqq} * {pp} - {xqp} * {pm} + {xpp} * {qq})"
                     c2[a + b + c].append(f"2.0 * {term}" if b != c else term)
         c2 = {j: self.local(" + ".join(terms)) for j, terms in c2.items()}
@@ -353,14 +375,22 @@ class _Hbar2Emitter(FlowJets):
         def drive(f):
             sums = [(" + ".join(f"{cs[j]} * {f(n, j)}" for j in cs if f(n, j) != "0.0"), w)
                     for cs, n, w in ((c1, 2, "8.0"), (c2, 3, "24.0"))]
-            return " + ".join(f"({terms}) / {w}" for terms, w in sums if terms)
+            return [f"({terms}) / {w}" for terms, w in sums if terms]
 
-        # the Jacobian of F applied to the correction, plus the drive
+        # the Jacobian of F applied to the correction, plus the drive; a
+        # stage writes no Jacobian term of a partial that is 0
         z2q, z2p = self.state(2 * self.width), self.state(2 * self.width + 1)
         dq, dp = map(drive, fs)
-        rate_q = f"{h[1, 1]} * {z2q} + {h[0, 2]} * {z2p}" + (dq and f" - ({dq})")
-        rate_p = f"-{h[2, 0]} * {z2q} - {h[1, 1]} * {z2p}" + (dp and f" + {dp}")
-        return [*jets, rate_q, rate_p]
+        jq, jp = ([f"{c} * {z}" for c, z in terms if not (self.inline and c == "0.0")]
+                  for terms in (((h[1, 1], z2q), (h[0, 2], z2p)), ((h[2, 0], z2q), (h[1, 1], z2p))))
+        minus_dq = f" - ({' + '.join(dq)})" if dq else ""
+        if not self.inline:
+            rate_p = "-" + " - ".join(jp) + "".join(f" + {t}" for t in dp)
+            return [*rates, " + ".join(jq) + minus_dq, rate_p], [*negated, False, False]
+        # a rate whose first term would be negated is carried as a sign
+        rate_q = (" + ".join(jq) + minus_dq, False) if jq else (" + ".join(dq) or "0.0", True)
+        rate_p = (" - ".join([" + ".join(jp), *dp]), True) if jp else (" + ".join(dp) or "0.0", False)
+        return [*rates, rate_q[0], rate_p[0]], [*negated, rate_q[1], rate_p[1]]
 
 
 def _hbar2_rates(ham: HamiltonianSpec):
@@ -383,7 +413,8 @@ def hbar2_ode(
     its rate is the Jacobian of the Hamiltonian vector field applied to
     the current correction plus the jet-driven inhomogeneity
     (:class:`_Hbar2Emitter`).  Starts from zero correction and the
-    identity jets, and takes at least 32 RK4 steps.
+    identity jets, takes at least 32 RK4 steps and keeps only the last
+    state.
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
@@ -391,8 +422,9 @@ def hbar2_ode(
     loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter)
     # the order-2 jets' six coefficients each, then the correction pair
     state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
-    for state in loop(state, ham.params, t_final, max(_MIN_ODE_STEPS, round(steps_per_unit * t_final)), rhs):
-        pass
+    steps = max(_MIN_ODE_STEPS, round(steps_per_unit * t_final))
+    # only the last state is kept
+    (state,) = loop(state, ham.params, t_final, steps, rhs, steps)
     return Hbar2Result(q2=(state[-2],), p2=(state[-1],))
 
 

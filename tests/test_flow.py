@@ -9,6 +9,7 @@ from moyal.expr import FloatEmitter, Program, parse_expr
 from moyal.flow import (
     FlowBlowupError,
     HamiltonianSpec,
+    Trajectory,
     check_energy,
     check_symplectic,
     check_transport,
@@ -160,10 +161,80 @@ def test_symplectic_needs_jets():
         check_symplectic(traj)
 
 
+def test_a_determinant_that_is_not_finite_makes_the_deviation_inf():
+    # the state stays finite, but in the last 3,713 of 54,001 steps both
+    # products of the determinant overflow, and inf - inf is nan
+    ham = HamiltonianSpec(parse_expr("p^2/2 - 100*q^2"))
+    traj = integrate_flow_jets(ham, (1e-170, 1e-170), 27.0, order=1)
+    assert all(map(math.isfinite, traj.jets[-1][0] + traj.jets[-1][1]))
+    assert check_symplectic(traj) == math.inf
+
+
+def test_an_energy_that_is_not_finite_makes_the_drift_inf():
+    # H = q p (p - q) at (1e200, 1e200) is inf times 0
+    ham = HamiltonianSpec(parse_expr("q*p*(p - q)"))
+    assert check_energy(Trajectory(states=[(0.0, 0.0), (0.5, 0.25), (1e200, 1e200)]), ham) == math.inf
+    assert check_energy(Trajectory(states=[(0.0, 0.0), (0.5, 0.25)]), ham) == 0.03125
+
+
 def test_transport_residual():
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
     res = check_transport(parse_expr("q*p"), ham, integrate_flow(ham, (0.9, 0.4), 5.0), 5.0)
     assert res < 1e-6
+
+
+def test_transport_refuses_a_trajectory_that_kept_every_nth_state():
+    ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
+    traj = integrate_flow(ham, (0.9, 0.4), 5.0, every=2)
+    with pytest.raises(ValueError, match="^check_transport needs every step's state, not one in 2$"):
+        check_transport(parse_expr("q*p"), ham, traj, 5.0)
+
+
+def every_run(ham, z0, t, steps, order, every):
+    """float.hex of the states and jets the flow keeps, or the class, text
+    and float.hex time of its blowup."""
+    try:
+        if order:
+            traj = integrate_flow_jets(ham, z0, t, steps, order, every)
+            kept = [jq + jp for jq, jp in traj.jets]
+        else:
+            traj = integrate_flow(ham, z0, t, steps, every)
+            kept = traj.states
+    except FlowBlowupError as err:
+        return type(err), str(err), err.time.hex()
+    assert traj.every == every
+    assert len(traj.states) == len(kept) == steps // every + 1
+    return [[x.hex() for x in s] for s in kept], [[x.hex() for x in s] for s in traj.states]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_every_keeps_the_initial_state_and_every_nth_state(order):
+    ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
+    for t in (0.3, -0.3):
+        kept, states = every_run(ham, (0.9, -0.7), t, 24, order, 1)
+        for every in (2, 3, 8, 24):
+            assert every_run(ham, (0.9, -0.7), t, 24, order, every) == (kept[::every], states[::every])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_every_that_is_not_a_positive_divisor_of_the_steps_is_refused(order):
+    ham = harmonic()
+    for every in (0, -2, 5, 25):
+        with pytest.raises(ValueError, match=f"^every must be a positive divisor of the 24 steps, not {every}$"):
+            every_run(ham, (0.9, -0.7), 0.3, 24, order, every)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_every_keeps_the_time_of_a_blowup(order):
+    # the 800*q*p blowups: the scalar flow from q0 = 1, a jet flow from
+    # q0 = 1e-300, whose derivative overflows at the same step; the test
+    # of finiteness still runs after every step
+    ham = HamiltonianSpec(parse_expr("800*q*p"))
+    z0 = (1e-300, 1.0) if order else (1.0, 1.0)
+    blowup = every_run(ham, z0, 1.0, 2000, order, 1)
+    assert blowup[0] is FlowBlowupError
+    for every in (8, 400, 2000):
+        assert every_run(ham, z0, 1.0, 2000, order, every) == blowup
 
 
 def test_blowup_raises():

@@ -4,6 +4,8 @@ per-stage oracle ``flow.rk4``, which calls the right-hand side once per
 stage, over ``ham.field``, ``ham.field_jets`` or the ode route's kernel:
 bit for bit (float.hex), and with the same errors at the same times."""
 
+import dis
+import itertools
 import math
 from functools import partial
 
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 import moyal.semiclassical
 from moyal.expr import ExprDomainError, parse_expr
-from moyal.flow import FlowBlowupError, HamiltonianSpec, integrate_flow, integrate_flow_jets, rk4
-from moyal.jets import seed
-from moyal.semiclassical import hbar2_ode
+from moyal.flow import FlowBlowupError, HamiltonianSpec, integrate_flow, integrate_flow_jets, rk4, rk4_loop
+from moyal.jets import FlowJets, seed
+from moyal.semiclassical import _Hbar2Emitter, hbar2_ode
 from test_semiclassical import BENCH_HAMILTONIANS, polynomial_terms
 
 
@@ -175,3 +177,45 @@ def test_each_integration_calls_the_public_field_once(monkeypatch):
     moyal.semiclassical.hbar2_transport(ham, (0.9, -0.7), 0.3)
     moyal.semiclassical.hbar2_ode(ham, (0.9, -0.7), 0.3)
     assert calls == ["field", "field_jets"]
+
+
+def test_loops_match_the_oracle_from_signed_zeros():
+    # a value may start at -0.0, so the stages keep the text of the values'
+    # sums and products, whose zeros' signs a -0.0 state reads
+    texts = ("q^2*p/3 + p^2/2", "-q^2*p + p^3/5", "sin(q)*p + p^2/2", "-q^3*p^2 + q*p", "sinh(q)*sin(p)")
+    hams = [make() for make in BENCH_HAMILTONIANS.values()]
+    hams += [HamiltonianSpec(parse_expr(text)) for text in texts]
+    for ham in hams:
+        for z0 in itertools.product((0.0, -0.0), repeat=2):
+            for t in (0.1, -0.1):
+                check_loops(ham, z0, t, 12)
+
+
+def float_ops(fn) -> int:
+    """The arithmetic instructions of ``fn``'s code: binary operators and
+    negations (Python 3.10 names each binary operator)."""
+    return sum(
+        i.opname in ("BINARY_OP", "UNARY_NEGATIVE")
+        or i.opname.startswith(("BINARY_", "INPLACE_")) and not i.opname.endswith(("SUBSCR", "SLICE"))
+        for i in dis.get_instructions(fn)
+    )
+
+
+# the arithmetic instructions of the order-3 jet loop and of the ode
+# route's loop: 1,546 / 1,100, 986 / 660, 666 / 452, 1,190 / 608 and
+# 1,714 / 1,256 before the stages left out the work that changes no state
+LOOP_FLOAT_OPS = {
+    "squeeze": (1405, 1023),
+    "quartic": (917, 599),
+    "cubic": (633, 411),
+    "cosh": (677, 455),
+    "example1": (1573, 1179),
+}
+
+
+def test_the_loops_write_no_more_float_work():
+    for name, make in BENCH_HAMILTONIANS.items():
+        ham = make()
+        jets = rk4_loop(ham._field, (3, "flat"), FlowJets)
+        ode = rk4_loop(ham._partials, ham._field, _Hbar2Emitter)
+        assert (float_ops(jets), float_ops(ode)) == LOOP_FLOAT_OPS[name], name

@@ -11,17 +11,18 @@ Jets ride through the same integrator, which turns the flow map's mixed
 partials with respect to the initial point into ordinary state components
 (no hand-derived variational equations): a jet is its list of
 coefficients, and the integrator steps one flat list of floats.  Each
-flow's right-hand side is generated code that reads that list and returns
-the flat rates (``HamiltonianSpec.field`` and ``field_jets``).
-:func:`rk4_loop` is the only code that writes an RK4 loop: once per flow
-and state width, as straight-line code that calls the public field for
-the first stage of its first step only and writes every other stage as
-the field's code inline.  A stage writes only float work that changes a
-state and keeps the field's bits (see :class:`jets.FlatState`): dH/dq's
-negation is carried as a sign and subtracted.  After every step the state
-is tested finite by its sum times 0.0, and component by component only
-where that sum is not.  A loop yields every ``every``-th state, so a flow
-keeps only the states its caller reads (``integrate_flow(..., every=n)``).
+flow's right-hand side (``HamiltonianSpec.field`` and ``field_jets``) is
+a run of the one evaluator over H's vector field with q and p bound to
+that list.  :func:`rk4_loop` is the only code that writes an RK4 loop:
+once per flow and state width, as straight-line code that calls the
+public field for the first stage of its first step only and writes every
+other stage as the field's code inline.  A stage writes only float work
+that changes a state and keeps the field's bits (see
+:class:`jets.FlatState`): dH/dq's negation is carried as a sign and
+subtracted.  After every step the state is tested finite by its sum times
+0.0, and component by component only where that sum is not.  A loop
+yields every ``every``-th state, so a flow keeps only the states its
+caller reads (``integrate_flow(..., every=n)``).
 The public :func:`rk4` is the reference those loops are tested against: a
 plain loop over any callable that shares no code with them.
 """
@@ -101,12 +102,12 @@ class HamiltonianSpec:
         if {"q", "p"} & set(self.params):
             raise ValueError("q and p are the coordinates, not parameters")
         free = free_symbols(expr)
-        allowed = {"q", "p"} | set(self.params)
-        extra = free - allowed
-        if extra:
-            raise ValueError(f"unbound Hamiltonian symbols: {sorted(extra)}")
+        # t and hbar are refused whether or not they are bound
         if "t" in free or "hbar" in free:
             raise ValueError("the Hamiltonian must not depend on t or hbar")
+        extra = free - {"q", "p"} - set(self.params)
+        if extra:
+            raise ValueError(f"unbound Hamiltonian symbols: {sorted(extra)}")
         self._energy = Program(expr)
         # the tape's integer constants are exactly its power exponents
         if max((c for c in self._energy.consts if type(c) is int), default=0) > MAX_DEGREE:
@@ -128,15 +129,20 @@ class HamiltonianSpec:
 
     def field(self, state: list[float]) -> list[float]:
         """Hamilton's rates [dH/dp, -dH/dq] at the flat state [q, p]."""
-        return self._field.kernel("flat", FlatFloats)(state, self.params)
+        if len(state) != 2:
+            raise ValueError(f"a flow's state holds 2 floats, not {len(state)}")
+        dp, dq = self._field.real({"q": state[0], "p": state[1], **self.params})
+        return [dp, -dq]
 
     def field_jets(self, state: list[float]) -> list[float]:
-        """The rates of the flat state [*jq, *jp] of two jets of one order:
-        the jet field's, flat, from code generated per order."""
+        """The rates of the flat state [*jq, *jp] of two jets of one order,
+        flat: the field's jet run with q and p bound to the two jets."""
         order = _STATE_ORDERS.get(len(state))
         if order is None:
             raise ValueError(f"a jet flow's state holds 6, 12 or 20 floats, not {len(state)}")
-        return eval_expr_jet(self._field, self.params, order, state)
+        n = len(state) // 2
+        dp, dq = eval_expr_jet(self._field, {"q": list(state[:n]), "p": list(state[n:]), **self.params}, order)
+        return dp + [-x for x in dq]
 
     @cached_property
     def _partials(self) -> Program:
@@ -167,8 +173,8 @@ class Trajectory:
 
 
 class FlatFloats(FlatState, FloatEmitter):
-    """A float run over a flow's flat state (see :class:`jets.FlatState`):
-    q is ``s[0]`` and p is ``s[stride]``."""
+    """Writes the scalar flow's field as a stage of its RK4 loop (see
+    :class:`jets.FlatState`): q is component 0 and p component 1."""
 
     def read(self, start: int) -> str:
         return self.state(start)

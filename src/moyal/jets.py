@@ -12,12 +12,12 @@ list's length.  This module owns that layout: :func:`seed` writes it, and
 other modules read partials through ``PARTIALS`` or :func:`derivative`.
 The one jet arithmetic is the straight-line code the jet emitter writes
 from the multiplication table precomputed per order, for expression runs
-(``eval_expr_jet``), the stages of the jet flows' RK4 loops (``FlowJets``)
-and the truncated inverse (``invert``).  Inside a stage it writes only
-the float work that changes a state (:class:`FlatState`); every public
-kernel keeps its text.  A call, or a
-power outside 2 to 4, takes its derivatives from ``expr.differentiate``,
-the one derivative table, so this module holds no derivative formula.
+(``eval_expr_jet``, the jet flows' field too), the stages of their RK4
+loops (``FlowJets``) and the truncated inverse (``invert``).  A stage
+holds only the float work that changes a state (:class:`FlatState`).  A
+call, or a power outside 2 to 4, takes its derivatives from
+``expr.differentiate``, the one derivative table, so this module holds no
+derivative formula.
 """
 
 from __future__ import annotations
@@ -121,16 +121,17 @@ class _JetEmitter(FloatEmitter):
     are repeated products.  A call or another power unpacks the scalar
     function's derivatives at the value (:func:`_derivatives`, appended to
     the function table ``F``) and sums its Taylor series in the
-    displacement part (:meth:`series`).  Each bound jet is unpacked into
-    as many locals as its order has coefficients, and one of another order
-    is refused there.
+    displacement part (:meth:`series`; x / 1 is x, so the first term is
+    not divided).  Each bound jet is unpacked into as many locals as its
+    order has coefficients, and one of another order is refused there.
 
     ``inline`` is set while the emitter writes a stage of an RK4 loop
-    (:meth:`FlatState.stage`).  There, in every coefficient but the value
-    (coefficient 0), a literal ``0.0`` operand writes no sum or product and
-    a jet product's sum starts from its first term; a value's operation on
-    literal 0.0s alone is the literal, +0.0; and the first Taylor term's
-    ``/ 1`` is not written.
+    (:meth:`FlatState.stage`).  Two rules read it, the only ones that
+    would change the sign of a zero in a public kernel's result: in every
+    coefficient but the value (coefficient 0), a literal ``0.0`` operand
+    writes no sum or product, and a jet product's sum starts from its
+    first term (:meth:`dropped`, :meth:`mul2`); a value's operation on
+    literal 0.0s alone is the literal, +0.0.
     """
 
     inline = False
@@ -188,7 +189,7 @@ class _JetEmitter(FloatEmitter):
         for r in range(1, self.order + 1):
             if r > 1:
                 power = self.mul2(power, delta)
-            scale = derivs[r] if self.inline and r == 1 else self.local(f"{derivs[r]} / {math.factorial(r)}")
+            scale = derivs[1] if r == 1 else self.local(f"{derivs[r]} / {math.factorial(r)}")
             acc = self.add2(acc, self.mul2(scale, power))
         return acc
 
@@ -263,36 +264,32 @@ _PUNCTUATION = str.maketrans("()[],+-*/", " " * 9)
 
 class FlatState:
     """Mixed into an emitter: a run over a Hamiltonian flow's flat state,
-    generated as ``kernel(s, b)`` that returns the rates at ``s``
-    (:meth:`generate`), or written inline as one stage of an RK4 loop
-    (:meth:`stage`).
+    written inline as one stage of an RK4 loop (:meth:`stage`).
 
     The symbols q and p read their values from the state, q's from
     component 0 on and p's from component ``stride`` on, one local per
     coefficient (``read``), and a run reads each component once
-    (:meth:`state`); every other symbol is read from the bindings ``b``.
-    The two roots (dH/dp, dH/dq) give the flow's rates, flat: the first
-    root's coefficients, then the second root's, which the kernel returns
-    negated and a stage leaves for the loop to subtract (:meth:`rates`).
+    (:meth:`state`); every other symbol is read from the bindings ``b``,
+    and it and a constant are read as they are (``b[N[k]]``, ``K[k]``),
+    with no local.  The two roots (dH/dp, dH/dq) give the flow's rates,
+    flat: the first root's coefficients, then the second root's, which a
+    stage leaves for the loop to subtract (:meth:`rates`).
 
-    A stage writes only float work that changes a state, and its states
-    keep the kernel's bits.  A jet's derivative coefficients start at +0.0
-    or 1.0 and are never -0.0 after, since x + y is -0.0 only when both
-    are; so the sign of a zero in their rates reaches no state, and their
-    sums and products may drop a literal 0.0 operand (:class:`_JetEmitter`'s
-    ``inline``).  A value (coefficient 0) may start at -0.0 and reads only
-    values, so its operations are written as the kernel writes them.  A
-    negated rate is carried as a sign: x - c * r is x + c * (-r), and the
-    loop's update negates the first rate and subtracts the other three,
-    which is the kernel's sum of the negated rates, exactly.  A stage also
-    reads a state name and the tables' entries (``K[k]``, bound
-    parameters) as they are, with no local, and writes each rate's last
-    operation straight into its target.
+    A stage writes only float work that changes a state, and gives the
+    states the public field gives, bit for bit.  A jet's derivative
+    coefficients start at +0.0 or 1.0 and are never -0.0 after, since
+    x + y is -0.0 only when both are; so the sign of a zero in their rates
+    reaches no state, and their sums and products may drop a literal 0.0
+    operand (:class:`_JetEmitter`'s ``inline``).  A value (coefficient 0)
+    may start at -0.0 and reads only values, so its operations are written
+    as a public kernel writes them.  A negated rate is carried as a sign:
+    x - c * r is x + c * (-r), and the loop's update negates the first
+    rate and subtracts the other three, which is the sum of the negated
+    rates, exactly.  A stage writes each rate's last operation straight
+    into its target.
     """
 
-    args = "s, b"
     stride = 1
-    inline = False
 
     @property
     def size(self) -> int:  # the state's length
@@ -308,12 +305,12 @@ class FlatState:
         return self.held[i]
 
     def const(self, k):
-        return f"K[{k}]" if self.inline else super().const(k)
+        return f"K[{k}]"
 
     def sym(self, k):
         name = self.env["N"][k]
         if name not in ("q", "p"):
-            return self.binding.format(k) if self.inline else super().sym(k)
+            return self.binding.format(k)
         return self.read(self.stride if name == "p" else 0)
 
     def rates(self, program) -> tuple[list[str], list[bool]]:
@@ -321,14 +318,6 @@ class FlatState:
         which of them are negated."""
         first, second = map(self.coefficients, program.walk(self))
         return [*first, *second], [False] * len(first) + [True] * len(second)
-
-    def generate(self, program):
-        self.held, self.sources = {}, [f"s[{i}]" for i in range(self.size)]
-        rates, negated = self.rates(program)
-        return self.function([f"-{r}" if n else r for r, n in zip(rates, negated)], False)
-
-    def output(self, rates, single: bool) -> str:
-        return f"[{', '.join(rates)}]"
 
     def stage(self, program, sources: list[str], targets: list[str]) -> tuple[list[str], list[bool]]:
         """The lines of an RK4 stage, which assign the rates at the state
@@ -355,8 +344,8 @@ class FlatState:
 
 
 class FlowJets(FlatState, _JetEmitter):
-    """The jet field of a flow over its flat state, two jets of the order
-    ``key[0]`` end to end."""
+    """Writes the jet field of a flow as a stage of its RK4 loop, over the
+    flat state of two jets of the order ``key[0]`` end to end."""
 
     def __init__(self, program: Program, key):
         super().__init__(program, (key[0], ()))
@@ -366,7 +355,7 @@ class FlowJets(FlatState, _JetEmitter):
         return [self.state(start + m) for m in range(self.width)]
 
 
-def eval_expr_jet(e, bindings, order: int, state=None) -> list[float]:
+def eval_expr_jet(e, bindings, order: int) -> list[float]:
     """Evaluate a :class:`Program`, or an :class:`Expr` compiled and its
     code generated for this one call, with some symbols bound to jets of the
     given order (a Program of several roots gives a list of them).  A
@@ -375,17 +364,10 @@ def eval_expr_jet(e, bindings, order: int, state=None) -> list[float]:
     Constants must be real (the flow toolkit works over the reals).  A root
     that depends on no jet comes back as a constant jet of that order; a
     bound jet of another order raises ``ValueError("jet orders differ")``.
-
-    With a flow's flat ``state``, two jets of the order end to end, q and
-    p are read from it instead, and the run is the flow's jet field: ``e``
-    holds (dH/dp, dH/dq) and the rates come back flat (:class:`FlowJets`,
-    code generated once per Program and jet order).
     """
     if order not in MONOMIALS:
         raise ValueError("jet order must be 1, 2 or 3")
     program = e if type(e) is Program else Program(e)
-    if state is not None:
-        return program.kernel((order, "flat"), FlowJets)(state, bindings)
     jets = tuple([n for n in program.names if type(bindings.get(n)) is list])
     return program.kernel((order, jets), _JetEmitter)(bindings)
 

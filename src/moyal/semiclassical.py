@@ -304,15 +304,16 @@ class _Hbar2Emitter(FlowJets):
     (sum_j c1_j F_j) / 8 + (sum_j c2_j F_j) / 24 in j order, with c1_j half
     the C1 terms and c2_j the C2 terms of j p slots, and each (b, c) pair's
     products are formed once.  A partial of H that is identically 0 is the
-    literal 0.0 in the code, and the drive terms it would multiply are not
-    written.  In a stage of the route's RK4 loop (see
-    :class:`jets.FlatState`) no Jacobian term of such a partial is written
-    either, a map derivative times 2 only where a C1 or C2 term reads it,
-    and the rate of z2p, which the kernel writes with a leading minus, is
-    carried as a negated rate.  The correction starts at +0.0, so the
-    signs of zeros these change reach none of its states.
+    literal 0.0 in the code, and no drive or Jacobian term of it is
+    written; a map derivative times 2 is written only where a C1 or C2
+    term reads it.  A rate whose first term would be negated is carried as
+    a negated rate, which a stage (see :class:`jets.FlatState`) leaves for
+    the loop to subtract and the kernel returns as ``-(...)``.  The
+    correction starts at +0.0, so the signs of zeros this form changes
+    reach none of its states.
     """
 
+    args = "s, b"
     size = 14
 
     def __init__(self, program, key):
@@ -324,6 +325,15 @@ class _Hbar2Emitter(FlowJets):
 
     def read(self, start: int):
         return self.state(start) if self.floats else super().read(start)
+
+    def generate(self, program):
+        """The rates as ``kernel(s, b)``, a negated one as ``-(...)``."""
+        self.held, self.sources = {}, [f"s[{i}]" for i in range(self.size)]
+        rates, negated = self.rates(program)
+        return self.function([f"-({r})" if n else r for r, n in zip(rates, negated)], False)
+
+    def output(self, rates, single: bool) -> str:
+        return f"[{', '.join(rates)}]"
 
     def rates(self, program) -> tuple[list[str], list[bool]]:
         self.floats = False
@@ -343,9 +353,6 @@ class _Hbar2Emitter(FlowJets):
                               for i, f in PARTIALS[2][n]]
             return held[n, a]
 
-        if not self.inline:  # the kernel writes every partial first
-            for n in (1, 2):
-                d(n, 0), d(n, 1)
         # the partial of order n with j p slots of F_0, and of F_1 negated;
         # c1_j and c2_j are written where one of them is not 0
         fs = (lambda n, j: h[n - j, j + 1]), (lambda n, j: h[n + 1 - j, j])
@@ -377,16 +384,13 @@ class _Hbar2Emitter(FlowJets):
                     for cs, n, w in ((c1, 2, "8.0"), (c2, 3, "24.0"))]
             return [f"({terms}) / {w}" for terms, w in sums if terms]
 
-        # the Jacobian of F applied to the correction, plus the drive; a
-        # stage writes no Jacobian term of a partial that is 0
+        # the Jacobian of F applied to the correction, with no term of a
+        # partial that is 0, plus the drive
         z2q, z2p = self.state(2 * self.width), self.state(2 * self.width + 1)
         dq, dp = map(drive, fs)
-        jq, jp = ([f"{c} * {z}" for c, z in terms if not (self.inline and c == "0.0")]
+        jq, jp = ([f"{c} * {z}" for c, z in terms if c != "0.0"]
                   for terms in (((h[1, 1], z2q), (h[0, 2], z2p)), ((h[2, 0], z2q), (h[1, 1], z2p))))
         minus_dq = f" - ({' + '.join(dq)})" if dq else ""
-        if not self.inline:
-            rate_p = "-" + " - ".join(jp) + "".join(f" + {t}" for t in dp)
-            return [*rates, " + ".join(jq) + minus_dq, rate_p], [*negated, False, False]
         # a rate whose first term would be negated is carried as a sign
         rate_q = (" + ".join(jq) + minus_dq, False) if jq else (" + ".join(dq) or "0.0", True)
         rate_p = (" - ".join([" + ".join(jp), *dp]), True) if jp else (" + ".join(dp) or "0.0", False)

@@ -322,6 +322,16 @@ def test_blowup_and_overflow_exit_2(runner, args):
     assert res.output.startswith("error: ")
 
 
+@pytest.mark.parametrize("name", ["hbar", "t"])
+def test_a_hamiltonian_in_t_or_hbar_is_refused_as_such(runner, name):
+    # no flag binds t or hbar, and binding either is refused too, so the
+    # error names the rule rather than an unbound symbol
+    res = runner.invoke(main, ["hierarchy", "--hamiltonian", f"p^2/2 + {name}*q^2"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "error: the Hamiltonian must not depend on t or hbar\n"
+
+
 @pytest.mark.parametrize("t1", ["0.3", "0.05", "1"])
 def test_a_backward_pass_blowup_reports_a_time_the_user_asked_for(runner, t1):
     # the forward flow stays finite; the transport route's backward jet pass

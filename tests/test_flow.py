@@ -18,7 +18,7 @@ from moyal.flow import (
     integrate_flow_jets,
     rk4,
 )
-from moyal.jets import derivative, seed
+from moyal.jets import derivative, eval_expr_jet, seed
 
 
 def harmonic():
@@ -50,6 +50,13 @@ def test_field_and_energy():
     assert fq == pytest.approx(3.0)
     assert fp == pytest.approx(-8.0 / 6.0)
     assert ham.energy(2.0, 3.0) == pytest.approx(4.5 + 16.0 / 24.0)
+
+
+def test_field_refuses_a_state_that_is_not_two_floats():
+    ham = HamiltonianSpec(parse_expr("p^2/2 + q^4/24"))
+    for state in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match=f"^a flow's state holds 2 floats, not {len(state)}$"):
+            ham.field(state)
 
 
 def test_default_steps():
@@ -270,9 +277,10 @@ def scaled_quartic():
 
 
 def test_warm_field_jets_makes_no_constant_jets(monkeypatch):
-    # bound parameters stay floats in a jet run: the generated code reads
-    # each into one local and reads only q and p from the flat state as
-    # jets, and a warm call generates nothing
+    # bound parameters stay floats in a jet run: the field's jet code reads
+    # each into one float local, unpacks q and p once each as jets, and a
+    # warm call generates nothing; one jet kernel per order serves
+    # field_jets and eval_expr_jet of the field alike
     sources = []
     function = FloatEmitter.function
 
@@ -282,16 +290,21 @@ def test_warm_field_jets_makes_no_constant_jets(monkeypatch):
 
     monkeypatch.setattr(FloatEmitter, "function", recorded)
     ham = scaled_quartic()
-    state = seed(0.9, 0, 3) + seed(0.4, 1, 3)
-    want = ham.field_jets(state)
-    assert ham.field_jets(state) == want
+    jq, jp = seed(0.9, 0, 3), seed(0.4, 1, 3)
+    want = ham.field_jets(jq + jp)
+    assert ham.field_jets(jq + jp) == want
     # the spec's realness probe, then the order-3 field
     assert len(sources) == 2
-    reads = re.findall(r"v\d+ = b\[N\[(\d+)\]\]", sources[1])
     names = ham._field.names
-    assert sorted(names[int(k)] for k in reads) == ["l", "m"]
-    # q's ten coefficients and p's ten after them, one local each
-    assert sorted(int(i) for i in re.findall(r"v\d+ = s\[(\d+)\]", sources[1])) == list(range(20))
+    floats = re.findall(r"^v\d+ = b\[N\[(\d+)\]\]$", sources[1], re.M)
+    assert sorted(names[int(k)] for k in floats) == ["l", "m"]
+    # q's ten coefficients and p's ten, one local each
+    jets = re.findall(r"^ +((?:v\d+, )+v\d+) = b\[N\[(\d+)\]\]$", sources[1], re.M)
+    assert sorted(names[int(k)] for _, k in jets) == ["p", "q"]
+    assert [len(locals_.split(", ")) for locals_, _ in jets] == [10, 10]
+    dp, dq = eval_expr_jet(ham._field, {"q": jq, "p": jp, **ham.params}, 3)
+    assert len(sources) == 2
+    assert dp + [-x for x in dq] == want
 
 
 def test_field_jets_reads_the_order_from_the_jets():

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 import moyal.semiclassical
 from moyal.expr import ExprDomainError, parse_expr
-from moyal.flow import FlowBlowupError, HamiltonianSpec, integrate_flow, integrate_flow_jets, rk4, rk4_loop
+from moyal.flow import (
+    FlatFloats,
+    FlowBlowupError,
+    HamiltonianSpec,
+    integrate_flow,
+    integrate_flow_jets,
+    rk4,
+    rk4_loop,
+)
 from moyal.jets import FlowJets, seed
 from moyal.semiclassical import _Hbar2Emitter, hbar2_ode
 from test_semiclassical import BENCH_HAMILTONIANS, polynomial_terms
@@ -201,21 +209,25 @@ def float_ops(fn) -> int:
     )
 
 
-# the arithmetic instructions of the order-3 jet loop and of the ode
-# route's loop: 1,546 / 1,100, 986 / 660, 666 / 452, 1,190 / 608 and
+# the arithmetic instructions of every loop: the scalar flow's, the jet
+# flows' of orders 1 to 3 and the ode route's.  The order-3 jet and ode
+# loops took 1,546 / 1,100, 986 / 660, 666 / 452, 1,190 / 608 and
 # 1,714 / 1,256 before the stages left out the work that changes no state
 LOOP_FLOAT_OPS = {
-    "squeeze": (1405, 1023),
-    "quartic": (917, 599),
-    "cubic": (633, 411),
-    "cosh": (677, 455),
-    "example1": (1573, 1179),
+    "squeeze": (67, 263, 661, 1405, 1023),
+    "quartic": (55, 199, 461, 917, 599),
+    "cubic": (51, 155, 337, 633, 411),
+    "cosh": (47, 139, 321, 677, 455),
+    "example1": (91, 319, 765, 1573, 1179),
 }
 
 
 def test_the_loops_write_no_more_float_work():
     for name, make in BENCH_HAMILTONIANS.items():
         ham = make()
-        jets = rk4_loop(ham._field, (3, "flat"), FlowJets)
-        ode = rk4_loop(ham._partials, ham._field, _Hbar2Emitter)
-        assert (float_ops(jets), float_ops(ode)) == LOOP_FLOAT_OPS[name], name
+        loops = [
+            rk4_loop(ham._field, "flat", FlatFloats),
+            *(rk4_loop(ham._field, (order, "flat"), FlowJets) for order in (1, 2, 3)),
+            rk4_loop(ham._partials, ham._field, _Hbar2Emitter),
+        ]
+        assert tuple(map(float_ops, loops)) == LOOP_FLOAT_OPS[name], name

@@ -335,8 +335,10 @@ def folded_rates(h, jq, jp, z2):
     a partial of F fixed by its number j of p slots), so each component is
     (sum_j c1_j F_j) / 8 + (sum_j c2_j F_j) / 24, with c1 the halved C1
     sums and c2 the C2 sums, each (b, c) product formed once, and a term
-    whose partial of H is 0 left out; then the Jacobian term and the
-    drive, in the code's order."""
+    whose partial of H is 0 left out; then the Jacobian term, with no term
+    of a partial that is 0, and the drive, in the code's order.  A rate
+    whose first term would be negated is formed without its sign and then
+    negated, as the code's ``-(...)``."""
     fold = lambda terms: functools.reduce(operator.add, terms)
     d1 = ((jq[1], jq[2]), (jp[1], jp[2]))
     d2 = ((jq[3] * 2, jq[4], jq[5] * 2), (jp[3] * 2, jp[4], jp[5] * 2))
@@ -359,12 +361,17 @@ def folded_rates(h, jq, jp, z2):
         sums = [[c[j] * f(n, j) for j in range(n + 1) if f(n, j) != 0.0] for c, n in ((c1, 2), (c2, 3))]
         drive.append([fold(terms) / w for terms, w in zip(sums, (8.0, 24.0)) if terms])
     z2q, z2p = z2
-    rate_q = h[1, 1] * z2q + h[0, 2] * z2p
-    rate_p = -h[2, 0] * z2q - h[1, 1] * z2p
-    return [
-        rate_q - fold(drive[0]) if drive[0] else rate_q,
-        fold([rate_p, *drive[1]]),
-    ]
+    jq = [c * z for c, z in ((h[1, 1], z2q), (h[0, 2], z2p)) if c != 0.0]
+    jp = [c * z for c, z in ((h[2, 0], z2q), (h[1, 1], z2p)) if c != 0.0]
+    if jq:
+        rate_q = fold(jq) - fold(drive[0]) if drive[0] else fold(jq)
+    else:
+        rate_q = -fold(drive[0] or [0.0])
+    if jp:
+        rate_p = -functools.reduce(operator.sub, [fold(jp), *drive[1]])
+    else:
+        rate_p = fold(drive[1] or [0.0])
+    return [rate_q, rate_p]
 
 
 def random_drives(seed, hamiltonians, points):
@@ -409,8 +416,24 @@ def test_generated_drive_is_the_loop_bit_for_bit():
     # loop_inhomogeneity, the term-by-term loop, is kept as the oracle below.
     # The benchmark Hamiltonians have partials that are 0, whose terms drop
     rng = random.Random(3)
-    for ham, jq, jp in [*random_drives(11, 6, 5), *bench_drives(3, 5)]:
-        z2 = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    cases = [(*drive, (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+             for drive in [*random_drives(11, 6, 5), *bench_drives(3, 5)]]
+    # a correction of signed zeros, where the sign of a zero term shows,
+    # on the benchmark Hamiltonians with a partial of H that is 0: at
+    # seeded jets, and at the identity map's jets, whose drive is a zero
+    rng = random.Random(5)
+    signed_zeros = 0
+    for make in BENCH_HAMILTONIANS.values():
+        ham = make()
+        if all(ham.partials.get(*k) != ZERO for k in moyal.flow.PARTIAL_KEYS):
+            continue
+        z0 = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        jets = [[rng.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(2)]
+        for jq, jp in (jets, (seed(z0[0], 0, 2), seed(z0[1], 1, 2))):
+            cases += [(ham, jq, jp, z2) for z2 in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0))]
+            signed_zeros += 3
+    assert signed_zeros
+    for ham, jq, jp, z2 in cases:
         jets, got = generated_drive(ham, jq, jp, z2)
         assert [x.hex() for x in jets] == [x.hex() for x in ham.field_jets(jq + jp)]
         want = folded_rates(ham.partials_at(jq[0], jp[0]), jq, jp, z2)

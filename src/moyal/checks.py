@@ -50,12 +50,9 @@ from .poly import (
 )
 from .scalars import ExactScalar
 from .semiclassical import (
-    ROUTE_GAP_TOL,
     divergence_order,
-    hbar2_ode,
-    hbar2_transport,
+    hbar2_routes,
     iterated_brackets,
-    route_gap,
     star_exp_A2,
     taylor_flow,
 )
@@ -446,27 +443,21 @@ _ROUTE_GAP_CASES = (((0.9, -0.7), 0.3), ((1.1, 0.6), 0.5))
 
 
 def suite_hbar2_routes() -> Verdict:
-    """Both hbar^2 routes against the squeeze closed form at t = 0.2, and
-    the gap between them (``semiclassical.route_gap``) there and on the
-    quartic, cubic and cosh Hamiltonians."""
+    """Both hbar^2 routes against the squeeze closed forms of Q2 and P2 at
+    t = 0.2, and their verdict by ``semiclassical.hbar2_routes``, as in
+    ``hierarchy``, there and on the quartic, cubic and cosh Hamiltonians."""
     ex = builtin_example1()
-    ham = HamiltonianSpec(ex.hamiltonian, {"m": 1.0, "l": 1.0})
-    z0 = (1.0, 1.0)
-    t = 0.2
-    ode = hbar2_ode(ham, z0, t)
-    tra = hbar2_transport(ham, z0, t)
-    qc = z0[0] * math.exp(z0[0] * z0[1] * t / 2.0)
-    want = qc * (t * t / 16.0) * (1.0 + t * z0[0] * z0[1] / 6.0)
-    worst = max(abs(ode.q2[0] / want - 1.0), abs(tra.q2[0] / want - 1.0))
-    gap = route_gap(ode.q2[0], tra.q2[0])
-    for text in _ROUTE_GAP_HAMILTONIANS:
-        ham = HamiltonianSpec(parse_expr(text))
-        for z0, t in _ROUTE_GAP_CASES:
-            ode, tra = hbar2_ode(ham, z0, t), hbar2_transport(ham, z0, t)
-            gap = max(gap, route_gap(ode.q2[0], tra.q2[0]), route_gap(ode.p2[0], tra.p2[0]))
-    ok = worst < 1e-6 and gap <= ROUTE_GAP_TOL
-    cases = 1 + len(_ROUTE_GAP_HAMILTONIANS) * len(_ROUTE_GAP_CASES)
-    return ok, cases, f"squeeze worst rel {worst:.3g}, route gap {gap:.3g}"
+    (q0, p0), t = (1.0, 1.0), 0.2
+    squeeze = hbar2_routes(HamiltonianSpec(ex.hamiltonian, {"m": 1.0, "l": 1.0}), (q0, p0), [t])
+    qc, pc = q0 * math.exp(q0 * p0 * t / 2.0), p0 * math.exp(-q0 * p0 * t / 2.0)
+    want = (qc * (t * t / 16.0) * (1.0 + t * q0 * p0 / 6.0), pc * (t * t / 16.0) * (1.0 - t * q0 * p0 / 6.0))
+    ((_, by_ode, by_transport),) = squeeze[0]
+    worst = max(abs(got / w - 1.0) for route in (by_ode, by_transport) for got, w in zip(route, want))
+    hams = [HamiltonianSpec(parse_expr(text)) for text in _ROUTE_GAP_HAMILTONIANS]
+    runs = [squeeze, *(hbar2_routes(ham, z0, [t]) for ham in hams for z0, t in _ROUTE_GAP_CASES)]
+    gap = max(gap for _, gap, _ in runs)
+    ok = worst < 1e-6 and not any(refusal for _, _, refusal in runs)
+    return ok, len(runs), f"squeeze worst rel {worst:.3g}, route gap {gap:.3g}"
 
 
 def prefactor_consistency_report() -> dict:

@@ -24,9 +24,9 @@ through ``jets.PARTIALS`` and share H's table of partials (the transport
 route reads it through ``HamiltonianSpec.partials_at``); the formulas stay
 independent: the C1/C2 contraction of the map's first and second
 derivatives on the ode side, the cubed bidifferential under Boole's rule
-on the transport side.  So agreement, within :func:`route_gap`'s one
-rule, is evidence the formulas are right, and both are compared against
-closed forms where one exists.
+on the transport side.  So agreement, judged in one place by
+:func:`route_gap`'s rule (:func:`hbar2_routes`), is evidence the formulas
+are right, and both are compared against closed forms where one exists.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ __all__ = [
     "route_gap",
     "hbar2_transport",
     "hbar2_ode",
+    "hbar2_routes",
     "star_exp_A2",
     "cubic_order7_report",
     "CubicOrder7Report",
@@ -430,6 +431,39 @@ def hbar2_ode(
     # only the last state is kept
     (state,) = loop(state, ham.params, t_final, steps, rhs, steps)
     return Hbar2Result(q2=(state[-2],), p2=(state[-1],))
+
+
+def hbar2_routes(
+    ham: HamiltonianSpec,
+    z0: tuple[float, float],
+    times: list[float],
+    quad_panels_per_unit: int = QUAD_PANELS_PER_UNIT,
+    steps_per_unit: int = STEPS_PER_UNIT_TIME,
+) -> tuple[list[tuple[float, tuple[float, float], tuple[float, float]]], float, str | None]:
+    """Both hbar^2 routes at each of ``times`` and their verdict: the rows
+    (t, ode (Q2, P2), transport (Q2, P2)), the worst :func:`route_gap` (a tie
+    goes to the later time, then to Q2), and the refusal text naming it where
+    it exceeds ``ROUTE_GAP_TOL``, else None.  A negative time is refused
+    before any route runs; at t = 0 neither runs and both give 0.0."""
+    if min(times) < 0:
+        raise ValueError("the hbar^2 routes need times >= 0")
+    rows = []
+    worst = (0.0,)
+    for t in times:
+        by_ode = by_transport = (0.0, 0.0)
+        if t != 0.0:
+            ode = hbar2_ode(ham, z0, t, steps_per_unit)
+            tra = hbar2_transport(ham, z0, t, quad_panels_per_unit, steps_per_unit)
+            by_ode, by_transport = (ode.q2[0], ode.p2[0]), (tra.q2[0], tra.p2[0])
+        rows.append((t, by_ode, by_transport))
+        for name, a, b in zip(("Q2", "P2"), by_ode, by_transport):
+            worst = max(worst, (route_gap(a, b), t, name, a, b))
+    gap, t, name, a, b = worst
+    refusal = None if gap <= ROUTE_GAP_TOL else (
+        f"at t = {t:.12g} the ode and transport routes differ in {name}: {a:.12g} (ode) "
+        f"against {b:.12g} (transport), relative gap {gap:.3g} > {ROUTE_GAP_TOL:g}"
+    )
+    return rows, gap, refusal
 
 
 # -- star-exponential second-order kernel --------------------------------

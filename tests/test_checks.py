@@ -1,7 +1,9 @@
 import inspect
+from dataclasses import replace
 
 import pytest
 
+from moyal import semiclassical
 from moyal.checks import (
     SUITES,
     prefactor_consistency_report,
@@ -33,6 +35,36 @@ def test_hbar2_routes_suite_checks_the_route_gap_beyond_squeeze():
     assert outcome.passed
     assert outcome.cases == 7
     assert "route gap" in outcome.detail
+
+
+def scale_p2(route, factor):
+    """``route`` with its P2 scaled by ``factor`` where the Hamiltonian binds
+    parameters, which of the suite's cases only squeeze does."""
+
+    def scaled(ham, z0, t, *args):
+        res = route(ham, z0, t, *args)
+        return replace(res, p2=(res.p2[0] * factor,)) if ham.params else res
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "ode_factor, transport_factor, detail",
+    [
+        # both routes off squeeze's P2 closed form by 2e-6, with no gap
+        (1 + 2e-6, 1 + 2e-6, "squeeze worst rel 2e-06, route gap 1.54e-10"),
+        # each within 1e-6 of it, and 1.8e-6 apart
+        (1 + 9e-7, 1 - 9e-7, "squeeze worst rel 9e-07, route gap 1.8e-06"),
+    ],
+)
+def test_hbar2_routes_suite_checks_squeeze_p2(monkeypatch, ode_factor, transport_factor, detail):
+    monkeypatch.setattr(semiclassical, "hbar2_ode", scale_p2(semiclassical.hbar2_ode, ode_factor))
+    monkeypatch.setattr(
+        semiclassical, "hbar2_transport", scale_p2(semiclassical.hbar2_transport, transport_factor)
+    )
+    (outcome,) = run_checks(only=["hbar2-routes"])
+    assert not outcome.passed
+    assert outcome.detail == detail
 
 
 def test_run_named_subset():

@@ -38,8 +38,10 @@ from moyal.semiclassical import (
     cubic_order7_report,
     divergence_order,
     hbar2_ode,
+    hbar2_routes,
     hbar2_transport,
     iterated_brackets,
+    route_gap,
     star_exp_A2,
     taylor_flow,
 )
@@ -193,6 +195,51 @@ def test_hbar2_ode_default_steps_per_unit(squeeze_ham):
     default = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2)
     assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=2000) == default
     assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=500) != default
+
+
+@pytest.fixture()
+def route_calls(monkeypatch):
+    """The times at which hbar2_routes runs each route."""
+    calls = {"ode": [], "transport": []}
+    for name, route in (("ode", hbar2_ode), ("transport", hbar2_transport)):
+
+        def counting(ham, z0, t, *args, route=route, name=name):
+            calls[name].append(t)
+            return route(ham, z0, t, *args)
+
+        monkeypatch.setattr(moyal.semiclassical, f"hbar2_{name}", counting)
+    return calls
+
+
+def test_hbar2_routes_at_time_zero_run_no_route(squeeze_ham, route_calls):
+    assert hbar2_routes(squeeze_ham, (1.0, 1.0), [0.0]) == ([(0.0, (0.0, 0.0), (0.0, 0.0))], 0.0, None)
+    assert route_calls == {"ode": [], "transport": []}
+    rows, gap, refusal = hbar2_routes(squeeze_ham, (1.0, 1.0), [0.0, 0.2, 0.0])
+    assert route_calls == {"ode": [0.2], "transport": [0.2]}
+    assert [row[0] for row in rows] == [0.0, 0.2, 0.0]
+    for row in (rows[0], rows[2]):
+        assert row[1:] == ((0.0, 0.0), (0.0, 0.0))
+        assert all(math.copysign(1.0, x) == 1.0 for pair in row[1:] for x in pair)
+    assert rows[1][1][0] == pytest.approx(closed_form_q2(1.0, 1.0, 0.2), rel=1e-9)
+    assert refusal is None and gap < 1e-6
+
+
+def test_hbar2_routes_refuse_a_negative_time_before_any_route_runs(squeeze_ham, route_calls):
+    with pytest.raises(ValueError) as err:
+        hbar2_routes(squeeze_ham, (1.0, 1.0), [0.1, 0.2, -0.1])
+    assert str(err.value) == "the hbar^2 routes need times >= 0"
+    assert route_calls == {"ode": [], "transport": []}
+
+
+def test_hbar2_routes_name_the_worst_gap_as_a_running_max():
+    # the exact correction is 0, so every gap is about 1: the largest is at
+    # t = 0.2 in P2
+    ham = HamiltonianSpec(parse_expr("(q+p)^4"))
+    rows, gap, refusal = hbar2_routes(ham, (1.0, 1.0), [0.1, 0.2, 0.3])
+    gaps = [(route_gap(a, b), t, name) for t, *pairs in rows for name, a, b in zip(("Q2", "P2"), *pairs)]
+    assert gap == max(gaps)[0] > 1e-6
+    assert refusal.startswith("at t = 0.2 the ode and transport routes differ in P2: ")
+    assert refusal.endswith(f", relative gap {gap:.3g} > 1e-06")
 
 
 def test_hbar2_transport_compiles_per_call_not_per_node(monkeypatch):

@@ -19,8 +19,11 @@ public field for the first stage of its first step only and writes every
 other stage as the field's code inline.  A stage writes only float work
 that changes a state and keeps the field's bits (see
 :class:`jets.FlatState`): dH/dq's negation is carried as a sign and
-subtracted.  After every step the state is tested finite by its sum times
-0.0, and component by component only where that sum is not.  A loop
+subtracted.  A local that one line reads and that holds a sum, difference
+or product is written, in parentheses, into that line, which keeps the
+operations and so the bits.  After every step the state is tested finite
+by its sum times 0.0, and component by component only where that sum is
+not.  A loop
 yields every ``every``-th state, so a flow keeps only the states its
 caller reads (``integrate_flow(..., every=n)``).
 The public :func:`rk4` is the reference those loops are tested against: a
@@ -30,6 +33,8 @@ plain loop over any callable that shares no code with them.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -44,7 +49,7 @@ from .expr import (
     eval_real,
     free_symbols,
 )
-from .jets import MONOMIALS, PARTIALS, FlatState, FlowJets, eval_expr_jet, jet_order, seed
+from .jets import MONOMIALS, PARTIALS, FlatState, FlowJets, eval_expr_jet, jet_order, seed, table_locals
 from .poly import MAX_DEGREE
 
 __all__ = [
@@ -218,7 +223,9 @@ def rk4_loop(program: Program, key, emitter):
     first step calls ``rhs(s)``, the public field, which checks the state;
     every other stage is the rates' code inline (:meth:`FlatState.stage`),
     where a negated rate is held without its sign and subtracted.  The
-    tables' entries the stages read are read once per loop.  Errors are
+    tables' entries the stages read are read once per loop
+    (:func:`jets.table_locals`), and a local read once is folded into its
+    reader (:func:`_fold`).  Errors are
     :func:`rk4`'s, and ``every`` below 1 or not dividing ``steps`` raises
     ValueError.  After every step the state is finite when its sum times
     0.0 is 0.0; only where it is not, each component is tested, since a sum
@@ -254,14 +261,9 @@ def rk4_loop(program: Program, key, emitter):
         "    due += every",
         f"    yield [{', '.join(x)}]",
     ]
-    rows = "".join(f"            {row}\n" for line in body for row in line.split("\n"))
-    # each table entry the stages read becomes a local of the loop
     env = emit.env
-    tables = [(f"{t}[{i}]", f"{t}{i}") for t in "KF" for i in range(len(env[t]))]
-    tables += [(f"b[N[{i}]]", f"B{i}") for i in range(len(env["N"]))]
-    tables = [(read, name) for read, name in tables if read in rows]
-    for read, name in tables:
-        rows = rows.replace(read, name)
+    rows, tables = table_locals(env, "\n".join(row for line in body for row in line.split("\n")))
+    rows = "".join(f"            {row}\n" for row in _fold(rows.split("\n")))
     env["FlowBlowupError"] = FlowBlowupError
     exec(
         f"def loop(s, b, t_final, steps, rhs, every=1):\n"
@@ -273,7 +275,7 @@ def rk4_loop(program: Program, key, emitter):
         f"    h = t_final / steps\n"
         f"    half, h6, k, due = 0.5 * h, h / 6.0, 0, every - 1\n"
         f"    try:\n"
-        + "".join(f"        {name} = {read}\n" for read, name in tables) +
+        + "".join(f"        {row}\n" for row in tables) +
         f"        for k in range(steps):\n{rows}"
         f"    except OverflowError:\n"
         f"        raise FlowBlowupError((k + 1) * h) from None\n{emit.handlers}",
@@ -281,6 +283,36 @@ def rk4_loop(program: Program, key, emitter):
     )
     loop = program._kernels["rk4", key] = env["loop"]
     return loop
+
+
+# a local the stages write, and one that assigns a sum, difference or
+# product of names and literals, with no power
+_LOCAL = re.compile(r"\bv\d+\b")
+_ARITHMETIC = re.compile(r"( *)(v\d+) = ((?:[\w.]+|[ +*()-])+)")
+# a folded expression holds fewer parentheses than this, so the nesting of
+# any line stays far below the parser's limit of 200
+_FOLD_PARENS = 64
+
+
+def _fold(rows: list[str]) -> list[str]:
+    """The rows with each local that is read exactly once and assigned a
+    sum, difference or product (:data:`_ARITHMETIC`) written, in
+    parentheses, into the row that reads it: the operations and their
+    order are the same, so are the bits, and no power, division or call
+    moves, so no error does either.  A local's one read follows its
+    assignment, in the same branch, with no operand reassigned between."""
+    reads = Counter(_LOCAL.findall("\n".join(rows)))
+    held: dict[str, str] = {}
+    out = []
+    for row in rows:
+        row = _LOCAL.sub(lambda m: held.pop(m[0], m[0]), row)
+        got = _ARITHMETIC.fullmatch(row)
+        if got and reads[got[2]] == 2 and "**" not in got[3] and not re.search(r"\w\(", got[3]) \
+                and got[3].count("(") < _FOLD_PARENS:
+            held[got[2]] = f"({got[3]})"
+        else:
+            out.append(row)
+    return out
 
 
 def integrate_flow(

@@ -13,8 +13,10 @@ other modules read partials through ``PARTIALS`` or :func:`derivative`.
 The one jet arithmetic is the straight-line code the jet emitter writes
 from the multiplication table precomputed per order, for expression runs
 (``eval_expr_jet``, the jet flows' field too), the stages of their RK4
-loops (``FlowJets``) and the truncated inverse (``invert``).  A stage
-holds only the float work that changes a state (:class:`FlatState`).  A
+loops (``FlowJets``) and the truncated inverse (``invert``), whose
+degree-by-degree code :func:`write_inverse` also writes into the transport
+route's node loop.  A stage holds only the float work that changes a state
+(:class:`FlatState`).  A
 call, or a power outside 2 to 4, takes its derivatives from
 ``expr.differentiate``, the one derivative table, so this module holds no
 derivative formula.
@@ -396,24 +398,32 @@ def invert(gq: list[float], gp: list[float]) -> tuple[list[float], list[float]]:
 
 @functools.cache
 def _inverse(order: int):
-    """:func:`invert` at one jet order, written out degree by degree by the
-    jet emitter over the coefficients of (gq, gp) and the rows of L^-1.
-    ``powers[i, j]`` holds the coefficients of dq^i dp^j found so far:
-    dq^i times dp^j, or a pure power as the one below it times dq or dp.
-    Each coefficient sums only its terms of its degree, so no literal 0 or
-    1 is multiplied: a product's in the multiplication table's order, N's
-    in ``MONOMIALS`` order."""
+    """:func:`invert` at one jet order: :func:`write_inverse` over the
+    coefficients of (gq, gp) and the rows of L^-1."""
     emit = _JetEmitter(Program(()), (order, ()))
-    monos, table = MONOMIALS[order], _MUL_TABLE[order]
     gs, m = (emit.unpack("b[0]"), emit.unpack("b[1]")), emit.unpack("b[2]", 4)
-    d = [["0.0", *row, *["0.0"] * (emit.width - 3)] for row in (m[:2], m[2:])]
+    return emit.function(write_inverse(emit, order, gs, m), False)
+
+
+def write_inverse(emit, order: int, gs, m: list[str]) -> list[list[str]]:
+    """The coefficients of :func:`invert`'s inverse, written out degree by
+    degree as ``emit``'s locals (:meth:`expr.FloatEmitter.local`) from the
+    coefficient names ``gs`` of (gq, gp) and the entries ``m`` of L^-1 by
+    rows.  ``powers[i, j]`` holds the coefficients of dq^i dp^j found so
+    far: dq^i times dp^j, or a pure power as the one below it times dq or
+    dp.  Each coefficient sums only its terms of its degree, so no literal
+    0 or 1 is multiplied: a product's in the multiplication table's order,
+    N's in ``MONOMIALS`` order."""
+    monos, table = MONOMIALS[order], _MUL_TABLE[order]
+    width = len(monos)
+    d = [["0.0", *row, *["0.0"] * (width - 3)] for row in (m[:2], m[2:])]
     powers = {(1, 0): d[0], (0, 1): d[1]}
     for n in range(2, order + 1):
         part = [k for k, mono in enumerate(monos) if sum(mono) == n]
         for i, j in (mono for mono in monos if 2 <= sum(mono) <= n):
             x, y = ((powers[i, 0], powers[0, j]) if i and j
                     else (powers[i - 1, 0], d[0]) if i else (powers[0, j - 1], d[1]))
-            got = powers.setdefault((i, j), ["0.0"] * emit.width)
+            got = powers.setdefault((i, j), ["0.0"] * width)
             for k in part:
                 terms = [f"{x[u]} * {y[v]}" for u, v in table[k] if "0.0" not in (x[u], y[v])]
                 got[k] = emit.local(" + ".join(terms))
@@ -422,4 +432,18 @@ def _inverse(order: int):
             rq, rp = (emit.local(" + ".join(f"{g[c]} * {t}" for c, t in terms)) for g in gs)
             d[0][k] = emit.local(f"-({m[0]} * {rq} + {m[1]} * {rp})")
             d[1][k] = emit.local(f"-({m[2]} * {rq} + {m[3]} * {rp})")
-    return emit.function(d, False)
+    return d
+
+
+def table_locals(env: dict, source: str) -> tuple[str, list[str]]:
+    """``source``, code generated over the tables of ``env``, with each
+    entry of the constants ``K``, the functions ``F`` and the bindings
+    ``b[N[k]]`` it reads replaced by a local, and the lines that assign
+    those locals: a generated loop reads each entry once, before it
+    starts."""
+    tables = [(f"{t}[{i}]", f"{t}{i}") for t in "KF" for i in range(len(env[t]))]
+    tables += [(f"b[N[{i}]]", f"B{i}") for i in range(len(env["N"]))]
+    tables = [(read, name) for read, name in tables if read in source]
+    for read, name in tables:
+        source = source.replace(read, name)
+    return source, [f"{name} = {read}" for read, name in tables]

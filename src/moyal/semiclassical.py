@@ -11,17 +11,18 @@ against the Hamiltonian along the classical trajectory.  The flow is a
 group, so the map it needs at each quadrature node (duration s, based at
 z(T - s)) is the inverse of the duration -s map based at z(T): one
 backward pass of order-3 jets from z(T) holds every node's map, and a
-truncated jet inversion per node, order by order (``jets.invert``), turns
-it around, so the work grows linearly with T.  It keeps z(T) alone of its
-scalar pass and the nodes' jets alone of its backward pass.  The ode route
+truncated jet inversion per node, order by order (``jets.invert``'s rule),
+turns it around, so the work grows linearly with T.  It keeps z(T) alone of
+its scalar pass and the nodes' jets alone of its backward pass, and one
+loop generated per Hamiltonian runs every node's inversion, H's third
+partials and the bracket as straight-line code.  The ode route
 propagates the correction through a linear inhomogeneous equation driven
 by order-2 jets, with one right-hand side generated per Hamiltonian: the
 jet field, H's partials and the drive, grouped by its symmetries and with
 the terms of H's partials that are 0 left out, written out as
 straight-line code; it keeps only its last state.
 Both run on the RK4 loops of ``flow.rk4_loop``, read the jets' partials
-through ``jets.PARTIALS`` and share H's table of partials (the transport
-route reads it through ``HamiltonianSpec.partials_at``); the formulas stay
+through ``jets.PARTIALS`` and share H's table of partials; the formulas stay
 independent: the C1/C2 contraction of the map's first and second
 derivatives on the ode side, the cubed bidifferential under Boole's rule
 on the transport side.  So agreement, judged in one place by
@@ -36,7 +37,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import partial
 
-from .expr import ZERO, DerivTable, Expr, add
+from .expr import ZERO, DerivTable, Expr, FloatEmitter, Program, add
 from .flow import (
     PARTIAL_KEYS,
     STEPS_PER_UNIT_TIME,
@@ -46,7 +47,7 @@ from .flow import (
     integrate_flow_jets,
     rk4_loop,
 )
-from .jets import PARTIALS, FlowJets, invert, seed
+from .jets import MONOMIALS, PARTIALS, FlowJets, seed, table_locals, write_inverse
 from .poly import (
     P,
     PhasePolynomial,
@@ -225,8 +226,9 @@ def hbar2_transport(
     is the inverse of the duration -s map based at z(T).  One scalar pass
     gives z(T), the one state it keeps; one backward pass of order-3 jets
     from z(T) gives the duration -s maps at every node, the only jets it
-    keeps, and :func:`jets.invert` turns each into the map the bracket
-    needs.  The work grows linearly with T.
+    keeps, and the node loop (:class:`_NodeEmitter`) inverts each, by
+    :func:`jets.invert`'s rule, into the map the bracket needs.  The work
+    grows linearly with T.
     Boole's rule (Romberg's first step on Simpson's rule, panel count a
     multiple of 4) assembles the integral.  Deterministic: panel counts
     and step counts are derived, not adaptive.
@@ -245,21 +247,73 @@ def hbar2_transport(
     except FlowBlowupError as err:
         # the backward pass's time -s is the user's time T - s
         raise FlowBlowupError(t_final + err.time) from None
-    fq_vals = [0.0]
-    fp_vals = [0.0]
-    for node, (gq, gp) in zip(back.states[1:], back.jets[1:]):
-        # the inverse: the duration-s map's jets at the node, less their
-        # value z(T), which the order-3 derivatives below do not read
-        dq, dp = invert(gq, gp)
-        h = ham.partials_at(*node)
-        h3 = lambda a, b: h[a, b]
-        for d, vals in ((dq, fq_vals), (dp, fp_vals)):
-            # d_q^(3-b) d_p^b of the component
-            d3 = [d[i] * f for i, f in PARTIALS[3][3]]
-            # [map component, H]_2: the cubed bidifferential, weight -1/24
-            vals.append(-bidifferential(lambda a, b: d3[b], h3, 3, 0.0) / 24.0)
+    fq_vals, fp_vals = _transport_nodes(ham)(back.jets[1:], ham.params)
     h_node = t_final / panels
     return Hbar2Result(q2=(_boole(fq_vals, h_node),), p2=(_boole(fp_vals, h_node),))
+
+
+class _NodeEmitter(FloatEmitter):
+    """Writes the transport route's integrand at every quadrature node as
+    one loop, ``kernel(jets, b)``: from the order-3 jets (gq, gp) of each
+    node's duration -s map, whose values are the node z(T - s), the lists
+    [0.0, f(s_1), ...] of the map's two components, the 0.0 at s = 0.
+
+    Per node, as straight-line code over the jets' coefficient locals: the
+    inverse map's jets (dq, dp), by :func:`jets.invert`'s rule, refusal of
+    a singular linear part first, then H's third partials at the node
+    (``key``, H's table of partials, gives them), then for each component
+    d the cubed bidifferential [d, H]_2 with weight -1/24, whose left factor
+    is d's third partial (``jets.PARTIALS``): its terms summed onto 0.0 in j
+    order, each skipped where its left or right factor is 0.0, as
+    ``poly.bidifferential`` skips them, and not written where H's partial
+    is identically 0.  So each value is bit for bit the one ``invert``,
+    ``HamiltonianSpec.partials_at`` and ``bidifferential`` give, in fewer
+    operations: a term whose weight is -1 or -3 is subtracted, which is the
+    sum of its negation exactly.  Constants and parameters are read once,
+    before the loop (:func:`jets.table_locals`).
+    """
+
+    args = "jets, b"
+
+    def __init__(self, program, key):
+        self.third = Program([key.get(j, 3 - j) for j in range(4)])
+        super().__init__(self.third, key)
+
+    def const(self, k):
+        return "0.0" if self.env["K"][k] == 0.0 else f"K[{k}]"
+
+    def sym(self, k):
+        return {"q": "u0", "p": "w0"}.get(self.env["N"][k]) or self.binding.format(k)
+
+    def generate(self, program):
+        u, w = ([f"{c}{i}" for i in range(len(MONOMIALS[3]))] for c in "uw")
+        self.lines = [
+            "det = u1 * w2 - u2 * w1",
+            "if det == 0.0:\n    raise ValueError(\"the jet's linear part is singular\")",
+        ]
+        m = [self.local(f"{x} / det") for x in ("w2", "-u2", "-w1", "u1")]
+        h = self.third.walk(self)
+        values = []
+        for d in write_inverse(self, 3, (u, w), m):
+            acc = self.local("0.0")
+            for j, (i, f) in enumerate(PARTIALS[3][3]):
+                if h[j] != "0.0":
+                    left = self.local(f"{d[i]} * {f}")
+                    weight = math.comb(3, j)
+                    term = f"{f'{weight}.0 * ' if weight > 1 else ''}{left} * {h[j]}"
+                    self.lines.append(f"if {left} and {h[j]}:\n    {acc} = {acc} {'-+'[j % 2 == 0]} {term}")
+            values.append(f"-{acc} / 24.0")
+        body, reads = table_locals(self.env, "\n".join(self.lines))
+        self.lines = [*reads, "fq, fp = [0.0], [0.0]", f"for ({', '.join(u)}), ({', '.join(w)}) in jets:",
+                      *(f"    {row}" for row in body.split("\n")),
+                      *(f"    {f}.append({v})" for f, v in zip(("fq", "fp"), values))]
+        return self.function(["fq", "fp"], False)
+
+
+def _transport_nodes(ham: HamiltonianSpec):
+    """The transport route's node loop for ``ham`` (:class:`_NodeEmitter`):
+    generated on first use and kept with H's partials."""
+    return ham._partials.kernel(ham.partials, _NodeEmitter)
 
 
 def _boole(values: list[float], h: float) -> float:
@@ -444,17 +498,19 @@ def hbar2_routes(
     (t, ode (Q2, P2), transport (Q2, P2)), the worst :func:`route_gap` (a tie
     goes to the later time, then to Q2), and the refusal text naming it where
     it exceeds ``ROUTE_GAP_TOL``, else None.  A negative time is refused
-    before any route runs; at t = 0 neither runs and both give 0.0."""
+    before any route runs; at t = 0 neither runs and both give 0.0, and a
+    repeated time reuses its first row's values."""
     if min(times) < 0:
         raise ValueError("the hbar^2 routes need times >= 0")
     rows = []
     worst = (0.0,)
+    runs = {0.0: ((0.0, 0.0), (0.0, 0.0))}
     for t in times:
-        by_ode = by_transport = (0.0, 0.0)
-        if t != 0.0:
+        if t not in runs:
             ode = hbar2_ode(ham, z0, t, steps_per_unit)
             tra = hbar2_transport(ham, z0, t, quad_panels_per_unit, steps_per_unit)
-            by_ode, by_transport = (ode.q2[0], ode.p2[0]), (tra.q2[0], tra.p2[0])
+            runs[t] = (ode.q2[0], ode.p2[0]), (tra.q2[0], tra.p2[0])
+        by_ode, by_transport = runs[t]
         rows.append((t, by_ode, by_transport))
         for name, a, b in zip(("Q2", "P2"), by_ode, by_transport):
             worst = max(worst, (route_gap(a, b), t, name, a, b))

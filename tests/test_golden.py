@@ -122,13 +122,15 @@ def flow_bits(ham, z0, t, spu):
 def test_flow_bits_match_golden():
     # float.hex of both hbar^2 routes and of the final order-1 to 3 jets, at
     # a reduced resolution, with bound parameters, a power outside 2 to 4
-    # and a blowup; the Hamiltonians are polynomials, so no exp or trig
-    # call, whose last bits differ between C libraries, reaches them
+    # and a blowup, and for four of the benchmark's Hamiltonians at the
+    # default resolution (a record's own steps_per_unit); the Hamiltonians
+    # are polynomials, so no exp or trig call, whose last bits differ
+    # between C libraries, reaches them
     golden = json.loads((GOLDEN / "flow_bits.json").read_text())
-    spu = golden["steps_per_unit"]
     hams = {}
     for rec in golden["records"]:
         text, params, z0, t = rec["hamiltonian"], rec.get("params", {}), tuple(rec["z0"]), rec["t"]
+        spu = rec.get("steps_per_unit", golden["steps_per_unit"])
         ham = hams.setdefault((text, tuple(params.items())), HamiltonianSpec(parse_expr(text), params))
         got = flow_bits(ham, z0, t, spu)
         assert got == {k: rec[k] for k in got}, (text, z0, t)

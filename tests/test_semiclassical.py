@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expr_walk import reference_invert
+from expr_walk import outcome, reference_invert
 
 import moyal.expr
 import moyal.flow
@@ -30,7 +30,7 @@ from moyal.flow import (
     integrate_flow_jets,
     rk4,
 )
-from moyal.jets import derivative, seed
+from moyal.jets import PARTIALS, derivative, invert, seed
 from moyal.poly import PhasePolynomial, bidifferential, format_poly, poisson_bracket
 from moyal.semiclassical import (
     TimeTaylorFlow,
@@ -224,6 +224,14 @@ def test_hbar2_routes_at_time_zero_run_no_route(squeeze_ham, route_calls):
     assert refusal is None and gap < 1e-6
 
 
+def test_hbar2_routes_run_each_distinct_time_once(squeeze_ham, route_calls):
+    rows, gap, refusal = hbar2_routes(squeeze_ham, (1.0, 1.0), [0.2, 0.1, 0.2, 0.2, 0.1])
+    assert route_calls == {"ode": [0.2, 0.1], "transport": [0.2, 0.1]}
+    assert [row[0] for row in rows] == [0.2, 0.1, 0.2, 0.2, 0.1]
+    assert rows[0] == rows[2] == rows[3] and rows[1] == rows[4]
+    assert (rows[:2], gap, refusal) == hbar2_routes(squeeze_ham, (1.0, 1.0), [0.2, 0.1])
+
+
 def test_hbar2_routes_refuse_a_negative_time_before_any_route_runs(squeeze_ham, route_calls):
     with pytest.raises(ValueError) as err:
         hbar2_routes(squeeze_ham, (1.0, 1.0), [0.1, 0.2, -0.1])
@@ -290,6 +298,71 @@ def per_node_transport_values(ham, z0, t_final, quad_panels_per_unit):
         fq_vals.append(-bidifferential(partial(derivative, jq), h3, 3, 0.0) / 24.0)
         fp_vals.append(-bidifferential(partial(derivative, jp), h3, 3, 0.0) / 24.0)
     return fq_vals, fp_vals, h_node
+
+
+def reference_nodes(ham, jets, b, inverse=invert):
+    """The transport integrand at each node's jets (gq, gp), after the
+    0.0 at s = 0, by the per-node path the node loop replaces: ``inverse``,
+    ``partials_at`` at the jets' value and ``bidifferential``."""
+    fq, fp = [0.0], [0.0]
+    for gq, gp in jets:
+        dq, dp = inverse(gq, gp)
+        h = ham.partials_at(gq[0], gp[0])
+        for d, vals in ((dq, fq), (dp, fp)):
+            d3 = [d[i] * f for i, f in PARTIALS[3][3]]
+            vals.append(-bidifferential(lambda a, b: d3[b], lambda a, b: h[a, b], 3, 0.0) / 24.0)
+    return [fq, fp]
+
+
+NODE_HAMILTONIANS = {
+    **BENCH_HAMILTONIANS,
+    "calls": lambda: HamiltonianSpec(parse_expr("p^2/2 + q^6/30 + sec(q/4) + q*tan(p/5)")),
+    # no third partial but d_q^3 H: three that are identically 0
+    "zero-partials": lambda: HamiltonianSpec(parse_expr("p^2/2 + q^5/20 + q*p^2")),
+}
+
+
+def node_bits(ham, jets):
+    """The node loop's values and the per-node reference's, as float.hex,
+    or the class and text of the refusal."""
+    return [outcome(lambda: nodes(ham, jets, ham.params)) for nodes in (_transport_nodes, reference_nodes)]
+
+
+def _transport_nodes(ham, jets, b):
+    return moyal.semiclassical._transport_nodes(ham)(jets, b)
+
+
+@pytest.mark.parametrize("name", sorted(NODE_HAMILTONIANS))
+def test_the_node_loop_matches_the_per_node_path_bit_for_bit(name):
+    ham = NODE_HAMILTONIANS[name]()
+    for z0, t in (((0.9, -0.7), 0.3), ((-0.4, 1.1), 0.5), ((0.6, -0.4), 0.2)):
+        jets = integrate_flow_jets(ham, z0, -t, 200, order=3, every=5).jets[1:]
+        got, want = node_bits(ham, jets)
+        assert got == want and type(got) is list, (name, z0, t)
+
+
+def test_the_node_loop_skips_the_terms_bidifferential_skips():
+    # a left factor 0.0 (a linear map's inverse has no third partial) facing
+    # a right factor that is inf, and a right factor 0.0 (d_q^3 H = 24 m q at
+    # q = 0) facing a left factor that is not finite: every term is skipped,
+    # where writing it would give nan
+    ham = HamiltonianSpec(parse_expr("p^2/2 + m*q^4 + q*p^3"), {"m": 1e300})
+    linear = [([1e10, 1.0, 0.5, *[0.0] * 7], [-2.0, 0.25, 1.0, *[0.0] * 7])]
+    steep = [([0.0, 1.0, 0.0, 1e300, *[0.0] * 6], [0.0, 0.0, 1.0, *[0.0] * 7])]
+    assert ham.partials_at(1e10, -2.0)[3, 0] == math.inf
+    assert not all(map(math.isfinite, invert(*steep[0])[0]))
+    for jets in (linear, steep, linear + steep):
+        got, want = node_bits(ham, jets)
+        assert got == want, jets
+    assert got == [[x.hex() for x in (0.0, -0.0, -0.0)]] * 2
+
+
+def test_the_node_loop_refuses_a_singular_linear_part_as_invert_does():
+    ham = BENCH_HAMILTONIANS["quartic"]()
+    regular = ([0.3, 1.0, 0.0, *[0.0] * 7], [0.2, 0.0, 1.0, *[0.0] * 7])
+    singular = ([0.3, 1.0, 2.0, *[0.1] * 7], [0.2, 0.5, 1.0, *[0.0] * 7])
+    got, want = node_bits(ham, [regular, singular])
+    assert got == want == (ValueError, "the jet's linear part is singular")
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_HAMILTONIANS))
@@ -549,7 +622,8 @@ def test_both_routes_agree_with_the_parent_formulas(terms, z0, t):
     # 1e-12 of the larger of its two parent values
     ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
     transport = lambda: hbar2_transport(ham, z0, t, quad_panels_per_unit=16, steps_per_unit=200)
-    with mock.patch.object(moyal.semiclassical, "invert", reference_invert):
+    sweep_nodes = lambda ham: partial(reference_nodes, ham, inverse=reference_invert)
+    with mock.patch.object(moyal.semiclassical, "_transport_nodes", sweep_nodes):
         want = [route_values(lambda: parent_ode(ham, z0, t, 200)), route_values(transport)]
     got = [route_values(lambda: hbar2_ode(ham, z0, t, steps_per_unit=200)), route_values(transport)]
     for x, y in zip(got, want):
@@ -576,10 +650,7 @@ def test_a_warm_spec_generates_no_code(monkeypatch):
         lambda: integrate_flow(ham, z0, t).states[-1],
         *(lambda order=order: integrate_flow_jets(ham, z0, t, order=order).jets[-1] for order in (1, 2, 3)),
     ]
-    # the transport route's inverse is generated by its first run too
-    moyal.jets._inverse.cache_clear()
     first = [run() for run in runs]
-    assert moyal.jets._inverse.cache_info().currsize == 1
     compiled = []
     for module in GENERATING_MODULES:
         monkeypatch.setattr(module, "exec", lambda *args: compiled.append(args), raising=False)

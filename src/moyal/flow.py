@@ -19,13 +19,13 @@ public field for the first stage of its first step only and writes every
 other stage as the field's code inline.  A stage writes only float work
 that changes a state and keeps the field's bits (see
 :class:`jets.FlatState`): dH/dq's negation is carried as a sign and
-subtracted.  A local that one line reads and that holds a sum, difference
-or product is written, in parentheses, into that line, which keeps the
-operations and so the bits.  After every step the state is tested finite
-by its sum times 0.0, and component by component only where that sum is
-not.  A loop
-yields every ``every``-th state, so a flow keeps only the states its
-caller reads (``integrate_flow(..., every=n)``).
+subtracted.  Work that reads only constants and parameters runs once,
+before the first step.  A local that one line reads and that holds a sum,
+difference or product is written, in parentheses, into that line, which
+keeps the operations and so the bits.  After every step the state is
+tested finite by its sum times 0.0, and component by component only where
+that sum is not.  A loop yields every ``every``-th state, so a flow keeps
+only the states its caller reads (``integrate_flow(..., every=n)``).
 The public :func:`rk4` is the reference those loops are tested against: a
 plain loop over any callable that shares no code with them.
 """
@@ -220,12 +220,13 @@ def rk4_loop(program: Program, key, emitter):
     emitter, writes: a generator of the state after every ``every``-th
     step, which must divide ``steps``, as straight-line code, generated on
     first use and kept with the program's kernels.  The first stage of the
-    first step calls ``rhs(s)``, the public field, which checks the state;
-    every other stage is the rates' code inline (:meth:`FlatState.stage`),
-    where a negated rate is held without its sign and subtracted.  The
-    tables' entries the stages read are read once per loop
-    (:func:`jets.table_locals`), and a local read once is folded into its
-    reader (:func:`_fold`).  Errors are
+    first step calls ``rhs(s)``, the public field, which checks the state,
+    before the loop; every other stage is the rates' code inline
+    (:meth:`FlatState.stage`), where a negated rate is held without its
+    sign and subtracted.  The tables' entries the stages read are read
+    once per loop (:func:`jets.table_locals`), the stages' work on them
+    alone runs once, after ``rhs(s)`` (:func:`_hoist`), and a local read
+    once is folded into its reader (:func:`_fold`).  Errors are
     :func:`rk4`'s, and ``every`` below 1 or not dividing ``steps`` raises
     ValueError.  After every step the state is finite when its sum times
     0.0 is 0.0; only where it is not, each component is tested, since a sum
@@ -245,9 +246,8 @@ def rk4_loop(program: Program, key, emitter):
     def at(c, rates):
         return [f"{s} {'-' if n else '+'} {c} * {d}" for s, n, d in zip(x, negated, rates)]
 
-    body = [
+    each_step = [
         "if k:", *(f"    {row}" for line in first for row in line.split("\n")),
-        "else:", f"    {unpack(r1)} = rhs(s)", *(f"    {a} = -{a}" for a, n in zip(r1, negated) if n),
         *stage(at("half", r1), r2)[0],
         *stage(at("half", r2), r3)[0],
         *stage(at("h", r3), r4)[0],
@@ -262,8 +262,12 @@ def rk4_loop(program: Program, key, emitter):
         f"    yield [{', '.join(x)}]",
     ]
     env = emit.env
-    rows, tables = table_locals(env, "\n".join(row for line in body for row in line.split("\n")))
-    rows = "".join(f"            {row}\n" for row in _fold(rows.split("\n")))
+    text, tables = table_locals(env, "\n".join(row for line in each_step for row in line.split("\n")))
+    hoisted, each_step = _hoist(text.split("\n"))
+    rows = _fold([
+        *tables, f"{unpack(r1)} = rhs(s)", *(f"{a} = -{a}" for a, n in zip(r1, negated) if n), *hoisted,
+        "for k in range(steps):", *(f"    {row}" for row in each_step),
+    ])
     env["FlowBlowupError"] = FlowBlowupError
     exec(
         f"def loop(s, b, t_final, steps, rhs, every=1):\n"
@@ -275,8 +279,7 @@ def rk4_loop(program: Program, key, emitter):
         f"    h = t_final / steps\n"
         f"    half, h6, k, due = 0.5 * h, h / 6.0, 0, every - 1\n"
         f"    try:\n"
-        + "".join(f"        {row}\n" for row in tables) +
-        f"        for k in range(steps):\n{rows}"
+        + "".join(f"        {row}\n" for row in rows) +
         f"    except OverflowError:\n"
         f"        raise FlowBlowupError((k + 1) * h) from None\n{emit.handlers}",
         env,
@@ -285,13 +288,36 @@ def rk4_loop(program: Program, key, emitter):
     return loop
 
 
-# a local the stages write, and one that assigns a sum, difference or
-# product of names and literals, with no power
+# a local the stages write, one's assignment, what reads only constants,
+# parameters, functions and pi (the loop's locals of them) or literals, and
+# an assignment of a sum, difference or product of names and literals
 _LOCAL = re.compile(r"\bv\d+\b")
+_ASSIGNMENT = re.compile(r"( *)(v\d+) = (.+)")
+_FIXED = re.compile(r"[KBF]\d+|PI|[\d.][\w.]*")
 _ARITHMETIC = re.compile(r"( *)(v\d+) = ((?:[\w.]+|[ +*()-])+)")
 # a folded expression holds fewer parentheses than this, so the nesting of
 # any line stays far below the parser's limit of 200
 _FOLD_PARENS = 64
+
+
+def _hoist(rows: list[str]) -> tuple[list[str], list[str]]:
+    """The assignments of the locals in ``rows`` that read only
+    :data:`_FIXED` names and one another, each written once, and the rows
+    without them, each such local read under its first assignment's name:
+    work that every stage repeats, which a loop runs once, before its
+    first step and after the public field's call, which ran the same work
+    without error."""
+    same: dict[str, str] = {}
+    first: dict[str, str] = {}
+    out = []
+    for row in rows:
+        row = _LOCAL.sub(lambda m: same.get(m[0], m[0]), row)
+        got = _ASSIGNMENT.fullmatch(row)
+        if got and all(_FIXED.fullmatch(w) or w in same for w in re.findall(r"[\w.]+", got[3])):
+            same[got[2]] = first.setdefault(got[3], got[2])
+        else:
+            out.append(row)
+    return [f"{name} = {rhs}" for rhs, name in first.items()], out
 
 
 def _fold(rows: list[str]) -> list[str]:

@@ -294,7 +294,9 @@ class _NodeEmitter(FloatEmitter):
         m = [self.local(f"{x} / det") for x in ("w2", "-u2", "-w1", "u1")]
         h = self.third.walk(self)
         values = []
-        for d in write_inverse(self, 3, (u, w), m):
+        # the third partials of the map that meet one of H's that is not 0
+        top = {i for (i, _), hj in zip(PARTIALS[3][3], h) if hj != "0.0"}
+        for d in write_inverse(self, 3, (u, w), m, top):
             acc = self.local("0.0")
             for j, (i, f) in enumerate(PARTIALS[3][3]):
                 if h[j] != "0.0":

@@ -299,11 +299,12 @@ class _NodeEmitter(FloatEmitter):
         for d in write_inverse(self, 3, (u, w), m, top):
             acc = self.local("0.0")
             for j, (i, f) in enumerate(PARTIALS[3][3]):
-                if h[j] != "0.0":
-                    left = self.local(f"{d[i]} * {f}")
-                    weight = math.comb(3, j)
-                    term = f"{f'{weight}.0 * ' if weight > 1 else ''}{left} * {h[j]}"
-                    self.lines.append(f"if {left} and {h[j]}:\n    {acc} = {acc} {'-+'[j % 2 == 0]} {term}")
+                if h[j] == "0.0":
+                    continue
+                left = self.local(f"{d[i]} * {f}")
+                # the weight C(3, j) (-1)^j is 1, -3, 3, -1
+                term = f"{'3.0 * ' if j in (1, 2) else ''}{left} * {h[j]}"
+                self.lines.append(f"if {left} and {h[j]}:\n    {acc} = {acc} {'-' if j % 2 else '+'} {term}")
             values.append(f"-{acc} / 24.0")
         body, reads = table_locals(self.env, "\n".join(self.lines))
         self.lines = [*reads, "fq, fp = [0.0], [0.0]", f"for ({', '.join(u)}), ({', '.join(w)}) in jets:",

@@ -161,7 +161,7 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
 @click.option("--quad-nodes", type=click.IntRange(1, 1024), default=QUAD_PANELS_PER_UNIT, show_default=True, help="Quadrature panels per unit time for the transport route.")
-@click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="Integrator steps per unit time.")
+@click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="Integrator steps per unit time, at most.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, quad_nodes, steps, fmt) -> None:
     """hbar^2 trajectory corrections by every available route.

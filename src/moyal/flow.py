@@ -242,18 +242,29 @@ def rk4_loop(program: Program, key, emitter):
         return ", ".join(names) + ","
 
     first, negated = stage(x, r1)
+    # a first-stage rate that is a state component, which the update reads
+    # before it writes that component, is read from the component, with no
+    # copy: in the first step too, whose rates from the public field have
+    # the same bits
+    copied = {}
+    for line in first:
+        got = re.fullmatch(r"a(\d+) = x(\d+)", line)
+        if got and int(got[2]) >= int(got[1]):
+            copied[f"a{got[1]}"] = f"x{got[2]}"
+    first = [line for line in first if line.partition(" = ")[0] not in copied]
+    read1 = [copied.get(a, a) for a in r1]
 
     def at(c, rates):
         return [f"{s} {'-' if n else '+'} {c} * {d}" for s, n, d in zip(x, negated, rates)]
 
     each_step = [
-        "if k:", *(f"    {row}" for line in first for row in line.split("\n")),
-        *stage(at("half", r1), r2)[0],
+        *(["if k:"] if first else []), *(f"    {row}" for line in first for row in line.split("\n")),
+        *stage(at("half", read1), r2)[0],
         *stage(at("half", r2), r3)[0],
         *stage(at("h", r3), r4)[0],
         *(f"{s} = {s} + h6 * (-{a} - 2.0 * {b} - 2.0 * {c} - {d})" if n else
           f"{s} = {s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
-          for s, n, a, b, c, d in zip(x, negated, r1, r2, r3, r4)),
+          for s, n, a, b, c, d in zip(x, negated, read1, r2, r3, r4)),
         f"if not ({' + '.join(x)}) * 0.0 == 0.0:",
         f"    if not {' + '.join(f'{s} * 0.0' for s in x)} == 0.0:",
         "        raise FlowBlowupError((k + 1) * h)",
@@ -265,7 +276,8 @@ def rk4_loop(program: Program, key, emitter):
     text, tables = table_locals(env, "\n".join(row for line in each_step for row in line.split("\n")))
     hoisted, each_step = _hoist(text.split("\n"))
     rows = _fold([
-        *tables, f"{unpack(r1)} = rhs(s)", *(f"{a} = -{a}" for a, n in zip(r1, negated) if n), *hoisted,
+        *tables, f"{unpack(['_' if a in copied else a for a in r1])} = rhs(s)",
+        *(f"{a} = -{a}" for a, n in zip(r1, negated) if n and a not in copied), *hoisted,
         "for k in range(steps):", *(f"    {row}" for row in each_step),
     ])
     env["FlowBlowupError"] = FlowBlowupError

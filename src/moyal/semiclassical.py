@@ -21,6 +21,10 @@ by order-2 jets, with one right-hand side generated per Hamiltonian: the
 jet field, H's partials and the drive, grouped by its symmetries and with
 the terms of H's partials that are 0 left out, written out as
 straight-line code; it keeps only its last state.
+Each route runs by Richardson's step doubling (:func:`_richardson`): at an
+eighth, a quarter, a half and all of its finest step count, stopping at the
+first level whose estimate is at most 1e-8 relative with the extrapolate,
+and giving its cap's own value, or error, where none is.
 Both run on the RK4 loops of ``flow.rk4_loop``, read the jets' partials
 through ``jets.PARTIALS`` and share H's table of partials; the formulas stay
 independent: the C1/C2 contraction of the map's first and second
@@ -210,6 +214,42 @@ def route_gap(x: float, y: float) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
+# a route stops at the first level whose Richardson estimate, in both
+# components, is at most this
+_RICHARDSON_TOL = 1e-8
+
+
+def _levels(top: int) -> list[int]:
+    """The step counts a route runs, coarse to fine: an eighth, a quarter
+    and a half of ``top``, those that are whole, then ``top``; each is an
+    exact doubling of the one before."""
+    return [top >> k for k in (3, 2, 1, 0) if top % (1 << k) == 0]
+
+
+def _richardson(run, cap: int, top: int | None = None) -> tuple[float, float]:
+    """A route's (Q2, P2) by Richardson's step doubling (Hairer, Norsett &
+    Wanner, *Solving ODEs I*, section II.4): ``run(n)`` at each of
+    :func:`_levels` of ``top`` (``cap`` by default), and at the first level
+    n where ``route_gap(a_{n/2}, a_n) / 15`` is at most ``_RICHARDSON_TOL``
+    in both components, the extrapolate a_n + (a_n - a_{n/2}) / 15.  An
+    error at a level other than ``cap`` counts as not met.  Where no level
+    meets it, the route's value or error is ``run(cap)``'s, the one it had
+    before the doubling."""
+    coarse = None
+    for n in _levels(top or cap):
+        try:
+            fine = run(n)
+        except (ArithmeticError, ValueError, FlowBlowupError):
+            if n == cap:
+                raise
+            coarse = None
+            continue
+        if coarse and max(map(route_gap, coarse, fine)) / 15.0 <= _RICHARDSON_TOL:
+            return tuple(b + (b - a) / 15.0 for a, b in zip(coarse, fine))
+        coarse = fine
+    return coarse if n == cap else run(cap)
+
+
 def hbar2_transport(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
@@ -230,26 +270,34 @@ def hbar2_transport(
     :func:`jets.invert`'s rule, into the map the bracket needs.  The work
     grows linearly with T.
     Boole's rule (Romberg's first step on Simpson's rule, panel count a
-    multiple of 4) assembles the integral.  Deterministic: panel counts
-    and step counts are derived, not adaptive.
+    multiple of 4) assembles the integral.  The panels are fixed by
+    ``quad_panels_per_unit``; ``steps_per_unit`` sets the finest count of
+    RK4 steps per panel, the cap, and :func:`_richardson` doubles the steps
+    per panel up to it.  Deterministic: step-doubling levels, not a
+    step-size controller.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
     panels = max(8, math.ceil(quad_panels_per_unit * t_final))
     panels += -panels % 4
-    steps = max(panels, math.ceil(steps_per_unit * t_final))
-    steps = ((steps + panels - 1) // panels) * panels
-    z_t = integrate_flow(ham, z0, t_final, steps, every=steps).states[-1]
-    # jets[k]: the duration -s map based at z(T), s = k * T / panels, and
-    # states[k] its value, the node z(T - s)
-    try:
-        back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3, every=steps // panels)
-    except FlowBlowupError as err:
-        # the backward pass's time -s is the user's time T - s
-        raise FlowBlowupError(t_final + err.time) from None
-    fq_vals, fp_vals = _transport_nodes(ham)(back.jets[1:], ham.params)
+    nodes = _transport_nodes(ham)
     h_node = t_final / panels
-    return Hbar2Result(q2=(_boole(fq_vals, h_node),), p2=(_boole(fp_vals, h_node),))
+
+    def run(per_panel: int) -> tuple[float, float]:
+        steps = per_panel * panels
+        z_t = integrate_flow(ham, z0, t_final, steps, every=steps).states[-1]
+        # jets[k]: the duration -s map based at z(T), s = k * T / panels, and
+        # states[k] its value, the node z(T - s)
+        try:
+            back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3, every=per_panel)
+        except FlowBlowupError as err:
+            # the backward pass's time -s is the user's time T - s
+            raise FlowBlowupError(t_final + err.time) from None
+        fq_vals, fp_vals = nodes(back.jets[1:], ham.params)
+        return _boole(fq_vals, h_node), _boole(fp_vals, h_node)
+
+    q2, p2 = _richardson(run, -(-max(panels, math.ceil(steps_per_unit * t_final)) // panels))
+    return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
 class _NodeEmitter(FloatEmitter):
@@ -429,7 +477,9 @@ class _Hbar2Emitter(FlowJets):
             if not c2.keys() & {b + c, b + c + 1}:
                 continue
             (yq, yp), (zq, zp) = d(1, b), d(1, c)
-            pp, pm, qq = map(self.local, (f"{yp} * {zp}", f"{yp} * {zq} + {yq} * {zp}", f"{yq} * {zq}"))
+            # a symmetric pair's mixed product is one product doubled
+            mixed = f"{yp} * {zq} + {yq} * {zp}" if b != c else f"2.0 * ({yp} * {zq})"
+            pp, pm, qq = map(self.local, (f"{yp} * {zp}", mixed, f"{yq} * {zq}"))
             for a in (0, 1):
                 if a + b + c in c2:
                     xqq, xqp, xpp = d(2, a)
@@ -475,19 +525,26 @@ def hbar2_ode(
     its rate is the Jacobian of the Hamiltonian vector field applied to
     the current correction plus the jet-driven inhomogeneity
     (:class:`_Hbar2Emitter`).  Starts from zero correction and the
-    identity jets, takes at least 32 RK4 steps and keeps only the last
-    state.
+    identity jets and keeps only the last state.  ``steps_per_unit`` sets
+    the finest RK4 step count, the cap, at least 32 and rounded up to a
+    multiple of 8 for the doublings of :func:`_richardson`, which run the
+    cap itself where they meet no estimate.
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
     rhs = partial(_hbar2_rates(ham), b=ham.params)
     loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter)
-    # the order-2 jets' six coefficients each, then the correction pair
-    state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
-    steps = max(_MIN_ODE_STEPS, round(steps_per_unit * t_final))
-    # only the last state is kept
-    (state,) = loop(state, ham.params, t_final, steps, rhs, steps)
-    return Hbar2Result(q2=(state[-2],), p2=(state[-1],))
+
+    def run(steps: int) -> tuple[float, float]:
+        # the order-2 jets' six coefficients each, then the correction pair;
+        # only the last state is kept
+        state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
+        (state,) = loop(state, ham.params, t_final, steps, rhs, steps)
+        return state[-2], state[-1]
+
+    cap = max(_MIN_ODE_STEPS, round(steps_per_unit * t_final))
+    q2, p2 = _richardson(run, cap, -(-cap // 8) * 8)
+    return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
 def hbar2_routes(

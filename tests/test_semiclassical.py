@@ -191,10 +191,116 @@ def test_hbar2_ode_at_time_zero_is_zero(squeeze_ham):
     assert (res.q2[0], res.p2[0]) == (0.0, 0.0)
 
 
-def test_hbar2_ode_default_steps_per_unit(squeeze_ham):
+def at_cap():
+    """The hbar^2 routes with no step doubling: each runs its cap alone."""
+    return mock.patch.object(moyal.semiclassical, "_richardson", lambda run, cap, top=None: run(cap))
+
+
+@pytest.fixture()
+def levels_run(monkeypatch):
+    """(cap, step counts run) of each route's step doubling, in call order."""
+    runs = []
+    chain = moyal.semiclassical._richardson
+
+    def recording(run, cap, top=None):
+        ran = []
+        runs.append((cap, ran))
+        return chain(lambda n: ran.append(n) or run(n), cap, top)
+
+    monkeypatch.setattr(moyal.semiclassical, "_richardson", recording)
+    return runs
+
+
+# the stiff input, the step over tan's pole and a correction that is
+# exactly 0, whose routes meet no Richardson estimate, with the bits of
+# (ode, transport) that each route gave before the step doubling
+CAP_BITS = {
+    ("p^2/2 + exp(10*q)", (1.0, 0.0), 1.0): [
+        ["-0x1.e588bcf6bd9bep-7", "-0x1.e675e8ab03be2p-7"], ["-0x1.c30a6ea72286cp-13", "-0x1.91fc9ebaece5ep-13"]],
+    ("p^2/2+tan(q)", (1.5, 2.0), 0.2): [
+        ["-0x1.e2cff93bae166p-1", "-0x1.7ed5c775e58bcp+1"], ["-0x1.e1a21b6b1d1bap-1", "-0x1.7f9d90d145d4bp+1"]],
+    ("(q+p)^4", (1.0, 1.0), 0.2): [
+        ["-0x1.6872b020c49c0p-61", "0x1.6872b020c49c0p-61"], ["0x1.e5309a811f898p-43", "-0x1.e3bed364adc26p-43"]],
+}
+
+
+def test_hbar2_ode_default_steps_per_unit(squeeze_ham, levels_run):
+    # steps_per_unit is the finest resolution a route may use: on an input
+    # that meets no estimate, the default runs up to 2000 steps per unit time
     default = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2)
     assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=2000) == default
     assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=500) != default
+    stiff = HamiltonianSpec(parse_expr("p^2/2 + exp(10*q)"))
+    levels_run.clear()
+    hbar2_ode(stiff, (1.0, 0.0), 1.0)
+    hbar2_ode(stiff, (1.0, 0.0), 1.0, steps_per_unit=500)
+    assert [ran[-1] for _cap, ran in levels_run] == [STEPS_PER_UNIT_TIME, 500]
+
+
+def test_the_levels_are_exact_doublings_ending_at_the_cap(levels_run):
+    levels = moyal.semiclassical._levels
+    assert levels(2000) == [250, 500, 1000, 2000] and levels(8) == [1, 2, 4, 8]
+    # only the whole fractions of the top level
+    assert levels(12) == [3, 6, 12] and levels(7) == [7]
+    stiff = HamiltonianSpec(parse_expr("p^2/2 + exp(10*q)"))
+    hbar2_ode(stiff, (1.0, 0.0), 1.0)
+    hbar2_transport(stiff, (1.0, 0.0), 1.0)
+    # the ode cap, 2000 steps; transport's 256 panels of 8 steps each
+    assert levels_run == [(2000, [250, 500, 1000, 2000]), (8, [1, 2, 4, 8])]
+    # an ode cap that is no multiple of 8 is rounded up for the doublings,
+    # and run itself where they meet no estimate
+    levels_run.clear()
+    hbar2_ode(stiff, (1.0, 0.0), 0.0995)
+    assert levels_run == [(199, [25, 50, 100, 200, 199])]
+
+
+@pytest.mark.parametrize("text, z0, t", sorted(CAP_BITS))
+def test_inputs_that_meet_no_estimate_keep_their_bits(text, z0, t, levels_run):
+    ham = HamiltonianSpec(parse_expr(text))
+    got = [[x.hex() for x in res.q2 + res.p2] for res in (hbar2_ode(ham, z0, t), hbar2_transport(ham, z0, t))]
+    assert got == CAP_BITS[text, z0, t]
+    assert all(ran[-1] == cap for cap, ran in levels_run)
+
+
+def test_a_coarse_level_error_does_not_escape(levels_run):
+    # q^16 from (2, 0): the two coarsest levels of both routes blow up; the
+    # stiff input from (1.5, 1): transport's 2 steps per panel give a jet
+    # whose linear part is singular
+    for text, z0 in (("p^2/2 + q^16", (2.0, 0.0)), ("p^2/2 + exp(10*q)", (1.5, 1.0))):
+        ham = HamiltonianSpec(parse_expr(text))
+        for route in (hbar2_ode, hbar2_transport):
+            with at_cap():
+                want = route(ham, z0, 0.1)
+            levels_run.clear()
+            got = route(ham, z0, 0.1)
+            ((cap, ran),) = levels_run
+            assert len(ran) > 2 and ran[-1] == cap
+            assert max(map(route_gap, got.q2 + got.p2, want.q2 + want.p2)) < 1e-6
+
+
+def test_at_the_cap_a_blowup_is_raised_at_its_time():
+    # every level blows up; the cap's error is the route's, at the time it
+    # had before the step doubling
+    ham = HamiltonianSpec(parse_expr("q^2*p"))
+    for route, time in ((hbar2_ode, "0x1.00624dd2f1aa0p+0"), (hbar2_transport, "0x1.0060000000000p+0")):
+        with pytest.raises(FlowBlowupError) as err:
+            route(ham, (1.0, 1.0), 2.0)
+        assert err.value.time.hex() == time
+
+
+def test_no_benchmark_route_reaches_its_cap(levels_run):
+    # each route of the five benchmark Hamiltonians meets an estimate by its
+    # top level, so it never runs the cap for want of one
+    for name, make in BENCH_HAMILTONIANS.items():
+        ham = make()
+        for z0, t in itertools.product(((0.9, -0.7), (-1.1, 0.6)), (0.1, 0.3, 0.5)):
+            for route in (hbar2_ode, hbar2_transport):
+                levels_run.clear()
+                got = route(ham, z0, t)
+                with at_cap():
+                    cap = route(ham, z0, t)
+                ((_cap, ran),) = levels_run
+                assert got != cap and ran == moyal.semiclassical._levels(ran[-1])[:len(ran)], (name, z0, t)
 
 
 @pytest.fixture()
@@ -375,7 +481,7 @@ def test_hbar2_transport_matches_per_node_reference(name):
         assert res.p2[0] == pytest.approx(_boole(fp_vals, h_node), rel=1e-9)
 
 
-def test_hbar2_transport_runs_one_jet_pass_per_call(monkeypatch):
+def test_hbar2_transport_runs_one_jet_pass_per_level(monkeypatch, levels_run):
     calls = []
 
     def counting(*args, **kwargs):
@@ -386,8 +492,10 @@ def test_hbar2_transport_runs_one_jet_pass_per_call(monkeypatch):
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
     for t in (0.5, 1.0, 2.0):
         calls.clear()
+        levels_run.clear()
         hbar2_transport(ham, (0.9, -0.7), t, steps_per_unit=500)
-        assert calls == [-t]
+        ((_cap, ran),) = levels_run
+        assert calls == [-t] * len(ran)
 
 
 # the symplectic matrix J on (q, p), and the slots 0 = q, 1 = p
@@ -623,14 +731,42 @@ def test_both_routes_agree_with_the_parent_formulas(terms, z0, t):
     ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
     transport = lambda: hbar2_transport(ham, z0, t, quad_panels_per_unit=16, steps_per_unit=200)
     sweep_nodes = lambda ham: partial(reference_nodes, ham, inverse=reference_invert)
-    with mock.patch.object(moyal.semiclassical, "_transport_nodes", sweep_nodes):
+    # each route at its cap, the parent formulas' step counts
+    with at_cap(), mock.patch.object(moyal.semiclassical, "_transport_nodes", sweep_nodes):
         want = [route_values(lambda: parent_ode(ham, z0, t, 200)), route_values(transport)]
-    got = [route_values(lambda: hbar2_ode(ham, z0, t, steps_per_unit=200)), route_values(transport)]
+    with at_cap():
+        got = [route_values(lambda: hbar2_ode(ham, z0, t, steps_per_unit=200)), route_values(transport)]
     for x, y in zip(got, want):
         if type(y[0]) is type:  # both refuse the flow alike
             assert x == y
         else:
             assert max(abs(u - v) for u, v in zip(x, y)) <= 1e-12 * max(map(abs, y))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    terms=polynomial_terms,
+    z0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    t=st.floats(0.01, 0.5),
+)
+def test_an_ode_route_that_stops_below_its_cap_is_within_its_tolerance(terms, z0, t):
+    # the ode route's value where it meets an estimate below its cap,
+    # against the route at 16 times the cap run alone
+    ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
+    runs = []
+    chain = moyal.semiclassical._richardson
+
+    def recording(run, cap, top=None):
+        return chain(lambda n: runs.append(n) or run(n), cap, top)
+
+    with mock.patch.object(moyal.semiclassical, "_richardson", recording):
+        got = route_values(lambda: hbar2_ode(ham, z0, t))
+    cap = max(moyal.semiclassical._MIN_ODE_STEPS, round(STEPS_PER_UNIT_TIME * t))
+    if type(got[0]) is type or cap in runs:
+        return
+    with at_cap():
+        want = route_values(lambda: hbar2_ode(ham, z0, t, steps_per_unit=16 * cap / t))
+    assert max(map(route_gap, got, want)) <= 1e-8
 
 
 # the modules whose code calls exec: the emitters' kernels (expr, which the

@@ -35,7 +35,6 @@ from .poly import (
 )
 from .semiclassical import (
     MAX_LADDER_DEPTH,
-    QUAD_PANELS_PER_UNIT,
     divergence_order,
     hbar2_ode,
     hbar2_routes,
@@ -160,10 +159,9 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
-@click.option("--quad-nodes", type=click.IntRange(1, 1024), default=QUAD_PANELS_PER_UNIT, show_default=True, help="Quadrature panels per unit time for the transport route.")
 @click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="Integrator steps per unit time, at most.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, quad_nodes, steps, fmt) -> None:
+def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, steps, fmt) -> None:
     """hbar^2 trajectory corrections by every available route.
 
     Runs the correction ODE and the transport quadrature at each sampled
@@ -183,7 +181,7 @@ def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, 
     }
     ham = HamiltonianSpec(expr, params)
     times = _time_grid(t0, t1, t_steps)
-    routes, _, refusal = hbar2_routes(ham, (q0, p0), times, quad_panels_per_unit=quad_nodes, steps_per_unit=steps)
+    routes, _, refusal = hbar2_routes(ham, (q0, p0), times, steps_per_unit=steps)
     rows = [(method, t, *pair) for t, *pairs in routes for method, pair in zip(("ode", "transport"), pairs)]
     try:
         h_poly = parse_poly(ham_text)

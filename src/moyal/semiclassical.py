@@ -21,10 +21,12 @@ by order-2 jets, with one right-hand side generated per Hamiltonian: the
 jet field, H's partials and the drive, grouped by its symmetries and with
 the terms of H's partials that are 0 left out, written out as
 straight-line code; it keeps only its last state.
-Each route runs by Richardson's step doubling (:func:`_richardson`): at an
-eighth, a quarter, a half and all of its finest step count, stopping at the
-first level whose estimate is at most 1e-8 relative with the extrapolate,
-and giving its cap's own value, or error, where none is.
+Each route runs on a two-column Richardson table (:func:`_richardson`): at
+exact doublings from a 64th of its finest step count, stopping at the first
+level whose estimate of the first extrapolate's error, over the correction
+and z(T), is at most 1e-8 relative, with the second extrapolate, and giving
+its top level's own value, or error, where none is.  Transport's quadrature
+nodes are its RK4 steps, so the table refines both at once.
 Both run on the RK4 loops of ``flow.rk4_loop``, read the jets' partials
 through ``jets.PARTIALS`` and share H's table of partials; the formulas stay
 independent: the C1/C2 contraction of the map's first and second
@@ -66,7 +68,6 @@ from .poly import (
 
 __all__ = [
     "MAX_LADDER_DEPTH",
-    "QUAD_PANELS_PER_UNIT",
     "HierarchyLadders",
     "iterated_brackets",
     "TimeTaylorFlow",
@@ -86,8 +87,6 @@ __all__ = [
 
 # bracket ladders are built to at most this depth
 MAX_LADDER_DEPTH = 10
-# default quadrature panels per unit time of the transport route
-QUAD_PANELS_PER_UNIT = 256
 
 _SEEDS = {"q": Q, "p": P}
 
@@ -214,47 +213,50 @@ def route_gap(x: float, y: float) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-# a route stops at the first level whose Richardson estimate, in both
-# components, is at most this
+# a route stops at the first level whose Richardson estimate of its first
+# extrapolate, in every component, is at most this
 _RICHARDSON_TOL = 1e-8
 
 
 def _levels(top: int) -> list[int]:
-    """The step counts a route runs, coarse to fine: an eighth, a quarter
-    and a half of ``top``, those that are whole, then ``top``; each is an
-    exact doubling of the one before."""
-    return [top >> k for k in (3, 2, 1, 0) if top % (1 << k) == 0]
+    """The step counts a route runs, coarse to fine: ``top`` / 64, then each
+    exact doubling up to ``top``, a multiple of 64."""
+    return [top >> k for k in range(6, -1, -1)]
 
 
-def _richardson(run, cap: int, top: int | None = None) -> tuple[float, float]:
-    """A route's (Q2, P2) by Richardson's step doubling (Hairer, Norsett &
-    Wanner, *Solving ODEs I*, section II.4): ``run(n)`` at each of
-    :func:`_levels` of ``top`` (``cap`` by default), and at the first level
-    n where ``route_gap(a_{n/2}, a_n) / 15`` is at most ``_RICHARDSON_TOL``
-    in both components, the extrapolate a_n + (a_n - a_{n/2}) / 15.  An
-    error at a level other than ``cap`` counts as not met.  Where no level
-    meets it, the route's value or error is ``run(cap)``'s, the one it had
-    before the doubling."""
-    coarse = None
-    for n in _levels(top or cap):
+def _richardson(run, steps: int, unit: int = 64) -> tuple[float, float]:
+    """A route's (Q2, P2) by a two-column Richardson table on RK4's h^4,
+    h^5, ... error expansion (Hairer, Norsett & Wanner, *Solving ODEs I*,
+    section II.4).  ``run(n)`` gives (Q2, P2, q(T), p(T)) at n steps, for
+    each of :func:`_levels` of the top: ``steps`` rounded up to a multiple
+    of ``unit``, itself a multiple of 64.  With R1(n) = a_n + (a_n -
+    a_{n/2}) / 15, the route stops at the first level n where
+    ``route_gap(R1(n/2), R1(n)) / 31``, the estimate of R1's error, is at
+    most ``_RICHARDSON_TOL`` in all four components, and returns R2 =
+    R1(n) + (R1(n) - R1(n/2)) / 31.  An error below the top counts as not
+    met; where no level meets it, the route gives the top's own value or
+    error."""
+    levels = _levels(max(1, -(-steps // unit)) * unit)
+    a = r1 = None
+    for n in levels:
         try:
             fine = run(n)
         except (ArithmeticError, ValueError, FlowBlowupError):
-            if n == cap:
+            if n == levels[-1]:
                 raise
-            coarse = None
+            a = r1 = None
             continue
-        if coarse and max(map(route_gap, coarse, fine)) / 15.0 <= _RICHARDSON_TOL:
-            return tuple(b + (b - a) / 15.0 for a, b in zip(coarse, fine))
-        coarse = fine
-    return coarse if n == cap else run(cap)
+        r = a and [y + (y - x) / 15.0 for x, y in zip(a, fine)]
+        if r1 and max(map(route_gap, r1, r)) / 31.0 <= _RICHARDSON_TOL:
+            return tuple(y + (y - x) / 31.0 for x, y in zip(r1[:2], r[:2]))
+        a, r1 = fine, r
+    return fine[:2]
 
 
 def hbar2_transport(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
     t_final: float,
-    quad_panels_per_unit: int = QUAD_PANELS_PER_UNIT,
     steps_per_unit: int = STEPS_PER_UNIT_TIME,
 ) -> Hbar2Result:
     """hbar^2 correction at time T = t_final > 0 by quadrature along the
@@ -265,38 +267,35 @@ def hbar2_transport(
     point z(T - s).  The flow is a group, so that map, based at z(T - s),
     is the inverse of the duration -s map based at z(T).  One scalar pass
     gives z(T), the one state it keeps; one backward pass of order-3 jets
-    from z(T) gives the duration -s maps at every node, the only jets it
-    keeps, and the node loop (:class:`_NodeEmitter`) inverts each, by
-    :func:`jets.invert`'s rule, into the map the bracket needs.  The work
-    grows linearly with T.
-    Boole's rule (Romberg's first step on Simpson's rule, panel count a
-    multiple of 4) assembles the integral.  The panels are fixed by
-    ``quad_panels_per_unit``; ``steps_per_unit`` sets the finest count of
-    RK4 steps per panel, the cap, and :func:`_richardson` doubles the steps
-    per panel up to it.  Deterministic: step-doubling levels, not a
-    step-size controller.
+    from z(T) gives the duration -s maps at every RK4 step, each a
+    quadrature node, and the node loop (:class:`_NodeEmitter`) inverts
+    each, by :func:`jets.invert`'s rule, into the map the bracket needs.
+    The work grows linearly with T.
+    Boole's rule (Romberg's first step on Simpson's rule) assembles the
+    integral on the steps, so the step count is a multiple of 4 and the
+    step doublings of :func:`_richardson` refine the quadrature with the
+    flow: its estimate covers both errors.  ``steps_per_unit`` sets the
+    finest step count, rounded up to a multiple of 256, so that the
+    coarsest level is one Boole panel of 4 nodes or more.  Deterministic:
+    step-doubling levels, not a step-size controller.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
-    panels = max(8, math.ceil(quad_panels_per_unit * t_final))
-    panels += -panels % 4
     nodes = _transport_nodes(ham)
-    h_node = t_final / panels
 
-    def run(per_panel: int) -> tuple[float, float]:
-        steps = per_panel * panels
+    def run(steps: int) -> tuple[float, ...]:
         z_t = integrate_flow(ham, z0, t_final, steps, every=steps).states[-1]
-        # jets[k]: the duration -s map based at z(T), s = k * T / panels, and
+        # jets[k]: the duration -s map based at z(T), s = k * T / steps, and
         # states[k] its value, the node z(T - s)
         try:
-            back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3, every=per_panel)
+            back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3)
         except FlowBlowupError as err:
             # the backward pass's time -s is the user's time T - s
             raise FlowBlowupError(t_final + err.time) from None
         fq_vals, fp_vals = nodes(back.jets[1:], ham.params)
-        return _boole(fq_vals, h_node), _boole(fp_vals, h_node)
+        return _boole(fq_vals, t_final / steps), _boole(fp_vals, t_final / steps), *z_t
 
-    q2, p2 = _richardson(run, -(-max(panels, math.ceil(steps_per_unit * t_final)) // panels))
+    q2, p2 = _richardson(run, round(steps_per_unit * t_final), 256)
     return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
@@ -368,7 +367,7 @@ def _transport_nodes(ham: HamiltonianSpec):
 
 
 def _boole(values: list[float], h: float) -> float:
-    """Boole's rule on an even node spacing h (panel count a multiple of 4),
+    """Boole's rule on an even node spacing h (interval count a multiple of 4),
     written as Simpson's rule S_n extrapolated against S_n/2 on every
     second node: S_n + (S_n - S_n/2) / 15."""
 
@@ -381,11 +380,6 @@ def _boole(values: list[float], h: float) -> float:
 
     s_n = simpson(values, h)
     return s_n + (s_n - simpson(values[::2], 2.0 * h)) / 15.0
-
-
-# the ode route's RK4 steps at least this many times, whatever t_final: a
-# correction that starts at t^5 is below the error of fewer steps
-_MIN_ODE_STEPS = 32
 
 
 class _Hbar2Emitter(FlowJets):
@@ -526,24 +520,22 @@ def hbar2_ode(
     the current correction plus the jet-driven inhomogeneity
     (:class:`_Hbar2Emitter`).  Starts from zero correction and the
     identity jets and keeps only the last state.  ``steps_per_unit`` sets
-    the finest RK4 step count, the cap, at least 32 and rounded up to a
-    multiple of 8 for the doublings of :func:`_richardson`, which run the
-    cap itself where they meet no estimate.
+    the finest RK4 step count, rounded up to a multiple of 64 for the
+    doublings of :func:`_richardson`.
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
     rhs = partial(_hbar2_rates(ham), b=ham.params)
     loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter)
 
-    def run(steps: int) -> tuple[float, float]:
+    def run(steps: int) -> tuple[float, ...]:
         # the order-2 jets' six coefficients each, then the correction pair;
-        # only the last state is kept
+        # only the last state is kept, and read with z(T), its jets' values
         state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
         (state,) = loop(state, ham.params, t_final, steps, rhs, steps)
-        return state[-2], state[-1]
+        return state[-2], state[-1], state[0], state[6]
 
-    cap = max(_MIN_ODE_STEPS, round(steps_per_unit * t_final))
-    q2, p2 = _richardson(run, cap, -(-cap // 8) * 8)
+    q2, p2 = _richardson(run, round(steps_per_unit * t_final))
     return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
@@ -551,7 +543,6 @@ def hbar2_routes(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
     times: list[float],
-    quad_panels_per_unit: int = QUAD_PANELS_PER_UNIT,
     steps_per_unit: int = STEPS_PER_UNIT_TIME,
 ) -> tuple[list[tuple[float, tuple[float, float], tuple[float, float]]], float, str | None]:
     """Both hbar^2 routes at each of ``times`` and their verdict: the rows
@@ -568,7 +559,7 @@ def hbar2_routes(
     for t in times:
         if t not in runs:
             ode = hbar2_ode(ham, z0, t, steps_per_unit)
-            tra = hbar2_transport(ham, z0, t, quad_panels_per_unit, steps_per_unit)
+            tra = hbar2_transport(ham, z0, t, steps_per_unit)
             runs[t] = (ode.q2[0], ode.p2[0]), (tra.q2[0], tra.p2[0])
         by_ode, by_transport = runs[t]
         rows.append((t, by_ode, by_transport))

@@ -116,7 +116,7 @@ def test_numeric_commands_exit_0_or_2(text, q0, p0, m):
     for args in (
         # a bound m reaches the jet runs as a float parameter
         ["hierarchy", "--hamiltonian", text, *point, "--m", repr(m), "--t0", "0.05",
-         "--t1", "0.05", "--t-steps", "1", "--steps", "200", "--quad-nodes", "8", "--depth", "1"],
+         "--t1", "0.05", "--t-steps", "1", "--steps", "200", "--depth", "1"],
         ["example2", "--hamiltonian", text, *point, "--t1", "0.05", "--depth", "1"],
     ):
         res = CliRunner().invoke(main, args)

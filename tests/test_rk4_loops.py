@@ -61,10 +61,10 @@ def loops_and_oracles(ham, z0, t, steps):
             lambda state=state: oracle(ham.field_jets, state, t, steps),
         )
     if t > 0:
-        # steps_per_unit = steps / t gives the ode route a cap of `steps`
-        # steps, at least _MIN_ODE_STEPS, which it runs alone at_cap
+        # steps_per_unit = steps / t gives the ode route a top of `steps`
+        # steps rounded up to a multiple of 64, which it runs alone at_cap
         rates = partial(moyal.semiclassical._hbar2_rates(ham), b=ham.params)
-        ode_steps = max(moyal.semiclassical._MIN_ODE_STEPS, steps)
+        ode_steps = -(-steps // 64) * 64
 
         def pair():
             with at_cap():

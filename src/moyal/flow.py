@@ -384,17 +384,18 @@ def integrate_flow_jets(
     steps: int | None = None,
     order: int = 1,
     every: int = 1,
+    start: tuple[list[float], list[float]] | None = None,
 ) -> Trajectory:
     """Same flow with the state widened to jets of the given order.
 
-    The initial jets are the identity map's: unit first derivatives,
-    nothing higher.  RK4 steps both jets' coefficients as one list; the
-    first stage calls ``ham.field_jets``.  ``every`` and the errors are
-    :func:`integrate_flow`'s.
+    The initial jets are the identity map's (unit first derivatives,
+    nothing higher) or ``start``, a map's with value z0, carried on.  RK4
+    steps both jets' coefficients as one list; the first stage calls
+    ``ham.field_jets``.  ``every`` and the errors are :func:`integrate_flow`'s.
     """
     if steps is None:
         steps = default_steps(t_final)
-    jq, jp = seed(z0[0], 0, order), seed(z0[1], 1, order)
+    jq, jp = start or (seed(z0[0], 0, order), seed(z0[1], 1, order))
     n = len(jq)
     loop = rk4_loop(ham._field, (order, "flat"), FlowJets)
     jets = [(jq, jp)] + [(s[:n], s[n:]) for s in loop(jq + jp, ham.params, t_final, steps, ham.field_jets, every)]

@@ -13,7 +13,7 @@ z(T - s)) is the inverse of the duration -s map based at z(T): one
 backward pass of order-3 jets from z(T) holds every node's map, and a
 truncated jet inversion per node, order by order (``jets.invert``'s rule),
 turns it around, so the work grows linearly with T.  It keeps z(T) alone of
-its scalar pass and the nodes' jets alone of its backward pass, and one
+its scalar pass and the nodes' values alone of its backward pass, and one
 loop generated per Hamiltonian runs every node's inversion, H's third
 partials and the bracket as straight-line code.  The ode route
 propagates the correction through a linear inhomogeneous equation driven
@@ -216,6 +216,8 @@ def route_gap(x: float, y: float) -> float:
 # a route stops at the first level whose Richardson estimate of its first
 # extrapolate, in every component, is at most this
 _RICHARDSON_TOL = 1e-8
+# steps per chunk of transport's backward pass, at most: a power of 2
+_CHUNK = 4096
 
 
 def _levels(top: int) -> list[int]:
@@ -270,14 +272,14 @@ def hbar2_transport(
     from z(T) gives the duration -s maps at every RK4 step, each a
     quadrature node, and the node loop (:class:`_NodeEmitter`) inverts
     each, by :func:`jets.invert`'s rule, into the map the bracket needs.
-    The work grows linearly with T.
-    Boole's rule (Romberg's first step on Simpson's rule) assembles the
-    integral on the steps, so the step count is a multiple of 4 and the
-    step doublings of :func:`_richardson` refine the quadrature with the
-    flow: its estimate covers both errors.  ``steps_per_unit`` sets the
-    finest step count, rounded up to a multiple of 256, so that the
-    coarsest level is one Boole panel of 4 nodes or more.  Deterministic:
-    step-doubling levels, not a step-size controller.
+    The work grows linearly with T, and the jets held, a chunk of the pass
+    (``_CHUNK``), do not.  Boole's rule (Romberg's first step on Simpson's
+    rule) assembles the integral on the steps, so the step count is a
+    multiple of 4 and the step doublings of :func:`_richardson` refine the
+    quadrature with the flow: its estimate covers both errors.
+    ``steps_per_unit`` sets the finest step count, rounded up to a multiple
+    of 256, so that the coarsest level is one Boole panel of 4 nodes or
+    more.  Deterministic: step-doubling levels, not a step-size controller.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
@@ -285,15 +287,23 @@ def hbar2_transport(
 
     def run(steps: int) -> tuple[float, ...]:
         z_t = integrate_flow(ham, z0, t_final, steps, every=steps).states[-1]
-        # jets[k]: the duration -s map based at z(T), s = k * T / steps, and
-        # states[k] its value, the node z(T - s)
-        try:
-            back = integrate_flow_jets(ham, z_t, -t_final, steps, order=3)
-        except FlowBlowupError as err:
-            # the backward pass's time -s is the user's time T - s
-            raise FlowBlowupError(t_final + err.time) from None
-        fq_vals, fp_vals = nodes(back.jets[1:], ham.params)
-        return _boole(fq_vals, t_final / steps), _boole(fp_vals, t_final / steps), *z_t
+        # the backward pass from z(T), in chunks that carry on each other's
+        # jets (a power of 2 of steps if more than one, so the step is the
+        # whole pass's, bit for bit); jets[k]: the duration -s map based at
+        # z(T), s = k * T / steps, and states[k] its value, the node z(T - s)
+        chunk = steps if steps <= _CHUNK else math.gcd(steps, _CHUNK)
+        h = -t_final / steps
+        vals, z, jets = ([0.0], [0.0]), z_t, None
+        for k in range(0, steps, chunk):
+            try:
+                back = integrate_flow_jets(ham, z, chunk * h if chunk < steps else -t_final, chunk, 3, start=jets)
+            except FlowBlowupError as err:
+                # the backward pass's time -s is the user's time T - s
+                raise FlowBlowupError(t_final + k * h + err.time) from None
+            for f, got in zip(vals, nodes(back.jets[1:], ham.params)):
+                f += got[1:]
+            z, jets = back.states[-1], back.jets[-1]
+        return _boole(vals[0], t_final / steps), _boole(vals[1], t_final / steps), *z_t
 
     q2, p2 = _richardson(run, round(steps_per_unit * t_final), 256)
     return Hbar2Result(q2=(q2,), p2=(p2,))

@@ -11,7 +11,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expr_walk import outcome, reference_invert
@@ -539,6 +539,42 @@ def test_hbar2_transport_runs_one_jet_pass_per_level(monkeypatch, levels_run):
         assert calls == [-t] * len(ran)
 
 
+def test_hbar2_transport_runs_a_long_pass_in_chunks_bit_for_bit(monkeypatch):
+    # a pass longer than _CHUNK steps runs in chunks of a power of 2 steps,
+    # each carrying on the last one's jets: none holds more than _CHUNK
+    # after its start, and the value is the one pass's, bit for bit
+    ham = BENCH_HAMILTONIANS["cubic"]()
+    with at_cap():  # 768 steps, 3 times 256
+        whole = hbar2_transport(ham, (0.9, -0.7), 0.3)
+    held = []
+
+    def counting(*args, **kwargs):
+        traj = integrate_flow_jets(*args, **kwargs)
+        held.append(len(traj.jets))
+        return traj
+
+    monkeypatch.setattr(moyal.semiclassical, "integrate_flow_jets", counting)
+    monkeypatch.setattr(moyal.semiclassical, "_CHUNK", 64)
+    with at_cap():
+        assert hbar2_transport(ham, (0.9, -0.7), 0.3) == whole
+    assert held == [1 + 64] * 12
+
+
+def test_hbar2_transport_names_the_time_a_chunk_blows_up_at(monkeypatch):
+    # a blow-up in a later chunk of the backward pass is named at the
+    # user's time T - s, counting the chunks before it
+    def failing(ham, z, t, steps, order, start=None):
+        if start is not None:
+            raise FlowBlowupError(5 * t / steps)
+        return integrate_flow_jets(ham, z, t, steps, order)
+
+    monkeypatch.setattr(moyal.semiclassical, "integrate_flow_jets", failing)
+    monkeypatch.setattr(moyal.semiclassical, "_CHUNK", 256)
+    with at_cap(), pytest.raises(FlowBlowupError) as err:
+        hbar2_transport(BENCH_HAMILTONIANS["cubic"](), (0.9, -0.7), 0.3)
+    assert err.value.time == pytest.approx(0.3 - 261 * 0.3 / 768)
+
+
 # the symplectic matrix J on (q, p), and the slots 0 = q, 1 = p
 J = ((0, 1), (-1, 0))
 SLOTS = (0, 1)
@@ -784,18 +820,28 @@ def test_both_routes_agree_with_the_parent_formulas(terms, z0, t):
             assert max(abs(u - v) for u, v in zip(x, y)) <= 1e-12 * max(map(abs, y))
 
 
+# the round-off of a component far below the other, relative to the larger
+# of Q2 and P2: on the examples below Q2 is 8e-9 to 3e-5 of P2, a route's
+# value where it stops is 2.6e-8 to 3.1e-8 of Q2 from the reference, 2e-16
+# to 1e-12 of P2, and transport's own values at 4,096 to 32,768 steps spread
+# by up to 1.2e-11 of P2; a bound of 1e-8 of the component alone is below
+# what floats resolve there, so each is also met within ten times that spread
+ROUND_OFF_FLOOR = 1e-10
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     terms=polynomial_terms,
     z0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     t=st.floats(0.01, 0.5),
 )
+@example(terms=[(2, 2, 1)], z0=(0.0, 0.03125), t=0.0625)
+@example(terms=[(4, 1, 1)], z0=(0.0, 1.0), t=0.25)
+@example(terms=[(5, 1, 1)], z0=(0.0, -0.545), t=0.4746)
 def test_a_route_that_stops_below_its_top_is_within_1e_8_of_the_route_at_16_times_the_top(terms, z0, t):
     # each route's value where it meets an estimate below its top, against
-    # the ode route at 16 times the top run alone, in each component where
-    # that reference is within 1e-8 of transport's at 16 times the top: a
-    # component far below the other (Q2 is 1e-8 of P2 on q^2 p^2 / 4 from
-    # (0, 1/32) at t = 1/16) is bound by rounding there, and no run tells
+    # the ode route at 16 times the top run alone, in every component:
+    # within 1e-8 of it, or within ROUND_OFF_FLOOR of the pair
     ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
     table = moyal.semiclassical._richardson
     fine = None
@@ -808,13 +854,12 @@ def test_a_route_that_stops_below_its_top_is_within_1e_8_of_the_route_at_16_time
             continue
         if not fine:
             with at_cap():
-                fine = [route_values(lambda: r(ham, z0, t, steps_per_unit=16 * 64 * ran[0] / t))
-                        for r in (hbar2_ode, hbar2_transport)]
+                fine = route_values(lambda: hbar2_ode(ham, z0, t, steps_per_unit=16 * 64 * ran[0] / t))
             # a flow that a coarser run carried through is carried at 16 times the top
-            assert all(type(f[0]) is not type for f in fine), fine
-        for x, want, other in zip(got, *fine):
-            if route_gap(want, other) <= 1e-8:
-                assert route_gap(x, want) <= 1e-8, (route, got, fine)
+            assert type(fine[0]) is not type, fine
+        floor = ROUND_OFF_FLOOR * max(map(abs, fine))
+        for x, want in zip(got, fine):
+            assert route_gap(x, want) <= 1e-8 or abs(x - want) <= floor, (route, got, fine)
 
 
 # the modules whose code calls exec: the emitters' kernels (expr, which the

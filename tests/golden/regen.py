@@ -1,11 +1,14 @@
 """Rewrite every golden file that ``tests/test_golden.py`` reads, from that
-module's own commands and records, and print each file's largest relative
-move of any float.
+module's own commands and records, and the fine reference of the hbar^2
+routes that ``tests/test_semiclassical.py`` reads, and print each file's
+largest relative move of any float.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [NAME ...]
 
-A text file gets its command's output again; a JSON file keeps its records'
-inputs and layout and gets their outcomes again.  A file whose numbers can
+NAME limits the run to those files.  A text file gets its command's output
+again; a JSON file keeps its records' inputs and layout and gets their
+outcomes again.  ``fine_reference.json`` is not written when its check
+fails (``test_semiclassical.fine_reference_records``).  A file whose numbers can
 no longer be paired one to one with the old ones (a line or a record came or
 went) is reported as such.  The tests stay the check: read the diff, then
 run them.
@@ -19,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import test_golden  # noqa: E402
+import test_semiclassical  # noqa: E402
 
 from moyal.semiclassical import route_gap  # noqa: E402
 
@@ -48,21 +52,30 @@ def _dump(old: str, content: dict) -> str:
     return f'{head}"records": [\n{records}\n]}}\n'
 
 
+# each JSON golden file and the function that computes its content again
+JSON_FILES = {**test_golden.JSON_FILES, "fine_reference.json": test_semiclassical.fine_reference_records}
+
+
 def regenerated(name: str) -> tuple[int, str]:
     """The exit code and the content made again of the golden file ``name``:
     a text file's command's, or a JSON file's records' (exit code 0)."""
     if name in test_golden.COMMANDS:
         return test_golden.command_output(name)
     old = (test_golden.GOLDEN / name).read_text()
-    return 0, _dump(old, test_golden.JSON_FILES[name](json.loads(old)))
+    return 0, _dump(old, JSON_FILES[name](json.loads(old)))
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     status = 0
-    for name in sorted([*test_golden.COMMANDS, *test_golden.JSON_FILES]):
+    for name in names or sorted([*test_golden.COMMANDS, *JSON_FILES]):
         path = test_golden.GOLDEN / name
         old = path.read_text()
-        code, new = regenerated(name)
+        try:
+            code, new = regenerated(name)
+        except ValueError as err:
+            print(f"{name}: {err}, not rewritten")
+            status = 1
+            continue
         if code != 0:
             print(f"{name}: exit code {code}, not rewritten")
             status = 1
@@ -79,4 +92,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

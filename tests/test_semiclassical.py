@@ -2,12 +2,14 @@ import functools
 import importlib
 import inspect
 import itertools
+import json
 import math
 import operator
 import pkgutil
 import random
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -334,17 +336,42 @@ def test_no_benchmark_route_reaches_its_cap(levels_run):
                 assert 3 <= len(ran) < 7, (name, z0, t)
 
 
+FINE_REFERENCE = Path(__file__).parent / "golden" / "fine_reference.json"
+# the fine reference's step count over [0, T], and the largest gap between
+# the two routes there at which it is written
+FINE_STEPS = 32000
+FINE_AGREEMENT = 1e-10
+
+
+def fine_reference_records(golden):
+    """``fine_reference.json``'s content with each record's (Q2, P2) as
+    float.hex computed again: the ode route at FINE_STEPS steps run alone.
+    Raises ValueError unless transport at the same steps is within
+    FINE_AGREEMENT of it in every component."""
+    records, gaps = [], []
+    for rec in golden["records"]:
+        ham, z0, t = BENCH_HAMILTONIANS[rec["hamiltonian"]](), tuple(rec["z0"]), rec["t"]
+        with at_cap():
+            ode, transport = [route(ham, z0, t, steps_per_unit=FINE_STEPS / t) for route in (hbar2_ode, hbar2_transport)]
+        gaps.append(max(map(route_gap, ode.q2 + ode.p2, transport.q2 + transport.p2)))
+        records.append({**rec, "q2": ode.q2[0].hex(), "p2": ode.p2[0].hex()})
+    if max(gaps) > FINE_AGREEMENT:
+        raise ValueError(f"transport is {max(gaps):.2g} from the ode route, over {FINE_AGREEMENT:g}")
+    return {**golden, "records": records}
+
+
 def test_both_routes_are_within_1e_8_of_a_fine_reference():
     # the benchmark's Hamiltonians and times: each value of both routes
-    # against the ode route at 32,000 steps run alone
-    for name, make in BENCH_HAMILTONIANS.items():
-        ham = make()
-        for z0, t in itertools.product(((0.9, -0.7), (-1.1, 0.6)), (0.1, 0.3, 0.5)):
-            with at_cap():
-                want = hbar2_ode(ham, z0, t, steps_per_unit=32000 / t)
-            for route in (hbar2_ode, hbar2_transport):
-                got = route(ham, z0, t)
-                assert max(map(route_gap, got.q2 + got.p2, want.q2 + want.p2)) <= 1e-8, (name, z0, t, route)
+    # against the frozen ode route at 32,000 steps (fine_reference_records)
+    records = json.loads(FINE_REFERENCE.read_text())["records"]
+    cases = itertools.product(BENCH_HAMILTONIANS, ((0.9, -0.7), (-1.1, 0.6)), (0.1, 0.3, 0.5))
+    assert [(rec["hamiltonian"], tuple(rec["z0"]), rec["t"]) for rec in records] == list(cases)
+    for rec in records:
+        name, z0, t = rec["hamiltonian"], tuple(rec["z0"]), rec["t"]
+        ham, want = BENCH_HAMILTONIANS[name](), [float.fromhex(rec[k]) for k in ("q2", "p2")]
+        for route in (hbar2_ode, hbar2_transport):
+            got = route(ham, z0, t)
+            assert max(map(route_gap, got.q2 + got.p2, want)) <= 1e-8, (name, z0, t, route)
 
 
 @pytest.fixture()

@@ -26,12 +26,13 @@ exact doublings from a 64th of its finest step count, stopping at the first
 level whose estimate of the first extrapolate's error, over the correction
 and z(T), is at most 1e-8 relative, with the second extrapolate, and giving
 its top level's own value, or error, where none is.  Transport's quadrature
-nodes are its RK4 steps, so the table refines both at once.
+nodes are its RK4 steps, so the table refines and extrapolates both at
+once.
 Both run on the RK4 loops of ``flow.rk4_loop``, read the jets' partials
 through ``jets.PARTIALS`` and share H's table of partials; the formulas stay
 independent: the C1/C2 contraction of the map's first and second
-derivatives on the ode side, the cubed bidifferential under Boole's rule
-on the transport side.  So agreement, judged in one place by
+derivatives on the ode side, the cubed bidifferential under Simpson's
+rule on the transport side.  So agreement, judged in one place by
 :func:`route_gap`'s rule (:func:`hbar2_routes`), is evidence the formulas
 are right, and both are compared against closed forms where one exists.
 """
@@ -231,8 +232,9 @@ def _richardson(run, steps: int, unit: int = 64) -> tuple[float, float]:
     h^5, ... error expansion (Hairer, Norsett & Wanner, *Solving ODEs I*,
     section II.4).  ``run(n)`` gives (Q2, P2, q(T), p(T)) at n steps, for
     each of :func:`_levels` of the top: ``steps`` rounded up to a multiple
-    of ``unit``, itself a multiple of 64.  With R1(n) = a_n + (a_n -
-    a_{n/2}) / 15, the route stops at the first level n where
+    of ``unit``, itself a multiple of 64.  R1(n) = a_n + (a_n - a_{n/2}) /
+    15 removes the h^4 term, RK4's and, on transport, that of its Simpson
+    quadrature along with it; the route stops at the first level n where
     ``route_gap(R1(n/2), R1(n)) / 31``, the estimate of R1's error, is at
     most ``_RICHARDSON_TOL`` in all four components, and returns R2 =
     R1(n) + (R1(n) - R1(n/2)) / 31.  An error below the top counts as not
@@ -273,13 +275,12 @@ def hbar2_transport(
     quadrature node, and the node loop (:class:`_NodeEmitter`) inverts
     each, by :func:`jets.invert`'s rule, into the map the bracket needs.
     The work grows linearly with T, and the jets held, a chunk of the pass
-    (``_CHUNK``), do not.  Boole's rule (Romberg's first step on Simpson's
-    rule) assembles the integral on the steps, so the step count is a
-    multiple of 4 and the step doublings of :func:`_richardson` refine the
-    quadrature with the flow: its estimate covers both errors.
-    ``steps_per_unit`` sets the finest step count, rounded up to a multiple
-    of 256, so that the coarsest level is one Boole panel of 4 nodes or
-    more.  Deterministic: step-doubling levels, not a step-size controller.
+    (``_CHUNK``), do not.  Composite Simpson's rule assembles the integral
+    on the steps, so the step count is even, and the step doublings of
+    :func:`_richardson` refine the quadrature with the flow: its table
+    extrapolates both errors.  ``steps_per_unit`` sets the finest step
+    count, rounded up to a multiple of 128, so that the coarsest level is
+    one Simpson panel of 2 steps or more.  Deterministic: step-doubling levels, not a step-size controller.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
@@ -303,9 +304,9 @@ def hbar2_transport(
             for f, got in zip(vals, nodes(back.jets[1:], ham.params)):
                 f += got[1:]
             z, jets = back.states[-1], back.jets[-1]
-        return _boole(vals[0], t_final / steps), _boole(vals[1], t_final / steps), *z_t
+        return _simpson(vals[0], t_final / steps), _simpson(vals[1], t_final / steps), *z_t
 
-    q2, p2 = _richardson(run, round(steps_per_unit * t_final), 256)
+    q2, p2 = _richardson(run, round(steps_per_unit * t_final), 128)
     return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
@@ -376,20 +377,10 @@ def _transport_nodes(ham: HamiltonianSpec):
     return ham._partials.kernel(ham.partials, _NodeEmitter)
 
 
-def _boole(values: list[float], h: float) -> float:
-    """Boole's rule on an even node spacing h (interval count a multiple of 4),
-    written as Simpson's rule S_n extrapolated against S_n/2 on every
-    second node: S_n + (S_n - S_n/2) / 15."""
-
-    def simpson(v: list[float], step: float) -> float:
-        n = len(v) - 1
-        acc = v[0] + v[n]
-        for i in range(1, n):
-            acc += v[i] * (4.0 if i % 2 else 2.0)
-        return acc * step / 3.0
-
-    s_n = simpson(values, h)
-    return s_n + (s_n - simpson(values[::2], 2.0 * h)) / 15.0
+def _simpson(values: list[float], h: float) -> float:
+    """Composite Simpson's rule on nodes a spacing h apart, an even number
+    of intervals."""
+    return (values[0] + values[-1] + 4.0 * sum(values[1::2]) + 2.0 * sum(values[2:-1:2])) * h / 3.0
 
 
 class _Hbar2Emitter(FlowJets):

@@ -36,7 +36,7 @@ from moyal.jets import PARTIALS, derivative, invert, seed
 from moyal.poly import PhasePolynomial, bidifferential, format_poly, poisson_bracket
 from moyal.semiclassical import (
     TimeTaylorFlow,
-    _boole,
+    _simpson,
     cubic_order7_report,
     divergence_order,
     hbar2_ode,
@@ -247,18 +247,18 @@ def test_the_levels_are_exact_doublings_ending_at_the_cap(levels_run):
     hbar2_transport(stiff, (1.0, 0.0), 1.0)
     # 2000 steps, the top of both routes rounded up to 2048
     assert levels_run == [levels(2048)] * 2
-    # the ode route's top is a multiple of 64, transport's of 256: its
-    # coarsest level is a Boole panel of 4 nodes
+    # the ode route's top is a multiple of 64, transport's of 128: its
+    # coarsest level is a Simpson panel of 2 steps
     levels_run.clear()
     for t in (0.0995, 0.3):
         hbar2_ode(stiff, (1.0, 0.0), t)
         hbar2_transport(stiff, (1.0, 0.0), t)
-    assert [ran[0] for ran in levels_run] == [4, 4, 10, 12]
+    assert [ran[0] for ran in levels_run] == [4, 4, 10, 10]
     # a tiny time runs the smallest top, not none
     levels_run.clear()
     hbar2_ode(stiff, (1.0, 0.0), 1e-6)
     hbar2_transport(stiff, (1.0, 0.0), 1e-6)
-    assert [ran[0] for ran in levels_run] == [1, 4]
+    assert [ran[0] for ran in levels_run] == [1, 2]
 
 
 @pytest.mark.parametrize("text, z0, t", NO_ESTIMATE)
@@ -418,12 +418,12 @@ def test_hbar2_routes_refuse_a_negative_time_before_any_route_runs(squeeze_ham, 
 
 def test_hbar2_routes_name_the_worst_gap_as_a_running_max():
     # the exact correction is 0, so every gap is about 1: the largest is at
-    # t = 0.2 in P2
+    # t = 0.2 in Q2
     ham = HamiltonianSpec(parse_expr("(q+p)^4"))
     rows, gap, refusal = hbar2_routes(ham, (1.0, 1.0), [0.1, 0.2, 0.3])
     gaps = [(route_gap(a, b), t, name) for t, *pairs in rows for name, a, b in zip(("Q2", "P2"), *pairs)]
     assert gap == max(gaps)[0] > 1e-6
-    assert refusal.startswith("at t = 0.2 the ode and transport routes differ in P2: ")
+    assert refusal.startswith("at t = 0.2 the ode and transport routes differ in Q2: ")
     assert refusal.endswith(f", relative gap {gap:.3g} > 1e-06")
 
 
@@ -540,13 +540,15 @@ def test_the_node_loop_refuses_a_singular_linear_part_as_invert_does():
 @pytest.mark.parametrize("name", sorted(BENCH_HAMILTONIANS))
 def test_hbar2_transport_matches_per_node_reference(name):
     ham = BENCH_HAMILTONIANS[name]()
-    for t, steps in ((0.1, 16), (0.3, 48)):
+    for t, steps in ((0.1, 16), (0.3, 40)):
         fq_vals, fp_vals, h_node = per_node_transport_values(ham, (0.9, -0.7), t, steps)
-        # the level 16 times below the top: 256 and 768 steps
+        # the level 16 times below the top: 256 and 640 steps
         with at_cap(4):
             res = hbar2_transport(ham, (0.9, -0.7), t)
-        assert res.q2[0] == pytest.approx(_boole(fq_vals, h_node), rel=1e-9)
-        assert res.p2[0] == pytest.approx(_boole(fp_vals, h_node), rel=1e-9)
+        # composite Simpson's rule: weights 1, 4, 2, 4, ..., 2, 4, 1 over 3
+        weights = [1, *[4, 2] * (steps // 2 - 1), 4, 1]
+        assert res.q2[0] == pytest.approx(sum(map(operator.mul, weights, fq_vals)) * h_node / 3, rel=1e-9)
+        assert res.p2[0] == pytest.approx(sum(map(operator.mul, weights, fp_vals)) * h_node / 3, rel=1e-9)
 
 
 def test_hbar2_transport_runs_one_jet_pass_per_level(monkeypatch, levels_run):
@@ -571,7 +573,7 @@ def test_hbar2_transport_runs_a_long_pass_in_chunks_bit_for_bit(monkeypatch):
     # each carrying on the last one's jets: none holds more than _CHUNK
     # after its start, and the value is the one pass's, bit for bit
     ham = BENCH_HAMILTONIANS["cubic"]()
-    with at_cap():  # 768 steps, 3 times 256
+    with at_cap():  # 640 steps, 5 times 128
         whole = hbar2_transport(ham, (0.9, -0.7), 0.3)
     held = []
 
@@ -584,7 +586,7 @@ def test_hbar2_transport_runs_a_long_pass_in_chunks_bit_for_bit(monkeypatch):
     monkeypatch.setattr(moyal.semiclassical, "_CHUNK", 64)
     with at_cap():
         assert hbar2_transport(ham, (0.9, -0.7), 0.3) == whole
-    assert held == [1 + 64] * 12
+    assert held == [1 + 64] * 10
 
 
 def test_hbar2_transport_names_the_time_a_chunk_blows_up_at(monkeypatch):
@@ -599,7 +601,9 @@ def test_hbar2_transport_names_the_time_a_chunk_blows_up_at(monkeypatch):
     monkeypatch.setattr(moyal.semiclassical, "_CHUNK", 256)
     with at_cap(), pytest.raises(FlowBlowupError) as err:
         hbar2_transport(BENCH_HAMILTONIANS["cubic"](), (0.9, -0.7), 0.3)
-    assert err.value.time == pytest.approx(0.3 - 261 * 0.3 / 768)
+    # 640 steps run as chunks of gcd(640, 256) = 128: the second blows up
+    # at its fifth step
+    assert err.value.time == pytest.approx(0.3 - 133 * 0.3 / 640)
 
 
 # the symplectic matrix J on (q, p), and the slots 0 = q, 1 = p
@@ -921,10 +925,14 @@ def test_every_module_that_generates_code_is_watched():
     assert {m for m in modules if "exec(" in inspect.getsource(m)} == set(GENERATING_MODULES)
 
 
-def test_boole_is_exact_for_quintics():
+def test_simpson_is_exact_for_cubics():
     h = 0.25
-    values = [(k * h) ** 5 - 3.0 * (k * h) ** 2 for k in range(9)]
-    assert _boole(values, h) == pytest.approx(2.0 ** 6 / 6 - 2.0 ** 3, rel=1e-14)
+    values = [(k * h) ** 3 - 3.0 * (k * h) ** 2 for k in range(9)]
+    assert _simpson(values, h) == pytest.approx(2.0 ** 4 / 4 - 2.0 ** 3, rel=1e-14)
+    # and not for quartics: its error on [0, 2] is 2 h^4 f'''' / 180, no
+    # Richardson step inside the rule
+    quartic = [(k * h) ** 4 for k in range(9)]
+    assert _simpson(quartic, h) == pytest.approx(2.0 ** 5 / 5 + 2.0 * h ** 4 * 24.0 / 180.0, rel=1e-14)
 
 
 # -- second deformation coefficient ------------------------------------

@@ -280,7 +280,8 @@ def hbar2_transport(
     :func:`_richardson` refine the quadrature with the flow: its table
     extrapolates both errors.  ``steps_per_unit`` sets the finest step
     count, rounded up to a multiple of 128, so that the coarsest level is
-    one Simpson panel of 2 steps or more.  Deterministic: step-doubling levels, not a step-size controller.
+    one Simpson panel of 2 steps or more.  Deterministic: step-doubling
+    levels, not a step-size controller.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")

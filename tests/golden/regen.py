@@ -3,14 +3,13 @@ module's own commands and records, and the fine reference of the hbar^2
 routes that ``tests/test_semiclassical.py`` reads, and print each file's
 largest relative move of any float.
 
-    PYTHONPATH=src python tests/golden/regen.py [NAME ...]
+    PYTHONPATH=src python tests/golden/regen.py
 
-NAME limits the run to those files.  A text file gets its command's output
-again; a JSON file keeps its records' inputs and layout and gets their
-outcomes again.  ``fine_reference.json`` is not written when its check
-fails (``test_semiclassical.fine_reference_records``).  A file whose numbers can
-no longer be paired one to one with the old ones (a line or a record came or
-went) is reported as such.  The tests stay the check: read the diff, then
+A text file gets its command's output again; a JSON file keeps its records'
+inputs and layout and gets their outcomes again.  ``fine_reference.json`` is
+not written when its check fails (``test_semiclassical.fine_reference_records``).
+A file whose numbers can no longer be paired one to one with the old ones (a
+line or a record came or went) is reported as such.  The tests stay the check: read the diff, then
 run them.
 """
 
@@ -65,9 +64,9 @@ def regenerated(name: str) -> tuple[int, str]:
     return 0, _dump(old, JSON_FILES[name](json.loads(old)))
 
 
-def main(names: list[str]) -> int:
+def main() -> int:
     status = 0
-    for name in names or sorted([*test_golden.COMMANDS, *JSON_FILES]):
+    for name in sorted([*test_golden.COMMANDS, *JSON_FILES]):
         path = test_golden.GOLDEN / name
         old = path.read_text()
         try:
@@ -92,4 +91,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

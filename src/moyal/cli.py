@@ -159,7 +159,7 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
-@click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="RK4 steps per unit time at the finest level, rounded up to a multiple of 64 steps (128 for transport).")
+@click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="Transport: RK4 steps per unit time at the finest level, rounded up to a multiple of 128 steps. The ode route: a budget of 4 rate evaluations, one RK4 step's, per step per unit time, not rounded.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, steps, fmt) -> None:
     """hbar^2 trajectory corrections by every available route.

@@ -214,28 +214,32 @@ def rk4(rhs, state, t_final: float, steps: int):
         raise FlowBlowupError((k + 1) * h) from None
 
 
-def rk4_loop(program: Program, key, emitter):
-    """The RK4 loop ``loop(s, b, t_final, steps, rhs, every=1)`` of the flow
+def rk4_loop(program: Program, key, emitter, scheme: str = "rk4"):
+    """The loop ``loop(s, b, t_final, steps, rhs, every=1)`` of the flow
     whose rates ``emitter(program, key)``, a :class:`jets.FlatState`
-    emitter, writes: a generator of the state after every ``every``-th
-    step, which must divide ``steps``, as straight-line code, generated on
-    first use and kept with the program's kernels.  The first stage of the
-    first step calls ``rhs(s)``, the public field, which checks the state,
-    before the loop; every other stage is the rates' code inline
-    (:meth:`FlatState.stage`), where a negated rate is held without its
-    sign and subtracted.  The tables' entries the stages read are read
-    once per loop (:func:`jets.table_locals`), the stages' work on them
-    alone runs once, after ``rhs(s)`` (:func:`_hoist`), and a local read
-    once is folded into its reader (:func:`_fold`).  Errors are
-    :func:`rk4`'s, and ``every`` below 1 or not dividing ``steps`` raises
-    ValueError.  After every step the state is finite when its sum times
-    0.0 is 0.0; only where it is not, each component is tested, since a sum
-    of finite components may overflow."""
-    loop = program._kernels.get(("rk4", key))
+    emitter, writes, by ``scheme``: "rk4", classical RK4 (:func:`rk4`), or
+    "midpoint", Gragg's modified midpoint rule, one rate evaluation per
+    substep (y_1 = y_0 + h f(y_0), y_{k+1} = y_{k-1} + 2h f(y_k); Hairer,
+    Norsett & Wanner, *Solving ODEs I*, section II.9).  A generator of the
+    state after every ``every``-th step, which must divide ``steps``, as
+    straight-line code, generated on first use and kept with the program's
+    kernels.  The first stage of the first step calls ``rhs(s)``, the
+    public field, which checks the state, before the loop; every other
+    stage is the rates' code inline (:meth:`FlatState.stage`), where a
+    negated rate is held without its sign and subtracted.  The tables'
+    entries the stages read are read once per loop
+    (:func:`jets.table_locals`), the stages' work on them alone runs once,
+    after ``rhs(s)`` (:func:`_hoist`), and a local read once is folded into
+    its reader (:func:`_fold`).  Errors are :func:`rk4`'s, and ``every``
+    below 1 or not dividing ``steps`` raises ValueError.  After every step
+    the state is finite when its sum times 0.0 is 0.0; only where it is
+    not, each component is tested, since a sum of finite components may
+    overflow."""
+    loop = program._kernels.get((scheme, key))
     if loop is not None:
         return loop
     emit = emitter(program, key)
-    x, r1, r2, r3, r4 = ([f"{c}{i}" for i in range(emit.size)] for c in "xabcd")
+    x, y, r1, r2, r3, r4 = ([f"{c}{i}" for i in range(emit.size)] for c in "xyabcd")
     stage = partial(emit.stage, program)
 
     def unpack(names):  # a trailing comma unpacks one name too
@@ -254,17 +258,29 @@ def rk4_loop(program: Program, key, emitter):
     first = [line for line in first if line.partition(" = ")[0] not in copied]
     read1 = [copied.get(a, a) for a in r1]
 
-    def at(c, rates):
-        return [f"{s} {'-' if n else '+'} {c} * {d}" for s, n, d in zip(x, negated, rates)]
+    def at(c, rates, base=x):
+        return [f"{s} {'-' if n else '+'} {c} * {d}" for s, n, d in zip(base, negated, rates)]
 
+    if scheme == "rk4":
+        name, start, update = "RK4 needs at least one step", "half, h6 = 0.5 * h, h / 6.0", [
+            *stage(at("half", read1), r2)[0],
+            *stage(at("half", r2), r3)[0],
+            *stage(at("h", r3), r4)[0],
+            *(f"{s} = {s} + h6 * (-{a} - 2.0 * {b} - 2.0 * {c} - {d})" if n else
+              f"{s} = {s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+              for s, n, a, b, c, d in zip(x, negated, read1, r2, r3, r4)),
+        ]
+    else:
+        # y holds the state a substep back, which starts as the state itself,
+        # and c the multiple of the rates added to it: h in the first
+        # substep, 2h after
+        first.append("c = h2")
+        name, start = "the modified midpoint rule needs at least one substep", \
+            f"{unpack(y)} = s\n    c, h2 = h, 2.0 * h"
+        update = [f"{u}, {s} = {s}, {v}" for u, s, v in zip(y, x, at("c", read1, y))]
     each_step = [
         *(["if k:"] if first else []), *(f"    {row}" for line in first for row in line.split("\n")),
-        *stage(at("half", read1), r2)[0],
-        *stage(at("half", r2), r3)[0],
-        *stage(at("h", r3), r4)[0],
-        *(f"{s} = {s} + h6 * (-{a} - 2.0 * {b} - 2.0 * {c} - {d})" if n else
-          f"{s} = {s} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
-          for s, n, a, b, c, d in zip(x, negated, read1, r2, r3, r4)),
+        *update,
         f"if not ({' + '.join(x)}) * 0.0 == 0.0:",
         f"    if not {' + '.join(f'{s} * 0.0' for s in x)} == 0.0:",
         "        raise FlowBlowupError((k + 1) * h)",
@@ -284,19 +300,20 @@ def rk4_loop(program: Program, key, emitter):
     exec(
         f"def loop(s, b, t_final, steps, rhs, every=1):\n"
         f"    if steps < 1:\n"
-        f"        raise ValueError(f'RK4 needs at least one step, not {{steps}}')\n"
+        f"        raise ValueError(f'{name}, not {{steps}}')\n"
         f"    if every < 1 or steps % every:\n"
         f"        raise ValueError(f'every must be a positive divisor of the {{steps}} steps, not {{every}}')\n"
         f"    {unpack(x)} = s\n"
         f"    h = t_final / steps\n"
-        f"    half, h6, k, due = 0.5 * h, h / 6.0, 0, every - 1\n"
+        f"    {start}\n"
+        f"    k, due = 0, every - 1\n"
         f"    try:\n"
         + "".join(f"        {row}\n" for row in rows) +
         f"    except OverflowError:\n"
         f"        raise FlowBlowupError((k + 1) * h) from None\n{emit.handlers}",
         env,
     )
-    loop = program._kernels["rk4", key] = env["loop"]
+    loop = program._kernels[scheme, key] = env["loop"]
     return loop
 
 

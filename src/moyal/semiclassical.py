@@ -21,15 +21,21 @@ by order-2 jets, with one right-hand side generated per Hamiltonian: the
 jet field, H's partials and the drive, grouped by its symmetries and with
 the terms of H's partials that are 0 left out, written out as
 straight-line code; it keeps only its last state.
-Each route runs on a two-column Richardson table (:func:`_richardson`): at
-exact doublings from a 64th of its finest step count, stopping at the first
-level whose estimate of the first extrapolate's error, over the correction
-and z(T), is at most 1e-8 relative, with the second extrapolate, and giving
-its top level's own value, or error, where none is.  Transport's quadrature
-nodes are its RK4 steps, so the table refines and extrapolates both at
-once.
-Both run on the RK4 loops of ``flow.rk4_loop``, read the jets' partials
-through ``jets.PARTIALS`` and share H's table of partials; the formulas stay
+Transport runs on a two-column Richardson table (:func:`_richardson`): at
+exact doublings from a 64th of its finest RK4 step count, stopping at the
+first level whose estimate of the first extrapolate's error, over the
+correction and z(T), is at most 1e-8 relative, with the second
+extrapolate, and giving its top level's own value, or error, where none
+is.  Its quadrature nodes are its RK4 steps, so the table refines and
+extrapolates both at once.  The ode route runs on a Gragg-Bulirsch-Stoer
+table (:func:`hbar2_ode`): modified-midpoint rows of 2 to 20 substeps per
+macro step, extrapolated in h^2, each macro step ending where its last two
+diagonal entries are within 1e-8 relative, and the macro steps doubling
+where one does not, up to a top that spends RK4's rate evaluations at the
+finest step count.
+Both run on loops of ``flow.rk4_loop`` (RK4 for transport, the modified
+midpoint rule for the ode route), read the jets' partials through
+``jets.PARTIALS`` and share H's table of partials; the formulas stay
 independent: the C1/C2 contraction of the map's first and second
 derivatives on the ode side, the cubed bidifferential under Simpson's
 rule on the transport side.  So agreement, judged in one place by
@@ -42,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 from .expr import ZERO, DerivTable, Expr, FloatEmitter, Program, add
 from .flow import (
@@ -214,33 +219,34 @@ def route_gap(x: float, y: float) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-# a route stops at the first level whose Richardson estimate of its first
-# extrapolate, in every component, is at most this
-_RICHARDSON_TOL = 1e-8
+# a route stops where its table's estimate, in every component, is at most
+# this: the Richardson estimate of transport's first extrapolate, the gap
+# between the ode route's last two diagonal entries
+_ESTIMATE_TOL = 1e-8
 # steps per chunk of transport's backward pass, at most: a power of 2
 _CHUNK = 4096
 
 
 def _levels(top: int) -> list[int]:
-    """The step counts a route runs, coarse to fine: ``top`` / 64, then each
-    exact doubling up to ``top``, a multiple of 64."""
+    """The step counts transport runs, coarse to fine: ``top`` / 64, then
+    each exact doubling up to ``top``, a multiple of 128, so that the
+    coarsest level is one Simpson panel of 2 steps or more."""
     return [top >> k for k in range(6, -1, -1)]
 
 
-def _richardson(run, steps: int, unit: int = 64) -> tuple[float, float]:
-    """A route's (Q2, P2) by a two-column Richardson table on RK4's h^4,
+def _richardson(run, steps: int) -> tuple[float, float]:
+    """Transport's (Q2, P2) by a two-column Richardson table on RK4's h^4,
     h^5, ... error expansion (Hairer, Norsett & Wanner, *Solving ODEs I*,
     section II.4).  ``run(n)`` gives (Q2, P2, q(T), p(T)) at n steps, for
     each of :func:`_levels` of the top: ``steps`` rounded up to a multiple
-    of ``unit``, itself a multiple of 64.  R1(n) = a_n + (a_n - a_{n/2}) /
-    15 removes the h^4 term, RK4's and, on transport, that of its Simpson
-    quadrature along with it; the route stops at the first level n where
-    ``route_gap(R1(n/2), R1(n)) / 31``, the estimate of R1's error, is at
-    most ``_RICHARDSON_TOL`` in all four components, and returns R2 =
-    R1(n) + (R1(n) - R1(n/2)) / 31.  An error below the top counts as not
-    met; where no level meets it, the route gives the top's own value or
-    error."""
-    levels = _levels(max(1, -(-steps // unit)) * unit)
+    of 128.  R1(n) = a_n + (a_n - a_{n/2}) / 15 removes the h^4 term, RK4's
+    and that of the Simpson quadrature along with it; the route stops at
+    the first level n where ``route_gap(R1(n/2), R1(n)) / 31``, the
+    estimate of R1's error, is at most ``_ESTIMATE_TOL`` in all four
+    components, and returns R2 = R1(n) + (R1(n) - R1(n/2)) / 31.  An error
+    below the top counts as not met; where no level meets it, the route
+    gives the top's own value or error."""
+    levels = _levels(max(1, -(-steps // 128)) * 128)
     a = r1 = None
     for n in levels:
         try:
@@ -251,7 +257,7 @@ def _richardson(run, steps: int, unit: int = 64) -> tuple[float, float]:
             a = r1 = None
             continue
         r = a and [y + (y - x) / 15.0 for x, y in zip(a, fine)]
-        if r1 and max(map(route_gap, r1, r)) / 31.0 <= _RICHARDSON_TOL:
+        if r1 and max(map(route_gap, r1, r)) / 31.0 <= _ESTIMATE_TOL:
             return tuple(y + (y - x) / 31.0 for x, y in zip(r1[:2], r[:2]))
         a, r1 = fine, r
     return fine[:2]
@@ -307,7 +313,7 @@ def hbar2_transport(
             z, jets = back.states[-1], back.jets[-1]
         return _simpson(vals[0], t_final / steps), _simpson(vals[1], t_final / steps), *z_t
 
-    q2, p2 = _richardson(run, round(steps_per_unit * t_final), 128)
+    q2, p2 = _richardson(run, round(steps_per_unit * t_final))
     return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
@@ -508,6 +514,29 @@ def _hbar2_rates(ham: HamiltonianSpec):
     return ham._partials.kernel(ham._field, _Hbar2Emitter)
 
 
+# the ode route's Gragg-Bulirsch-Stoer table (Hairer, Norsett & Wanner,
+# *Solving ODEs I*, section II.9): the substep counts of its rows, 2, 4, ...,
+# 20 (k_max = 10: of k_max 6, 7, 8 and 10, 10 ran the benchmark's jobs in the
+# least time, each in one pass), the longest macro step of its first pass
+# (0.5: each benchmark time is one macro step), and the rate evaluations of
+# one macro step's full table, whose rows share the rates at its start
+_SUBSTEPS = tuple(range(2, 21, 2))
+_MACRO_STEP = 0.5
+_TABLE_EVALS = 1 + sum(n - 1 for n in _SUBSTEPS)
+
+
+def _macro_passes(t_final: float, budget: int) -> list[int]:
+    """The ode route's macro-step counts, coarse to fine: the fewest steps
+    of at most ``_MACRO_STEP``, doubled up to the top, the most whose full
+    tables take at most ``budget`` rate evaluations, or the first count
+    where that is fewer."""
+    passes = [max(1, math.ceil(t_final / _MACRO_STEP))]
+    top = max(passes[0], budget // _TABLE_EVALS)
+    while passes[-1] < top:
+        passes.append(min(2 * passes[-1], top))
+    return passes
+
+
 def hbar2_ode(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
@@ -521,24 +550,87 @@ def hbar2_ode(
     its rate is the Jacobian of the Hamiltonian vector field applied to
     the current correction plus the jet-driven inhomogeneity
     (:class:`_Hbar2Emitter`).  Starts from zero correction and the
-    identity jets and keeps only the last state.  ``steps_per_unit`` sets
-    the finest RK4 step count, rounded up to a multiple of 64 for the
-    doublings of :func:`_richardson`.
+    identity jets and keeps only the last state.
+
+    A Gragg-Bulirsch-Stoer table integrates it: each macro step runs the
+    generated modified-midpoint loop (``flow.rk4_loop``'s "midpoint"
+    scheme) at the substep counts ``_SUBSTEPS``, every row from the same
+    rates at the macro step's start, and extrapolates them in h^2
+    (Aitken-Neville), until the last two diagonal entries are within
+    ``_ESTIMATE_TOL`` (``route_gap``) in the correction and the jets' value
+    (Q2, P2, q, p); the last goes on.  An error in a row starts the table
+    afresh from the next row.  A pass whose macro step meets no estimate by
+    the last row, or errs there, gives way to one of twice the macro steps
+    (:func:`_macro_passes`) up to the top, whose
+    ``4 * round(steps_per_unit * t_final)`` rate evaluations are RK4's at
+    that many steps: the top carries each macro step's last diagonal entry
+    on, met or not, and raises the last row's error, a blowup at the
+    user's time, or a blowup at t_final where H at its z(T) is not finite.
+    Deterministic: fixed rows and macro steps, no step-size controller.
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
-    rhs = partial(_hbar2_rates(ham), b=ham.params)
-    loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter)
+    rates = _hbar2_rates(ham)
+    loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter, "midpoint")
+    passes = _macro_passes(t_final, 4 * round(steps_per_unit * t_final))
 
-    def run(steps: int) -> tuple[float, ...]:
-        # the order-2 jets' six coefficients each, then the correction pair;
-        # only the last state is kept, and read with z(T), its jets' values
-        state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
-        (state,) = loop(state, ham.params, t_final, steps, rhs, steps)
-        return state[-2], state[-1], state[0], state[6]
+    def run(m: int) -> list[float] | None:
+        # the order-2 jets' six coefficients each, then the correction pair
+        h, state = t_final / m, [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
+        for i in range(m):
+            # the components the estimate reads, Q2, P2 and the jets' value
+            # (q, p): the last macro step's table carries only these
+            read = (12, 13, 0, 6) if i < m - 1 else (0, 1, 2, 3)
+            start = []
 
-    q2, p2 = _richardson(run, round(steps_per_unit * t_final))
-    return Hbar2Result(q2=(q2,), p2=(p2,))
+            def rhs(s):  # the rates at the macro step's start, once for every row
+                start or start.append(rates(s, ham.params))
+                return start[0]
+
+            ns, row = [], []
+            for n in _SUBSTEPS:
+                try:
+                    (y,) = loop(state, ham.params, h, n, rhs, n)
+                except (ArithmeticError, ValueError, FlowBlowupError) as err:
+                    if n < _SUBSTEPS[-1]:
+                        ns, row = [], []
+                        continue
+                    if m < passes[-1]:
+                        return None
+                    if isinstance(err, FlowBlowupError):
+                        raise FlowBlowupError(i * h + err.time) from None
+                    raise
+                if i == m - 1:
+                    y = [y[12], y[13], y[0], y[6]]
+                # the table's next row, by Aitken-Neville in h^2: y, then each
+                # T_jk = T_j,k-1 + (T_j,k-1 - T_j-1,k-1) / ((n / n_j-k)^2 - 1)
+                last, row = row, [y]
+                for prev, k in zip(last, reversed(ns)):
+                    ratio = (n / k) ** 2 - 1.0
+                    row.append([a + (a - b) / ratio for a, b in zip(row[-1], prev)])
+                ns.append(n)
+                if last and all(route_gap(last[-1][c], row[-1][c]) <= _ESTIMATE_TOL for c in read):
+                    break
+            else:
+                if m < passes[-1]:
+                    return None
+            state = row[-1]
+        return state
+
+    for m in passes:
+        state = run(m)
+        if state:
+            break
+    if m == passes[-1]:
+        # H at the top's z(T) is H at z0, which the flow conserves: where it
+        # is not finite, the flow left the float range
+        try:
+            energy = ham.energy(state[2], state[3])
+        except (ArithmeticError, ValueError):
+            energy = math.inf
+        if not math.isfinite(energy):
+            raise FlowBlowupError(t_final)
+    return Hbar2Result(q2=(state[0],), p2=(state[1],))
 
 
 def hbar2_routes(

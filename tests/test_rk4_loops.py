@@ -1,8 +1,10 @@
-"""The RK4 loops that run the flows (``flow.rk4_loop``: every stage but the
-first of the first step is the right-hand side's code inline) against the
-per-stage oracle ``flow.rk4``, which calls the right-hand side once per
-stage, over ``ham.field``, ``ham.field_jets`` or the ode route's kernel:
-bit for bit (float.hex), and with the same errors at the same times."""
+"""The loops that run the flows (``flow.rk4_loop``: every stage but the
+first of the first step is the right-hand side's code inline) against
+per-stage oracles that call the right-hand side once per stage, over
+``ham.field``, ``ham.field_jets`` or the ode route's kernel: the RK4 loops
+against ``flow.rk4``, the modified midpoint loops against
+:func:`midpoint`, bit for bit (float.hex), and with the same errors at the
+same times."""
 
 import dis
 import itertools
@@ -25,8 +27,8 @@ from moyal.flow import (
     rk4_loop,
 )
 from moyal.jets import FlowJets, seed
-from moyal.semiclassical import _Hbar2Emitter, hbar2_ode
-from test_semiclassical import BENCH_HAMILTONIANS, at_cap, polynomial_terms
+from moyal.semiclassical import _Hbar2Emitter
+from test_semiclassical import BENCH_HAMILTONIANS, ode_rk4, polynomial_terms
 
 
 def outcome(run):
@@ -52,7 +54,7 @@ def ode_state(z0):
 
 def loops_and_oracles(ham, z0, t, steps):
     """(loop, oracle) run pairs: the scalar flow, the jet flows of orders 1
-    to 3 and, for t > 0, the ode route's correction pair at its last step."""
+    to 3 and the ode route's rates, its correction pair at the last step."""
     yield lambda: integrate_flow(ham, z0, t, steps).states, lambda: oracle(ham.field, list(z0), t, steps)
     for order in (1, 2, 3):
         state = seed(z0[0], 0, order) + seed(z0[1], 1, order)
@@ -60,18 +62,8 @@ def loops_and_oracles(ham, z0, t, steps):
             lambda order=order: [jq + jp for jq, jp in integrate_flow_jets(ham, z0, t, steps, order).jets],
             lambda state=state: oracle(ham.field_jets, state, t, steps),
         )
-    if t > 0:
-        # steps_per_unit = steps / t gives the ode route a top of `steps`
-        # steps rounded up to a multiple of 64, which it runs alone at_cap
-        rates = partial(moyal.semiclassical._hbar2_rates(ham), b=ham.params)
-        ode_steps = -(-steps // 64) * 64
-
-        def pair():
-            with at_cap():
-                res = hbar2_ode(ham, z0, t, steps_per_unit=steps / t)
-            return [res.q2 + res.p2]
-
-        yield pair, lambda: [oracle(rates, ode_state(z0), t, ode_steps)[-1][12:]]
+    rates = partial(moyal.semiclassical._hbar2_rates(ham), b=ham.params)
+    yield lambda: [list(ode_rk4(ham, z0, t, steps))], lambda: [oracle(rates, ode_state(z0), t, steps)[-1][12:]]
 
 
 def check_loops(ham, z0, t, steps=40):
@@ -211,6 +203,110 @@ def test_loops_match_the_oracle_from_signed_zeros():
                 check_loops(ham, z0, t, 12)
 
 
+def midpoint(rhs, state, t, n):
+    """Gragg's modified midpoint rule as a plain loop, the oracle of the
+    "midpoint" loops: the initial state, then the state after each of
+    ``n`` substeps of h = t / n, x_1 = x_0 + h f(x_0) and x_{k+1} =
+    x_{k-1} + 2h f(x_k).  Fewer than one substep raises ValueError, and
+    float overflow or a component that is not finite raises
+    FlowBlowupError at the end of its substep."""
+    if n < 1:
+        raise ValueError(f"the modified midpoint rule needs at least one substep, not {n}")
+    h = t / n
+    states = [list(state)]
+    for k in range(n):
+        base, c = (states[-1], h) if k == 0 else (states[-2], 2.0 * h)
+        try:
+            states.append([x + c * r for x, r in zip(base, rhs(states[-1]), strict=True)])
+        except OverflowError:
+            raise FlowBlowupError((k + 1) * h) from None
+        if not all(map(math.isfinite, states[-1])):
+            raise FlowBlowupError((k + 1) * h)
+    return states
+
+
+def midpoint_loops_and_oracles(ham, z0, t, n):
+    """(loop, oracle) run pairs of the "midpoint" loops at ``n`` substeps:
+    the scalar flow, the jet flows of orders 1 to 3 and the ode route's
+    rates, every state."""
+    rates = partial(moyal.semiclassical._hbar2_rates(ham), b=ham.params)
+    flows = [
+        (ham._field, "flat", FlatFloats, ham.field, list(z0)),
+        *((ham._field, (order, "flat"), FlowJets, ham.field_jets, seed(z0[0], 0, order) + seed(z0[1], 1, order))
+          for order in (1, 2, 3)),
+        (ham._partials, ham._field, _Hbar2Emitter, rates, ode_state(z0)),
+    ]
+    for program, key, emitter, rhs, state in flows:
+        loop = rk4_loop(program, key, emitter, "midpoint")
+        yield (
+            lambda loop=loop, rhs=rhs, state=state: [list(state), *loop(state, ham.params, t, n, rhs)],
+            lambda rhs=rhs, state=state: midpoint(rhs, state, t, n),
+        )
+
+
+def check_midpoint_loops(ham, z0, t, n=20):
+    """Each midpoint loop's outcome equals its oracle's; the outcomes."""
+    got = []
+    for loop, want in midpoint_loops_and_oracles(ham, z0, t, n):
+        got.append(outcome(loop))
+        assert got[-1] == outcome(want), (str(ham.expr), z0, t, len(got))
+    return got
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    terms=polynomial_terms,
+    z0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    t=st.floats(0.01, 0.5),
+    n=st.integers(1, 20),
+)
+def test_midpoint_loops_match_their_oracle_on_polynomials(terms, z0, t, n):
+    ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
+    check_midpoint_loops(ham, z0, t, n)
+
+
+def test_midpoint_loops_match_their_oracle_on_the_benchmark_hamiltonians():
+    for make in BENCH_HAMILTONIANS.values():
+        ham = make()
+        for z0, t, n in (((0.9, -0.7), 0.5, 20), ((-0.4, 1.1), -0.25, 7), ((0.0, -0.0), 0.1, 1)):
+            for got in check_midpoint_loops(ham, z0, t, n):
+                assert type(got) is list and len(got) == n + 1
+
+
+def test_midpoint_blowup_times_match_the_oracle():
+    # 800*q*p leaves the float range near t = 0.89 in every flow
+    ham = HamiltonianSpec(parse_expr("800*q*p"))
+    got = check_midpoint_loops(ham, (1.0, 1.0), 1.0, 2000)
+    assert [g[0] for g in got] == [FlowBlowupError] * 5
+    assert 0.85 < float.fromhex(got[0][2]) < 0.95
+
+
+def test_an_overflow_inside_a_substep_matches_the_oracle():
+    # q^5*p at 10 substeps of 0.1: its power overflows inside the rates of
+    # the eighth substep, read at a state that is finite
+    ham = HamiltonianSpec(parse_expr("q^5*p"))
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return ham.field(s)
+
+    with pytest.raises(FlowBlowupError):
+        midpoint(counted, [1.0, 1.0], 1.0, 10)
+    assert len(calls) == 8 and all(map(math.isfinite, calls[-1]))
+    with pytest.raises(OverflowError):
+        ham.field(calls[-1])
+    scalar, *others = check_midpoint_loops(ham, (1.0, 1.0), 1.0, 10)
+    assert scalar == (FlowBlowupError, "flow became non-finite near t = 0.8", (8 * 0.1).hex())
+    assert all(got[0] is FlowBlowupError for got in others)
+
+
+def test_fewer_than_one_substep_is_refused():
+    ham = BENCH_HAMILTONIANS["quartic"]()
+    for got in check_midpoint_loops(ham, (0.9, -0.7), 0.3, 0):
+        assert got == (ValueError, "the modified midpoint rule needs at least one substep, not 0")
+
+
 def float_ops(fn) -> int:
     """The arithmetic instructions of ``fn``'s code: binary operators and
     negations (Python 3.10 names each binary operator)."""
@@ -271,3 +367,22 @@ def test_the_loops_write_no_more_float_work():
         ]
         assert tuple(map(float_ops, loops)) == LOOP_FLOAT_OPS[name], name
         assert tuple(map(stores, loops)) == LOOP_STORES[name], name
+
+
+# the arithmetic instructions and stored locals of the ode route's modified
+# midpoint loop: one rate evaluation per substep, about a quarter of its
+# RK4 loop's float work per step (LOOP_FLOAT_OPS's last column)
+MIDPOINT_LOOP_WORK = {
+    "squeeze": (263, 129),
+    "quartic": (165, 105),
+    "cubic": (119, 97),
+    "cosh": (135, 110),
+    "example1": (302, 143),
+}
+
+
+def test_the_midpoint_loops_write_no_more_float_work():
+    for name, make in BENCH_HAMILTONIANS.items():
+        ham = make()
+        loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter, "midpoint")
+        assert (float_ops(loop), stores(loop)) == MIDPOINT_LOOP_WORK[name], name

@@ -28,11 +28,7 @@ correction and z(T), is at most 1e-8 relative, with the second
 extrapolate, and giving its top level's own value, or error, where none
 is.  Its quadrature nodes are its RK4 steps, so the table refines and
 extrapolates both at once.  The ode route runs on a Gragg-Bulirsch-Stoer
-table (:func:`hbar2_ode`): modified-midpoint rows of 2 to 20 substeps per
-macro step, extrapolated in h^2, each macro step ending where its last two
-diagonal entries are within 1e-8 relative, and the macro steps doubling
-where one does not, up to a top that spends RK4's rate evaluations at the
-finest step count.
+table of modified-midpoint rows (:func:`hbar2_ode`), to the same 1e-8.
 Both run on loops of ``flow.rk4_loop`` (RK4 for transport, the modified
 midpoint rule for the ode route), read the jets' partials through
 ``jets.PARTIALS`` and share H's table of partials; the formulas stay

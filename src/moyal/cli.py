@@ -35,6 +35,7 @@ from .poly import (
 )
 from .semiclassical import (
     MAX_LADDER_DEPTH,
+    FlowAccuracyError,
     divergence_order,
     hbar2_ode,
     hbar2_routes,
@@ -93,11 +94,15 @@ def _time_grid(t0: float, t1: float, t_steps: int) -> list[float]:
 class _Main(click.Group):
     """The one place where bad input becomes ``error: <message>`` and exit 2:
     ``ValueError`` (the package's bad-input family), ``FlowBlowupError`` and
-    ``OverflowError``.  Anything else is a bug and keeps its traceback."""
+    ``OverflowError``; and where a route that lost its accuracy,
+    ``FlowAccuracyError``, exits 1.  Anything else is a bug and keeps its
+    traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except FlowAccuracyError as exc:
+            _fail(str(exc), 1)
         except (ValueError, FlowBlowupError) as exc:
             _fail(str(exc))
         except OverflowError as exc:
@@ -159,7 +164,7 @@ def bracket(left: str, right: str, grade: int | None, fmt: str) -> None:
 @click.option("--beta", type=FLOAT, default=None, help="Bind the symbol beta.")
 @click.option("--gamma", type=FLOAT, default=None, help="Bind the symbol gamma.")
 @click.option("--depth", type=click.IntRange(1, MAX_LADDER_DEPTH), default=8, show_default=True, help="Taylor depth for the exact route.")
-@click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="Transport: RK4 steps per unit time at the finest level, rounded up to a multiple of 128 steps. The ode route: a budget of 4 rate evaluations, one RK4 step's, per step per unit time, not rounded.")
+@click.option("--steps", type=click.IntRange(1, 20000), default=STEPS_PER_UNIT_TIME, show_default=True, help="Each pass of both routes' extrapolation table: a budget of 4 rate evaluations, one RK4 step's, per step per unit time, not rounded.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def hierarchy(ham_text, q0, p0, t0, t1, t_steps, m, l, lam, omega, beta, gamma, depth, steps, fmt) -> None:
     """hbar^2 trajectory corrections by every available route.

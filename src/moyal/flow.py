@@ -24,10 +24,11 @@ before the first step.  A local that one line reads and that holds a sum,
 difference or product is written, in parentheses, into that line, which
 keeps the operations and so the bits.  After every step the state is
 tested finite by its sum times 0.0, and component by component only where
-that sum is not.  A loop yields every ``every``-th state, so a flow keeps
-only the states its caller reads (``integrate_flow(..., every=n)``).
-The public :func:`rk4` is the reference those loops are tested against: a
-plain loop over any callable that shares no code with them.
+that sum is not.  The flows run RK4 by default, or Gragg's modified
+midpoint rule (``integrate_flow(..., scheme="midpoint")``), the rows of
+the hbar^2 routes' extrapolation table.  The public :func:`rk4` is the
+reference the RK4 loops are tested against: a plain loop over any
+callable that shares no code with them.
 """
 
 from __future__ import annotations
@@ -169,12 +170,10 @@ def default_steps(t_final: float) -> int:
 @dataclass
 class Trajectory:
     """Sampled flow: the initial state, then the state after every
-    ``every``-th integrator step; jets, when integrated, in the same
-    layout."""
+    integrator step; jets, when integrated, in the same layout."""
 
     states: list[tuple[float, float]]
     jets: list[tuple[list[float], list[float]]] = field(default_factory=list)
-    every: int = 1
 
 
 class FlatFloats(FlatState, FloatEmitter):
@@ -230,14 +229,17 @@ def rk4_loop(program: Program, key, emitter, scheme: str = "rk4"):
     entries the stages read are read once per loop
     (:func:`jets.table_locals`), the stages' work on them alone runs once,
     after ``rhs(s)`` (:func:`_hoist`), and a local read once is folded into
-    its reader (:func:`_fold`).  Errors are :func:`rk4`'s, and ``every``
-    below 1 or not dividing ``steps`` raises ValueError.  After every step
+    its reader (:func:`_fold`).  Errors are :func:`rk4`'s, and another
+    scheme, or ``every`` below 1 or not dividing ``steps``, raises
+    ValueError.  After every step
     the state is finite when its sum times 0.0 is 0.0; only where it is
     not, each component is tested, since a sum of finite components may
     overflow."""
     loop = program._kernels.get((scheme, key))
     if loop is not None:
         return loop
+    if scheme not in ("rk4", "midpoint"):
+        raise ValueError(f"the scheme is 'rk4' or 'midpoint', not {scheme!r}")
     emit = emitter(program, key)
     x, y, r1, r2, r3, r4 = ([f"{c}{i}" for i in range(emit.size)] for c in "xyabcd")
     stage = partial(emit.stage, program)
@@ -375,23 +377,22 @@ def integrate_flow(
     z0: tuple[float, float],
     t_final: float,
     steps: int | None = None,
-    every: int = 1,
+    scheme: str = "rk4",
 ) -> Trajectory:
-    """Integrate Hamilton's equations from z0 over [0, t_final], keeping
-    the state after every ``every``-th step, a divisor of ``steps``.
+    """Integrate Hamilton's equations from z0 over [0, t_final] by
+    ``scheme``, :func:`rk4_loop`'s, keeping the state after every step.
 
     Negative t_final integrates backwards.  Raises
     :class:`FlowBlowupError` when the state stops being finite, which is
-    tested after every step, and ValueError for fewer than one step or an
-    ``every`` that is not a positive divisor of ``steps``.  The first stage
-    calls ``ham.field``, which checks the state (:func:`rk4_loop`).
+    tested after every step, and ValueError for fewer than one step.  The
+    first stage calls ``ham.field``, which checks the state.
     """
     if steps is None:
         steps = default_steps(t_final)
     states = [tuple(z0)]
-    loop = rk4_loop(ham._field, "flat", FlatFloats)
-    states += [(q, p) for q, p in loop(states[0], ham.params, t_final, steps, ham.field, every)]
-    return Trajectory(states=states, every=every)
+    loop = rk4_loop(ham._field, "flat", FlatFloats, scheme)
+    states += [(q, p) for q, p in loop(states[0], ham.params, t_final, steps, ham.field)]
+    return Trajectory(states=states)
 
 
 def integrate_flow_jets(
@@ -400,24 +401,24 @@ def integrate_flow_jets(
     t_final: float,
     steps: int | None = None,
     order: int = 1,
-    every: int = 1,
     start: tuple[list[float], list[float]] | None = None,
+    scheme: str = "rk4",
 ) -> Trajectory:
     """Same flow with the state widened to jets of the given order.
 
     The initial jets are the identity map's (unit first derivatives,
-    nothing higher) or ``start``, a map's with value z0, carried on.  RK4
-    steps both jets' coefficients as one list; the first stage calls
-    ``ham.field_jets``.  ``every`` and the errors are :func:`integrate_flow`'s.
+    nothing higher) or ``start``, a map's with value z0, carried on.  The
+    scheme steps both jets' coefficients as one list; the first stage calls
+    ``ham.field_jets``.  The errors are :func:`integrate_flow`'s.
     """
     if steps is None:
         steps = default_steps(t_final)
     jq, jp = start or (seed(z0[0], 0, order), seed(z0[1], 1, order))
     n = len(jq)
-    loop = rk4_loop(ham._field, (order, "flat"), FlowJets)
-    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in loop(jq + jp, ham.params, t_final, steps, ham.field_jets, every)]
+    loop = rk4_loop(ham._field, (order, "flat"), FlowJets, scheme)
+    jets = [(jq, jp)] + [(s[:n], s[n:]) for s in loop(jq + jp, ham.params, t_final, steps, ham.field_jets)]
     (value, _), = PARTIALS[order][0]
-    return Trajectory(states=[(jq[value], jp[value]) for jq, jp in jets], jets=jets, every=every)
+    return Trajectory(states=[(jq[value], jp[value]) for jq, jp in jets], jets=jets)
 
 
 def _largest(deviations) -> float:
@@ -449,12 +450,8 @@ def check_transport(a0: Expr, ham: HamiltonianSpec, traj: Trajectory, t_final: f
 
     The time derivative is a central difference on the stored grid, so the
     residual carries an O(h^2) truncation floor; at the default resolution
-    that floor sits well under 1e-6 for the bundled Hamiltonians.  So the
-    grid must be the integrator's: a trajectory that kept only every n-th
-    state (``every`` > 1) raises ValueError.
+    that floor sits well under 1e-6 for the bundled Hamiltonians.
     """
-    if traj.every != 1:
-        raise ValueError(f"check_transport needs every step's state, not one in {traj.every}")
     steps = len(traj.states) - 1
     stride = max(1, steps // 256)
     h = t_final / steps

@@ -12,31 +12,29 @@ group, so the map it needs at each quadrature node (duration s, based at
 z(T - s)) is the inverse of the duration -s map based at z(T): one
 backward pass of order-3 jets from z(T) holds every node's map, and a
 truncated jet inversion per node, order by order (``jets.invert``'s rule),
-turns it around, so the work grows linearly with T.  It keeps z(T) alone of
-its scalar pass and the nodes' values alone of its backward pass, and one
-loop generated per Hamiltonian runs every node's inversion, H's third
-partials and the bracket as straight-line code.  The ode route
-propagates the correction through a linear inhomogeneous equation driven
-by order-2 jets, with one right-hand side generated per Hamiltonian: the
-jet field, H's partials and the drive, grouped by its symmetries and with
-the terms of H's partials that are 0 left out, written out as
-straight-line code; it keeps only its last state.
-Transport runs on a two-column Richardson table (:func:`_richardson`): at
-exact doublings from a 64th of its finest RK4 step count, stopping at the
-first level whose estimate of the first extrapolate's error, over the
-correction and z(T), is at most 1e-8 relative, with the second
-extrapolate, and giving its top level's own value, or error, where none
-is.  Its quadrature nodes are its RK4 steps, so the table refines and
-extrapolates both at once.  The ode route runs on a Gragg-Bulirsch-Stoer
-table of modified-midpoint rows (:func:`hbar2_ode`), to the same 1e-8.
-Both run on loops of ``flow.rk4_loop`` (RK4 for transport, the modified
-midpoint rule for the ode route), read the jets' partials through
-``jets.PARTIALS`` and share H's table of partials; the formulas stay
-independent: the C1/C2 contraction of the map's first and second
-derivatives on the ode side, the cubed bidifferential under Simpson's
-rule on the transport side.  So agreement, judged in one place by
-:func:`route_gap`'s rule (:func:`hbar2_routes`), is evidence the formulas
-are right, and both are compared against closed forms where one exists.
+turns it around, so the work grows linearly with T.  Its scalar pass gives
+z(T), and its backward pass carries the two integrals as two more
+components, and one loop generated per Hamiltonian runs every node's
+inversion, H's third partials and the bracket as straight-line code.  The
+ode route propagates the correction through a linear inhomogeneous
+equation driven by order-2 jets, with one right-hand side generated per
+Hamiltonian: the jet field, H's partials and the drive, grouped by its
+symmetries and with the terms of H's partials that are 0 left out, written
+out as straight-line code; it keeps only its last state.
+Every pass of both routes, the ode route's one and transport's two, runs on
+one Gragg-Bulirsch-Stoer table (:func:`_extrapolate`) of modified-midpoint
+rows (``flow.rk4_loop``'s "midpoint" scheme), extrapolated in h^2 to
+1e-10 in the components it reads, with one budget of rate evaluations
+(``steps_per_unit``) and one rule at its top: a flow whose H is no longer
+finite is a blowup, and one whose table met no estimate and whose H
+drifted is refused with :class:`FlowAccuracyError`.  Both routes read the
+jets' partials through ``jets.PARTIALS`` and share H's table of partials;
+the formulas stay independent: the C1/C2 contraction of the map's first
+and second derivatives on the ode side, the cubed bidifferential under the
+midpoint rule on the transport side.  So agreement, judged in one place
+by :func:`route_gap`'s rule (:func:`hbar2_routes`), is evidence the
+formulas are right, and both are compared against closed forms where one
+exists.
 """
 
 from __future__ import annotations
@@ -77,6 +75,7 @@ __all__ = [
     "DivergenceReport",
     "divergence_order",
     "Hbar2Result",
+    "FlowAccuracyError",
     "ROUTE_GAP_TOL",
     "route_gap",
     "hbar2_transport",
@@ -215,48 +214,124 @@ def route_gap(x: float, y: float) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-# a route stops where its table's estimate, in every component, is at most
-# this: the Richardson estimate of transport's first extrapolate, the gap
-# between the ode route's last two diagonal entries
-_ESTIMATE_TOL = 1e-8
-# steps per chunk of transport's backward pass, at most: a power of 2
-_CHUNK = 4096
+# the Gragg-Bulirsch-Stoer table every pass of both routes runs on (Hairer,
+# Norsett & Wanner, *Solving ODEs I*, section II.9): the substep counts of its
+# rows, 2, 4, ..., 20 (k_max = 10: of k_max 6, 7, 8 and 10, 10 ran the
+# benchmark's ode routes in the least time, each in one pass), the longest
+# macro step of its first pass (0.5: each benchmark time is one macro step),
+# the rate evaluations of one macro step's full table, whose rows share the
+# rates at its start, and the estimate, in every component it reads, at which
+# a macro step stops (at 1e-8, transport stopped 1.4e-8 and 3.7e-7 off on two
+# of 144 random polynomial Hamiltonians)
+_SUBSTEPS = tuple(range(2, 21, 2))
+_MACRO_STEP = 0.5
+_TABLE_EVALS = 1 + sum(n - 1 for n in _SUBSTEPS)
+_ESTIMATE_TOL = 1e-10
 
 
-def _levels(top: int) -> list[int]:
-    """The step counts transport runs, coarse to fine: ``top`` / 64, then
-    each exact doubling up to ``top``, a multiple of 128, so that the
-    coarsest level is one Simpson panel of 2 steps or more."""
-    return [top >> k for k in range(6, -1, -1)]
+class FlowAccuracyError(RuntimeError):
+    """A route's top met no estimate in some macro step, and its flow's
+    energy moved by more than ``ROUTE_GAP_TOL``: its value is not to be
+    trusted."""
+
+    def __init__(self, start: float, end: float):
+        super().__init__(
+            f"the flow's energy moved from {start:.12g} to {end:.12g}, relative gap "
+            f"{route_gap(start, end):.3g} > {ROUTE_GAP_TOL:g}, where the route's finest table met no estimate"
+        )
+        self.start, self.end = start, end
 
 
-def _richardson(run, steps: int) -> tuple[float, float]:
-    """Transport's (Q2, P2) by a two-column Richardson table on RK4's h^4,
-    h^5, ... error expansion (Hairer, Norsett & Wanner, *Solving ODEs I*,
-    section II.4).  ``run(n)`` gives (Q2, P2, q(T), p(T)) at n steps, for
-    each of :func:`_levels` of the top: ``steps`` rounded up to a multiple
-    of 128.  R1(n) = a_n + (a_n - a_{n/2}) / 15 removes the h^4 term, RK4's
-    and that of the Simpson quadrature along with it; the route stops at
-    the first level n where ``route_gap(R1(n/2), R1(n)) / 31``, the
-    estimate of R1's error, is at most ``_ESTIMATE_TOL`` in all four
-    components, and returns R2 = R1(n) + (R1(n) - R1(n/2)) / 31.  An error
-    below the top counts as not met; where no level meets it, the route
-    gives the top's own value or error."""
-    levels = _levels(max(1, -(-steps // 128)) * 128)
-    a = r1 = None
-    for n in levels:
+def _macro_passes(t_final: float, budget: int) -> list[int]:
+    """The table's macro-step counts, coarse to fine: the fewest steps of at
+    most ``_MACRO_STEP``, doubled up to the top, the most whose full tables
+    take at most ``budget`` rate evaluations, or the first count where that
+    is fewer."""
+    passes = [max(1, math.ceil(t_final / _MACRO_STEP))]
+    top = max(passes[0], budget // _TABLE_EVALS)
+    while passes[-1] < top:
+        passes.append(min(2 * passes[-1], top))
+    return passes
+
+
+def _extrapolate(row, state: list[float], t_final: float, budget: int, read: tuple[int, ...],
+                 ham: HamiltonianSpec) -> list[float]:
+    """The components ``read`` of the flat state at ``t_final`` from
+    ``state`` at 0, the last two of them the flow's (q, p), by a
+    Gragg-Bulirsch-Stoer table whose row ``row(s, h, n)`` is the state a
+    macro step h on from s by ``n`` modified-midpoint substeps.
+
+    Each macro step runs the rows ``_SUBSTEPS`` from its start and
+    extrapolates them in h^2 (Aitken-Neville) until the last two diagonal
+    entries are within ``_ESTIMATE_TOL`` (``route_gap``) in every component
+    read; the last goes on, and the last macro step carries only those.  An
+    error in a row starts the table afresh from the next row.  A pass whose
+    macro step meets no estimate by the last row, or errs there, gives way
+    to one of twice the macro steps (:func:`_macro_passes`) up to the top,
+    the most whose full tables fit in ``budget`` rate evaluations.  The top
+    raises its last row's error (a blowup at the pass's time) and carries
+    each macro step's last diagonal entry on, met or not; then it raises a
+    blowup at ``t_final`` where H at its end is not finite, and
+    :class:`FlowAccuracyError` where a macro step met no estimate and H
+    moved by more than ``ROUTE_GAP_TOL``.  Deterministic: fixed rows and
+    macro steps, no step-size controller.
+    """
+    passes = _macro_passes(abs(t_final), budget)
+
+    def run(m: int) -> tuple[list[float], bool] | None:
+        h, y, met = t_final / m, state, True
+        for i in range(m):
+            last = i == m - 1
+            ns, table = [], []
+            for n in _SUBSTEPS:
+                try:
+                    got = row(y, h, n)
+                except (ArithmeticError, ValueError, FlowBlowupError) as err:
+                    if n < _SUBSTEPS[-1]:
+                        ns, table = [], []
+                        continue
+                    if m < passes[-1]:
+                        return None
+                    if isinstance(err, FlowBlowupError):
+                        raise FlowBlowupError(i * h + err.time) from None
+                    raise
+                if last:
+                    got = [got[c] for c in read]
+                # the table's next row, by Aitken-Neville in h^2: got, then each
+                # T_jk = T_j,k-1 + (T_j,k-1 - T_j-1,k-1) / ((n / n_j-k)^2 - 1)
+                prev, table = table, [got]
+                for below, k in zip(prev, reversed(ns)):
+                    ratio = (n / k) ** 2 - 1.0
+                    table.append([a + (a - b) / ratio for a, b in zip(table[-1], below)])
+                ns.append(n)
+                if prev and all(route_gap(prev[-1][c], table[-1][c]) <= _ESTIMATE_TOL
+                                for c in (range(len(read)) if last else read)):
+                    break
+            else:
+                if m < passes[-1]:
+                    return None
+                met = False
+            y = table[-1]
+        return y, met
+
+    for m in passes:
+        got = run(m)
+        if got:
+            break
+    end, met = got
+    if m == passes[-1]:
+        # H at the top's end is H at its start, which the flow conserves
         try:
-            fine = run(n)
-        except (ArithmeticError, ValueError, FlowBlowupError):
-            if n == levels[-1]:
-                raise
-            a = r1 = None
-            continue
-        r = a and [y + (y - x) / 15.0 for x, y in zip(a, fine)]
-        if r1 and max(map(route_gap, r1, r)) / 31.0 <= _ESTIMATE_TOL:
-            return tuple(y + (y - x) / 31.0 for x, y in zip(r1[:2], r[:2]))
-        a, r1 = fine, r
-    return fine[:2]
+            energy = ham.energy(*end[-2:])
+        except (ArithmeticError, ValueError):
+            energy = math.inf
+        if not math.isfinite(energy):
+            raise FlowBlowupError(t_final)
+        if not met:
+            start = ham.energy(state[read[-2]], state[read[-1]])
+            if route_gap(start, energy) > ROUTE_GAP_TOL:
+                raise FlowAccuracyError(start, energy)
+    return end
 
 
 def hbar2_transport(
@@ -271,45 +346,42 @@ def hbar2_transport(
     The correction is the integral over s in [0, T] of the grade-one
     bracket of the duration-s flow map with H, the bracket taken at the
     point z(T - s).  The flow is a group, so that map, based at z(T - s),
-    is the inverse of the duration -s map based at z(T).  One scalar pass
-    gives z(T), the one state it keeps; one backward pass of order-3 jets
-    from z(T) gives the duration -s maps at every RK4 step, each a
-    quadrature node, and the node loop (:class:`_NodeEmitter`) inverts
-    each, by :func:`jets.invert`'s rule, into the map the bracket needs.
-    The work grows linearly with T, and the jets held, a chunk of the pass
-    (``_CHUNK``), do not.  Composite Simpson's rule assembles the integral
-    on the steps, so the step count is even, and the step doublings of
-    :func:`_richardson` refine the quadrature with the flow: its table
-    extrapolates both errors.  ``steps_per_unit`` sets the finest step
-    count, rounded up to a multiple of 128, so that the coarsest level is
-    one Simpson panel of 2 steps or more.  Deterministic: step-doubling
-    levels, not a step-size controller.
+    is the inverse of the duration -s map based at z(T).  Two passes of
+    :func:`_extrapolate`'s table run it: a scalar one gives z(T), and a
+    backward one of order-3 jets from z(T) carries the two integrals as two
+    more components.  A backward row of n substeps runs the jets' midpoint
+    flow from its macro step's start (``integrate_flow_jets(...,
+    start=, scheme="midpoint")``), the node loop (:class:`_NodeEmitter`)
+    inverts its odd substeps' jets into the maps the bracket needs, and 2
+    h / n times their integrand's sum goes onto each integral: the midpoint
+    rule on I' = f, with the jets' h^2 expansion at even n, so the table
+    extrapolates the quadrature with the flow.  The work grows linearly
+    with T; the budget is the ode route's.  A blowup of the backward pass
+    is reported at the user's time T - s.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
     nodes = _transport_nodes(ham)
+    budget = 4 * round(steps_per_unit * t_final)
 
-    def run(steps: int) -> tuple[float, ...]:
-        z_t = integrate_flow(ham, z0, t_final, steps, every=steps).states[-1]
-        # the backward pass from z(T), in chunks that carry on each other's
-        # jets (a power of 2 of steps if more than one, so the step is the
-        # whole pass's, bit for bit); jets[k]: the duration -s map based at
-        # z(T), s = k * T / steps, and states[k] its value, the node z(T - s)
-        chunk = steps if steps <= _CHUNK else math.gcd(steps, _CHUNK)
-        h = -t_final / steps
-        vals, z, jets = ([0.0], [0.0]), z_t, None
-        for k in range(0, steps, chunk):
-            try:
-                back = integrate_flow_jets(ham, z, chunk * h if chunk < steps else -t_final, chunk, 3, start=jets)
-            except FlowBlowupError as err:
-                # the backward pass's time -s is the user's time T - s
-                raise FlowBlowupError(t_final + k * h + err.time) from None
-            for f, got in zip(vals, nodes(back.jets[1:], ham.params)):
-                f += got[1:]
-            z, jets = back.states[-1], back.jets[-1]
-        return _simpson(vals[0], t_final / steps), _simpson(vals[1], t_final / steps), *z_t
+    def forward(z, h, n):
+        return integrate_flow(ham, z, h, n, scheme="midpoint").states[-1]
 
-    q2, p2 = _richardson(run, round(steps_per_unit * t_final))
+    def backward(s, h, n):
+        # s: the jets (gq, gp) of the duration -s map based at z(T), whose
+        # value is the node z(T - s), then the two integrals
+        back = integrate_flow_jets(ham, (s[0], s[10]), h, n, 3, start=(s[:10], s[10:20]), scheme="midpoint")
+        fq, fp = nodes(back.jets[1::2], ham.params)
+        jq, jp = back.jets[-1]
+        return [*jq, *jp, s[20] - 2.0 * h / n * sum(fq), s[21] - 2.0 * h / n * sum(fp)]
+
+    z_t = _extrapolate(forward, list(z0), t_final, budget, (0, 1), ham)
+    try:
+        q2, p2, *_ = _extrapolate(backward, [*seed(z_t[0], 0, 3), *seed(z_t[1], 1, 3), 0.0, 0.0], -t_final,
+                                  budget, (20, 21, 0, 10), ham)
+    except FlowBlowupError as err:
+        # the backward pass's time -s is the user's time T - s
+        raise FlowBlowupError(t_final + err.time) from None
     return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
@@ -317,7 +389,7 @@ class _NodeEmitter(FloatEmitter):
     """Writes the transport route's integrand at every quadrature node as
     one loop, ``kernel(jets, b)``: from the order-3 jets (gq, gp) of each
     node's duration -s map, whose values are the node z(T - s), the lists
-    [0.0, f(s_1), ...] of the map's two components, the 0.0 at s = 0.
+    [0.0, f(s_1), ...] of the map's two components, after a 0.0.
 
     Per node, as straight-line code over the jets' coefficient locals: the
     inverse map's jets (dq, dp), by :func:`jets.invert`'s rule, refusal of
@@ -378,12 +450,6 @@ def _transport_nodes(ham: HamiltonianSpec):
     """The transport route's node loop for ``ham`` (:class:`_NodeEmitter`):
     generated on first use and kept with H's partials."""
     return ham._partials.kernel(ham.partials, _NodeEmitter)
-
-
-def _simpson(values: list[float], h: float) -> float:
-    """Composite Simpson's rule on nodes a spacing h apart, an even number
-    of intervals."""
-    return (values[0] + values[-1] + 4.0 * sum(values[1::2]) + 2.0 * sum(values[2:-1:2])) * h / 3.0
 
 
 class _Hbar2Emitter(FlowJets):
@@ -510,29 +576,6 @@ def _hbar2_rates(ham: HamiltonianSpec):
     return ham._partials.kernel(ham._field, _Hbar2Emitter)
 
 
-# the ode route's Gragg-Bulirsch-Stoer table (Hairer, Norsett & Wanner,
-# *Solving ODEs I*, section II.9): the substep counts of its rows, 2, 4, ...,
-# 20 (k_max = 10: of k_max 6, 7, 8 and 10, 10 ran the benchmark's jobs in the
-# least time, each in one pass), the longest macro step of its first pass
-# (0.5: each benchmark time is one macro step), and the rate evaluations of
-# one macro step's full table, whose rows share the rates at its start
-_SUBSTEPS = tuple(range(2, 21, 2))
-_MACRO_STEP = 0.5
-_TABLE_EVALS = 1 + sum(n - 1 for n in _SUBSTEPS)
-
-
-def _macro_passes(t_final: float, budget: int) -> list[int]:
-    """The ode route's macro-step counts, coarse to fine: the fewest steps
-    of at most ``_MACRO_STEP``, doubled up to the top, the most whose full
-    tables take at most ``budget`` rate evaluations, or the first count
-    where that is fewer."""
-    passes = [max(1, math.ceil(t_final / _MACRO_STEP))]
-    top = max(passes[0], budget // _TABLE_EVALS)
-    while passes[-1] < top:
-        passes.append(min(2 * passes[-1], top))
-    return passes
-
-
 def hbar2_ode(
     ham: HamiltonianSpec,
     z0: tuple[float, float],
@@ -546,87 +589,33 @@ def hbar2_ode(
     its rate is the Jacobian of the Hamiltonian vector field applied to
     the current correction plus the jet-driven inhomogeneity
     (:class:`_Hbar2Emitter`).  Starts from zero correction and the
-    identity jets and keeps only the last state.
-
-    A Gragg-Bulirsch-Stoer table integrates it: each macro step runs the
-    generated modified-midpoint loop (``flow.rk4_loop``'s "midpoint"
-    scheme) at the substep counts ``_SUBSTEPS``, every row from the same
-    rates at the macro step's start, and extrapolates them in h^2
-    (Aitken-Neville), until the last two diagonal entries are within
-    ``_ESTIMATE_TOL`` (``route_gap``) in the correction and the jets' value
-    (Q2, P2, q, p); the last goes on.  An error in a row starts the table
-    afresh from the next row.  A pass whose macro step meets no estimate by
-    the last row, or errs there, gives way to one of twice the macro steps
-    (:func:`_macro_passes`) up to the top, whose
-    ``4 * round(steps_per_unit * t_final)`` rate evaluations are RK4's at
-    that many steps: the top carries each macro step's last diagonal entry
-    on, met or not, and raises the last row's error, a blowup at the
-    user's time, or a blowup at t_final where H at its z(T) is not finite.
-    Deterministic: fixed rows and macro steps, no step-size controller.
+    identity jets and keeps only the last state.  One pass of
+    :func:`_extrapolate`'s table runs it, reading the correction and the
+    jets' value (Q2, P2, q, p); its rows are the generated modified-midpoint
+    loop (``flow.rk4_loop``'s "midpoint" scheme), all of a macro step's
+    from the rates at its start.  ``steps_per_unit`` sets the budget of
+    ``4 * round(steps_per_unit * t_final)`` rate evaluations, RK4's at that
+    many steps.
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
     rates = _hbar2_rates(ham)
     loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter, "midpoint")
-    passes = _macro_passes(t_final, 4 * round(steps_per_unit * t_final))
+    start = []
 
-    def run(m: int) -> list[float] | None:
-        # the order-2 jets' six coefficients each, then the correction pair
-        h, state = t_final / m, [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
-        for i in range(m):
-            # the components the estimate reads, Q2, P2 and the jets' value
-            # (q, p): the last macro step's table carries only these
-            read = (12, 13, 0, 6) if i < m - 1 else (0, 1, 2, 3)
-            start = []
+    def rhs(s):  # the rates at a macro step's start, once for every row
+        if not start or start[0] is not s:
+            start[:] = s, rates(s, ham.params)
+        return start[1]
 
-            def rhs(s):  # the rates at the macro step's start, once for every row
-                start or start.append(rates(s, ham.params))
-                return start[0]
+    def row(s, h, n):
+        (y,) = loop(s, ham.params, h, n, rhs, n)
+        return y
 
-            ns, row = [], []
-            for n in _SUBSTEPS:
-                try:
-                    (y,) = loop(state, ham.params, h, n, rhs, n)
-                except (ArithmeticError, ValueError, FlowBlowupError) as err:
-                    if n < _SUBSTEPS[-1]:
-                        ns, row = [], []
-                        continue
-                    if m < passes[-1]:
-                        return None
-                    if isinstance(err, FlowBlowupError):
-                        raise FlowBlowupError(i * h + err.time) from None
-                    raise
-                if i == m - 1:
-                    y = [y[12], y[13], y[0], y[6]]
-                # the table's next row, by Aitken-Neville in h^2: y, then each
-                # T_jk = T_j,k-1 + (T_j,k-1 - T_j-1,k-1) / ((n / n_j-k)^2 - 1)
-                last, row = row, [y]
-                for prev, k in zip(last, reversed(ns)):
-                    ratio = (n / k) ** 2 - 1.0
-                    row.append([a + (a - b) / ratio for a, b in zip(row[-1], prev)])
-                ns.append(n)
-                if last and all(route_gap(last[-1][c], row[-1][c]) <= _ESTIMATE_TOL for c in read):
-                    break
-            else:
-                if m < passes[-1]:
-                    return None
-            state = row[-1]
-        return state
-
-    for m in passes:
-        state = run(m)
-        if state:
-            break
-    if m == passes[-1]:
-        # H at the top's z(T) is H at z0, which the flow conserves: where it
-        # is not finite, the flow left the float range
-        try:
-            energy = ham.energy(state[2], state[3])
-        except (ArithmeticError, ValueError):
-            energy = math.inf
-        if not math.isfinite(energy):
-            raise FlowBlowupError(t_final)
-    return Hbar2Result(q2=(state[0],), p2=(state[1],))
+    # the order-2 jets' six coefficients each, then the correction pair
+    state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
+    q2, p2, *_ = _extrapolate(row, state, t_final, 4 * round(steps_per_unit * t_final), (12, 13, 0, 6), ham)
+    return Hbar2Result(q2=(q2,), p2=(p2,))
 
 
 def hbar2_routes(

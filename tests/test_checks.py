@@ -52,7 +52,7 @@ def scale_p2(route, factor):
     "ode_factor, transport_factor, detail",
     [
         # both routes off squeeze's P2 closed form by 2e-6, with no gap
-        (1 + 2e-6, 1 + 2e-6, "squeeze worst rel 2e-06, route gap 7.73e-10"),
+        (1 + 2e-6, 1 + 2e-6, "squeeze worst rel 2e-06, route gap 7.8e-12"),
         # each within 1e-6 of it, and 1.8e-6 apart
         (1 + 9e-7, 1 - 9e-7, "squeeze worst rel 9e-07, route gap 1.8e-06"),
     ],

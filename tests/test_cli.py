@@ -6,8 +6,10 @@ from click.testing import CliRunner
 
 from moyal import checks
 from moyal.cli import main
+from moyal.expr import parse_expr
+from moyal.flow import FlowBlowupError, HamiltonianSpec
 from moyal.poly import PhasePolynomial, moyal_bracket
-from moyal.semiclassical import route_gap
+from moyal.semiclassical import hbar2_transport, route_gap
 
 
 @pytest.fixture()
@@ -187,16 +189,17 @@ def test_hierarchy_long_time_finishes(runner):
 @pytest.mark.parametrize(
     "args, where",
     [
-        # a stiff potential: the routes have not converged at the top
-        (["--hamiltonian", "p^2/2 + exp(10*q)", "--q0", "1", "--p0", "0", "--t-steps", "1", "--t1", "1"],
-         "at t = 1 the ode and transport routes differ in P2: -0.0502603360357 (ode) against "
-         "-0.0153089922181 (transport)"),
+        # a stiff wall: the flow bounces off q^-2 near q = 0.1, which neither
+        # route resolves at the top, while the flow's energy holds
+        (["--hamiltonian", "p^2/2+q^-2", "--q0", "0.1", "--p0", "0", "--t-steps", "1", "--t1", "1"],
+         "at t = 1 the ode and transport routes differ in P2: 1.76817254706 (ode) against "
+         "1.76799800512 (transport)"),
         # the flow turns just short of the pole of tan near q = 1.533, which
         # neither route resolves at the top
         (["--hamiltonian", "p^2/2+tan(q)", "--q0", "1.5", "--p0", "5", "--t0", "0.2", "--t1", "0.2",
           "--t-steps", "1"],
-         "at t = 0.2 the ode and transport routes differ in P2: -0.674363360825 (ode) against "
-         "-0.667587539043 (transport)"),
+         "at t = 0.2 the ode and transport routes differ in P2: -0.674363360713 (ode) against "
+         "-0.673584076753 (transport)"),
     ],
 )
 def test_hierarchy_route_gap_exits_1(runner, args, where):
@@ -205,6 +208,23 @@ def test_hierarchy_route_gap_exits_1(runner, args, where):
     assert res.output.startswith("t,Q2,P2,method\n")
     assert f"error: {where}, relative gap " in res.output
     assert res.output.endswith(" > 1e-06\n")
+
+
+@pytest.mark.parametrize(
+    "q0, t1, energies",
+    [
+        # a stiff potential: no pass resolves its wall, and the flow's
+        # energy drifts at the routes' top
+        ("1", "1", "from 22026.4657948 to 20931.884089, relative gap 0.0497"),
+        ("5", "0.3", "from 5.18470552859e+21 to 2.15086448022e+38, relative gap 1"),
+    ],
+)
+def test_hierarchy_exits_1_where_a_route_lost_its_accuracy(runner, q0, t1, energies):
+    args = ["hierarchy", "--hamiltonian", "p^2/2 + exp(10*q)", "--q0", q0, "--p0", "0", "--t-steps", "1"]
+    res = runner.invoke(main, [*args, "--t1", t1])
+    assert res.exit_code == 1
+    assert res.output == (f"error: the flow's energy moved {energies} > 1e-06, where the route's finest "
+                          "table met no estimate\n")
 
 
 def test_hierarchy_route_gap_is_relative_to_the_larger_value():
@@ -333,11 +353,18 @@ def test_a_hamiltonian_in_t_or_hbar_is_refused_as_such(runner, name):
     assert res.output == "error: the Hamiltonian must not depend on t or hbar\n"
 
 
-@pytest.mark.parametrize("t1", ["0.3", "0.05", "1"])
+@pytest.mark.parametrize("t1", ["3.6", "3.7", "3.75"])
 def test_a_backward_pass_blowup_reports_a_time_the_user_asked_for(runner, t1):
-    # the forward flow stays finite; the transport route's backward jet pass
-    # from z(T) overflows, at a time that must lie in [0, T]
-    args = ["hierarchy", "--hamiltonian", "p^2/2 + exp(10*q)", "--q0", "5", "--p0", "0", "--t-steps", "1"]
+    # H = 200 q p from q0 = 1e-300: the forward flow stays finite, q(T) =
+    # q0 e^{200 T}; transport's backward jet pass from z(T) overflows, as
+    # d p(T - s) / d p(T) = e^{200 s} leaves the float range near s = 3.55,
+    # at a time that must lie in [0, T]: near T - 3.55.  hierarchy runs the
+    # ode route first, whose forward jets overflow too, near t = 3.52
+    ham = HamiltonianSpec(parse_expr("200*q*p"))
+    with pytest.raises(FlowBlowupError) as err:
+        hbar2_transport(ham, (1e-300, 1e30), float(t1))
+    assert 0.0 <= err.value.time < 0.5
+    args = ["hierarchy", "--hamiltonian", "200*q*p", "--q0", "1e-300", "--p0", "1e30", "--t-steps", "1"]
     res = runner.invoke(main, [*args, "--t1", t1])
     assert res.exit_code == 2
     prefix = "error: flow became non-finite near t = "

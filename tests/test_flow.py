@@ -7,6 +7,7 @@ import pytest
 from moyal.checks import _flow_hamiltonians
 from moyal.expr import FloatEmitter, Program, parse_expr
 from moyal.flow import (
+    FlatFloats,
     FlowBlowupError,
     HamiltonianSpec,
     Trajectory,
@@ -17,8 +18,9 @@ from moyal.flow import (
     integrate_flow,
     integrate_flow_jets,
     rk4,
+    rk4_loop,
 )
-from moyal.jets import derivative, eval_expr_jet, seed
+from moyal.jets import FlowJets, derivative, eval_expr_jet, seed
 
 
 def harmonic():
@@ -190,37 +192,38 @@ def test_transport_residual():
     assert res < 1e-6
 
 
-def test_transport_refuses_a_trajectory_that_kept_every_nth_state():
-    ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
-    traj = integrate_flow(ham, (0.9, 0.4), 5.0, every=2)
-    with pytest.raises(ValueError, match="^check_transport needs every step's state, not one in 2$"):
-        check_transport(parse_expr("q*p"), ham, traj, 5.0)
-
-
 def every_run(ham, z0, t, steps, order, every):
-    """float.hex of the states and jets the flow keeps, or the class, text
-    and float.hex time of its blowup."""
+    """float.hex of the states an RK4 loop yields at ``every``, the
+    scalar flow's (order 0) or a jet flow's, or the class, text and
+    float.hex time of its blowup.  The flows keep every step's state; the
+    ode route's rows read one state of their loop (``rk4_loop``'s
+    ``every``)."""
+    if order:
+        loop = rk4_loop(ham._field, (order, "flat"), FlowJets)
+        state, rhs = seed(z0[0], 0, order) + seed(z0[1], 1, order), ham.field_jets
+    else:
+        loop, state, rhs = rk4_loop(ham._field, "flat", FlatFloats), list(z0), ham.field
     try:
-        if order:
-            traj = integrate_flow_jets(ham, z0, t, steps, order, every)
-            kept = [jq + jp for jq, jp in traj.jets]
-        else:
-            traj = integrate_flow(ham, z0, t, steps, every)
-            kept = traj.states
+        kept = list(loop(state, ham.params, t, steps, rhs, every))
     except FlowBlowupError as err:
         return type(err), str(err), err.time.hex()
-    assert traj.every == every
-    assert len(traj.states) == len(kept) == steps // every + 1
-    return [[x.hex() for x in s] for s in kept], [[x.hex() for x in s] for s in traj.states]
+    assert len(kept) == steps // every
+    return [[x.hex() for x in s] for s in kept]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_every_keeps_the_initial_state_and_every_nth_state(order):
+    # the loop yields the state after every every-th step; the flows keep
+    # the initial state and every step's
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
     for t in (0.3, -0.3):
-        kept, states = every_run(ham, (0.9, -0.7), t, 24, order, 1)
+        kept = every_run(ham, (0.9, -0.7), t, 24, order, 1)
         for every in (2, 3, 8, 24):
-            assert every_run(ham, (0.9, -0.7), t, 24, order, every) == (kept[::every], states[::every])
+            assert every_run(ham, (0.9, -0.7), t, 24, order, every) == kept[every - 1::every]
+        traj = integrate_flow_jets(ham, (0.9, -0.7), t, 24, order) if order else integrate_flow(ham, (0.9, -0.7), t, 24)
+        flat = [jq + jp for jq, jp in traj.jets] if order else traj.states
+        assert flat[0] == (seed(0.9, 0, order) + seed(-0.7, 1, order) if order else (0.9, -0.7))
+        assert [[x.hex() for x in s] for s in flat[1:]] == kept
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -242,6 +245,14 @@ def test_every_keeps_the_time_of_a_blowup(order):
     assert blowup[0] is FlowBlowupError
     for every in (8, 400, 2000):
         assert every_run(ham, z0, 1.0, 2000, order, every) == blowup
+
+
+def test_a_scheme_other_than_rk4_or_midpoint_is_refused():
+    ham = harmonic()
+    for run in (lambda: integrate_flow(ham, (0.9, -0.7), 0.3, 8, scheme="euler"),
+                lambda: integrate_flow_jets(ham, (0.9, -0.7), 0.3, 8, 2, scheme="RK4")):
+        with pytest.raises(ValueError, match="^the scheme is 'rk4' or 'midpoint', not "):
+            run()
 
 
 def test_blowup_raises():

@@ -28,7 +28,7 @@ from moyal.flow import (
 )
 from moyal.jets import FlowJets, seed
 from moyal.semiclassical import _Hbar2Emitter
-from test_semiclassical import BENCH_HAMILTONIANS, ode_rk4, polynomial_terms
+from test_semiclassical import BENCH_HAMILTONIANS, ode_rk4, polynomial_terms, recording_tables
 
 
 def outcome(run):
@@ -183,12 +183,16 @@ def test_each_integration_calls_the_public_field_once(monkeypatch):
     for order in (1, 2, 3):
         integrate_flow_jets(ham, (0.9, -0.7), -0.3, order=order)
     assert calls == ["field", "field_jets", "field_jets", "field_jets"]
-    # the transport route's two flows at each step count it runs, and the ode
-    # route none: it calls its own kernel
+    # the transport route's rows: one field per row of its scalar pass,
+    # then one field_jets per row of its backward pass; the ode route none,
+    # as it calls its own kernel
     calls.clear()
-    moyal.semiclassical.hbar2_transport(ham, (0.9, -0.7), 0.3)
-    moyal.semiclassical.hbar2_ode(ham, (0.9, -0.7), 0.3)
-    assert calls and calls == ["field", "field_jets"] * (len(calls) // 2)
+    with recording_tables() as runs:
+        moyal.semiclassical.hbar2_transport(ham, (0.9, -0.7), 0.3)
+        moyal.semiclassical.hbar2_ode(ham, (0.9, -0.7), 0.3)
+    forward, backward, _ode = runs
+    assert calls == ["field"] * len(forward["rows"]) + ["field_jets"] * len(backward["rows"])
+    assert forward["rows"] and backward["rows"]
 
 
 def test_loops_match_the_oracle_from_signed_zeros():
@@ -225,10 +229,18 @@ def midpoint(rhs, state, t, n):
     return states
 
 
+def carried_jets(z0):
+    """Order-3 jets (gq, gp) of a map with value z0 that is not the
+    identity's, as the transport route's backward rows carry on."""
+    return ([z0[0], 1.25, 0.5, *(0.125 * k for k in range(1, 8))],
+            [z0[1], -0.25, 0.75, *(-0.0625 * k for k in range(1, 8))])
+
+
 def midpoint_loops_and_oracles(ham, z0, t, n):
     """(loop, oracle) run pairs of the "midpoint" loops at ``n`` substeps:
     the scalar flow, the jet flows of orders 1 to 3 and the ode route's
-    rates, every state."""
+    rates, every state; then the scalar flow and the order-3 jet flow from
+    ``carried_jets`` through the flow API, the transport route's rows."""
     rates = partial(moyal.semiclassical._hbar2_rates(ham), b=ham.params)
     flows = [
         (ham._field, "flat", FlatFloats, ham.field, list(z0)),
@@ -242,6 +254,12 @@ def midpoint_loops_and_oracles(ham, z0, t, n):
             lambda loop=loop, rhs=rhs, state=state: [list(state), *loop(state, ham.params, t, n, rhs)],
             lambda rhs=rhs, state=state: midpoint(rhs, state, t, n),
         )
+    yield lambda: integrate_flow(ham, z0, t, n, scheme="midpoint").states, lambda: midpoint(ham.field, list(z0), t, n)
+    jq, jp = carried_jets(z0)
+    yield (
+        lambda: [gq + gp for gq, gp in integrate_flow_jets(ham, z0, t, n, 3, start=(jq, jp), scheme="midpoint").jets],
+        lambda: midpoint(ham.field_jets, jq + jp, t, n),
+    )
 
 
 def check_midpoint_loops(ham, z0, t, n=20):
@@ -277,7 +295,7 @@ def test_midpoint_blowup_times_match_the_oracle():
     # 800*q*p leaves the float range near t = 0.89 in every flow
     ham = HamiltonianSpec(parse_expr("800*q*p"))
     got = check_midpoint_loops(ham, (1.0, 1.0), 1.0, 2000)
-    assert [g[0] for g in got] == [FlowBlowupError] * 5
+    assert [g[0] for g in got] == [FlowBlowupError] * 7
     assert 0.85 < float.fromhex(got[0][2]) < 0.95
 
 
@@ -369,20 +387,26 @@ def test_the_loops_write_no_more_float_work():
         assert tuple(map(stores, loops)) == LOOP_STORES[name], name
 
 
-# the arithmetic instructions and stored locals of the ode route's modified
-# midpoint loop: one rate evaluation per substep, about a quarter of its
-# RK4 loop's float work per step (LOOP_FLOAT_OPS's last column)
+# the arithmetic instructions and stored locals of the modified midpoint
+# loops: the scalar flow's and the order-3 jet flow's, transport's rows, and
+# the ode route's; one rate evaluation per substep, about a quarter of the
+# RK4 loops' float work per step (LOOP_FLOAT_OPS's first, fourth and last
+# columns)
 MIDPOINT_LOOP_WORK = {
-    "squeeze": (263, 129),
-    "quartic": (165, 105),
-    "cubic": (119, 97),
-    "cosh": (135, 110),
-    "example1": (302, 143),
+    "squeeze": ((25, 28), (336, 165), (263, 129)),
+    "quartic": ((22, 25), (237, 137), (165, 105)),
+    "cubic": ((21, 25), (166, 131), (119, 97)),
+    "cosh": ((20, 25), (191, 141), (135, 110)),
+    "example1": ((31, 34), (378, 171), (302, 143)),
 }
 
 
 def test_the_midpoint_loops_write_no_more_float_work():
     for name, make in BENCH_HAMILTONIANS.items():
         ham = make()
-        loop = rk4_loop(ham._partials, ham._field, _Hbar2Emitter, "midpoint")
-        assert (float_ops(loop), stores(loop)) == MIDPOINT_LOOP_WORK[name], name
+        loops = [
+            rk4_loop(ham._field, "flat", FlatFloats, "midpoint"),
+            rk4_loop(ham._field, (3, "flat"), FlowJets, "midpoint"),
+            rk4_loop(ham._partials, ham._field, _Hbar2Emitter, "midpoint"),
+        ]
+        assert tuple((float_ops(loop), stores(loop)) for loop in loops) == MIDPOINT_LOOP_WORK[name], name

@@ -37,10 +37,10 @@ from moyal.flow import (
 from moyal.jets import PARTIALS, derivative, invert, seed
 from moyal.poly import PhasePolynomial, bidifferential, format_poly, poisson_bracket
 from moyal.semiclassical import (
+    FlowAccuracyError,
     Hbar2Result,
     TimeTaylorFlow,
     _Hbar2Emitter,
-    _simpson,
     cubic_order7_report,
     divergence_order,
     hbar2_ode,
@@ -197,12 +197,6 @@ def test_hbar2_ode_at_time_zero_is_zero(squeeze_ham):
     assert (res.q2[0], res.p2[0]) == (0.0, 0.0)
 
 
-def at_cap(shift=0):
-    """The transport route with no step doubling: it runs its top level
-    alone, or the level ``shift`` doublings below it."""
-    return mock.patch.object(moyal.semiclassical, "_levels", lambda top: [top >> shift])
-
-
 def ode_rk4(ham, z0, t, steps):
     """(Q2, P2) of the ode route's rates (``_Hbar2Emitter``) stepped by the
     generated RK4 loop at ``steps`` steps, with no table."""
@@ -212,110 +206,87 @@ def ode_rk4(ham, z0, t, steps):
     return state[12], state[13]
 
 
-def ode_alone(m):
-    """The ode route with one pass, of ``m`` macro steps, run as its top;
-    the passes it replaces are still planned, for a recording of them."""
-    plan = moyal.semiclassical._macro_passes
-    return mock.patch.object(moyal.semiclassical, "_macro_passes", lambda t, budget: plan(t, budget) and [m])
-
-
-@pytest.fixture()
-def levels_run(monkeypatch):
-    """The step counts transport's Richardson table ran, in call order; its
-    top is 64 times its first."""
-    runs = []
-    table = moyal.semiclassical._richardson
-
-    def recording(run, steps):
-        ran = []
-        runs.append(ran)
-        return table(lambda n: ran.append(n) or run(n), steps)
-
-    monkeypatch.setattr(moyal.semiclassical, "_richardson", recording)
-    return runs
+def alone(m):
+    """Every pass of the table run alone as its top, of ``m`` macro steps."""
+    return mock.patch.object(moyal.semiclassical, "_macro_passes", lambda t, budget: [m])
 
 
 @contextlib.contextmanager
-def recording_ode_runs():
-    """Each ode route call's macro-step counts (``passes``) and the (macro
-    step, substeps) of every table row it ran (``rows``), in call order."""
+def recording_tables():
+    """Every pass of the shared table (``_extrapolate``), in call order: its
+    time ``t``, start ``state``, ``row`` and ``read``, its macro-step counts
+    (``passes``) and the (macro step, substeps) of every row it ran
+    (``rows``).  An ode route runs one pass, transport two: its scalar pass
+    to z(T), then its backward pass over -T."""
     runs = []
-    plan, build = moyal.semiclassical._macro_passes, moyal.semiclassical.rk4_loop
+    table, plan = moyal.semiclassical._extrapolate, moyal.semiclassical._macro_passes
 
-    def planning(t, budget):
-        runs.append({"passes": plan(t, budget), "rows": []})
-        return runs[-1]["passes"]
+    def recording(row, state, t, budget, read, ham):
+        run = {"t": t, "state": state, "row": row, "read": read, "passes": plan(abs(t), budget), "rows": []}
+        runs.append(run)
+        return table(lambda s, h, n: run["rows"].append((h, n)) or row(s, h, n), state, t, budget, read, ham)
 
-    def building(*args):
-        loop = build(*args)
-
-        def recording(s, b, t, n, rhs, every=1):
-            runs[-1]["rows"].append((t, n))
-            return loop(s, b, t, n, rhs, every)
-
-        return recording
-
-    with mock.patch.object(moyal.semiclassical, "_macro_passes", planning), \
-            mock.patch.object(moyal.semiclassical, "rk4_loop", building):
+    with mock.patch.object(moyal.semiclassical, "_extrapolate", recording):
         yield runs
 
 
 @pytest.fixture()
-def ode_runs():
-    with recording_ode_runs() as runs:
+def tables():
+    with recording_tables() as runs:
         yield runs
 
 
-def last_pass(run, t):
-    """The macro-step count of the pass an ode route call ended on."""
-    return round(t / run["rows"][-1][0])
+def one_row(n):
+    """Every pass of the table as its row of ``n`` substeps over the whole
+    time, with no extrapolation and no decision of the table."""
+    def table(row, state, t, budget, read, ham):
+        y = row(state, t, n)
+        return [y[c] for c in read]
+
+    return mock.patch.object(moyal.semiclassical, "_extrapolate", table)
 
 
-# a correction that is exactly 0, the stiff input and a turn near tan's
-# pole, whose transport routes meet no Richardson estimate
-NO_ESTIMATE = (
-    ("(q+p)^4", (1.0, 1.0), 0.2),
-    ("p^2/2 + exp(10*q)", (1.0, 0.0), 1.0),
-    ("p^2/2+tan(q)", (1.5, 2.0), 0.2),
-)
+def last_pass(run):
+    """The macro-step count of the pass a table ended on."""
+    return round(run["t"] / run["rows"][-1][0])
 
 
-def test_hbar2_ode_default_steps_per_unit(squeeze_ham, ode_runs):
-    # steps_per_unit is the ode route's budget of rate evaluations, 4 times
+def test_hbar2_ode_default_steps_per_unit(squeeze_ham, tables):
+    # steps_per_unit is the table's budget of rate evaluations, 4 times
     # round(steps_per_unit * T), RK4's at that many steps: its top is the
     # most macro steps whose full tables of 101 evaluations fit in it.  An
     # input that meets an estimate in its first pass does not see it
     default = hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2)
     assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=2000) == default
     assert hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2, steps_per_unit=500) == default
-    # the stiff input meets none: 8,000 and 2,000 evaluations at T = 1
+    # the stiff input meets none: 8,000 and 2,000 evaluations at T = 1, and
+    # its energy drifts at either top
     stiff = HamiltonianSpec(parse_expr("p^2/2 + exp(10*q)"))
-    ode_runs.clear()
-    got = [hbar2_ode(stiff, (1.0, 0.0), 1.0), hbar2_ode(stiff, (1.0, 0.0), 1.0, steps_per_unit=500)]
-    assert [run["passes"][-1] for run in ode_runs] == [79, 19] and got[0] != got[1]
-    assert [last_pass(run, 1.0) for run in ode_runs] == [79, 19]
+    tables.clear()
+    got = [route_values(lambda: hbar2_ode(stiff, (1.0, 0.0), 1.0, steps_per_unit=spu)) for spu in (2000, 500)]
+    assert [run["passes"][-1] for run in tables] == [79, 19] and got[0] != got[1]
+    assert [last_pass(run) for run in tables] == [79, 19]
+    assert {err for err, _ in got} == {FlowAccuracyError}
 
 
-def test_the_levels_are_exact_doublings_ending_at_the_cap(levels_run):
-    levels = moyal.semiclassical._levels
-    assert levels(2048) == [32, 64, 128, 256, 512, 1024, 2048]
-    assert levels(128) == [2, 4, 8, 16, 32, 64, 128]
+def test_the_levels_are_exact_doublings_ending_at_the_cap(tables):
+    # both of transport's passes, its scalar one to z(T) and its backward
+    # one over -T, plan the same passes (levels): the fewest macro steps of
+    # at most 0.5, doubled, then the top, the cap of its budget; the stiff
+    # input runs every one of them
+    passes = moyal.semiclassical._macro_passes
     stiff = HamiltonianSpec(parse_expr("p^2/2 + exp(10*q)"))
-    hbar2_transport(stiff, (1.0, 0.0), 1.0)
-    # 2000 steps, transport's top rounded up to 2048
-    assert levels_run == [levels(2048)]
-    # a multiple of 128: its coarsest level is a Simpson panel of 2 steps
-    levels_run.clear()
-    for t in (0.0995, 0.3):
-        hbar2_transport(stiff, (1.0, 0.0), t)
-    assert [ran[0] for ran in levels_run] == [4, 10]
-    # a tiny time runs the smallest top, not none
-    levels_run.clear()
+    with pytest.raises(FlowAccuracyError):
+        hbar2_transport(stiff, (1.0, 0.0), 1.0)
+    ((forward, ran),) = [(run, sorted({round(run["t"] / h) for h, _ in run["rows"]})) for run in tables]
+    assert forward["passes"] == ran == passes(1.0, 8000) == [2, 4, 8, 16, 32, 64, 79]
+    # a tiny time runs one pass of one macro step, not none
+    tables.clear()
     hbar2_transport(stiff, (1.0, 0.0), 1e-6)
-    assert [ran[0] for ran in levels_run] == [2]
+    assert [(run["t"], run["passes"]) for run in tables] == [(1e-6, [1]), (-1e-6, [1])]
 
 
-def test_the_ode_route_runs_fixed_passes_and_rows(squeeze_ham, ode_runs):
+def test_the_ode_route_runs_fixed_passes_and_rows(squeeze_ham, tables):
     passes = moyal.semiclassical._macro_passes
     assert moyal.semiclassical._SUBSTEPS == (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
     assert moyal.semiclassical._TABLE_EVALS == 1 + 1 + 3 + 5 + 7 + 9 + 11 + 13 + 15 + 17 + 19 == 101
@@ -326,42 +297,62 @@ def test_the_ode_route_runs_fixed_passes_and_rows(squeeze_ham, ode_runs):
     assert passes(10.0, 80000) == [20, 40, 80, 160, 320, 640, 792]
     assert passes(0.1, 800) == [1, 2, 4, 7]
     assert passes(1e-6, 0) == passes(0.0, 0) == [1]
-    # squeeze at T = 0.2 meets its estimate at the fifth row of its first
+    # squeeze at T = 0.2 meets its estimate at the sixth row of its first
     # pass; quartic at T = 1.3 in three macro steps of 1.3 / 3, at the
-    # eighth, seventh and seventh rows; again, the same rows
+    # ninth, eighth and seventh rows; again, the same rows
     quartic = BENCH_HAMILTONIANS["quartic"]()
     for _ in range(2):
-        ode_runs.clear()
+        tables.clear()
         hbar2_ode(squeeze_ham, (1.0, 1.0), 0.2)
         hbar2_ode(quartic, (0.9, -0.7), 1.3)
-        squeeze, long = ode_runs
-        assert squeeze["rows"] == [(0.2, n) for n in (2, 4, 6, 8, 10)]
+        squeeze, long = tables
+        assert squeeze["rows"] == [(0.2, n) for n in (2, 4, 6, 8, 10, 12)]
         assert long["passes"][0] == 3
-        assert long["rows"] == [(1.3 / 3, n) for k in (8, 7, 7) for n in moyal.semiclassical._SUBSTEPS[:k]]
+        assert long["rows"] == [(1.3 / 3, n) for k in (9, 8, 7) for n in moyal.semiclassical._SUBSTEPS[:k]]
+
+
+# a correction that is exactly 0, the stiff input and a turn near tan's
+# pole, some of whose passes meet no estimate
+NO_ESTIMATE = (
+    ("(q+p)^4", (1.0, 1.0), 0.2),
+    ("p^2/2 + exp(10*q)", (1.0, 0.0), 1.0),
+    ("p^2/2+tan(q)", (1.5, 2.0), 0.2),
+)
+
+
+def ending_on(runs):
+    """Each pass of the table run alone at the macro-step count the
+    recorded ``runs`` ended on, in call order."""
+    ends = iter([last_pass(run) for run in runs])
+    return mock.patch.object(moyal.semiclassical, "_macro_passes", lambda t, budget: [next(ends)])
 
 
 @pytest.mark.parametrize("text, z0, t", NO_ESTIMATE)
-def test_inputs_that_meet_no_estimate_keep_their_bits(text, z0, t, levels_run, ode_runs):
-    # transport runs every level and gives its top's own value, bit for bit
+def test_inputs_that_meet_no_estimate_keep_their_bits(text, z0, t, tables):
+    # a table that meets no estimate runs every pass to its top; each route
+    # gives the value or the refusal of its passes run alone where they
+    # ended, bit for bit: a pass that gave way leaves no trace
     ham = HamiltonianSpec(parse_expr(text))
-    got = hbar2_transport(ham, z0, t)
-    with at_cap():
-        want = hbar2_transport(ham, z0, t)
-    ran = levels_run[0]
-    assert ran == moyal.semiclassical._levels(ran[-1]) and got == want
-    ode_runs.clear()
-    got = hbar2_ode(ham, z0, t)
-    (run,) = ode_runs
+    tops = []
+    for route in (hbar2_ode, hbar2_transport):
+        tables.clear()
+        got = route_values(lambda: route(ham, z0, t))
+        runs = list(tables)
+        with ending_on(runs):
+            assert route_values(lambda: route(ham, z0, t)) == got, route
+        tops += [last_pass(run) == run["passes"][-1] for run in runs]
     if text == "(q+p)^4":
         # the ode route's correction is exactly 0 at every row, which meets
-        # its estimate in its first pass
-        assert got == Hbar2Result(q2=(0.0,), p2=(0.0,)) and last_pass(run, t) == run["passes"][0]
-        return
-    # the ode route runs every pass and gives its top's last diagonal entry
-    top = run["passes"][-1]
-    with ode_alone(top):
-        want = hbar2_ode(ham, z0, t)
-    assert last_pass(run, t) == top and got == want
+        # its estimate in its first pass, and so does transport's scalar
+        # pass; its backward pass sums round-off and reaches its top
+        assert route_values(lambda: hbar2_ode(ham, z0, t)) == (0.0, 0.0)
+        assert tops == [False, False, True]
+    elif text == "p^2/2 + exp(10*q)":
+        # its energy drifts at the top, where both routes refuse it: transport
+        # in its scalar pass
+        assert tops == [True, True] and got[0] is FlowAccuracyError
+    else:
+        assert tops == [True, True, True]
 
 
 # the hbar^2 correction of p^2/2 + q^16 from (2, 0) at T = 0.02: transport's
@@ -369,51 +360,40 @@ def test_inputs_that_meet_no_estimate_keep_their_bits(text, z0, t, levels_run, o
 Q16_CORRECTION = (7.581162632576833e-05, 0.005068346383260036)
 
 
-def test_a_coarse_level_error_does_not_escape(levels_run, ode_runs):
-    # q^16 from (2, 0): the five coarsest levels of transport blow up; the
-    # stiff input from (1.5, 1): its coarsest levels blow up or give a jet
-    # whose linear part is singular.  Neither meets an estimate, and each
-    # gives its top's value
-    for text, z0 in (("p^2/2 + q^16", (2.0, 0.0)), ("p^2/2 + exp(10*q)", (1.5, 1.0))):
-        ham = HamiltonianSpec(parse_expr(text))
-        with at_cap(6), pytest.raises((FlowBlowupError, ValueError)):
-            hbar2_transport(ham, z0, 0.1)
-        with at_cap():
-            want = hbar2_transport(ham, z0, 0.1)
-        levels_run.clear()
-        got = hbar2_transport(ham, z0, 0.1)
-        (ran,) = levels_run
-        assert ran == moyal.semiclassical._levels(ran[-1]) and got == want
-    # the ode route on q^16 from (2, 0) at T = 0.02 and 64,000 steps per
-    # unit time: its passes of 1, 2 and 4 macro steps blow up, and it meets
-    # its estimate at 32, below its top of 50, within 1e-8 of the correction
+def test_a_coarse_level_error_does_not_escape(tables):
+    # q^16 from (2, 0) at T = 0.02 and 64,000 steps per unit time: each
+    # pass of 1, 2 and 4 macro steps blows up; the ode route ends on its
+    # top of 50, transport's scalar pass at 32 and its backward pass on its
+    # top, each with the value of its passes run alone where they ended,
+    # within 1e-8 of the correction
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^16"))
-    for m in (1, 2, 4):
-        with ode_alone(m), pytest.raises(FlowBlowupError):
-            hbar2_ode(ham, (2.0, 0.0), 0.02)
-    ode_runs.clear()
-    got = hbar2_ode(ham, (2.0, 0.0), 0.02, steps_per_unit=64000)
-    (run,) = ode_runs
-    assert run["passes"] == [1, 2, 4, 8, 16, 32, 50] and last_pass(run, 0.02) == 32
-    with ode_alone(32):
-        assert hbar2_ode(ham, (2.0, 0.0), 0.02) == got
-    assert max(map(route_gap, got.q2 + got.p2, Q16_CORRECTION)) <= 1e-8
+    for route, ends in ((hbar2_ode, [50]), (hbar2_transport, [32, 50])):
+        for m in (1, 2, 4):
+            with alone(m), pytest.raises(FlowBlowupError):
+                route(ham, (2.0, 0.0), 0.02)
+        tables.clear()
+        got = route(ham, (2.0, 0.0), 0.02, steps_per_unit=64000)
+        runs = list(tables)
+        assert [run["passes"] for run in runs] == [[1, 2, 4, 8, 16, 32, 50]] * len(ends)
+        assert [last_pass(run) for run in runs] == ends, route
+        with ending_on(runs):
+            assert route(ham, (2.0, 0.0), 0.02) == got
+        assert max(map(route_gap, got.q2 + got.p2, Q16_CORRECTION)) <= 1e-8, route
 
 
-# the blowup times of q^2 p from (1, 1) at T = 2, at the routes' top: the
-# ode route's 158 macro steps (in the last row of the 80th, which starts at
-# 79 * 2 / 158) and transport's 4096 steps
-TOP_BLOWUP_ODE = "0x1.01754e6b95b62p+0"
-TOP_BLOWUP_TRANSPORT = "0x1.0060000000000p+0"
+# the blowup time of q^2 p from (1, 1) at T = 2, at the routes' top of 158
+# macro steps (in the last row of the 80th, which starts at 79 * 2 / 158):
+# the ode route's, and transport's scalar pass's
+TOP_BLOWUP = "0x1.01754e6b95b62p+0"
 
 
 def test_at_the_cap_a_blowup_is_raised_at_its_time():
-    # every level and pass blows up; the top's error is the route's
+    # every pass blows up; the top's error is the route's
     ham = HamiltonianSpec(parse_expr("q^2*p"))
-    for route, time in ((hbar2_ode, TOP_BLOWUP_ODE), (hbar2_transport, TOP_BLOWUP_TRANSPORT)):
+    for route in (hbar2_ode, hbar2_transport):
         with pytest.raises(FlowBlowupError) as err:
             route(ham, (1.0, 1.0), 2.0)
-        assert err.value.time.hex() == time
+        assert err.value.time.hex() == TOP_BLOWUP
 
 
 def test_an_overflowing_flow_is_refused_whatever_its_correction():
@@ -428,24 +408,40 @@ def test_an_overflowing_flow_is_refused_whatever_its_correction():
             hbar2_ode(ham, (1.0, 1.0), 1.0, steps_per_unit=steps_per_unit)
 
 
-def test_no_benchmark_route_reaches_its_cap(levels_run, ode_runs):
-    # each route of the five benchmark Hamiltonians meets an estimate below
-    # its top, so it never runs the top for want of one: transport at a
-    # level below its top, the ode route in its first pass
+def test_a_top_that_meets_no_estimate_and_drifts_is_refused(tables):
+    # exp(10 q) from (5, 0): no pass resolves the wall, and the top's z(T)
+    # moves H from 5.2e21 to 2e38; the flow stays finite, and both routes
+    # refuse it, as their one top rule does for every pass of the table
+    ham = HamiltonianSpec(parse_expr("p^2/2 + exp(10*q)"))
+    for route in (hbar2_ode, hbar2_transport):
+        tables.clear()
+        with pytest.raises(FlowAccuracyError) as err:
+            route(ham, (5.0, 0.0), 0.3)
+        assert err.value.start == ham.energy(5.0, 0.0) and err.value.end > 1e38
+        assert str(err.value).startswith("the flow's energy moved from 5.18470552859e+21 to ")
+        assert [last_pass(run) == run["passes"][-1] for run in tables] == [True]
+    # a top whose energy holds is not refused: tan's turn from (1.5, 2) at
+    # T = 0.2 runs every pass to its top, and the routes agree
+    tan = HamiltonianSpec(parse_expr("p^2/2+tan(q)"))
+    tables.clear()
+    _rows, gap, refusal = hbar2_routes(tan, (1.5, 2.0), [0.2])
+    assert refusal is None and gap < 1e-8
+    assert [last_pass(run) == run["passes"][-1] for run in tables] == [True] * 3
+
+
+def test_no_benchmark_route_reaches_its_cap(tables):
+    # each pass of each route of the five benchmark Hamiltonians, the ode
+    # route's one and transport's two, meets its estimates in its first
+    # pass, below its top, so it never runs the top for want of one
     for name, make in BENCH_HAMILTONIANS.items():
         ham = make()
         for z0, t in itertools.product(((0.9, -0.7), (-1.1, 0.6)), (0.1, 0.3, 0.5)):
-            levels_run.clear()
-            got = hbar2_transport(ham, z0, t)
-            with at_cap():
-                top = hbar2_transport(ham, z0, t)
-            ran = levels_run[0]
-            assert got != top and ran == moyal.semiclassical._levels(64 * ran[0])[:len(ran)], (name, z0, t)
-            assert 3 <= len(ran) < 7, (name, z0, t)
-            ode_runs.clear()
+            tables.clear()
             hbar2_ode(ham, z0, t)
-            (run,) = ode_runs
-            assert last_pass(run, t) == run["passes"][0] < run["passes"][-1], (name, z0, t)
+            hbar2_transport(ham, z0, t)
+            assert len(tables) == 3
+            for run in tables:
+                assert last_pass(run) == run["passes"][0] < run["passes"][-1], (name, z0, t, run["t"])
 
 
 FINE_REFERENCE = Path(__file__).parent / "golden" / "fine_reference.json"
@@ -455,21 +451,34 @@ FINE_STEPS = 32000
 FINE_AGREEMENT = 1e-10
 
 
+def textbook_transport(ham, z0, t, steps):
+    """(Q2, P2) by the transport integral with no route code: the textbook
+    ``flow.rk4`` on ``ham.field`` to z(T), then on ``ham.field_jets`` from
+    z(T)'s identity jets of order 3 over -T, ``reference_nodes`` at every
+    step's jets, and composite Simpson's rule, weights 1, 4, 2, 4, ..., 2,
+    4, 1 over 3, on them."""
+    for z in rk4(ham.field, list(z0), t, steps):
+        pass
+    jets = [state for state in rk4(ham.field_jets, seed(z[0], 0, 3) + seed(z[1], 1, 3), -t, steps)]
+    weights = [1, *[4, 2] * (steps // 2 - 1), 4, 1]
+    nodes = reference_nodes(ham, [(s[:10], s[10:]) for s in jets], ham.params)
+    return tuple(sum(map(operator.mul, weights, f)) * (t / steps) / 3.0 for f in nodes)
+
+
 def fine_reference_records(golden):
     """``fine_reference.json``'s content with each record's (Q2, P2) as
     float.hex computed again: the ode route's rates stepped by the textbook
     ``flow.rk4`` at FINE_STEPS steps, which shares no code with the route's
-    loop.  Raises ValueError unless transport at the same steps, run alone,
-    is within FINE_AGREEMENT of it in every component."""
+    loop.  Raises ValueError unless ``textbook_transport`` at the same
+    steps, which shares no integrator or table with either route, is within
+    FINE_AGREEMENT of it in every component."""
     records, gaps = [], []
     for rec in golden["records"]:
         ham, z0, t = BENCH_HAMILTONIANS[rec["hamiltonian"]](), tuple(rec["z0"]), rec["t"]
         rates = partial(moyal.semiclassical._hbar2_rates(ham), b=ham.params)
         for state in rk4(rates, [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0], t, FINE_STEPS):
             pass
-        with at_cap():
-            transport = hbar2_transport(ham, z0, t, steps_per_unit=FINE_STEPS / t)
-        gaps.append(max(map(route_gap, state[12:], transport.q2 + transport.p2)))
+        gaps.append(max(map(route_gap, state[12:], textbook_transport(ham, z0, t, FINE_STEPS))))
         records.append({**rec, "q2": state[12].hex(), "p2": state[13].hex()})
     if max(gaps) > FINE_AGREEMENT:
         raise ValueError(f"transport is {max(gaps):.2g} from the ode route, over {FINE_AGREEMENT:g}")
@@ -573,23 +582,6 @@ BENCH_HAMILTONIANS = {
 }
 
 
-def per_node_transport_values(ham, z0, t_final, steps):
-    """Reference: the transport integrand at every node by a fresh forward
-    order-3 jet integration from z(T - s) for duration s (quadratic in T),
-    on the grid of hbar2_transport at ``steps`` steps: a node per step."""
-    base = integrate_flow(ham, z0, t_final, steps)
-    h_node = t_final / steps
-    fq_vals, fp_vals = [0.0], [0.0]
-    for k in range(1, steps + 1):
-        w = base.states[steps - k]
-        jq, jp = integrate_flow_jets(ham, w, k * h_node, k, order=3).jets[-1]
-        h = ham.partials_at(*w)
-        h3 = lambda a, b: h[a, b]
-        fq_vals.append(-bidifferential(partial(derivative, jq), h3, 3, 0.0) / 24.0)
-        fp_vals.append(-bidifferential(partial(derivative, jp), h3, 3, 0.0) / 24.0)
-    return fq_vals, fp_vals, h_node
-
-
 def reference_nodes(ham, jets, b, inverse=invert):
     """The transport integrand at each node's jets (gq, gp), after the
     0.0 at s = 0, by the per-node path the node loop replaces: ``inverse``,
@@ -626,7 +618,7 @@ def _transport_nodes(ham, jets, b):
 def test_the_node_loop_matches_the_per_node_path_bit_for_bit(name):
     ham = NODE_HAMILTONIANS[name]()
     for z0, t in (((0.9, -0.7), 0.3), ((-0.4, 1.1), 0.5), ((0.6, -0.4), 0.2)):
-        jets = integrate_flow_jets(ham, z0, -t, 200, order=3, every=5).jets[1:]
+        jets = integrate_flow_jets(ham, z0, -t, 200, order=3).jets[5::5]
         got, want = node_bits(ham, jets)
         assert got == want and type(got) is list, (name, z0, t)
 
@@ -656,72 +648,61 @@ def test_the_node_loop_refuses_a_singular_linear_part_as_invert_does():
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_HAMILTONIANS))
-def test_hbar2_transport_matches_per_node_reference(name):
+def test_hbar2_transport_matches_per_node_reference(name, tables):
+    # a backward row of n substeps h / n is the jets' midpoint flow from the
+    # row's start, and adds to each integral 2 h / n times the integrand at
+    # its odd substeps' jets, the modified midpoint rule on I' = f: bit for
+    # bit the sum of reference_nodes's values at the same jets; from the
+    # pass's start, and from a state with integrals that are not 0
     ham = BENCH_HAMILTONIANS[name]()
-    for t, steps in ((0.1, 16), (0.3, 40)):
-        fq_vals, fp_vals, h_node = per_node_transport_values(ham, (0.9, -0.7), t, steps)
-        # the level 16 times below the top: 256 and 640 steps
-        with at_cap(4):
-            res = hbar2_transport(ham, (0.9, -0.7), t)
-        # composite Simpson's rule: weights 1, 4, 2, 4, ..., 2, 4, 1 over 3
-        weights = [1, *[4, 2] * (steps // 2 - 1), 4, 1]
-        assert res.q2[0] == pytest.approx(sum(map(operator.mul, weights, fq_vals)) * h_node / 3, rel=1e-9)
-        assert res.p2[0] == pytest.approx(sum(map(operator.mul, weights, fp_vals)) * h_node / 3, rel=1e-9)
+    hbar2_transport(ham, (0.9, -0.7), 0.3)
+    backward = tables[-1]
+    row, start = backward["row"], backward["state"]
+    for s, h in ((start, -0.3), (row(start, -0.1, 6), -0.2)):
+        for n in (2, 8, 20):
+            jets = integrate_flow_jets(ham, (s[0], s[10]), h, n, 3, start=(s[:10], s[10:20]), scheme="midpoint").jets
+            fq, fp = reference_nodes(ham, jets[1::2], ham.params)
+            want = [*jets[-1][0], *jets[-1][1], s[20] - 2.0 * h / n * sum(fq), s[21] - 2.0 * h / n * sum(fp)]
+            assert [x.hex() for x in row(s, h, n)] == [x.hex() for x in want], (n, h)
+            assert want[20] != s[20] and want[21] != s[21]
 
 
-def test_hbar2_transport_runs_one_jet_pass_per_level(monkeypatch, levels_run):
+def test_hbar2_transport_runs_one_jet_pass_per_level(monkeypatch, tables):
+    # each row of the backward pass's table, a level of it, runs one jet
+    # flow of its substeps over its macro step, by the midpoint scheme
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append((args[2], args[3], kwargs["scheme"]))
         return integrate_flow_jets(*args, **kwargs)
 
     monkeypatch.setattr(moyal.semiclassical, "integrate_flow_jets", counting)
     ham = HamiltonianSpec(parse_expr("p^2/2 + q^2/2 + q^4/24"))
     for t in (0.5, 1.0, 2.0):
         calls.clear()
-        levels_run.clear()
+        tables.clear()
         hbar2_transport(ham, (0.9, -0.7), t, steps_per_unit=500)
-        (ran,) = levels_run
-        assert calls == [-t] * len(ran)
+        _forward, backward = tables
+        assert calls == [(h, n, "midpoint") for h, n in backward["rows"]]
 
 
-def test_hbar2_transport_runs_a_long_pass_in_chunks_bit_for_bit(monkeypatch):
-    # a pass longer than _CHUNK steps runs in chunks of a power of 2 steps,
-    # each carrying on the last one's jets: none holds more than _CHUNK
-    # after its start, and the value is the one pass's, bit for bit
-    ham = BENCH_HAMILTONIANS["cubic"]()
-    with at_cap():  # 640 steps, 5 times 128
-        whole = hbar2_transport(ham, (0.9, -0.7), 0.3)
-    held = []
+def test_hbar2_transport_names_the_time_a_macro_step_blows_up_at(monkeypatch):
+    # a blow-up in a later macro step of the backward pass is named at the
+    # user's time T - s, counting the macro steps before it
+    seen = []
 
-    def counting(*args, **kwargs):
-        traj = integrate_flow_jets(*args, **kwargs)
-        held.append(len(traj.jets))
-        return traj
-
-    monkeypatch.setattr(moyal.semiclassical, "integrate_flow_jets", counting)
-    monkeypatch.setattr(moyal.semiclassical, "_CHUNK", 64)
-    with at_cap():
-        assert hbar2_transport(ham, (0.9, -0.7), 0.3) == whole
-    assert held == [1 + 64] * 10
-
-
-def test_hbar2_transport_names_the_time_a_chunk_blows_up_at(monkeypatch):
-    # a blow-up in a later chunk of the backward pass is named at the
-    # user's time T - s, counting the chunks before it
-    def failing(ham, z, t, steps, order, start=None):
-        if start is not None:
+    def failing(ham, z, t, steps, order, start=None, scheme="rk4"):
+        seen.append(z)
+        if z != seen[0]:
             raise FlowBlowupError(5 * t / steps)
-        return integrate_flow_jets(ham, z, t, steps, order)
+        return integrate_flow_jets(ham, z, t, steps, order, start=start, scheme=scheme)
 
     monkeypatch.setattr(moyal.semiclassical, "integrate_flow_jets", failing)
-    monkeypatch.setattr(moyal.semiclassical, "_CHUNK", 256)
-    with at_cap(), pytest.raises(FlowBlowupError) as err:
+    with alone(4), pytest.raises(FlowBlowupError) as err:
         hbar2_transport(BENCH_HAMILTONIANS["cubic"](), (0.9, -0.7), 0.3)
-    # 640 steps run as chunks of gcd(640, 256) = 128: the second blows up
-    # at its fifth step
-    assert err.value.time == pytest.approx(0.3 - 133 * 0.3 / 640)
+    # 4 macro steps of 0.075: every row of the second blows up, the last at
+    # the fifth of its 20 substeps
+    assert err.value.time == pytest.approx(0.3 - 0.075 - 5 * 0.075 / 20)
 
 
 # the symplectic matrix J on (q, p), and the slots 0 = q, 1 = p
@@ -938,7 +919,7 @@ def route_values(run):
     """A route's (Q2, P2), or the class and text of its refusal."""
     try:
         res = run()
-    except (ArithmeticError, ValueError, FlowBlowupError) as err:
+    except (ArithmeticError, ValueError, FlowBlowupError, FlowAccuracyError) as err:
         return type(err), str(err)
     return res if type(res) is tuple else (res.q2[0], res.p2[0])
 
@@ -952,16 +933,16 @@ def route_values(run):
 def test_both_routes_agree_with_the_parent_formulas(terms, z0, t):
     # the ode route's rates against the term-by-term drive, both under RK4
     # with no table, the transport route against the fixed-point sweep
-    # inverse; each pair (Q2, P2) within 1e-12 of the larger of its two
-    # parent values
+    # inverse, both on one row of each pass; each pair (Q2, P2) within
+    # 1e-12 of the larger of its two parent values
     ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
-    transport = lambda: hbar2_transport(ham, z0, t, steps_per_unit=256 / t)
+    transport = lambda: hbar2_transport(ham, z0, t)
     sweep_nodes = lambda ham: partial(reference_nodes, ham, inverse=reference_invert)
-    # 64 steps, the parent formulas' step count: transport at a top of 256
-    # steps run at its level of 64
-    with at_cap(2), mock.patch.object(moyal.semiclassical, "_transport_nodes", sweep_nodes):
+    # 64 steps, the parent formulas' step count: transport's two passes as
+    # one row of 64 midpoint substeps each
+    with one_row(64), mock.patch.object(moyal.semiclassical, "_transport_nodes", sweep_nodes):
         want = [route_values(lambda: parent_ode(ham, z0, t, 64)), route_values(transport)]
-    with at_cap(2):
+    with one_row(64):
         got = [route_values(lambda: ode_rk4(ham, z0, t, 64)), route_values(transport)]
     for x, y in zip(got, want):
         if type(y[0]) is type:  # both refuse the flow alike
@@ -988,21 +969,23 @@ ROUND_OFF_FLOOR = 1e-10
 @example(terms=[(2, 2, 1)], z0=(0.0, 0.03125), t=0.0625)
 @example(terms=[(4, 1, 1)], z0=(0.0, 1.0), t=0.25)
 @example(terms=[(5, 1, 1)], z0=(0.0, -0.545), t=0.4746)
+@example(terms=[(6, 0, 2), (0, 6, -3), (2, 3, -3)], z0=(-0.8786611448055606, 0.4029840426088478), t=0.3270931387185577)
+@example(terms=[(2, 3, -4), (0, 2, -2), (0, 5, -4)], z0=(-0.9771980634249604, -0.9705408679942502), t=0.3288417663160953)
 def test_a_route_that_stops_below_its_top_is_within_1e_8_of_the_route_at_16_times_the_top(terms, z0, t):
-    # each route's value where it meets an estimate below its top, against
-    # the ode route's rates under RK4 at 16 times the top, 2000 steps per
-    # unit time rounded up to a multiple of 64 (ode_rk4), in every
-    # component: within 1e-8 of it, or within ROUND_OFF_FLOOR of the pair
+    # each route's value where every pass of its table meets its estimates
+    # below its top, against the ode route's rates under RK4 at 16 times the
+    # top, 2000 steps per unit time rounded up to a multiple of 64
+    # (ode_rk4), in every component: within 1e-8 of it, or within
+    # ROUND_OFF_FLOOR of the pair.  The last two examples were 1.4e-8 and
+    # 3.7e-7 off through transport when a macro step stopped at 1e-8
     ham = HamiltonianSpec(parse_expr(" + ".join(["p^2/2", *(f"({n}/4)*q^{a}*p^{b}" for a, b, n in terms)])))
-    table, ran = moyal.semiclassical._richardson, []
-    recording = lambda run, steps: table(lambda n: ran.append(n) or run(n), steps)
-    with mock.patch.object(moyal.semiclassical, "_richardson", recording):
+    with recording_tables() as transport_runs:
         transport = route_values(lambda: hbar2_transport(ham, z0, t))
-    with recording_ode_runs() as runs:
+    with recording_tables() as ode_runs:
         ode = route_values(lambda: hbar2_ode(ham, z0, t))
     fine = None
-    for got, below in ((ode, last_pass(runs[0], t) < runs[0]["passes"][-1]), (transport, ran[-1] < 64 * ran[0])):
-        if type(got[0]) is type or not below:
+    for got, runs in ((ode, ode_runs), (transport, transport_runs)):
+        if type(got[0]) is type or any(last_pass(run) == run["passes"][-1] for run in runs):
             continue
         if not fine:
             fine = route_values(lambda: ode_rk4(ham, z0, t, 16 * 64 * -(-round(STEPS_PER_UNIT_TIME * t) // 64)))
@@ -1043,16 +1026,6 @@ def test_every_module_that_generates_code_is_watched():
     # warm-run test above sees the code it generates
     modules = [importlib.import_module(f"moyal.{info.name}") for info in pkgutil.iter_modules(moyal.__path__)]
     assert {m for m in modules if "exec(" in inspect.getsource(m)} == set(GENERATING_MODULES)
-
-
-def test_simpson_is_exact_for_cubics():
-    h = 0.25
-    values = [(k * h) ** 3 - 3.0 * (k * h) ** 2 for k in range(9)]
-    assert _simpson(values, h) == pytest.approx(2.0 ** 4 / 4 - 2.0 ** 3, rel=1e-14)
-    # and not for quartics: its error on [0, 2] is 2 h^4 f'''' / 180, no
-    # Richardson step inside the rule
-    quartic = [(k * h) ** 4 for k in range(9)]
-    assert _simpson(quartic, h) == pytest.approx(2.0 ** 5 / 5 + 2.0 * h ** 4 * 24.0 / 180.0, rel=1e-14)
 
 
 # -- second deformation coefficient ------------------------------------

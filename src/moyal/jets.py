@@ -269,10 +269,6 @@ class _JetEmitter(FloatEmitter):
         return f"[{', '.join(self.coefficients(ref))}]"
 
 
-# the characters around the names an expression reads
-_PUNCTUATION = str.maketrans("()[],+-*/", " " * 9)
-
-
 class FlatState:
     """Mixed into an emitter: a run over a Hamiltonian flow's flat state,
     written inline as one stage of an RK4 loop (:meth:`stage`).
@@ -296,8 +292,8 @@ class FlatState:
     as a public kernel writes them.  A negated rate is carried as a sign:
     x - c * r is x + c * (-r), and the loop's update negates the first
     rate and subtracts the other three, which is the sum of the negated
-    rates, exactly.  A stage writes each rate's last operation straight
-    into its target.
+    rates, exactly.  A stage assigns each rate to its target, and
+    ``flow._fold`` writes a rate's last operation into that line.
     """
 
     stride = 1
@@ -337,21 +333,7 @@ class FlatState:
         are negated.  A component the rates do not read is not computed."""
         self.held, self.sources, self.lines, self.inline = {}, sources, [], True
         rates, negated = self.rates(program)
-        lines = self.lines
-        # a local that one rate holds and no line reads is assigned to the
-        # rate's target itself
-        defined = {line.partition(" = ")[0]: i for i, line in enumerate(lines)}
-        reads = set(" ".join(line.partition(" = ")[2] for line in lines).translate(_PUNCTUATION).split())
-        moved = {}
-        for t, r in zip(targets, rates):
-            if r in moved:
-                lines.append(f"{t} = {moved[r]}")
-            elif r in defined and r not in reads:
-                moved[r] = t
-                lines[defined[r]] = t + lines[defined[r]][len(r):]
-            else:
-                lines.append(f"{t} = {r}")
-        return lines, negated
+        return [*self.lines, *(f"{t} = {r}" for t, r in zip(targets, rates))], negated
 
 
 class FlowJets(FlatState, _JetEmitter):

@@ -242,33 +242,36 @@ class FlowAccuracyError(RuntimeError):
         self.start, self.end = start, end
 
 
-def _macro_passes(t_final: float, budget: int) -> list[int]:
+def _macro_passes(t_final: float, budget: int, start: int) -> list[int]:
     """The table's macro-step counts, coarse to fine: the fewest steps of at
-    most ``_MACRO_STEP``, doubled up to the top, the most whose full tables
-    take at most ``budget`` rate evaluations, or the first count where that
-    is fewer."""
-    passes = [max(1, math.ceil(t_final / _MACRO_STEP))]
+    most ``_MACRO_STEP``, or ``start`` where that is more, doubled up to the
+    top, the most whose full tables take at most ``budget`` rate
+    evaluations, or the first count where that is fewer."""
+    passes = [max(start, math.ceil(t_final / _MACRO_STEP))]
     top = max(passes[0], budget // _TABLE_EVALS)
     while passes[-1] < top:
         passes.append(min(2 * passes[-1], top))
     return passes
 
 
-def _extrapolate(row, state: list[float], t_final: float, budget: int, read: tuple[int, ...],
-                 ham: HamiltonianSpec) -> list[float]:
+def _extrapolate(row, state: list[float], t_final: float, steps_per_unit: int, read: tuple[int, ...],
+                 ham: HamiltonianSpec, start: int = 1) -> tuple[list[float], int]:
     """The components ``read`` of the flat state at ``t_final`` from
     ``state`` at 0, the last two of them the flow's (q, p), by a
     Gragg-Bulirsch-Stoer table whose row ``row(s, h, n)`` is the state a
-    macro step h on from s by ``n`` modified-midpoint substeps.
+    macro step h on from s by ``n`` modified-midpoint substeps, and the
+    number of macro steps of the pass that gave them.
 
     Each macro step runs the rows ``_SUBSTEPS`` from its start and
     extrapolates them in h^2 (Aitken-Neville) until the last two diagonal
     entries are within ``_ESTIMATE_TOL`` (``route_gap``) in every component
     read; the last goes on, and the last macro step carries only those.  An
-    error in a row starts the table afresh from the next row.  A pass whose
-    macro step meets no estimate by the last row, or errs there, gives way
-    to one of twice the macro steps (:func:`_macro_passes`) up to the top,
-    the most whose full tables fit in ``budget`` rate evaluations.  The top
+    error in a row starts the table afresh from the next row.  The first
+    pass runs at least ``start`` macro steps, and a pass whose macro step
+    meets no estimate by the last row, or errs there, gives way to one of
+    twice the macro steps (:func:`_macro_passes`) up to the top, the most
+    whose full tables fit in the budget, ``4 * round(steps_per_unit *
+    |t_final|)`` rate evaluations, RK4's at that many steps.  The top
     raises its last row's error (a blowup at the pass's time) and carries
     each macro step's last diagonal entry on, met or not; then it raises a
     blowup at ``t_final`` where H at its end is not finite, and
@@ -276,7 +279,7 @@ def _extrapolate(row, state: list[float], t_final: float, budget: int, read: tup
     moved by more than ``ROUTE_GAP_TOL``.  Deterministic: fixed rows and
     macro steps, no step-size controller.
     """
-    passes = _macro_passes(abs(t_final), budget)
+    passes = _macro_passes(abs(t_final), 4 * round(steps_per_unit * abs(t_final)), start)
 
     def run(m: int) -> tuple[list[float], bool] | None:
         h, y, met = t_final / m, state, True
@@ -328,10 +331,10 @@ def _extrapolate(row, state: list[float], t_final: float, budget: int, read: tup
         if not math.isfinite(energy):
             raise FlowBlowupError(t_final)
         if not met:
-            start = ham.energy(state[read[-2]], state[read[-1]])
-            if route_gap(start, energy) > ROUTE_GAP_TOL:
-                raise FlowAccuracyError(start, energy)
-    return end
+            initial = ham.energy(state[read[-2]], state[read[-1]])
+            if route_gap(initial, energy) > ROUTE_GAP_TOL:
+                raise FlowAccuracyError(initial, energy)
+    return end, m
 
 
 def hbar2_transport(
@@ -356,13 +359,14 @@ def hbar2_transport(
     h / n times their integrand's sum goes onto each integral: the midpoint
     rule on I' = f, with the jets' h^2 expansion at even n, so the table
     extrapolates the quadrature with the flow.  The work grows linearly
-    with T; the budget is the ode route's.  A blowup of the backward pass
-    is reported at the user's time T - s.
+    with T; the budget is the ode route's.  The backward pass starts at the
+    macro-step count the scalar pass ended on, since coarser macro steps'
+    nodes may all miss where the integrand lives.  A blowup of the
+    backward pass is reported at the user's time T - s.
     """
     if not t_final > 0:
         raise ValueError("the transport route needs t_final > 0")
     nodes = _transport_nodes(ham)
-    budget = 4 * round(steps_per_unit * t_final)
 
     def forward(z, h, n):
         return integrate_flow(ham, z, h, n, scheme="midpoint").states[-1]
@@ -373,12 +377,12 @@ def hbar2_transport(
         back = integrate_flow_jets(ham, (s[0], s[10]), h, n, 3, start=(s[:10], s[10:20]), scheme="midpoint")
         fq, fp = nodes(back.jets[1::2], ham.params)
         jq, jp = back.jets[-1]
-        return [*jq, *jp, s[20] - 2.0 * h / n * sum(fq), s[21] - 2.0 * h / n * sum(fp)]
+        return [*jq, *jp, s[20] - 2.0 * h / n * fq, s[21] - 2.0 * h / n * fp]
 
-    z_t = _extrapolate(forward, list(z0), t_final, budget, (0, 1), ham)
+    z_t, m = _extrapolate(forward, list(z0), t_final, steps_per_unit, (0, 1), ham)
     try:
-        q2, p2, *_ = _extrapolate(backward, [*seed(z_t[0], 0, 3), *seed(z_t[1], 1, 3), 0.0, 0.0], -t_final,
-                                  budget, (20, 21, 0, 10), ham)
+        (q2, p2, *_), _ = _extrapolate(backward, [*seed(z_t[0], 0, 3), *seed(z_t[1], 1, 3), 0.0, 0.0], -t_final,
+                                       steps_per_unit, (20, 21, 0, 10), ham, m)
     except FlowBlowupError as err:
         # the backward pass's time -s is the user's time T - s
         raise FlowBlowupError(t_final + err.time) from None
@@ -388,8 +392,10 @@ def hbar2_transport(
 class _NodeEmitter(FloatEmitter):
     """Writes the transport route's integrand at every quadrature node as
     one loop, ``kernel(jets, b)``: from the order-3 jets (gq, gp) of each
-    node's duration -s map, whose values are the node z(T - s), the lists
-    [0.0, f(s_1), ...] of the map's two components, after a 0.0.
+    node's duration -s map, whose values are the node z(T - s), the sums of
+    the integrand's two components over the nodes, each ``f = f - acc /
+    24.0`` from 0.0 in node order: ``f + (-acc / 24.0)`` exactly, to which
+    a node's value -0.0 adds nothing.
 
     Per node, as straight-line code over the jets' coefficient locals: the
     inverse map's jets (dq, dp), by :func:`jets.invert`'s rule, refusal of
@@ -426,7 +432,7 @@ class _NodeEmitter(FloatEmitter):
         ]
         m = [self.local(f"{x} / det") for x in ("w2", "-u2", "-w1", "u1")]
         h = self.third.walk(self)
-        values = []
+        accs = []
         # the third partials of the map that meet one of H's that is not 0
         top = {i for (i, _), hj in zip(PARTIALS[3][3], h) if hj != "0.0"}
         for d in write_inverse(self, 3, (u, w), m, top):
@@ -438,11 +444,11 @@ class _NodeEmitter(FloatEmitter):
                 # the weight C(3, j) (-1)^j is 1, -3, 3, -1
                 term = f"{'3.0 * ' if j in (1, 2) else ''}{left} * {h[j]}"
                 self.lines.append(f"if {left} and {h[j]}:\n    {acc} = {acc} {'-' if j % 2 else '+'} {term}")
-            values.append(f"-{acc} / 24.0")
+            accs.append(acc)
         body, reads = table_locals(self.env, "\n".join(self.lines))
-        self.lines = [*reads, "fq, fp = [0.0], [0.0]", f"for ({', '.join(u)}), ({', '.join(w)}) in jets:",
+        self.lines = [*reads, "fq, fp = 0.0, 0.0", f"for ({', '.join(u)}), ({', '.join(w)}) in jets:",
                       *(f"    {row}" for row in body.split("\n")),
-                      *(f"    {f}.append({v})" for f, v in zip(("fq", "fp"), values))]
+                      *(f"    {f} = {f} - {acc} / 24.0" for f, acc in zip(("fq", "fp"), accs))]
         return self.function(["fq", "fp"], False)
 
 
@@ -593,9 +599,8 @@ def hbar2_ode(
     :func:`_extrapolate`'s table runs it, reading the correction and the
     jets' value (Q2, P2, q, p); its rows are the generated modified-midpoint
     loop (``flow.rk4_loop``'s "midpoint" scheme), all of a macro step's
-    from the rates at its start.  ``steps_per_unit`` sets the budget of
-    ``4 * round(steps_per_unit * t_final)`` rate evaluations, RK4's at that
-    many steps.
+    from the rates at its start.  ``steps_per_unit`` sets the table's
+    budget of rate evaluations (:func:`_extrapolate`).
     """
     if t_final < 0:
         raise ValueError("the ode route needs t_final >= 0")
@@ -614,7 +619,7 @@ def hbar2_ode(
 
     # the order-2 jets' six coefficients each, then the correction pair
     state = [*seed(z0[0], 0, 2), *seed(z0[1], 1, 2), 0.0, 0.0]
-    q2, p2, *_ = _extrapolate(row, state, t_final, 4 * round(steps_per_unit * t_final), (12, 13, 0, 6), ham)
+    (q2, p2, *_), _ = _extrapolate(row, state, t_final, steps_per_unit, (12, 13, 0, 6), ham)
     return Hbar2Result(q2=(q2,), p2=(p2,))
 
 

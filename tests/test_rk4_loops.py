@@ -410,3 +410,22 @@ def test_the_midpoint_loops_write_no_more_float_work():
             rk4_loop(ham._partials, ham._field, _Hbar2Emitter, "midpoint"),
         ]
         assert tuple((float_ops(loop), stores(loop)) for loop in loops) == MIDPOINT_LOOP_WORK[name], name
+
+
+# the arithmetic instructions and stored locals of transport's node loop
+# (``semiclassical._transport_nodes``), whose body runs once per node: the
+# inverse map, H's third partials and the bracket, added onto the two
+# integrand sums
+NODE_LOOP_WORK = {
+    "squeeze": (232, 84),
+    "quartic": (135, 69),
+    "cubic": (135, 70),
+    "cosh": (136, 73),
+    "example1": (238, 92),
+}
+
+
+def test_the_node_loop_writes_no_more_float_work():
+    for name, make in BENCH_HAMILTONIANS.items():
+        loop = moyal.semiclassical._transport_nodes(make())
+        assert (float_ops(loop), stores(loop)) == NODE_LOOP_WORK[name], name
